@@ -28,6 +28,7 @@ from .polycore import (
     cheb_orthonormal_square,
     monomials_upto,
     poly_eval,
+    powers,
     simplex_generator_power,
 )
 
@@ -72,6 +73,8 @@ def _parse_points(raw: Optional[str], dimension: int) -> list[list[float]]:
             raise ValueError(
                 f"point {chunk!r} has {len(coords)} coordinates, expected {dimension}"
             )
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError(f"point {chunk!r} has a non-finite coordinate")
         points.append(coords)
     return points
 
@@ -92,10 +95,11 @@ def emit_partition(
     polys: list[AnyPoly] = []
     if domain == "interval01":
         s = Fraction((n + 1) * (n + 2), 2)
-        one_minus_x = UPoly.from_coeffs([1, -1])
+        x_powers = powers(UPoly.x(), n)
+        one_minus_x_powers = powers(UPoly.from_coeffs([1, -1]), n)
         for i, j in monomials_upto(2, n):
             weight = 1 / (beta_integral(i, j) * s)
-            poly = (UPoly.x() ** i) * (one_minus_x**j) * weight
+            poly = x_powers[i] * one_minus_x_powers[j] * weight
             members.append({"label": {"i": i, "j": j}, "weight": str(weight)})
             polys.append(poly)
         dimension = 1
@@ -189,6 +193,10 @@ def _run_verify(args) -> tuple[dict, int]:
 
 
 def _run_maxent(args) -> tuple[dict, int]:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    if args.max_iter < 0:
+        raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
     mode = args.mode
     if mode == "handelman":
         default = Fraction((args.n + 1) * (args.n + 2), 2)
@@ -234,6 +242,8 @@ def _dispatch(args) -> tuple[object, str, int]:
         report = identities.verify_pell(args.n)
         return report.to_json(), "json", EXIT_OK if report.holds else EXIT_FAILED
     if args.command == "moments":
+        if args.max_degree < 0:
+            raise ValueError(f"--max-degree must be >= 0, got {args.max_degree}")
         measure = _measure_from_flags(args.measure, args.d, args.normalization)
         rows = _moments_payload(measure, args.max_degree)
         if args.format == "csv":

@@ -36,6 +36,7 @@ from .polycore import (
     cheb,
     cheb_orthonormal_square,
     monomials_upto,
+    powers,
     simplex_generator_power,
 )
 
@@ -187,12 +188,12 @@ def verify_unity_01(n: int) -> IdentityReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    one_minus_x = UPoly.from_coeffs([1, -1])
+    x_powers = powers(UPoly.x(), n)
+    one_minus_x_powers = powers(UPoly.from_coeffs([1, -1]), n)
     expression = UPoly.zero()
     for i in range(n + 1):
-        xi = UPoly.x() ** i
         for j in range(n + 1 - i):
-            term = xi * (one_minus_x**j) * (1 / beta_integral(i, j))
+            term = x_powers[i] * one_minus_x_powers[j] * (1 / beta_integral(i, j))
             expression = expression + term
     expected = Fraction((n + 1) * (n + 2), 2)
     return _report("unity-01", {"n": n}, expression, expected)

@@ -8,9 +8,9 @@ pivots are the leading principal minors, which doubles as the positive
 definiteness check.  The inverse assembled into a quadratic form gives the
 reciprocal Christoffel function as an explicit polynomial.
 
-Entry bit-length in the elimination grows quadratically with the matrix
-dimension; at desk scale keep exact inversion to about n <= 16 univariate
-and n <= 6 bivariate.
+Inversion time grows with the Bareiss intermediates, roughly cubically in
+the matrix dimension times their bit length; ``perfbench/README.md`` has
+measured times by measure and degree.
 """
 
 from __future__ import annotations

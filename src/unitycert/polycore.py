@@ -1,12 +1,13 @@
 """Exact polynomial algebra over the rationals.
 
-Univariate polynomials are dense coefficient tuples, multivariate ones are
-sparse exponent->coefficient maps.  Every coefficient is a
-``fractions.Fraction``, so all arithmetic here is exact; floating point never
-enters this module.  On top of the generic ring operations it provides the
-classical families used throughout the package: Chebyshev polynomials of both
-kinds, their squared orthonormalizations, the Bernstein basis on [0,1], and
-power products of the affine generators of the canonical simplex.
+Univariate polynomials are dense tuples of integer numerators over one common
+denominator, so their products are integer convolutions; multivariate ones
+are sparse exponent->``fractions.Fraction`` maps.  All arithmetic here is
+exact; floating point never enters this module.  On top of the generic ring
+operations it provides the classical families used throughout the package:
+Chebyshev polynomials of both kinds, their squared orthonormalizations, the
+Bernstein basis on [0,1], and power products of the affine generators of the
+canonical simplex.
 """
 
 from __future__ import annotations
@@ -35,20 +36,38 @@ def _frac(value) -> Fraction:
 
 @dataclass(frozen=True)
 class UPoly:
-    """Dense univariate polynomial; ``coeffs[k]`` is the coefficient of x^k.
+    """Dense univariate polynomial with integer numerators over one denominator.
 
-    The highest stored coefficient is nonzero, the zero polynomial is the
-    empty tuple, and the degree of the zero polynomial is -1.
+    The coefficient of x^k is ``nums[k] / den``.  The form is canonical: the
+    highest stored numerator is nonzero, ``den > 0`` and
+    ``gcd(den, *nums) == 1``, and the zero polynomial is ``((), 1)``, so
+    ``==`` and ``hash`` compare values exactly.  The degree of the zero
+    polynomial is -1.  The constructor does not check the form; build
+    polynomials with ``from_coeffs`` or the ring operations, which keep it.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def _canonical(nums: list[int], den: int) -> "UPoly":
+        """The canonical form of nums/den, for den > 0."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return UPoly((), 1)
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        return UPoly(tuple(nums), den)
 
     @staticmethod
     def from_coeffs(values: Iterable) -> "UPoly":
         coeffs = [_frac(v) for v in values]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return UPoly(tuple(coeffs))
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return UPoly._canonical([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @staticmethod
     def zero() -> "UPoly":
@@ -60,69 +79,95 @@ class UPoly:
 
     @staticmethod
     def x() -> "UPoly":
-        return UPoly.from_coeffs([0, 1])
+        return UPoly((0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as fractions; ``coeffs[k]`` is that of x^k."""
+        # tuple() of a list, not of a generator: a tuple grown from a generator
+        # is resized in place, and such tuples pile up in the interpreter's
+        # tuple free lists until a full collection, raising peak memory.
+        return tuple([Fraction(c, self.den) for c in self.nums])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     @property
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
 
+    def _combine(self, other: "UPoly", sign: int) -> "UPoly":
+        # self + sign * other over the lcm of the two denominators.
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        a = [c * fa for c in self.nums]
+        b = [c * fb for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for k, c in enumerate(b):
+            a[k] += c
+        return UPoly._canonical(a, self.den * fa)
+
     def __add__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly.from_coeffs(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly.from_coeffs(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self.coeffs))
+        return UPoly(tuple([-c for c in self.nums]), self.den)
 
     def __mul__(self, other) -> "UPoly":
         if isinstance(other, UPoly):
-            if self.is_zero() or other.is_zero():
+            a, b = self.nums, other.nums
+            if not a or not b:
                 return UPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
-                        out[i + j] += a * b
-            return UPoly.from_coeffs(out)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    for k, d in enumerate(b, i):
+                        out[k] += c * d
+            return UPoly._canonical(out, self.den * other.den)
         scalar = _frac(other)
-        return UPoly.from_coeffs(c * scalar for c in self.coeffs)
+        return UPoly._canonical(
+            [c * scalar.numerator for c in self.nums], self.den * scalar.denominator
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UPoly":
+        # Repeated squaring.
         if n < 0:
             raise ValueError("negative power")
         result = UPoly.constant(1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def eval(self, point) -> Fraction:
-        # Horner's scheme.
+        # Horner's scheme on p/q in integers: sum nums[k] p^k q^(deg-k).
         x = _frac(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        descending = reversed(self.nums)
+        acc, scale = next(descending), 1
+        for c in descending:
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, self.den * scale)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -291,6 +336,14 @@ def monomials_upto(dimension: int, degree: int) -> tuple[Exponent, ...]:
     for total in range(degree + 1):
         out.extend(monomials_of_degree(dimension, total))
     return tuple(out)
+
+
+def powers(p: UPoly, n: int) -> list[UPoly]:
+    """The list [p^0, p^1, ..., p^n], one multiplication per entry."""
+    out = [UPoly.constant(1)]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
 
 
 def cheb(kind: ChebKind, n: int) -> UPoly:

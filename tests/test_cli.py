@@ -51,6 +51,24 @@ class TestExitCodeContract:
         assert cli.run(["verify", "--identity", "pell", "--n", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maxent", "handelman", "--n", "3", "--tol", "nan"],
+            ["maxent", "handelman", "--n", "3", "--tol", "-1"],
+            ["maxent", "handelman", "--n", "3", "--tol", "0"],
+            ["maxent", "putinar", "--n", "2", "--tol", "inf"],
+            ["maxent", "handelman", "--n", "3", "--max-iter", "-1"],
+            ["moments", "--measure", "arcsine", "--max-degree", "-1"],
+        ],
+    )
+    def test_out_of_range_flag_is_exit_2(self, capsys, argv):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+
     def test_numeric_failure_is_exit_3(self, capsys, monkeypatch):
         def boom(measure, n, shift=None):
             raise NotPositiveDefiniteError(1, Fraction(-1))
@@ -205,6 +223,14 @@ class TestPartition:
         code = cli.run(["partition", "--domain", "simplex", "--d", "2", "--n", "1", "--points", "0.5"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("points", ["inf", "nan", "-inf", "1e400", "0.5;nan"])
+    def test_non_finite_point_is_exit_2(self, capsys, points):
+        code = cli.run(["partition", "--domain", "interval01", "--n", "3", f"--points={points}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
 
 class TestOutputFile:

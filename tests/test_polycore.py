@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -161,12 +162,128 @@ class TestRepresentation:
         with pytest.raises(TypeError):
             UPoly.from_coeffs([0.5])
         with pytest.raises(TypeError):
+            UPoly.x() * 0.5
+        with pytest.raises(TypeError):
+            UPoly.x().eval(0.5)
+        with pytest.raises(TypeError):
             MPoly.constant(2, 0.5)
 
     def test_immutable(self):
         p = upoly(1, 2)
         with pytest.raises(AttributeError):
             p.coeffs = ()
+
+
+def _ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    if not p.nums:
+        assert p.den == 1
+
+
+class TestIntegerNumeratorKernel:
+    """UPoly against a plain Fraction-list reference computed here."""
+
+    @staticmethod
+    def rand_coeffs(rng):
+        return _ref_trim(
+            Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 7, 9, 12, 25]))
+            for _ in range(rng.randint(0, 7))
+        )
+
+    def test_ring_operations_match_reference(self):
+        rng = random.Random(2023)
+        for _ in range(200):
+            a, b = self.rand_coeffs(rng), self.rand_coeffs(rng)
+            p, q = UPoly.from_coeffs(a), UPoly.from_coeffs(b)
+            assert p.coeffs == a
+            for result, want in (
+                (p + q, _ref_add(a, b)),
+                (p - q, _ref_add(a, b, -1)),
+                (-p, _ref_trim(-c for c in a)),
+                (p * q, _ref_mul(a, b)),
+            ):
+                assert result.coeffs == want
+                _assert_canonical(result)
+
+    def test_scalar_multiplication_matches_reference(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            a = self.rand_coeffs(rng)
+            scalar = Fraction(rng.randint(-12, 12), rng.randint(1, 15))
+            want = _ref_trim(c * scalar for c in a)
+            for result in (UPoly.from_coeffs(a) * scalar, scalar * UPoly.from_coeffs(a)):
+                assert result.coeffs == want
+                _assert_canonical(result)
+            k = rng.randint(-5, 5)
+            assert (k * UPoly.from_coeffs(a)).coeffs == _ref_trim(c * k for c in a)
+
+    def test_powers_match_repeated_multiplication(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            a = self.rand_coeffs(rng)[:4]
+            p = UPoly.from_coeffs(a)
+            want = (Fraction(1),)
+            for n in range(10):
+                result = p**n
+                assert result.coeffs == want
+                _assert_canonical(result)
+                want = _ref_mul(want, a)
+
+    def test_eval_matches_reference(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            a = self.rand_coeffs(rng)
+            for x in (Fraction(rng.randint(-20, 20), rng.randint(1, 16)), rng.randint(-3, 3)):
+                want = sum((c * Fraction(x) ** k for k, c in enumerate(a)), Fraction(0))
+                assert UPoly.from_coeffs(a).eval(x) == want
+
+    def test_canonical_form(self):
+        half = UPoly.from_coeffs([Fraction(2, 4)])
+        assert half == UPoly.constant(Fraction(1, 2))
+        assert hash(half) == hash(UPoly.constant(Fraction(1, 2)))
+        assert (half.nums, half.den) == ((1,), 2)
+        p = UPoly.from_coeffs([Fraction(1, 6), Fraction(-1, 4), Fraction(2, 3)])
+        assert (p.nums, p.den) == ((2, -3, 8), 12)
+        assert p * Fraction(6, 1) == UPoly.from_coeffs([1, Fraction(-3, 2), 4])
+        assert (p * 12).den == 1
+        _assert_canonical(p + p)
+
+    def test_zero_conventions(self):
+        rng = random.Random(3)
+        p = UPoly.from_coeffs(self.rand_coeffs(rng) + (Fraction(5, 3),))
+        for z in (UPoly.zero(), UPoly.from_coeffs([0, 0]), UPoly.from_coeffs([]),
+                  p - p, p * 0, p * UPoly.zero(), UPoly.zero() * p, p + (-p)):
+            assert (z.nums, z.den) == ((), 1)
+            assert z == UPoly.zero()
+            assert z.degree == -1
+        assert UPoly.zero().eval(Fraction(1, 3)) == 0
+        assert UPoly.zero() ** 0 == UPoly.constant(1)
 
 
 class TestMonomialOrder:
