@@ -45,7 +45,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .momatrix import NotPositiveDefiniteError, invert_symmetric_rational
+from .momatrix import NotPositiveDefiniteError, RationalMatrix, invert_symmetric_rational
 from .polycore import (
     AnyPoly,
     Exponent,
@@ -446,17 +446,23 @@ def _logdet_hessian(inverse: np.ndarray) -> np.ndarray:
     return hess
 
 
+def _putinar_gram_inverses(
+    lam: Sequence[Fraction], n: int
+) -> tuple[RationalMatrix, RationalMatrix]:
+    """Exact inverses of the Hankel moment and (1 - x^2)-localizing matrices of lam."""
+    moment = [[lam[i + j] for j in range(n + 1)] for i in range(n + 1)]
+    shifted = [lam[k] - lam[k + 2] for k in range(2 * n - 1)]
+    localizing = [[shifted[i + j] for j in range(n)] for i in range(n)]
+    return invert_symmetric_rational(moment), invert_symmetric_rational(localizing)
+
+
 def _snapped_putinar_grams(y: np.ndarray, n: int):
     """Double-cast exact inverses of the rationalized moment vector, if PD."""
     lam = [
         Fraction(float(v)).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND) for v in y
     ]
-    moment = [[lam[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    shifted = [lam[k] - lam[k + 2] for k in range(2 * n - 1)]
-    localizing = [[shifted[i + j] for j in range(n)] for i in range(n)]
     try:
-        inv_m = invert_symmetric_rational(moment)
-        inv_l = invert_symmetric_rational(localizing)
+        inv_m, inv_l = _putinar_gram_inverses(lam, n)
     except NotPositiveDefiniteError:
         return None
     gram_a = tuple(tuple(float(v) for v in row) for row in inv_m)
@@ -775,11 +781,7 @@ def exact_putinar(
     lam = rationalize_dual(dual, max_denominator).values
     if len(lam) != 2 * n + 1:
         raise ValueError("dual vector length does not match the working degree")
-    moment = [[lam[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    shifted = [lam[k] - lam[k + 2] for k in range(2 * n - 1)]
-    localizing = [[shifted[i + j] for j in range(n)] for i in range(n)]
-    gram_a = invert_symmetric_rational(moment)
-    gram_b = invert_symmetric_rational(localizing)
+    gram_a, gram_b = _putinar_gram_inverses(lam, n)
     return PutinarCertificate(degree=n, gram_a=gram_a, gram_b=gram_b, target=target)
 
 

@@ -1,12 +1,16 @@
 """Moment and localizing matrices with exact rational inversion.
 
 Matrices are indexed by the graded lexicographic monomial basis of degree
-<= n.  The unshifted univariate case is Hankel.  Inversion is exact:
-fraction-free Bareiss elimination on an integer-scaled copy (every division
-is asserted to be exact) followed by rational back-substitution.  The Bareiss
-pivots are the leading principal minors, which doubles as the positive
-definiteness check.  The inverse assembled into a quadratic form gives the
-reciprocal Christoffel function as an explicit polynomial.
+<= n.  The unshifted univariate case is Hankel.  Inversion is exact and runs
+in integers: fraction-free Bareiss elimination on an integer-scaled copy
+(Bareiss, Math. Comp. 1968), then back-substitution to ``det * A^{-1}``, which
+is an integer matrix; every division is checked exact, and each entry is
+divided by ``det`` once at the end.  The Bareiss pivots are the leading
+principal minors, which doubles as the positive definiteness check.  The
+inverse assembled into a quadratic form gives the reciprocal Christoffel
+function as an explicit polynomial.  With ``logging`` at DEBUG, each
+inversion logs its dimension and the bit lengths of ``det`` and of the
+largest entry of ``det * A^{-1}``.
 
 Inversion time grows with the Bareiss intermediates, roughly cubically in
 the matrix dimension times their bit length; ``perfbench/README.md`` has
@@ -15,6 +19,7 @@ measured times by measure and degree.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +37,8 @@ from .polycore import (
 )
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+logger = logging.getLogger(__name__)
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -110,52 +117,74 @@ def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -
 def invert_symmetric_rational(entries: Sequence[Sequence[Fraction]]) -> RationalMatrix:
     """Exact inverse of a symmetric positive definite rational matrix.
 
-    Scales to integers, runs Bareiss fraction-free elimination on the
-    augmented system (each interior division checked exact), verifies that
-    every pivot -- a leading principal minor -- is positive, then
-    back-substitutes in rational arithmetic.
+    Entries are ``int`` or ``Fraction`` (any value with integer ``numerator``
+    and ``denominator``); a non-square or non-symmetric matrix raises
+    ``ValueError``.  Scales to integers, runs Bareiss fraction-free
+    elimination on the augmented system ``[A_int | scale*I]`` (each division
+    checked exact) and verifies that every pivot -- a leading principal
+    minor -- is positive, raising ``NotPositiveDefiniteError`` otherwise.
+    The last pivot ``det`` makes ``Y = det * A^{-1}`` an integer matrix
+    (Cramer's rule), so back-substitution runs in integers, each division
+    again checked exact, and each entry becomes one ``Fraction(Y_ij, det)``.
     """
     m = len(entries)
     if any(len(row) != m for row in entries):
         raise ValueError("matrix must be square")
     if m == 0:
         return ()
-    scale = 1
-    for row in entries:
-        for value in row:
-            scale = scale * Fraction(value).denominator // math.gcd(scale, Fraction(value).denominator)
-    # Augment [A_int | scale * I]; the solution of A_int X = scale*I is A^{-1}.
-    aug = [
-        [int(Fraction(value) * scale) for value in row] + [scale if k == i else 0 for k in range(m)]
-        for i, row in enumerate(entries)
-    ]
-    width = 2 * m
+    scale = math.lcm(*(value.denominator for row in entries for value in row))
+    # A_int, eliminated in place into the upper-triangular U.
+    a = [[value.numerator * (scale // value.denominator) for value in row] for row in entries]
+    if any(a[i][j] != a[j][i] for i in range(m) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    # Bareiss elimination on [A_int | scale*I].  The trailing block stays
+    # symmetric, so only entries on and above the diagonal are updated.  The
+    # back-substitution below reads only the diagonal of the right block, and
+    # its row-k entry is scale times the pivot before k, so it is not stored.
+    rhs = []
     prev = 1
     for k in range(m):
-        pivot = aug[k][k]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         if pivot <= 0:
-            minor = Fraction(pivot, scale**(k + 1))
-            raise NotPositiveDefiniteError(k + 1, minor)
+            raise NotPositiveDefiniteError(k + 1, Fraction(pivot, scale ** (k + 1)))
+        rhs.append(scale * prev)
         for i in range(k + 1, m):
-            factor = aug[i][k]
-            for j in range(k, width):
-                num = pivot * aug[i][j] - factor * aug[k][j]
-                q, r = divmod(num, prev)
+            row = a[i]
+            factor = pivot_row[i]
+            for j in range(i, m):
+                q, r = divmod(pivot * row[j] - factor * pivot_row[j], prev)
                 if r:
                     raise AssertionError("Bareiss division was not exact")
-                aug[i][j] = q
+                row[j] = q
         prev = pivot
-    # Back-substitution on the upper-triangular integer system.
-    inverse = [[Fraction(0)] * m for _ in range(m)]
-    for col in range(m):
-        x = [Fraction(0)] * m
-        for i in range(m - 1, -1, -1):
-            acc = Fraction(aug[i][m + col])
+    det = prev
+    # Y = det * A^{-1} is integral (Cramer's rule) and symmetric.  Columns run
+    # last to first: rows below the diagonal of column col are mirrored from
+    # the columns already solved, and rows <= col are back-substituted.
+    y = [[0] * m for _ in range(m)]
+    for col in range(m - 1, -1, -1):
+        y_col = y[col]  # y[col][j] == y[j][col]
+        for i in range(col, -1, -1):
+            row = a[i]
+            acc = det * rhs[col] if i == col else 0
             for j in range(i + 1, m):
-                acc -= aug[i][j] * x[j]
-            x[i] = acc / aug[i][i]
-        for i in range(m):
-            inverse[i][col] = x[i]
+                acc -= row[j] * y_col[j]
+            q, r = divmod(acc, row[i])
+            if r:
+                raise AssertionError("back-substitution division was not exact")
+            y_col[i] = y[i][col] = q
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "inverted dim=%d det_bits=%d entry_bits_max=%d",
+            m,
+            det.bit_length(),
+            max(value.bit_length() for row in y for value in row),
+        )
+    inverse = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            inverse[i][j] = inverse[j][i] = Fraction(y[i][j], det)
     return tuple(tuple(row) for row in inverse)
 
 

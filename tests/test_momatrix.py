@@ -1,6 +1,8 @@
 import dataclasses
+import logging
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -129,6 +131,112 @@ class TestInvertExact:
             invert_symmetric_rational([[Fraction(-1)]])
         assert exc.value.order == 1
 
+
+
+def random_spd(rng, size):
+    """L L^T for a random lower-triangular L with mixed denominators."""
+    lower = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i):
+            lower[i][j] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12, 25]))
+        lower[i][i] = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 4, 11]))
+    return [
+        [sum(lower[i][k] * lower[j][k] for k in range(size)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+class TestIntegerBackSubstitution:
+    def test_hilbert_closed_form(self):
+        # The LEBESGUE01 moment matrix is the Hilbert matrix, whose inverse
+        # has integer entries in closed form.
+        for n in range(12):
+            m = n + 1
+            inv = invert_exact(moment_matrix(LEBESGUE01, n))
+            for i in range(m):
+                for j in range(m):
+                    expected = (
+                        (-1) ** (i + j)
+                        * (i + j + 1)
+                        * comb(m + i, m - j - 1)
+                        * comb(m + j, m - i - 1)
+                        * comb(i + j, i) ** 2
+                    )
+                    assert inv[i][j] == expected
+
+    def test_random_spd_against_sympy(self):
+        rng = random.Random(23)
+        for size in range(6, 13):
+            spd = random_spd(rng, size)
+            ours = invert_symmetric_rational(spd)
+            oracle = sympy_matrix(spd).inv()
+            for i in range(size):
+                for j in range(size):
+                    assert ours[i][j] == Fraction(int(oracle[i, j].p), int(oracle[i, j].q))
+
+    def test_inverse_is_exactly_symmetric(self):
+        rng = random.Random(29)
+        matrices = [random_spd(rng, size) for size in (2, 7, 11)]
+        matrices += [
+            moment_matrix(simplex_uniform(2), 3).entries,
+            moment_matrix(simplex_equilibrium(), 2).entries,
+            moment_matrix(ARCSINE, 5, shift=G).entries,
+        ]
+        for entries in matrices:
+            inv = invert_symmetric_rational(entries)
+            size = len(entries)
+            for i in range(size):
+                for j in range(size):
+                    assert inv[i][j] == inv[j][i]
+
+    def test_failure_reports_first_nonpositive_leading_minor(self):
+        rows = [
+            [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 7)],
+            [Fraction(1, 3), Fraction(1, 2), Fraction(1, 5), Fraction(2, 9)],
+            [Fraction(1, 4), Fraction(1, 5), Fraction(1, 100), Fraction(1, 6)],
+            [Fraction(1, 7), Fraction(2, 9), Fraction(1, 6), Fraction(3)],
+        ]
+        minors = [sympy_matrix(rows)[:k, :k].det() for k in (1, 2, 3)]
+        assert minors[0] > 0 and minors[1] > 0 and minors[2] < 0
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            invert_symmetric_rational(rows)
+        assert exc.value.order == 3
+        assert exc.value.minor == Fraction(int(minors[2].p), int(minors[2].q))
+
+    def test_empty_matrix(self):
+        assert invert_symmetric_rational([]) == ()
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            invert_symmetric_rational([[Fraction(1), Fraction(0)]])
+        with pytest.raises(ValueError):
+            invert_symmetric_rational([[Fraction(1), Fraction(0)], [Fraction(0)]])
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            invert_symmetric_rational([[Fraction(2), Fraction(1)], [Fraction(1, 2), Fraction(2)]])
+
+    def test_int_entries(self):
+        inv = invert_symmetric_rational([[2, 1], [1, 2]])
+        assert inv == frac_rows([[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]])
+        assert all(isinstance(v, Fraction) for row in inv for v in row)
+
+    def test_debug_record_reports_sizes(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+            invert_symmetric_rational([[2, 1], [1, 2]])
+        # det = 3 and det * A^{-1} = [[2, -1], [-1, 2]]: two bits each.
+        assert [r.getMessage() for r in caplog.records] == [
+            "inverted dim=2 det_bits=2 entry_bits_max=2"
+        ]
+
+    def test_no_debug_record_by_default(self, caplog):
+        with caplog.at_level(logging.INFO, logger="unitycert.momatrix"):
+            invert_symmetric_rational([[2, 1], [1, 2]])
+        assert caplog.records == []
 
 class TestChristoffelForm:
     def test_arcsine_n1(self):
