@@ -4,15 +4,20 @@ Subcommands: pell, moments, matrix, christoffel, verify, maxent, partition.
 JSON is the default output (rationals as "p/q" strings, never floats in
 exact reports); moment tables can also be emitted as CSV.  Exit codes:
 0 success (identity holds / solver converged), 1 identity fails or solver
-did not converge, 2 usage error, 3 internal numeric failure.
+did not converge, 2 usage error, 3 internal numeric failure.  The top-level
+``--log-level`` flag writes the package's ``unitycert.*`` log records at or
+above that level to stderr as JSON lines; without it no handler is
+installed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import sys
 from fractions import Fraction
@@ -36,6 +41,36 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+class _JsonLineFormatter(logging.Formatter):
+    def format(self, record: logging.LogRecord) -> str:
+        return json.dumps(
+            {"level": record.levelname, "logger": record.name, "message": record.getMessage()}
+        )
+
+
+@contextlib.contextmanager
+def _json_log_lines(level: Optional[str]):
+    """Write ``unitycert.*`` records at or above ``level`` to stderr while open.
+
+    With ``level`` None nothing is installed.  Otherwise one handler is added
+    to the package logger and removed on exit, and the logger's level is
+    restored, so repeated in-process runs leave no handler behind.
+    """
+    if level is None:
+        yield
+        return
+    package_logger = logging.getLogger("unitycert")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_JsonLineFormatter())
+    previous_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(level)
+    try:
+        yield
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(previous_level)
 
 
 def _measure_from_flags(name: str, d: int, normalization: str) -> MeasureId:
@@ -289,6 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="unitycert",
         description="Exact partition-of-unity identities and max-entropy certificates.",
     )
+    parser.add_argument(
+        "--log-level",
+        choices=("WARNING", "INFO", "DEBUG"),
+        default=None,
+        help="write unitycert log records at or above this level to stderr as JSON lines",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_format=True):
@@ -383,20 +424,21 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        payload, kind, code = _dispatch(args)
-    except maxent.NoInteriorCertificateError as exc:
-        payload = {"error": str(exc), "report": exc.report.to_json()}
-        _write_output(payload, "json", getattr(args, "output", None))
-        return EXIT_FAILED
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _write_output(payload, kind, getattr(args, "output", None))
-    return code
+    with _json_log_lines(args.log_level):
+        try:
+            payload, kind, code = _dispatch(args)
+        except maxent.NoInteriorCertificateError as exc:
+            payload = {"error": str(exc), "report": exc.report.to_json()}
+            _write_output(payload, "json", getattr(args, "output", None))
+            return EXIT_FAILED
+        except NotPositiveDefiniteError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (ValueError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        _write_output(payload, kind, getattr(args, "output", None))
+        return code
 
 
 def main() -> None:

@@ -90,7 +90,7 @@ def constant_reduce(p: AnyPoly) -> Optional[Fraction]:
         if p.degree <= 0:
             return p.constant_term
         return None
-    if all(sum(e) == 0 for e in p.terms):
+    if p.nums.keys() <= {(0,) * p.dimension}:
         return p.constant_term
     return None
 
@@ -98,7 +98,8 @@ def constant_reduce(p: AnyPoly) -> Optional[Fraction]:
 def _nonconstant_terms(p: AnyPoly) -> int:
     if isinstance(p, UPoly):
         return sum(1 for k, c in enumerate(p.coeffs) if k > 0 and c != 0)
-    return sum(1 for e, c in p.terms.items() if sum(e) > 0 and c != 0)
+    # Numerators are nonzero, and only the all-zero exponent has degree 0.
+    return len(p.nums) - ((0,) * p.dimension in p.nums)
 
 
 def _report(

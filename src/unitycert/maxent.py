@@ -202,8 +202,8 @@ def _generator_table(d: int, n: int):
     for alpha in alphas:
         g = simplex_generator_power(d, alpha)
         row = [Fraction(0)] * len(basis)
-        for e, c in g.terms.items():
-            row[index[e]] = c
+        for e, c in g.nums.items():
+            row[index[e]] = Fraction(c, g.den)
         rows.append(tuple(row))
     return alphas, basis, rows
 
@@ -653,15 +653,27 @@ def _is_rational(value: Number) -> bool:
 
 
 def _handelman_reconstruction(cert: HandelmanCertificate, exact: bool):
-    terms: dict[Exponent, object] = {}
-    for alpha, weight in cert.weights.items():
-        g = simplex_generator_power(cert.dimension, alpha)
-        for e, c in g.terms.items():
-            if exact:
-                terms[e] = terms.get(e, Fraction(0)) + Fraction(weight) * c
-            else:
-                terms[e] = terms.get(e, 0.0) + float(weight) * float(c)
-    return terms
+    gens = [
+        (weight, simplex_generator_power(cert.dimension, alpha))
+        for alpha, weight in cert.weights.items()
+    ]
+    if not exact:
+        terms: dict[Exponent, float] = {}
+        for weight, g in gens:
+            w = float(weight)
+            for e, c in g.nums.items():
+                terms[e] = terms.get(e, 0.0) + w * (c / g.den)
+        return terms
+    # Sum in integer numerators over the lcm of all weight and generator
+    # denominators; one Fraction per monomial at the end.
+    weights = [(Fraction(weight), g) for weight, g in gens]
+    den = math.lcm(*(w.denominator * g.den for w, g in weights))
+    nums: dict[Exponent, int] = {}
+    for w, g in weights:
+        factor = w.numerator * (den // (w.denominator * g.den))
+        for e, c in g.nums.items():
+            nums[e] = nums.get(e, 0) + factor * c
+    return {e: Fraction(c, den) for e, c in nums.items()}
 
 
 def _target_terms(target: AnyPoly, dimension: int, exact: bool):

@@ -20,6 +20,7 @@ cross-checks of the closed forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -117,12 +118,12 @@ def _simplex_equilibrium_moment(a: int, b: int) -> Fraction:
 def _normalize_alpha(measure: MeasureId, alpha) -> Exponent:
     if isinstance(alpha, int):
         alpha = (alpha,)
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(map(operator.index, alpha))
     if len(alpha) != measure.dimension:
         raise ValueError(
             f"exponent {alpha} has dimension {len(alpha)}, measure expects {measure.dimension}"
         )
-    if any(a < 0 for a in alpha):
+    if min(alpha) < 0:
         raise ValueError("exponents must be nonnegative")
     return alpha
 
@@ -174,9 +175,19 @@ class MomentFunctional:
             )
         if p.dimension != self.measure.dimension:
             raise ValueError("polynomial dimension does not match the measure")
-        return sum(
-            (c * self.moment(e) for e, c in p.terms.items()), Fraction(0)
-        )
+        # Sum nums[e] * moment(e) in integers over the lcm of the moment
+        # denominators; one Fraction at the end.
+        num, den = 0, 1
+        for e, c in p.nums.items():
+            value = self.moment(e)
+            vd = value.denominator
+            if vd == den:
+                num += c * value.numerator
+            else:
+                g = math.gcd(den, vd)
+                num = num * (vd // g) + c * value.numerator * (den // g)
+                den *= vd // g
+        return Fraction(num, den * p.den)
 
     def memo_size(self) -> int:
         return len(self._memo)
@@ -188,14 +199,6 @@ _FUNCTIONALS: dict[MeasureId, MomentFunctional] = {}
 def functional_for(measure: MeasureId) -> MomentFunctional:
     """Shared functional per measure so memo tables accumulate across calls."""
     return _FUNCTIONALS.setdefault(measure, MomentFunctional(measure))
-
-
-def moment(f: MomentFunctional, alpha) -> Fraction:
-    return f.moment(alpha)
-
-
-def poly_moment(f: MomentFunctional, p: AnyPoly) -> Fraction:
-    return f.poly_moment(p)
 
 
 def simplex_uniform_moment_oracle(d: int, alpha: Sequence[int]) -> Fraction:

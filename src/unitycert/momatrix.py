@@ -85,7 +85,7 @@ def _shift_terms(shift: Optional[AnyPoly], dimension: int) -> list[tuple[Exponen
         raise ValueError("shift polynomial dimension does not match the measure")
     if isinstance(shift, UPoly):
         return [((k,), c) for k, c in enumerate(shift.coeffs) if c != 0]
-    return list(shift.terms.items())
+    return [(e, Fraction(c, shift.den)) for e, c in shift.nums.items()]
 
 
 def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> MomentMatrix:

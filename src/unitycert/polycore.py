@@ -1,18 +1,19 @@
 """Exact polynomial algebra over the rationals.
 
-Univariate polynomials are dense tuples of integer numerators over one common
-denominator, so their products are integer convolutions; multivariate ones
-are sparse exponent->``fractions.Fraction`` maps.  All arithmetic here is
-exact; floating point never enters this module.  On top of the generic ring
-operations it provides the classical families used throughout the package:
-Chebyshev polynomials of both kinds, their squared orthonormalizations, the
-Bernstein basis on [0,1], and power products of the affine generators of the
-canonical simplex.
+Polynomials store integer numerators over one common denominator: univariate
+ones as dense tuples, multivariate ones as sparse exponent->numerator maps,
+so their products are integer convolutions with one gcd at the end.  All
+arithmetic here is exact; floating point never enters this module.  On top
+of the generic ring operations it provides the classical families used
+throughout the package: Chebyshev polynomials of both kinds, their squared
+orthonormalizations, the Bernstein basis on [0,1], and power products of the
+affine generators of the canonical simplex, expanded in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -182,14 +183,34 @@ class UPoly:
 
 @dataclass(frozen=True)
 class MPoly:
-    """Sparse multivariate polynomial in a fixed number of variables.
+    """Sparse multivariate polynomial with integer numerators over one denominator.
 
-    ``terms`` maps exponent tuples of length ``dimension`` to nonzero
-    rational coefficients; the zero polynomial has an empty map.
+    ``nums`` maps exponent tuples of length ``dimension`` to nonzero integer
+    numerators; the coefficient of x^e is ``nums[e] / den``.  The form is
+    canonical: no stored numerator is zero, ``den > 0`` and
+    ``gcd(den, *nums.values()) == 1``, and the zero polynomial is ``({}, 1)``,
+    so ``==`` compares values exactly.  The constructor does not check the
+    form; build polynomials with ``make`` or the ring operations, which keep
+    it.
     """
 
     dimension: int
-    terms: Mapping[Exponent, Fraction]
+    nums: dict[Exponent, int]
+    den: int = 1
+
+    @staticmethod
+    def _canonical(dimension: int, nums: dict[Exponent, int], den: int) -> "MPoly":
+        """The canonical form of nums/den, for den > 0."""
+        if 0 in nums.values():
+            nums = {e: c for e, c in nums.items() if c}
+        if not nums:
+            return MPoly(dimension, {}, 1)
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: c // g for e, c in nums.items()}
+                den //= g
+        return MPoly(dimension, nums, den)
 
     @staticmethod
     def make(dimension: int, terms: Mapping[Exponent, object]) -> "MPoly":
@@ -197,7 +218,7 @@ class MPoly:
             raise ValueError("dimension must be positive")
         clean: dict[Exponent, Fraction] = {}
         for exponent, value in terms.items():
-            exponent = tuple(int(e) for e in exponent)
+            exponent = tuple(map(operator.index, exponent))
             if len(exponent) != dimension:
                 raise ValueError(
                     f"exponent {exponent} has length {len(exponent)}, expected {dimension}"
@@ -206,9 +227,13 @@ class MPoly:
                 raise ValueError(f"negative exponent in {exponent}")
             coeff = _frac(value)
             if coeff != 0:
-                clean[exponent] = clean.get(exponent, Fraction(0)) + coeff
-        clean = {e: c for e, c in clean.items() if c != 0}
-        return MPoly(dimension, clean)
+                clean[exponent] = clean.get(exponent, 0) + coeff
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        return MPoly._canonical(
+            dimension,
+            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+            den,
+        )
 
     @staticmethod
     def zero(dimension: int) -> "MPoly":
@@ -226,15 +251,21 @@ class MPoly:
         exponent[index] = 1
         return MPoly.make(dimension, {tuple(exponent): 1})
 
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The coefficients as fractions, in a fresh dict built on each call."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.nums), default=-1)
 
     def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
+        c = self.nums.get(tuple(exponent))
+        return Fraction(c, self.den) if c else Fraction(0)
 
     @property
     def constant_term(self) -> Fraction:
@@ -244,57 +275,84 @@ class MPoly:
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
 
-    def __add__(self, other: "MPoly") -> "MPoly":
+    def _combine(self, other: "MPoly", sign: int) -> "MPoly":
+        # self + sign * other over the lcm of the two denominators.
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly.make(self.dimension, out)
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = dict(self.nums) if fa == 1 else {e: c * fa for e, c in self.nums.items()}
+        get = out.get
+        for e, c in other.nums.items():
+            out[e] = get(e, 0) + c * fb
+        return MPoly._canonical(self.dimension, out, self.den * fa)
+
+    def __add__(self, other: "MPoly") -> "MPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return MPoly.make(self.dimension, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.dimension, {e: -c for e, c in self.terms.items()})
+        return MPoly(self.dimension, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, MPoly):
             self._check(other)
-            out: dict[Exponent, Fraction] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    e = tuple(i + j for i, j in zip(ea, eb))
-                    out[e] = out.get(e, Fraction(0)) + ca * cb
-            return MPoly.make(self.dimension, out)
+            out: dict[Exponent, int] = {}
+            get = out.get
+            add = operator.add
+            right = other.nums.items()
+            for ea, ca in self.nums.items():
+                for eb, cb in right:
+                    e = tuple(map(add, ea, eb))
+                    out[e] = get(e, 0) + ca * cb
+            return MPoly._canonical(self.dimension, out, self.den * other.den)
         scalar = _frac(other)
-        return MPoly.make(self.dimension, {e: c * scalar for e, c in self.terms.items()})
+        k = scalar.numerator
+        return MPoly._canonical(
+            self.dimension, {e: c * k for e, c in self.nums.items()}, self.den * scalar.denominator
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
+        # Repeated squaring.
         if n < 0:
             raise ValueError("negative power")
         result = MPoly.constant(self.dimension, 1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def eval(self, point: Sequence) -> Fraction:
+        # With x_i = p_i/q_i and D_i the top degree in x_i, sum in integers
+        # nums[e] * prod p_i^e_i q_i^(D_i - e_i) over den * prod q_i^D_i.
         if len(point) != self.dimension:
             raise ValueError("point dimension mismatch")
         values = [_frac(v) for v in point]
-        total = Fraction(0)
-        for exponent, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(exponent, values):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        if not self.nums:
+            return Fraction(0)
+        scale = self.den
+        tables = []
+        for i, v in enumerate(values):
+            top = max(e[i] for e in self.nums)
+            p, q = v.numerator, v.denominator
+            p_pows, q_pows = [1], [1]
+            for _ in range(top):
+                p_pows.append(p_pows[-1] * p)
+                q_pows.append(q_pows[-1] * q)
+            tables.append([p_pows[k] * q_pows[top - k] for k in range(top + 1)])
+            scale *= q_pows[top]
+        pick = list.__getitem__
+        acc = 0
+        for e, c in self.nums.items():
+            acc += c * math.prod(map(pick, tables, e))
+        return Fraction(acc, scale)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -395,20 +453,25 @@ def bernstein(n: int, j: int) -> UPoly:
 def simplex_generator_power(d: int, alpha: Sequence[int]) -> MPoly:
     """Power product g_1^a1 ... g_{d+1}^a_{d+1} of the simplex generators.
 
-    The generators are g_j = x_j for j <= d and g_{d+1} = 1 - sum(x_j); the
-    result is expanded in the monomial basis of dimension d.
+    The generators are g_j = x_j for j <= d and g_{d+1} = 1 - sum(x_j).  With
+    beta = (a_1..a_d) and m = a_{d+1}, the multinomial theorem gives the
+    expansion x^beta (1 - sum x)^m = sum over |gamma| <= m of
+    (-1)^|gamma| m! / ((m - |gamma|)! gamma!) x^(beta + gamma), written
+    directly as integer coefficients in the monomial basis of dimension d.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(map(operator.index, alpha))
     if len(alpha) != d + 1:
         raise ValueError(f"alpha has length {len(alpha)}, expected {d + 1}")
     if any(a < 0 for a in alpha):
         raise ValueError("alpha entries must be nonnegative")
-    last = MPoly.constant(d, 1) - sum(
-        (MPoly.variable(d, i) for i in range(d)), MPoly.zero(d)
-    )
-    result = MPoly.constant(d, 1)
-    for i in range(d):
-        result = result * (MPoly.variable(d, i) ** alpha[i])
-    return result * (last ** alpha[d])
+    beta, m = alpha[:d], alpha[d]
+    add, prod, factorial = operator.add, math.prod, math.factorial
+    nums: dict[Exponent, int] = {}
+    for k in range(m + 1):
+        # (-1)^k m!/(m-k)!, divided exactly by gamma! below.
+        head = -math.perm(m, k) if k & 1 else math.perm(m, k)
+        for gamma in monomials_of_degree(d, k):
+            nums[tuple(map(add, beta, gamma))] = head // prod(map(factorial, gamma))
+    return MPoly(d, nums)

@@ -1,4 +1,5 @@
 import json
+import logging
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,44 @@ class TestOutputFile:
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["holds"] is True
         assert target.read_text(encoding="utf-8").endswith("\n")
+
+
+class TestLogLevel:
+    ARGV = ["christoffel", "--measure", "arcsine", "--n", "4"]
+
+    def test_debug_records_go_to_stderr_as_json_lines(self, capsys):
+        assert cli.run(self.ARGV) == 0
+        plain = capsys.readouterr()
+        assert cli.run(["--log-level", "DEBUG"] + self.ARGV) == 0
+        logged = capsys.readouterr()
+        assert logged.out == plain.out
+        records = [json.loads(line) for line in logged.err.splitlines()]
+        assert records and all(set(r) == {"level", "logger", "message"} for r in records)
+        assert any(
+            r["level"] == "DEBUG"
+            and r["logger"] == "unitycert.momatrix"
+            and r["message"].startswith("inverted dim=5 ")
+            for r in records
+        )
+
+    def test_warning_level_drops_debug_and_keeps_warnings(self, capsys):
+        argv = ["verify", "--identity", "simplex-equilibrium", "--n", "2"]
+        assert cli.run(["--log-level", "WARNING"] + argv) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(r["level"], r["logger"]) for r in records] == [
+            ("WARNING", "unitycert.identities")
+        ]
+
+    def test_unknown_level_is_exit_2(self, capsys):
+        assert cli.run(["--log-level", "TRACE"] + self.ARGV) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_no_handler_remains_after_run(self, capsys):
+        package_logger = logging.getLogger("unitycert")
+        handlers, level = list(package_logger.handlers), package_logger.level
+        for _ in range(3):
+            assert cli.run(["--log-level", "DEBUG"] + self.ARGV) == 0
+        assert cli.run(["--log-level", "INFO", "verify", "--identity", "pell", "--n", "0"]) == 2
+        assert package_logger.handlers == handlers
+        assert package_logger.level == level
+        capsys.readouterr()

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unitycert.measures import (
@@ -69,6 +70,13 @@ class TestClosedForms:
 
     def test_int_exponent_accepted(self):
         assert functional_for(ARCSINE).moment(2) == Fraction(1, 2)
+
+    def test_non_integer_exponent_rejected(self):
+        f = functional_for(simplex_uniform(2))
+        for alpha in ((1.5, 0), (1.0, 0), (Fraction(1), 2)):
+            with pytest.raises(TypeError):
+                f.moment(alpha)
+        assert f.moment((True, np.int64(2))) == f.moment((1, 2)) == Fraction(1, 30)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unitycert.polycore import (
@@ -284,6 +285,191 @@ class TestIntegerNumeratorKernel:
             assert z.degree == -1
         assert UPoly.zero().eval(Fraction(1, 3)) == 0
         assert UPoly.zero() ** 0 == UPoly.constant(1)
+
+
+def _mref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _mref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _mref_eval(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(point, e):
+            c *= Fraction(v) ** k
+        total += c
+    return total
+
+
+def _assert_mcanonical(p):
+    assert p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    if not p.nums:
+        assert p.den == 1
+
+
+class TestMPolyIntegerNumerators:
+    """MPoly against a plain exponent->Fraction reference computed here."""
+
+    @staticmethod
+    def rand_terms(rng, d, size=6):
+        terms = {}
+        for _ in range(rng.randint(0, size)):
+            e = tuple(rng.randint(0, 3) for _ in range(d))
+            terms[e] = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 7, 9, 12, 25]))
+        return {e: c for e, c in terms.items() if c != 0}
+
+    def test_ring_operations_match_reference(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            d = rng.choice([2, 3])
+            a, b = self.rand_terms(rng, d), self.rand_terms(rng, d)
+            p, q = MPoly.make(d, a), MPoly.make(d, b)
+            assert p.terms == a
+            for result, want in (
+                (p + q, _mref_add(a, b)),
+                (p - q, _mref_add(a, b, -1)),
+                (-p, {e: -c for e, c in a.items()}),
+                (p * q, _mref_mul(a, b)),
+            ):
+                assert result.terms == want
+                _assert_mcanonical(result)
+
+    def test_scalar_multiplication_matches_reference(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            d = rng.choice([2, 3])
+            a = self.rand_terms(rng, d)
+            scalar = Fraction(rng.randint(-12, 12), rng.randint(1, 15))
+            want = {e: c * scalar for e, c in a.items() if c * scalar != 0}
+            for result in (MPoly.make(d, a) * scalar, scalar * MPoly.make(d, a)):
+                assert result.terms == want
+                _assert_mcanonical(result)
+            k = rng.randint(-5, 5)
+            assert (k * MPoly.make(d, a)).terms == {e: c * k for e, c in a.items() if k}
+
+    def test_powers_match_repeated_multiplication(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            d = rng.choice([2, 3])
+            a = self.rand_terms(rng, d, size=3)
+            p = MPoly.make(d, a)
+            want = {(0,) * d: Fraction(1)}
+            for n in range(7):
+                result = p**n
+                assert result.terms == want
+                _assert_mcanonical(result)
+                want = _mref_mul(want, a)
+
+    def test_eval_matches_reference(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            d = rng.choice([2, 3])
+            a = self.rand_terms(rng, d)
+            point = [Fraction(rng.randint(-20, 20), rng.randint(1, 16)) for _ in range(d)]
+            assert MPoly.make(d, a).eval(point) == _mref_eval(a, point)
+            ints = [rng.randint(-3, 3) for _ in range(d)]
+            assert MPoly.make(d, a).eval(ints) == _mref_eval(a, ints)
+
+    def test_canonical_form(self):
+        p = MPoly.make(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-1, 4), (2, 2): Fraction(2, 3)})
+        assert (p.nums, p.den) == ({(1, 0): 2, (0, 1): -3, (2, 2): 8}, 12)
+        half = MPoly.make(2, {(1, 1): Fraction(2, 4)})
+        assert (half.nums, half.den) == ({(1, 1): 1}, 2)
+        assert (p * 12).den == 1
+        assert MPoly.make(2, {(1, 0): 1, (0, 1): 1}) == MPoly.make(2, {(0, 1): 1, (1, 0): 1})
+        _assert_mcanonical(p + p)
+        _assert_mcanonical(p * p)
+
+    def test_zero_conventions(self):
+        p = MPoly.make(3, {(1, 0, 2): Fraction(5, 3), (0, 0, 0): Fraction(-1, 2)})
+        for z in (MPoly.zero(3), MPoly.make(3, {(1, 1, 1): 0}), MPoly.make(3, {}),
+                  p - p, p * 0, p * MPoly.zero(3), MPoly.zero(3) * p, p + (-p)):
+            assert (z.nums, z.den) == ({}, 1)
+            assert z == MPoly.zero(3)
+            assert z.degree == -1
+            assert z.terms == {}
+        assert MPoly.zero(3).eval([Fraction(1, 3), 2, 5]) == 0
+        assert MPoly.zero(3) ** 0 == MPoly.constant(3, 1)
+
+    def test_terms_is_a_read_only_view(self):
+        p = MPoly.make(2, {(1, 0): Fraction(3, 4), (0, 2): Fraction(-5, 6)})
+        view = p.terms
+        assert all(type(c) is Fraction and c == Fraction(p.nums[e], p.den) for e, c in view.items())
+        view[(1, 0)] = Fraction(99)
+        view[(5, 5)] = Fraction(1)
+        assert p.terms == {(1, 0): Fraction(3, 4), (0, 2): Fraction(-5, 6)}
+        assert p.terms is not p.terms
+        with pytest.raises(AttributeError):
+            p.terms = {}
+
+    def test_non_integer_exponents_rejected(self):
+        with pytest.raises(TypeError):
+            MPoly.make(2, {(1.5, 0): 1})
+        with pytest.raises(TypeError):
+            MPoly.make(2, {(1.0, 0): 1})
+        with pytest.raises(TypeError):
+            MPoly.make(2, {(Fraction(1), 0): 1})
+        exact = MPoly.make(2, {(True, np.int64(2)): 3})
+        assert exact == MPoly.make(2, {(1, 2): 3})
+        assert all(type(k) is int for e in exact.nums for k in e)
+
+
+class TestClosedFormGeneratorPower:
+    def test_matches_repeated_multiplication(self):
+        for d in range(1, 5):
+            variables = [MPoly.variable(d, i) for i in range(d)]
+            last = MPoly.constant(d, 1)
+            for v in variables:
+                last = last - v
+            last_powers = [MPoly.constant(d, 1)]
+            for _ in range(6):
+                last_powers.append(last_powers[-1] * last)
+            for alpha in monomials_upto(d + 1, 6):
+                want = last_powers[alpha[d]]
+                for v, a in zip(variables, alpha):
+                    for _ in range(a):
+                        want = want * v
+                got = simplex_generator_power(d, alpha)
+                assert got == want
+                assert got.den == 1
+                _assert_mcanonical(got)
+
+    def test_large_coefficients(self):
+        for alpha, beta in (((0, 0, 0, 12), (0, 0, 0)), ((2, 0, 1, 12), (2, 0, 1))):
+            p = simplex_generator_power(3, alpha)
+            assert len(p.nums) == math.comb(3 + 12, 12)
+            for gamma in monomials_upto(3, 12):
+                k = sum(gamma)
+                want = math.comb(12, k) * math.factorial(k)
+                for g in gamma:
+                    want //= math.factorial(g)
+                e = tuple(b + g for b, g in zip(beta, gamma))
+                assert p.nums[e] == (-1) ** k * want
+        assert simplex_generator_power(3, (0, 0, 0, 12)).nums[(4, 4, 4)] == 34650
+
+    def test_non_integer_exponents_rejected(self):
+        with pytest.raises(TypeError):
+            simplex_generator_power(2, (1.7, 0, 0.9))
+        with pytest.raises(TypeError):
+            simplex_generator_power(2, (1.0, 0, 1))
+        with pytest.raises(TypeError):
+            simplex_generator_power(2, (Fraction(1), 0, 1))
+        assert simplex_generator_power(2, (np.int64(1), False, True)) == simplex_generator_power(
+            2, (1, 0, 1)
+        )
 
 
 class TestMonomialOrder:
