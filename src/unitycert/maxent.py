@@ -21,7 +21,17 @@ Cholesky factorizations.  The iteration runs in extended precision
 (``np.longdouble``); in plain double the monomial-basis Hessians are
 ill-conditioned enough that the gradient noise floor sits above the default
 tolerance near degree 8.  LAPACK has no extended-precision kernels, so the
-tiny dense solves are done by hand.
+dense kernels are written here as whole-array longdouble operations: the
+elimination and the Cholesky factorization take one rank-1 or column update
+per pivot, and the Hankel log-det gradient and Hessian are S vec(W) and
+S (W kron W) S' for the 0/1 antidiagonal-sum matrix S, with the
+(1 - x^2)-localizing part pulled back through a shift matrix G.
+
+The exact checks of the Handelman family run in integers: generator powers
+have integer coefficients, so residuals and pairings are integer sums over
+one common denominator, with one ``Fraction`` per result.  With ``logging``
+at DEBUG, each solve logs its family, degree, iteration count, stop reason
+(tol, plateau, diverged, budget, line_search or singular) and exact residual.
 
 The gradient of either dual is the coefficient residual of the primal
 reconstruction.  Convergence is judged on the residual that actually matters:
@@ -38,10 +48,12 @@ exactly verified certificate.
 
 from __future__ import annotations
 
+import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,6 +80,8 @@ PLATEAU_LIMIT = 6  # consecutive non-improving steps once progress stops
 
 _LD = np.longdouble
 _EPS_LD = float(np.finfo(np.longdouble).eps)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -129,7 +143,12 @@ class NoInteriorCertificateError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Extended-precision dense kernels (sizes are tiny, loops are fine)
+# Extended-precision dense kernels
+#
+# One Python step per pivot, column or row; the work inside each step is a
+# whole-array longdouble operation.  NumPy's longdouble dot and matmul sum
+# sequentially from zero, so each entry sees the same operations in the same
+# order as an element-by-element loop would.
 
 
 def _ld_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -144,11 +163,10 @@ def _ld_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
         if pivot != k:
             a[[k, pivot]] = a[[pivot, k]]
             b[[k, pivot]] = b[[pivot, k]]
-        for i in range(k + 1, m):
-            factor = a[i, k] / a[k, k]
-            if factor != 0:
-                a[i, k:] -= factor * a[k, k:]
-                b[i] -= factor * b[k]
+        # Rank-1 update of the trailing block: one multiply-subtract per entry.
+        factors = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
+        b[k + 1 :] -= factors * b[k]
     x = np.zeros(m, dtype=_LD)
     for i in range(m - 1, -1, -1):
         x[i] = (b[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
@@ -159,15 +177,12 @@ def _ld_cholesky(matrix: np.ndarray) -> Optional[np.ndarray]:
     """Lower Cholesky factor in longdouble, or None if not positive definite."""
     m = matrix.shape[0]
     chol = np.zeros((m, m), dtype=_LD)
-    for i in range(m):
-        for j in range(i + 1):
-            acc = matrix[i, j] - chol[i, :j] @ chol[j, :j]
-            if i == j:
-                if acc <= 0:
-                    return None
-                chol[i, j] = np.sqrt(acc)
-            else:
-                chol[i, j] = acc / chol[j, j]
+    for j in range(m):
+        pivot = matrix[j, j] - chol[j, :j] @ chol[j, :j]
+        if pivot <= 0:
+            return None
+        chol[j, j] = np.sqrt(pivot)
+        chol[j + 1 :, j] = (matrix[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j]) / chol[j, j]
     return chol
 
 
@@ -176,12 +191,11 @@ def _ld_spd_inverse(matrix: np.ndarray) -> Optional[np.ndarray]:
     if chol is None:
         return None
     m = matrix.shape[0]
-    # Invert the lower-triangular factor, then A^{-1} = L^{-T} L^{-1}.
+    # Invert the lower-triangular factor row by row, then A^{-1} = L^{-T} L^{-1}.
     inv_l = np.zeros((m, m), dtype=_LD)
     for i in range(m):
+        inv_l[i, :i] = -(chol[i, :i] @ inv_l[:i, :i]) / chol[i, i]
         inv_l[i, i] = 1.0 / chol[i, i]
-        for j in range(i):
-            inv_l[i, j] = -(chol[i, j:i] @ inv_l[j:i, j]) / chol[i, i]
     return inv_l.T @ inv_l
 
 
@@ -194,16 +208,20 @@ def _ld_logdet_from_chol(chol: np.ndarray) -> np.longdouble:
 
 
 def _generator_table(d: int, n: int):
-    """Generator exponents alpha, monomial basis, and exact coefficient rows."""
+    """Generator exponents alpha, monomial basis, and integer coefficient rows.
+
+    Every generator power x^beta (1 - sum x)^m has integer coefficients
+    (denominator 1), so each row is a tuple of ints over the basis.
+    """
     alphas = monomials_upto(d + 1, n)
     basis = monomials_upto(d, n)
     index = {e: i for i, e in enumerate(basis)}
     rows = []
     for alpha in alphas:
         g = simplex_generator_power(d, alpha)
-        row = [Fraction(0)] * len(basis)
+        row = [0] * len(basis)
         for e, c in g.nums.items():
-            row[index[e]] = Fraction(c, g.den)
+            row[index[e]] = c
         rows.append(tuple(row))
     return alphas, basis, rows
 
@@ -221,7 +239,8 @@ def _log_sum_dual_newton(
     primal reconstruction.  Stops when the gradient sup norm falls below
     tol/10 (margin for the final cast to double), when progress plateaus at
     machine resolution, when the iterates diverge (boundary target), or when
-    the budget runs out.
+    the budget runs out; the stop reason is returned as one of the words
+    ``tol plateau diverged budget line_search singular``.
     """
     target = target.astype(_LD)
     gens = gens.astype(_LD)
@@ -237,13 +256,14 @@ def _log_sum_dual_newton(
     steps: list[float] = []
     history: list[float] = []
     iterations = 0
-    diverged = False
+    stop = "budget"
     best = math.inf
     no_improve = 0
     for _ in range(max_iter):
         grad = target - gens.T @ (1.0 / pair)
         residual = float(np.max(np.abs(grad)))
         if residual <= inner_tol:
+            stop = "tol"
             break
         if residual < 0.9 * best:
             best = residual
@@ -251,11 +271,13 @@ def _log_sum_dual_newton(
         else:
             no_improve += 1
             if no_improve >= PLATEAU_LIMIT:
+                stop = "plateau"
                 break
         weight = 1.0 / pair**2
         hessian = gens.T @ (weight[:, None] * gens)
         delta = _ld_solve(hessian, -grad)
         if delta is None or not np.all(np.isfinite(delta)):
+            stop = "singular"
             break
         current = dual_value(pair, lam)
         slope = grad @ delta
@@ -275,6 +297,7 @@ def _log_sum_dual_newton(
                     break
             step = step / 2
         if not accepted:
+            stop = "line_search"
             break
         lam = candidate
         pair = cand_pair
@@ -282,9 +305,25 @@ def _log_sum_dual_newton(
         steps.append(float(step))
         history.append(float(value))
         if float(np.max(np.abs(lam))) > DIVERGENCE_BOUND:
-            diverged = True
+            stop = "diverged"
             break
-    return lam, pair, iterations, tuple(steps), tuple(history), diverged
+    return lam, pair, iterations, tuple(steps), tuple(history), stop
+
+
+def _target_doubles(coeffs: Iterable[Fraction]) -> np.ndarray:
+    """Exact target coefficients as doubles; ValueError if one overflows."""
+    try:
+        return np.array([float(c) for c in coeffs])
+    except OverflowError:
+        raise ValueError("target coefficients must fit in a finite double") from None
+
+
+def _log_solve(family: str, n: int, iterations: int, stop: str, residual: float) -> None:
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "solve=%s n=%d iterations=%d stop=%s residual=%.3e",
+            family, n, iterations, stop, residual,
+        )
 
 
 def _beta22_moments(count: int) -> np.ndarray:
@@ -305,23 +344,35 @@ def _simplex_initial_moments(d: int, basis: Sequence[Exponent]) -> np.ndarray:
     return np.array(values)
 
 
+def _common_numerators(values: Sequence[Number]) -> tuple[list[int], int]:
+    """Integer numerators of exact values over the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def _exact_sup_residual(
     weights: Sequence[float],
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int]],
     target: Sequence[Fraction],
 ) -> Fraction:
-    """Exact sup-norm residual of sum_a w_a m_a against the target vector."""
-    size = len(target)
-    recon = [Fraction(0)] * size
-    for w, row in zip(weights, rows):
-        wf = Fraction(w)
-        for k, c in enumerate(row):
-            if c:
-                recon[k] += wf * c
-    return max((abs(r - t) for r, t in zip(recon, target)), default=Fraction(0))
+    """Exact sup-norm residual of sum_a w_a m_a against the target vector.
+
+    The double weights are dyadic rationals; the sums run in integers over
+    the lcm of their denominators and the target's.
+    """
+    nums, den = _common_numerators([*weights, *target])
+    weight_nums, target_nums = nums[: len(weights)], nums[len(weights) :]
+    residual = max(
+        (abs(sum(map(operator.mul, weight_nums, column)) - t)
+         for column, t in zip(zip(*rows), target_nums)),
+        default=0,
+    )
+    return Fraction(residual, den)
 
 
 def _solve_handelman_family(
+    family: str,
     d: int,
     n: int,
     target_poly: AnyPoly,
@@ -331,9 +382,9 @@ def _solve_handelman_family(
     max_iter: int,
 ):
     alphas, _, rows = _generator_table(d, n)
-    gens = np.array([[float(c) for c in row] for row in rows])
-    target_vec = np.array([float(t) for t in target_exact])
-    lam, pair, iterations, steps, history, diverged = _log_sum_dual_newton(
+    gens = np.array(rows, dtype=float)
+    target_vec = _target_doubles(target_exact)
+    lam, pair, iterations, steps, history, stop = _log_sum_dual_newton(
         target_vec, gens, lam0, tol, max_iter
     )
     weight_values = [float(1.0 / p) for p in pair]
@@ -343,10 +394,11 @@ def _solve_handelman_family(
         iterations=iterations,
         residual=float(residual),
         objective=objective,
-        converged=not diverged and residual <= tol,
+        converged=stop != "diverged" and residual <= tol,
         steps=steps,
         dual_values=history,
     )
+    _log_solve(family, n, iterations, stop, report.residual)
     if not report.converged:
         raise NoInteriorCertificateError(
             f"no interior certificate found at degree {n}", report
@@ -377,7 +429,7 @@ def solve_handelman(
         raise ValueError(f"target degree {p.degree} exceeds n = {n}")
     target_exact = [p.coefficient(k) for k in range(n + 1)]
     lam0 = _beta22_moments(n + 1) if initial is None else np.asarray(initial, float)
-    return _solve_handelman_family(1, n, p, target_exact, lam0, tol, max_iter)
+    return _solve_handelman_family("handelman", 1, n, p, target_exact, lam0, tol, max_iter)
 
 
 def solve_simplex(
@@ -405,7 +457,9 @@ def solve_simplex(
         if initial is None
         else np.asarray(initial, float)
     )
-    return _solve_handelman_family(d, n, target_poly, target_exact, lam0, tol, max_iter)
+    return _solve_handelman_family(
+        "simplex", d, n, target_poly, target_exact, lam0, tol, max_iter
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +467,8 @@ def solve_simplex(
 
 
 def _hankel(values: np.ndarray, size: int) -> np.ndarray:
-    return np.array([[values[i + j] for j in range(size)] for i in range(size)])
+    index = np.arange(size)
+    return values[index[:, None] + index]
 
 
 def _localized(y: np.ndarray) -> np.ndarray:
@@ -421,29 +476,43 @@ def _localized(y: np.ndarray) -> np.ndarray:
     return y[:-2] - y[2:]
 
 
-def _antidiag_sums(matrix: np.ndarray) -> np.ndarray:
-    m = matrix.shape[0]
-    out = np.zeros(2 * m - 1, dtype=matrix.dtype)
+def _antidiag_sum_rows(x: np.ndarray) -> np.ndarray:
+    """S @ x for the (2m-1) x m^2 0/1 matrix S with S[k, i*m + j] = 1 iff i + j = k.
+
+    Row block i of x (rows i*m .. i*m + m - 1) is added at offset i, in order
+    of i, starting from zero: the sums of the 0/1 product, bit for bit,
+    without its m^3 multiplications by zero.
+    """
+    m = math.isqrt(x.shape[0])
+    blocks = x.reshape(m, m, *x.shape[1:])
+    out = np.zeros((2 * m - 1, *x.shape[1:]), dtype=x.dtype)
     for i in range(m):
-        for j in range(m):
-            out[i + j] += matrix[i, j]
+        out[i : i + m] += blocks[i]
     return out
 
 
+def _localizing_shift(m: int) -> np.ndarray:
+    """The (m+2) x m matrix G of multiplication by g = 1 - x^2 on sequences.
+
+    G[a, a] = 1 and G[a+2, a] = -1: the localized sequence is G.T @ y, so
+    gradients pull back through G and Hessians through G . G.T.
+    """
+    return np.eye(m + 2, m, dtype=_LD) - np.eye(m + 2, m, k=-2, dtype=_LD)
+
+
+def _antidiag_sums(matrix: np.ndarray) -> np.ndarray:
+    """Antidiagonal sums S @ vec(W); at W = H(y)^{-1}, the gradient of log det H(y)."""
+    return _antidiag_sum_rows(matrix.ravel())
+
+
 def _logdet_hessian(inverse: np.ndarray) -> np.ndarray:
-    """Hessian of -log det of a Hankel matrix w.r.t. its defining sequence."""
-    m = inverse.shape[0]
-    size = 2 * m - 1
-    hess = np.zeros((size, size), dtype=inverse.dtype)
-    for k in range(size):
-        for l in range(k, size):
-            value = inverse.dtype.type(0)
-            for j in range(max(0, k - m + 1), min(m, k + 1)):
-                r = k - j
-                for i in range(max(0, l - m + 1), min(m, l + 1)):
-                    value += inverse[i, j] * inverse[r, l - i]
-            hess[k, l] = hess[l, k] = value
-    return hess
+    """Hessian of -log det of a Hankel matrix w.r.t. its defining sequence.
+
+    With W = H^{-1}, H[k, l] = sum over j + r = k, i + s = l of W[j, i] W[r, s],
+    that is S (W kron W) S' for the antidiagonal matrix S.
+    """
+    left = _antidiag_sum_rows(np.kron(inverse, inverse))
+    return _antidiag_sum_rows(left.T).T
 
 
 def _putinar_gram_inverses(
@@ -510,7 +579,7 @@ def solve_putinar(
     if target.degree > 2 * n:
         raise ValueError(f"target degree {target.degree} exceeds 2n = {2 * n}")
     size = 2 * n + 1
-    t = np.array([float(target.coefficient(k)) for k in range(size)], dtype=_LD)
+    t = _target_doubles(target.coefficient(k) for k in range(size)).astype(_LD)
     if initial is None:
         y = np.array(
             [(1.0 + (-1.0) ** k) / (2.0 * (k + 1)) for k in range(size)], dtype=_LD
@@ -518,6 +587,7 @@ def solve_putinar(
     else:
         y = np.asarray(initial, dtype=float).astype(_LD)
     inner_tol = tol * 0.1
+    shift = _localizing_shift(2 * n - 1)
 
     def objective_value(point):
         chol_m = _ld_cholesky(_hankel(point, n + 1))
@@ -545,25 +615,22 @@ def solve_putinar(
         inv_l = refined_inverse(_hankel(_localized(point), n))
         if inv_m is None or inv_l is None:
             return None, None, None
-        s_m = _antidiag_sums(inv_m)
-        s_l = _antidiag_sums(inv_l)
-        loc = np.zeros(size, dtype=_LD)
-        loc[: s_l.size] += s_l
-        loc[2 : 2 + s_l.size] -= s_l
-        return t - s_m - loc, inv_m, inv_l
+        return t - _antidiag_sums(inv_m) - shift @ _antidiag_sums(inv_l), inv_m, inv_l
 
     steps: list[float] = []
     history: list[float] = []
     iterations = 0
-    diverged = False
+    stop = "budget"
     best = math.inf
     no_improve = 0
     for _ in range(max_iter):
         grad, inv_m, inv_l = gradient(y)
         if grad is None:
+            stop = "singular"
             break
         residual = float(np.max(np.abs(grad)))
         if residual <= inner_tol:
+            stop = "tol"
             break
         if residual < 0.9 * best:
             best = residual
@@ -571,16 +638,13 @@ def solve_putinar(
         else:
             no_improve += 1
             if no_improve >= PLATEAU_LIMIT:
+                stop = "plateau"
                 break
         hess = _logdet_hessian(inv_m)  # already full size 2n+1
-        hz = _logdet_hessian(inv_l)
-        for a in range(hz.shape[0]):
-            for b in range(hz.shape[0]):
-                for k, sk in ((a, 1.0), (a + 2, -1.0)):
-                    for l, sl in ((b, 1.0), (b + 2, -1.0)):
-                        hess[k, l] += sk * sl * hz[a, b]
+        hess += shift @ _logdet_hessian(inv_l) @ shift.T
         delta = _ld_solve(hess, -grad)
         if delta is None or not np.all(np.isfinite(delta)):
+            stop = "singular"
             break
         current = objective_value(y)
         slope = grad @ delta
@@ -595,17 +659,20 @@ def solve_putinar(
                 break
             step = step / 2
         if not accepted:
+            stop = "line_search"
             break
         y = candidate
         iterations += 1
         steps.append(float(step))
         history.append(float(value))
         if float(np.max(np.abs(y))) > DIVERGENCE_BOUND:
-            diverged = True
+            stop = "diverged"
             break
 
+    diverged = stop == "diverged"
     grad, inv_m, inv_l = gradient(y)
     if grad is None:
+        _log_solve("putinar", n, iterations, stop, math.inf)
         raise NoInteriorCertificateError(
             f"no interior certificate found at degree {n}",
             SolverReport(iterations, math.inf, math.nan, False, tuple(steps), tuple(history)),
@@ -634,6 +701,7 @@ def solve_putinar(
         steps=tuple(steps),
         dual_values=tuple(history),
     )
+    _log_solve("putinar", n, iterations, stop, report.residual)
     if not report.converged:
         raise NoInteriorCertificateError(
             f"no interior certificate found at degree {n}", report
@@ -774,12 +842,15 @@ def exact_handelman(
     alphas, basis, rows = _generator_table(d, n)
     if len(lam) != len(basis):
         raise ValueError("dual vector length does not match the working degree")
+    # Pairings in integers over the lcm of the dual's denominators; the
+    # weight 1/<lam, g^alpha> is then den / pairing numerator.
+    lam_nums, den = _common_numerators(lam)
     weights: dict[Exponent, Fraction] = {}
     for alpha, row in zip(alphas, rows):
-        pairing = sum((l * c for l, c in zip(lam, row)), Fraction(0))
+        pairing = sum(map(operator.mul, lam_nums, row))
         if pairing <= 0:
             raise ValueError("rationalized dual is not strictly feasible")
-        weights[alpha] = 1 / pairing
+        weights[alpha] = Fraction(den, pairing)
     return HandelmanCertificate(dimension=d, degree=n, weights=weights, target=target)
 
 

@@ -70,6 +70,22 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert captured.err.startswith("error: --")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maxent", "putinar", "--n", "2", "--target-coeffs", "1e400"],
+            ["maxent", "putinar", "--n", "2", "--target-constant=-1e400"],
+            ["maxent", "handelman", "--n", "2", "--target-constant", "1e400"],
+            ["maxent", "handelman", "--n", "2", "--target-coeffs", "1,2,1e400"],
+        ],
+    )
+    def test_target_past_double_range_is_exit_2(self, capsys, argv):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: target coefficients must fit in a finite double\n"
+
     def test_numeric_failure_is_exit_3(self, capsys, monkeypatch):
         def boom(measure, n, shift=None):
             raise NotPositiveDefiniteError(1, Fraction(-1))
@@ -262,6 +278,19 @@ class TestLogLevel:
             and r["message"].startswith("inverted dim=5 ")
             for r in records
         )
+
+    def test_debug_records_solver_stop(self, capsys):
+        argv = ["maxent", "putinar", "--n", "4"]
+        assert cli.run(argv) == 0
+        plain = capsys.readouterr()
+        assert cli.run(["--log-level", "DEBUG"] + argv) == 0
+        logged = capsys.readouterr()
+        assert logged.out == plain.out
+        records = [json.loads(line) for line in logged.err.splitlines()]
+        solves = [r for r in records if r["logger"] == "unitycert.maxent"]
+        assert len(solves) == 1 and solves[0]["level"] == "DEBUG"
+        assert solves[0]["message"].startswith("solve=putinar n=4 iterations=")
+        assert " stop=tol residual=" in solves[0]["message"]
 
     def test_warning_level_drops_debug_and_keeps_warnings(self, capsys):
         argv = ["verify", "--identity", "simplex-equilibrium", "--n", "2"]

@@ -1,9 +1,13 @@
 import json
+import logging
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from unitycert import maxent
 from unitycert.maxent import (
     DualFunctional,
     HandelmanCertificate,
@@ -23,6 +27,9 @@ from unitycert.maxent import (
 from unitycert.momatrix import invert_exact, moment_matrix
 from unitycert.measures import ARCSINE, functional_for, simplex_uniform
 from unitycert.polycore import MPoly, UPoly, monomials_upto, simplex_generator_power
+
+LD = np.longdouble
+EPS_LD = float(np.finfo(LD).eps)
 
 
 def const(v):
@@ -281,9 +288,25 @@ class TestRationalization:
             exact_inverse = invert_exact(moment_matrix(ARCSINE, n))
             assert cert.gram_a == exact_inverse
 
+    def test_exact_putinar_n11_flagship(self):
+        # The largest flagship the benchmark solves: the Newton loop ends near
+        # the longdouble noise floor, and exact recovery rests on the final
+        # iterate snapping to the arcsine moments.
+        n = 11
+        target = const(2 * n + 1)
+        _, dual, report = solve_putinar(n)
+        assert report.converged and report.residual <= 1e-10
+        cert = exact_putinar(n, dual, target=target)
+        assert verify_certificate_exact(cert, target)
+        assert cert.gram_a == invert_exact(moment_matrix(ARCSINE, n))
+
     def test_length_check(self):
         with pytest.raises(ValueError):
             exact_putinar(2, DualFunctional((1.0, 0.0, 0.5)))
+
+    def test_infeasible_rationalized_dual(self):
+        with pytest.raises(ValueError):
+            exact_handelman(const(3), 1, DualFunctional((1.0, 2.0)))  # <lam, 1-x> < 0
 
 
 class TestSerialization:
@@ -316,3 +339,233 @@ class TestSerialization:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             certificate_from_json({"type": "mystery"})
+
+
+class TestTargetRange:
+    HUGE = 10**400  # finite as a rational, past the largest double
+
+    def test_putinar_rejects_huge_coefficient(self):
+        with pytest.raises(ValueError, match="finite double"):
+            solve_putinar(2, target=const(self.HUGE))
+
+    def test_handelman_rejects_huge_coefficient(self):
+        with pytest.raises(ValueError, match="finite double"):
+            solve_handelman(UPoly.from_coeffs([1, -self.HUGE]), 2)
+
+
+class TestSolveLog:
+    def test_one_debug_record_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="unitycert.maxent"):
+            solve_handelman(const(6), 2)
+            solve_simplex(2, 1)
+            solve_putinar(2)
+        messages = [r.getMessage() for r in caplog.records if r.name == "unitycert.maxent"]
+        assert [m.split()[:2] for m in messages] == [
+            ["solve=handelman", "n=2"],
+            ["solve=simplex", "n=1"],
+            ["solve=putinar", "n=2"],
+        ]
+        assert all(" stop=tol " in m and " residual=" in m for m in messages)
+
+    def test_failed_solve_logs_its_stop_reason(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="unitycert.maxent"):
+            with pytest.raises(NoInteriorCertificateError):
+                solve_handelman(UPoly.x(), 3)
+            with pytest.raises(NoInteriorCertificateError):
+                solve_putinar(2, target=const(5), max_iter=0)
+        stops = [
+            dict(field.split("=") for field in r.getMessage().split())["stop"]
+            for r in caplog.records
+            if r.name == "unitycert.maxent"
+        ]
+        assert stops == ["diverged", "budget"]
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="unitycert.maxent"):
+            solve_putinar(1)
+        assert not [r for r in caplog.records if r.name == "unitycert.maxent"]
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their element-by-element forms
+
+
+def _loop_logdet_hessian(inverse):
+    """Element-by-element Hessian of -log det of a Hankel matrix."""
+    m = inverse.shape[0]
+    size = 2 * m - 1
+    hess = np.zeros((size, size), dtype=inverse.dtype)
+    for k in range(size):
+        for l in range(k, size):
+            value = inverse.dtype.type(0)
+            for j in range(max(0, k - m + 1), min(m, k + 1)):
+                r = k - j
+                for i in range(max(0, l - m + 1), min(m, l + 1)):
+                    value += inverse[i, j] * inverse[r, l - i]
+            hess[k, l] = hess[l, k] = value
+    return hess
+
+
+def _loop_antidiag_sums(matrix):
+    m = matrix.shape[0]
+    out = np.zeros(2 * m - 1, dtype=matrix.dtype)
+    for i in range(m):
+        for j in range(m):
+            out[i + j] += matrix[i, j]
+    return out
+
+
+def _loop_add_localizing(hess, hz):
+    """hess + G hz G' for g = 1 - x^2, one signed entry at a time."""
+    hess = hess.copy()
+    for a in range(hz.shape[0]):
+        for b in range(hz.shape[0]):
+            for k, sk in ((a, 1.0), (a + 2, -1.0)):
+                for l, sl in ((b, 1.0), (b + 2, -1.0)):
+                    hess[k, l] += sk * sl * hz[a, b]
+    return hess
+
+
+def _antidiag_0_1(m):
+    s = np.zeros((2 * m - 1, m * m), dtype=LD)
+    for i in range(m):
+        for j in range(m):
+            s[i + j, i * m + j] = 1
+    return s
+
+
+def _random_symmetric(rng, m, integer=False):
+    a = rng.integers(-9, 10, (m, m)) if integer else rng.standard_normal((m, m))
+    return (a + a.T).astype(LD)
+
+
+def _hankel_of_random_measure(rng, m):
+    """Moments y_0..y_{2m-2} of 2m arcsine-distributed atoms on [-1, 1]."""
+    atoms = np.cos(np.pi * rng.random(2 * m)).astype(LD)
+    weights = (0.5 + rng.random(2 * m)).astype(LD)
+    return np.array([(weights * atoms**k).sum() for k in range(2 * m - 1)])
+
+
+class TestKernels:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_logdet_hessian_matches_loop(self, m):
+        rng = np.random.default_rng(100 + m)
+        w = _random_symmetric(rng, m, integer=True)  # exact: no rounding anywhere
+        assert np.array_equal(maxent._logdet_hessian(w), _loop_logdet_hessian(w))
+        w = _random_symmetric(rng, m)
+        # Both sum the same m^2 products per entry, in different orders.
+        bound = m * m * EPS_LD * _loop_logdet_hessian(np.abs(w))
+        assert np.all(np.abs(maxent._logdet_hessian(w) - _loop_logdet_hessian(w)) <= bound)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_logdet_hessian_is_the_antidiagonal_kron_product(self, m):
+        rng = np.random.default_rng(200 + m)
+        w = _random_symmetric(rng, m)
+        s = _antidiag_0_1(m)
+        assert np.array_equal(maxent._logdet_hessian(w), s @ np.kron(w, w) @ s.T)
+        assert np.array_equal(maxent._antidiag_sums(w), s @ w.ravel())
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_logdet_hessian_matches_finite_differences(self, m):
+        rng = np.random.default_rng(300 + m)
+        y = _hankel_of_random_measure(rng, m)
+
+        def gradient(point):  # of -log det H(point)
+            return -maxent._antidiag_sums(maxent._ld_spd_inverse(maxent._hankel(point, m)))
+
+        hess = maxent._logdet_hessian(maxent._ld_spd_inverse(maxent._hankel(y, m)))
+        # Central differences with a step 1e-4 of the smallest eigenvalue of
+        # H(y): truncation error about 1e-8 relative at every m here.
+        h = LD(1e-4 * np.linalg.eigvalsh(maxent._hankel(y, m).astype(float))[0])
+        fd = np.empty_like(hess)
+        for l in range(2 * m - 1):
+            step = np.zeros(2 * m - 1, dtype=LD)
+            step[l] = h
+            fd[:, l] = (gradient(y + step) - gradient(y - step)) / (2 * h)
+        assert np.max(np.abs(fd - hess)) <= 1e-6 * np.max(np.abs(hess))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_antidiag_sums_match_loop(self, m):
+        w = np.random.default_rng(400 + m).standard_normal((m, m)).astype(LD)
+        assert np.array_equal(maxent._antidiag_sums(w), _loop_antidiag_sums(w))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_localizing_assembly_matches_loop(self, n):
+        rng = np.random.default_rng(500 + n)
+        hess = _random_symmetric(rng, 2 * n + 1, integer=True)
+        hz = _random_symmetric(rng, 2 * n - 1, integer=True)
+        g = maxent._localizing_shift(2 * n - 1)
+        assert np.array_equal(hess + g @ hz @ g.T, _loop_add_localizing(hess, hz))
+        y = rng.standard_normal(2 * n + 1).astype(LD)
+        assert np.array_equal(g.T @ y, maxent._localized(y))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 21, 56])
+    def test_ld_solve_matches_lapack(self, m):
+        rng = np.random.default_rng(600 + m)
+        a = rng.standard_normal((m, m)) + m * np.eye(m)  # diagonally dominant
+        b = rng.standard_normal(m)
+        x = maxent._ld_solve(a, b).astype(float)
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-14)
+
+    def test_ld_solve_singular(self):
+        assert maxent._ld_solve(np.zeros((3, 3)), np.ones(3)) is None
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9, 13])
+    def test_spd_kernels_match_lapack(self, m):
+        rng = np.random.default_rng(700 + m)
+        a = rng.standard_normal((m, m))
+        spd = a @ a.T + m * np.eye(m)
+        chol = maxent._ld_cholesky(spd.astype(LD)).astype(float)
+        assert np.allclose(chol, np.linalg.cholesky(spd), rtol=1e-12, atol=1e-14)
+        inverse = maxent._ld_spd_inverse(spd.astype(LD)).astype(float)
+        assert np.allclose(inverse, np.linalg.inv(spd), rtol=1e-10, atol=1e-14)
+        assert maxent._ld_cholesky(-spd.astype(LD)) is None
+
+
+class TestIntegerExactSide:
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 4), (3, 3)])
+    def test_generator_rows_are_integer_coefficients(self, d, n):
+        alphas, basis, rows = maxent._generator_table(d, n)
+        for alpha, row in zip(alphas, rows):
+            g = simplex_generator_power(d, alpha)
+            assert all(type(c) is int for c in row)
+            assert [Fraction(c) for c in row] == [g.coefficient(e) for e in basis]
+
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 3)])
+    def test_exact_sup_residual_matches_fractions(self, d, n):
+        rng = random.Random(800 + d)
+        _, basis, rows = maxent._generator_table(d, n)
+        weights = [rng.uniform(0.1, 50.0) for _ in rows]
+        target = [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in basis]
+        recon = [Fraction(0)] * len(basis)
+        for w, row in zip(weights, rows):
+            for k, c in enumerate(row):
+                recon[k] += Fraction(w) * c
+        want = max(abs(r - t) for r, t in zip(recon, target))
+        got = maxent._exact_sup_residual(weights, rows, target)
+        assert isinstance(got, Fraction) and got == want
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 3), (3, 2)])
+    def test_exact_handelman_pairings_match_fractions(self, d, n):
+        # Moments of a positive measure on rational interior points of the
+        # simplex: every generator power pairs positively with them.
+        rng = random.Random(900 + d)
+        points = []
+        for _ in range(4):
+            cuts = sorted(Fraction(rng.randint(1, 97), 100) for _ in range(d))
+            points.append([b - a for a, b in zip([Fraction(0)] + cuts, cuts)])
+        masses = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+        basis = monomials_upto(d, n)
+        lam = tuple(
+            sum(w * math.prod(p**b for p, b in zip(pt, beta)) for w, pt in zip(masses, points))
+            for beta in basis
+        )
+        target = MPoly.constant(d, 1) if d > 1 else const(1)
+        cert = exact_handelman(target, n, DualFunctional(lam))  # rational: kept as is
+        alphas, _, rows = maxent._generator_table(d, n)
+        want = {
+            alpha: 1 / sum((l * c for l, c in zip(lam, row)), Fraction(0))
+            for alpha, row in zip(alphas, rows)
+        }
+        assert cert.weights == want
+        assert all(type(w) is Fraction for w in cert.weights.values())
