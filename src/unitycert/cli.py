@@ -24,18 +24,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import identities, maxent, measures, momatrix
-from .measures import MeasureId, SimplexNormalization, beta_integral, functional_for
+from .measures import MeasureId, SimplexNormalization, functional_for
 from .momatrix import NotPositiveDefiniteError
-from .polycore import (
-    AnyPoly,
-    ChebKind,
-    UPoly,
-    cheb_orthonormal_square,
-    monomials_upto,
-    poly_eval,
-    powers,
-    simplex_generator_power,
-)
+from .polycore import AnyPoly, UPoly, monomials_upto, poly_eval
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -121,48 +112,20 @@ def emit_partition(
 
     Domains: ``interval01`` (scaled generator powers x^i (1-x)^j),
     ``interval11`` (scaled squared orthonormal Chebyshev families plus the
-    multiplier 1-x^2), ``simplex`` (scaled simplex generator powers).  Every
-    member is weight * generator; the members sum identically to 1.
+    multiplier 1-x^2), ``simplex`` (scaled simplex generator powers).  The
+    members are those of ``identities.partition_members``, each weight
+    divided by the member count; every member is weight * generator, and the
+    members sum identically to 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    generators = identities.partition_members(domain, n, d)
+    count = len(generators)
     members: list[dict] = []
     polys: list[AnyPoly] = []
-    if domain == "interval01":
-        s = Fraction((n + 1) * (n + 2), 2)
-        x_powers = powers(UPoly.x(), n)
-        one_minus_x_powers = powers(UPoly.from_coeffs([1, -1]), n)
-        for i, j in monomials_upto(2, n):
-            weight = 1 / (beta_integral(i, j) * s)
-            poly = x_powers[i] * one_minus_x_powers[j] * weight
-            members.append({"label": {"i": i, "j": j}, "weight": str(weight)})
-            polys.append(poly)
-        dimension = 1
-    elif domain == "interval11":
-        weight = Fraction(1, 2 * n + 1)
-        g = UPoly.from_coeffs([1, 0, -1])
-        for j in range(n + 1):
-            polys.append(cheb_orthonormal_square(ChebKind.FIRST, j) * weight)
-            members.append({"label": {"kind": "first", "j": j}, "weight": str(weight)})
-        for j in range(n):
-            polys.append(g * cheb_orthonormal_square(ChebKind.SECOND, j) * weight)
-            members.append({"label": {"kind": "second", "j": j}, "weight": str(weight)})
-        dimension = 1
-    elif domain == "simplex":
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        functional = functional_for(measures.simplex_uniform(d))
-        shat = Fraction(math.comb(d + 1 + n, n))
-        for alpha in monomials_upto(d + 1, n):
-            g = simplex_generator_power(d, alpha)
-            weight = 1 / (functional.poly_moment(g) * shat)
-            polys.append(g * weight)
-            members.append({"label": {"alpha": list(alpha)}, "weight": str(weight)})
-        dimension = d
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    for member, poly in zip(members, polys):
-        member["polynomial"] = _poly_to_json(poly)
+    for label, weight, generator in generators:
+        weight = weight / count
+        poly = generator * weight
+        members.append({"label": label, "weight": str(weight), "polynomial": _poly_to_json(poly)})
+        polys.append(poly)
     report = {"domain": domain, "n": n, "members": members}
     if domain == "simplex":
         report["d"] = d
@@ -193,12 +156,20 @@ def _moments_csv(rows) -> str:
     return buffer.getvalue()
 
 
+def _parse_rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text!r} has a zero denominator") from None
+
+
 def _parse_target(args, degree_cap: int, default_constant: Fraction) -> UPoly:
     if getattr(args, "target_coeffs", None):
-        coeffs = [Fraction(v.strip()) for v in args.target_coeffs.split(",")]
-        target = UPoly.from_coeffs(coeffs)
+        target = UPoly.from_coeffs(
+            _parse_rational("--target-coeffs", v) for v in args.target_coeffs.split(",")
+        )
     elif getattr(args, "target_constant", None) is not None:
-        target = UPoly.constant(Fraction(args.target_constant))
+        target = UPoly.constant(_parse_rational("--target-constant", args.target_constant))
     else:
         target = UPoly.constant(default_constant)
     if target.degree > degree_cap:
@@ -428,16 +399,19 @@ def run(argv: Sequence[str]) -> int:
         try:
             payload, kind, code = _dispatch(args)
         except maxent.NoInteriorCertificateError as exc:
-            payload = {"error": str(exc), "report": exc.report.to_json()}
-            _write_output(payload, "json", getattr(args, "output", None))
-            return EXIT_FAILED
+            payload, kind = {"error": str(exc), "report": exc.report.to_json()}, "json"
+            code = EXIT_FAILED
         except NotPositiveDefiniteError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         except (ValueError, TypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        _write_output(payload, kind, getattr(args, "output", None))
+        try:
+            _write_output(payload, kind, args.output)
+        except OSError as exc:
+            print(f"error: --output {args.output!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
         return code
 
 

@@ -12,8 +12,10 @@ degrees where the identity has conjecture status.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -86,20 +88,13 @@ class IdentityReport:
 
 def constant_reduce(p: AnyPoly) -> Optional[Fraction]:
     """The value of p if it is a constant polynomial, else None."""
-    if isinstance(p, UPoly):
-        if p.degree <= 0:
-            return p.constant_term
-        return None
-    if p.nums.keys() <= {(0,) * p.dimension}:
-        return p.constant_term
-    return None
+    return p.constant_term if p.degree <= 0 else None
 
 
 def _nonconstant_terms(p: AnyPoly) -> int:
-    if isinstance(p, UPoly):
-        return sum(1 for k, c in enumerate(p.coeffs) if k > 0 and c != 0)
     # Numerators are nonzero, and only the all-zero exponent has degree 0.
-    return len(p.nums) - ((0,) * p.dimension in p.nums)
+    nums = p.sparse_nums
+    return len(nums) - ((0,) * p.dimension in nums)
 
 
 def _report(
@@ -130,6 +125,48 @@ def _report(
 
 
 _G_INTERVAL = UPoly.from_coeffs([1, 0, -1])  # 1 - x^2
+
+
+def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fraction, AnyPoly]]:
+    """The ``(label, weight, generator)`` members of a partition of unity.
+
+    Each weight is 1/phi(generator), so the weighted generators sum to the
+    member count:
+
+    * ``interval01``: x^i (1-x)^j over i+j <= n in ``monomials_upto(2, n)``
+      order; phi is Lebesgue measure on [0,1], giving Beta integrals.
+    * ``interval11``: the squared orthonormal Chebyshev polynomials of the
+      first kind, j <= n, then 1-x^2 times those of the second kind, j < n;
+      phi is the arcsine measure, against which each integrates to 1.
+    * ``simplex``: the generator powers g^alpha over
+      ``monomials_upto(d + 1, n)``; phi is the uniform probability measure.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if domain == "interval01":
+        x_powers = powers(UPoly.x(), n)
+        one_minus_x_powers = powers(UPoly.from_coeffs([1, -1]), n)
+        return [
+            ({"i": i, "j": j}, 1 / beta_integral(i, j), x_powers[i] * one_minus_x_powers[j])
+            for i, j in monomials_upto(2, n)
+        ]
+    if domain == "interval11":
+        first = [cheb_orthonormal_square(ChebKind.FIRST, j) for j in range(n + 1)]
+        second = [_G_INTERVAL * cheb_orthonormal_square(ChebKind.SECOND, j) for j in range(n)]
+        return [({"kind": "first", "j": j}, Fraction(1), g) for j, g in enumerate(first)] + [
+            ({"kind": "second", "j": j}, Fraction(1), g) for j, g in enumerate(second)
+        ]
+    if domain == "simplex":
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        functional = functional_for(simplex_uniform(d))
+        gens = [(a, simplex_generator_power(d, a)) for a in monomials_upto(d + 1, n)]
+        return [({"alpha": list(a)}, 1 / functional.poly_moment(g), g) for a, g in gens]
+    raise ValueError(f"unknown domain {domain!r}")
+
+
+def _members_sum(members: list[tuple[dict, Fraction, AnyPoly]]) -> AnyPoly:
+    return functools.reduce(operator.add, (g * weight for _, weight, g in members))
 
 
 def verify_pell(n: int) -> IdentityReport:
@@ -163,13 +200,7 @@ def verify_unity_interval(n: int, variant: UnityVariant) -> IdentityReport:
         expression = (total + _G_INTERVAL * second) * Fraction(1, n + 1)
         expected = Fraction(1)
     elif variant is UnityVariant.UNITY2:
-        total = UPoly.zero()
-        for j in range(n + 1):
-            total = total + cheb_orthonormal_square(ChebKind.FIRST, j)
-        second = UPoly.zero()
-        for i in range(n):
-            second = second + cheb_orthonormal_square(ChebKind.SECOND, i)
-        expression = total + _G_INTERVAL * second
+        expression = _members_sum(partition_members("interval11", n))
         expected = Fraction(2 * n + 1)
     else:
         first = christoffel_form(measures.ARCSINE, n).quadratic_form_poly
@@ -187,15 +218,7 @@ def verify_unity_01(n: int) -> IdentityReport:
     Sums x^i (1-x)^j over i+j <= n, each divided by its Beta integral; the
     constant is the number of terms, (n+1)(n+2)/2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x_powers = powers(UPoly.x(), n)
-    one_minus_x_powers = powers(UPoly.from_coeffs([1, -1]), n)
-    expression = UPoly.zero()
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            term = x_powers[i] * one_minus_x_powers[j] * (1 / beta_integral(i, j))
-            expression = expression + term
+    expression = _members_sum(partition_members("interval01", n))
     expected = Fraction((n + 1) * (n + 2), 2)
     return _report("unity-01", {"n": n}, expression, expected)
 
@@ -210,11 +233,7 @@ def verify_simplex_unity(d: int, n: int) -> IdentityReport:
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    functional = functional_for(simplex_uniform(d))
-    expression = MPoly.zero(d)
-    for alpha in monomials_upto(d + 1, n):
-        g = simplex_generator_power(d, alpha)
-        expression = expression + g * (1 / functional.poly_moment(g))
+    expression = _members_sum(partition_members("simplex", n, d))
     expected = Fraction(math.comb(d + 1 + n, n)) if n <= 2 else None
     return _report("simplex-unity", {"d": d, "n": n}, expression, expected)
 

@@ -64,7 +64,6 @@ from .polycore import (
     MPoly,
     UPoly,
     monomials_upto,
-    poly_dimension,
     simplex_generator_power,
 )
 
@@ -545,16 +544,8 @@ def _putinar_exact_residual(
     target: UPoly,
     n: int,
 ) -> Fraction:
-    coeffs = [Fraction(0)] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            coeffs[i + j] += Fraction(gram_a[i][j])
-    for i in range(n):
-        for j in range(n):
-            v = Fraction(gram_b[i][j])
-            coeffs[i + j] += v
-            coeffs[i + j + 2] -= v
-    return max(abs(c - target.coefficient(k)) for k, c in enumerate(coeffs))
+    recon = _putinar_reconstruction(gram_a, gram_b, n, exact=True)
+    return max(abs(c - target.coefficient(k)) for (k,), c in recon.items())
 
 
 def solve_putinar(
@@ -745,31 +736,40 @@ def _handelman_reconstruction(cert: HandelmanCertificate, exact: bool):
 
 
 def _target_terms(target: AnyPoly, dimension: int, exact: bool):
-    if poly_dimension(target) != dimension:
+    if target.dimension != dimension:
         raise ValueError("target dimension does not match the certificate")
-    if isinstance(target, UPoly):
-        items = {(k,): c for k, c in enumerate(target.coeffs) if c != 0}
-    else:
-        items = dict(target.terms)
+    items = target.terms
     if exact:
         return items
     return {e: float(c) for e, c in items.items()}
 
 
-def _putinar_reconstruction(cert: PutinarCertificate, exact: bool):
-    n = cert.degree
-    zero = Fraction(0) if exact else 0.0
-    coeffs = [zero] * (2 * n + 1)
+def _putinar_reconstruction(gram_a, gram_b, n: int, exact: bool):
+    """Coefficients of v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1} by exponent.
+
+    Exact: the entries (rational, or dyadic doubles) are summed in integers
+    over the lcm of their denominators, one Fraction per coefficient at the
+    end.  Otherwise the entries are summed as floats.
+    """
+    entries = [v for gram in (gram_a, gram_b) for row in gram for v in row]
+    if exact:
+        entries, den = _common_numerators(entries)
+    else:
+        entries = [float(v) for v in entries]
+    values = iter(entries)
+    coeffs = [0] * (2 * n + 1)
     for i in range(n + 1):
         for j in range(n + 1):
-            coeffs[i + j] += cert.gram_a[i][j]
-    sigma1 = [zero] * (2 * n - 1)
+            coeffs[i + j] += next(values)
+    sigma1 = [0] * (2 * n - 1)
     for i in range(n):
         for j in range(n):
-            sigma1[i + j] += cert.gram_b[i][j]
+            sigma1[i + j] += next(values)
     for k, v in enumerate(sigma1):
         coeffs[k] += v  # g = 1 - x^2 contributes sigma1 shifted by 0 and -x^2
         coeffs[k + 2] -= v
+    if exact:
+        coeffs = [Fraction(c, den) for c in coeffs]
     return {(k,): c for k, c in enumerate(coeffs)}
 
 
@@ -781,9 +781,7 @@ def verify_certificate(
         recon = _handelman_reconstruction(cert, exact=False)
         want = _target_terms(target, cert.dimension, exact=False)
     else:
-        if not isinstance(target, UPoly):
-            raise ValueError("Putinar certificates certify univariate targets")
-        recon = _putinar_reconstruction(cert, exact=False)
+        recon = _putinar_reconstruction(cert.gram_a, cert.gram_b, cert.degree, exact=False)
         want = _target_terms(target, 1, exact=False)
     residual = 0.0
     for e in set(recon) | set(want):
@@ -805,9 +803,7 @@ def verify_certificate_exact(
         values += [v for row in cert.gram_b for v in row]
         if not all(_is_rational(v) for v in values):
             raise TypeError("certificate Gram entries are not rational-valued")
-        if not isinstance(target, UPoly):
-            raise ValueError("Putinar certificates certify univariate targets")
-        recon = _putinar_reconstruction(cert, exact=True)
+        recon = _putinar_reconstruction(cert.gram_a, cert.gram_b, cert.degree, exact=True)
         want = _target_terms(target, 1, exact=True)
     keys = set(recon) | set(want)
     return all(recon.get(e, Fraction(0)) == want.get(e, Fraction(0)) for e in keys)
@@ -837,7 +833,7 @@ def exact_handelman(
     arithmetic; combine with ``verify_certificate_exact`` to confirm that the
     numeric solve landed on an exactly reconstructing optimum.
     """
-    d = poly_dimension(target)
+    d = target.dimension
     lam = rationalize_dual(dual, max_denominator).values
     alphas, basis, rows = _generator_table(d, n)
     if len(lam) != len(basis):

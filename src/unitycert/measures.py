@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import AnyPoly, Exponent, UPoly
+from .polycore import AnyPoly, Exponent
 
 _MC_SEED = 20260809  # fixed seed: the simplex oracles must be deterministic
 
@@ -166,19 +166,12 @@ class MomentFunctional:
         return value
 
     def poly_moment(self, p: AnyPoly) -> Fraction:
-        if isinstance(p, UPoly):
-            if self.measure.dimension != 1:
-                raise ValueError("univariate polynomial against a multivariate measure")
-            return sum(
-                (c * self.moment((k,)) for k, c in enumerate(p.coeffs) if c != 0),
-                Fraction(0),
-            )
         if p.dimension != self.measure.dimension:
             raise ValueError("polynomial dimension does not match the measure")
         # Sum nums[e] * moment(e) in integers over the lcm of the moment
         # denominators; one Fraction at the end.
         num, den = 0, 1
-        for e, c in p.nums.items():
+        for e, c in p.sparse_nums.items():
             value = self.moment(e)
             vd = value.denominator
             if vd == den:
@@ -225,12 +218,6 @@ def simplex_uniform_moment_oracle(d: int, alpha: Sequence[int]) -> Fraction:
 
 def _eval_float(p: AnyPoly, point: np.ndarray) -> np.ndarray:
     """Evaluate p at an array of points (shape (N, dim)) in float arithmetic."""
-    if isinstance(p, UPoly):
-        x = point[:, 0]
-        acc = np.zeros_like(x)
-        for c in reversed(p.coeffs):
-            acc = acc * x + float(c)
-        return acc
     total = np.zeros(point.shape[0])
     for exponent, coeff in p.terms.items():
         term = np.full(point.shape[0], float(coeff))

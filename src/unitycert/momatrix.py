@@ -21,20 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .measures import MeasureId, functional_for
-from .polycore import (
-    AnyPoly,
-    Exponent,
-    MPoly,
-    UPoly,
-    monomials_upto,
-    poly_dimension,
-    poly_eval,
-)
+from .polycore import AnyPoly, Exponent, monomials_upto, poly_eval, poly_from_sparse_nums
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -81,11 +74,9 @@ class ChristoffelForm:
 def _shift_terms(shift: Optional[AnyPoly], dimension: int) -> list[tuple[Exponent, Fraction]]:
     if shift is None:
         return [((0,) * dimension, Fraction(1))]
-    if poly_dimension(shift) != dimension:
+    if shift.dimension != dimension:
         raise ValueError("shift polynomial dimension does not match the measure")
-    if isinstance(shift, UPoly):
-        return [((k,), c) for k, c in enumerate(shift.coeffs) if c != 0]
-    return [(e, Fraction(c, shift.den)) for e, c in shift.nums.items()]
+    return list(shift.terms.items())
 
 
 def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> MomentMatrix:
@@ -194,20 +185,24 @@ def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
 
 
 def _quadratic_form_poly(basis: tuple[Exponent, ...], inverse: RationalMatrix, dim: int) -> AnyPoly:
-    if dim == 1:
-        coeffs: dict[int, Fraction] = {}
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                k = a[0] + b[0]
-                coeffs[k] = coeffs.get(k, Fraction(0)) + inverse[i][j]
-        top = max(coeffs, default=0)
-        return UPoly.from_coeffs(coeffs.get(k, Fraction(0)) for k in range(top + 1))
-    terms: dict[Exponent, Fraction] = {}
+    """v(x)^T inverse v(x) for the monomial vector v over ``basis``.
+
+    Sums the numerators by exponent in integers over the lcm of the entry
+    denominators; the symmetric inverse contributes each off-diagonal pair
+    once, doubled.
+    """
+    den = math.lcm(*(value.denominator for row in inverse for value in row))
+    add = operator.add
+    nums: dict[Exponent, int] = {}
+    get = nums.get
     for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            e = tuple(x + y for x, y in zip(a, b))
-            terms[e] = terms.get(e, Fraction(0)) + inverse[i][j]
-    return MPoly.make(dim, terms)
+        row = inverse[i]
+        for j in range(i, len(basis)):
+            value = row[j]
+            c = value.numerator * (den // value.denominator)
+            e = tuple(map(add, a, basis[j]))
+            nums[e] = get(e, 0) + (c if i == j else 2 * c)
+    return poly_from_sparse_nums(dim, nums, den)
 
 
 def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:

@@ -35,6 +35,20 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
+def _power(base, one, n: int):
+    """base^n by repeated squaring; ``one`` is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 @dataclass(frozen=True)
 class UPoly:
     """Dense univariate polynomial with integer numerators over one denominator.
@@ -91,6 +105,20 @@ class UPoly:
         return tuple([Fraction(c, self.den) for c in self.nums])
 
     @property
+    def dimension(self) -> int:
+        return 1
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The nonzero coefficients as fractions, keyed by ``(k,)``."""
+        return {(k,): Fraction(c, self.den) for k, c in enumerate(self.nums) if c}
+
+    @property
+    def sparse_nums(self) -> dict[Exponent, int]:
+        """The nonzero numerators over ``den``, keyed by ``(k,)``."""
+        return {(k,): c for k, c in enumerate(self.nums) if c}
+
+    @property
     def degree(self) -> int:
         return len(self.nums) - 1
 
@@ -144,18 +172,7 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UPoly":
-        # Repeated squaring.
-        if n < 0:
-            raise ValueError("negative power")
-        result = UPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, UPoly.constant(1), n)
 
     def eval(self, point) -> Fraction:
         # Horner's scheme on p/q in integers: sum nums[k] p^k q^(deg-k).
@@ -171,14 +188,8 @@ class UPoly:
         return Fraction(acc, self.den * scale)
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "UPoly(0)"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"{c}" if k == 0 else f"{c}*x^{k}")
-        return "UPoly(" + " + ".join(parts) + ")"
+        parts = [f"{c}" if k == 0 else f"{c}*x^{k}" for (k,), c in self.terms.items()]
+        return "UPoly(" + (" + ".join(parts) or "0") + ")"
 
 
 @dataclass(frozen=True)
@@ -256,6 +267,11 @@ class MPoly:
         """The coefficients as fractions, in a fresh dict built on each call."""
         return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
+    @property
+    def sparse_nums(self) -> dict[Exponent, int]:
+        """The numerators over ``den``; the stored map itself, not a copy."""
+        return self.nums
+
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -316,18 +332,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
-        # Repeated squaring.
-        if n < 0:
-            raise ValueError("negative power")
-        result = MPoly.constant(self.dimension, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, MPoly.constant(self.dimension, 1), n)
 
     def eval(self, point: Sequence) -> Fraction:
         # With x_i = p_i/q_i and D_i the top degree in x_i, sum in integers
@@ -361,11 +366,23 @@ class MPoly:
         return f"MPoly({self.dimension}, " + " + ".join(parts) + ")"
 
 
+# Both classes read alike through dimension, degree, terms, sparse_nums, den
+# and constant_term; only this module tells dense from sparse storage.
 AnyPoly = Union[UPoly, MPoly]
 
 
-def poly_dimension(p: AnyPoly) -> int:
-    return 1 if isinstance(p, UPoly) else p.dimension
+def poly_from_sparse_nums(dimension: int, nums: dict[Exponent, int], den: int) -> AnyPoly:
+    """The polynomial sum of ``nums[e] / den * x^e``, for ``den > 0``.
+
+    A ``UPoly`` for dimension 1 and an ``MPoly`` otherwise.  ``nums`` may
+    hold zeros; the exponents are trusted to have length ``dimension``.
+    """
+    if dimension == 1:
+        dense = [0] * (max((e[0] for e in nums), default=-1) + 1)
+        for (k,), c in nums.items():
+            dense[k] = c
+        return UPoly._canonical(dense, den)
+    return MPoly._canonical(dimension, nums, den)
 
 
 def poly_eval(p: AnyPoly, point: Sequence) -> Fraction:
@@ -378,13 +395,24 @@ def poly_eval(p: AnyPoly, point: Sequence) -> Fraction:
 
 
 def monomials_of_degree(dimension: int, total: int) -> list[Exponent]:
-    """Exponent tuples of the given total degree, in descending lex order."""
-    if dimension == 1:
-        return [(total,)]
-    out: list[Exponent] = []
-    for first in range(total, -1, -1):
-        for rest in monomials_of_degree(dimension - 1, total - first):
-            out.append((first,) + rest)
+    """Exponent tuples of the given total degree, in descending lex order.
+
+    Each exponent's successor moves one unit out of its last nonzero entry
+    before the final one, and gathers everything after that entry right
+    behind it; the list ends when the final entry holds the whole total.
+    """
+    last = dimension - 1
+    a = [total] + [0] * last
+    out = [tuple(a)]
+    while a[last] != total:
+        i = last - 1
+        while not a[i]:
+            i -= 1
+        a[i] -= 1
+        rest = a[last] + 1
+        a[last] = 0
+        a[i + 1] = rest
+        out.append(tuple(a))
     return out
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from unitycert import cli
+from unitycert import cli, identities
 from unitycert.momatrix import NotPositiveDefiniteError, rational_matrix_from_json
+from unitycert.polycore import MPoly, UPoly
 
 
 def run_json(capsys, argv):
@@ -61,6 +62,13 @@ class TestExitCodeContract:
             ["maxent", "putinar", "--n", "2", "--tol", "inf"],
             ["maxent", "handelman", "--n", "3", "--max-iter", "-1"],
             ["moments", "--measure", "arcsine", "--max-degree", "-1"],
+            ["maxent", "handelman", "--n", "2", "--target-constant", "1/0"],
+            ["maxent", "putinar", "--n", "2", "--target-coeffs", "1/0"],
+            ["maxent", "putinar", "--n", "2", "--target-coeffs", "1,2/0"],
+            ["pell", "--n", "3", "--output", "/nonexistent/p.json"],
+            ["moments", "--measure", "arcsine", "--max-degree", "2", "--format", "csv",
+             "--output", "/nonexistent/p.csv"],
+            ["maxent", "handelman", "--n", "12", "--output", "/nonexistent/p.json"],
         ],
     )
     def test_out_of_range_flag_is_exit_2(self, capsys, argv):
@@ -69,6 +77,7 @@ class TestExitCodeContract:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: --")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -248,6 +257,30 @@ class TestPartition:
         assert code == 2
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+
+def poly_from_json(obj):
+    if "coefficients" in obj:
+        return UPoly.from_coeffs(Fraction(c) for c in obj["coefficients"])
+    return MPoly.make(obj["dimension"], {tuple(t["alpha"]): Fraction(t["value"]) for t in obj["terms"]})
+
+
+class TestPartitionMembersSumToOne:
+    @pytest.mark.parametrize("domain, d", [("interval01", 2), ("interval11", 2), ("simplex", 2), ("simplex", 3)])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_members_read_back_sum_to_one(self, domain, d, n):
+        members = cli.emit_partition(domain, n, d=d)["members"]
+        polys = [poly_from_json(m["polynomial"]) for m in members]
+        total = polys[0]
+        for p in polys[1:]:
+            total = total + p
+        one = UPoly.constant(1) if domain.startswith("interval") else MPoly.constant(d, 1)
+        assert total == one
+        for member, p, (_, weight, generator) in zip(
+            members, polys, identities.partition_members(domain, n, d)
+        ):
+            assert Fraction(member["weight"]) == weight / len(members)
+            assert p == generator * Fraction(member["weight"])
 
 
 class TestOutputFile:

@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,23 @@ import pytest
 from unitycert.identities import (
     IdentityReport,
     UnityVariant,
+    _nonconstant_terms,
     _report,
     constant_reduce,
+    partition_members,
     verify_pell,
     verify_simplex_equilibrium,
     verify_simplex_unity,
     verify_unity_01,
     verify_unity_interval,
 )
-from unitycert.measures import SimplexNormalization
+from unitycert.measures import (
+    ARCSINE,
+    LEBESGUE01,
+    SimplexNormalization,
+    functional_for,
+    simplex_uniform,
+)
 from unitycert.polycore import MPoly, UPoly
 
 
@@ -109,6 +118,71 @@ class TestConstantReduce:
         assert constant_reduce(UPoly.from_coeffs([1, 1])) is None
         assert constant_reduce(MPoly.constant(2, 7)) == 7
         assert constant_reduce(MPoly.variable(2, 0)) is None
+
+
+def seeded_pairs(seed, count=40):
+    """(UPoly, the same polynomial as MPoly.make(1, ...)), zero and constants included."""
+    rng = random.Random(seed)
+    coeff_lists = [[], [Fraction(5, 2)], [0, 0, 3]]
+    for _ in range(count):
+        coeff_lists.append([
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+            for _ in range(rng.randint(1, 9))
+        ])
+    return [
+        (UPoly.from_coeffs(cs), MPoly.make(1, {(k,): c for k, c in enumerate(cs)}))
+        for cs in coeff_lists
+    ]
+
+
+class TestSharedInterfaceCallers:
+    """Callers give a UPoly and the equal 1-dimensional MPoly the same answer."""
+
+    def test_poly_moment(self):
+        for measure in (LEBESGUE01, ARCSINE):
+            f = functional_for(measure)
+            for u, m in seeded_pairs(21):
+                assert f.poly_moment(u) == f.poly_moment(m)
+
+    def test_poly_moment_rejects_a_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            functional_for(simplex_uniform(2)).poly_moment(UPoly.x())
+
+    def test_constant_reduce_and_residual_count(self):
+        for u, m in seeded_pairs(22):
+            assert constant_reduce(u) == constant_reduce(m)
+            assert _nonconstant_terms(u) == _nonconstant_terms(m)
+            assert _nonconstant_terms(u) == sum(1 for e in u.terms if e != (0,))
+
+
+class TestPartitionMembers:
+    @pytest.mark.parametrize(
+        "domain, measure, d",
+        [("interval01", LEBESGUE01, 2), ("interval11", ARCSINE, 2),
+         ("simplex", simplex_uniform(2), 2), ("simplex", simplex_uniform(3), 3)],
+    )
+    def test_weight_is_reciprocal_moment(self, domain, measure, d):
+        f = functional_for(measure)
+        for n in range(1, 5):
+            for _, weight, generator in partition_members(domain, n, d):
+                assert weight * f.poly_moment(generator) == 1
+
+    def test_order_and_labels(self):
+        assert [label for label, _, _ in partition_members("interval01", 2)] == [
+            {"i": i, "j": j} for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        ]
+        assert [label for label, _, _ in partition_members("interval11", 1)] == [
+            {"kind": "first", "j": 0}, {"kind": "first", "j": 1}, {"kind": "second", "j": 0}
+        ]
+        assert partition_members("simplex", 1, 2)[-1][0] == {"alpha": [0, 0, 1]}
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            partition_members("interval01", 0)
+        with pytest.raises(ValueError):
+            partition_members("simplex", 2, 0)
+        with pytest.raises(ValueError):
+            partition_members("disc", 2)
 
 
 class TestReportMechanics:

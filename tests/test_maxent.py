@@ -569,3 +569,36 @@ class TestIntegerExactSide:
         }
         assert cert.weights == want
         assert all(type(w) is Fraction for w in cert.weights.values())
+
+    @staticmethod
+    def fraction_putinar_coeffs(gram_a, gram_b, n):
+        """One Fraction per double Gram entry, summed by coefficient."""
+        coeffs = [Fraction(0)] * (2 * n + 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                coeffs[i + j] += Fraction(gram_a[i][j])
+        for i in range(n):
+            for j in range(n):
+                v = Fraction(gram_b[i][j])
+                coeffs[i + j] += v
+                coeffs[i + j + 2] -= v
+        return coeffs
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_putinar_exact_residual_matches_fractions(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(5):
+            a = rng.standard_normal((n + 1, n + 1)) * 10.0 ** rng.integers(-6, 4)
+            b = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 4)
+            gram_a = tuple(tuple(float(v) for v in row) for row in (a + a.T))
+            gram_b = tuple(tuple(float(v) for v in row) for row in (b + b.T))
+            target = UPoly.from_coeffs(
+                Fraction(int(rng.integers(-99, 99)), int(rng.integers(1, 12)))
+                for _ in range(int(rng.integers(1, 2 * n + 2)))
+            )
+            coeffs = self.fraction_putinar_coeffs(gram_a, gram_b, n)
+            want = max(abs(c - target.coefficient(k)) for k, c in enumerate(coeffs))
+            got = maxent._putinar_exact_residual(gram_a, gram_b, target, n)
+            assert type(got) is Fraction and got == want
+            exact_target = UPoly.from_coeffs(coeffs)
+            assert maxent._putinar_exact_residual(gram_a, gram_b, exact_target, n) == 0

@@ -27,7 +27,7 @@ from unitycert.momatrix import (
     moment_matrix,
     rational_matrix_from_json,
 )
-from unitycert.polycore import ChebKind, UPoly, cheb_orthonormal_square
+from unitycert.polycore import ChebKind, MPoly, UPoly, cheb_orthonormal_square
 
 G = UPoly.from_coeffs([1, 0, -1])  # 1 - x^2
 
@@ -313,6 +313,40 @@ class TestChristoffelForm:
             simplex_equilibrium(SimplexNormalization.PROBABILITY), 2
         ).quadratic_form_poly
         assert prob == raw * 2
+
+
+def fraction_quadratic_form(basis, inverse, dim):
+    """v^T inverse v summed term by term in Fractions, each pair (i, j) visited."""
+    terms = {}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            e = tuple(x + y for x, y in zip(a, b))
+            terms[e] = terms.get(e, Fraction(0)) + inverse[i][j]
+    if dim == 1:
+        top = max(e[0] for e in terms)
+        return UPoly.from_coeffs(terms.get((k,), Fraction(0)) for k in range(top + 1))
+    return MPoly.make(dim, terms)
+
+
+class TestIntegerQuadraticForm:
+    @pytest.mark.parametrize(
+        "measure, n, shift",
+        [
+            (ARCSINE, 12, None),
+            (ARCSINE, 6, G),
+            (ARCSINE_G, 5, None),
+            (LEBESGUE01, 8, None),
+            (simplex_uniform(2), 3, None),
+            (simplex_uniform(3), 2, None),
+            (simplex_equilibrium(), 2, MPoly.make(2, {(1, 1): 1})),
+        ],
+    )
+    def test_matches_fraction_sum(self, measure, n, shift):
+        matrix = moment_matrix(measure, n, shift)
+        form = christoffel_form_of_matrix(matrix)
+        want = fraction_quadratic_form(matrix.basis, form.inverse, measure.dimension)
+        assert type(form.quadratic_form_poly) is type(want)
+        assert form.quadratic_form_poly == want
 
 
 class TestJson:

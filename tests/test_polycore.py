@@ -12,8 +12,10 @@ from unitycert.polycore import (
     bernstein,
     cheb,
     cheb_orthonormal_square,
+    monomials_of_degree,
     monomials_upto,
     poly_eval,
+    poly_from_sparse_nums,
     simplex_generator_power,
 )
 
@@ -492,3 +494,78 @@ class TestMonomialOrder:
         for d in range(1, 5):
             for n in range(5):
                 assert len(monomials_upto(d, n)) == math.comb(d + n, n)
+
+    @staticmethod
+    def recursive_monomials(dimension, total):
+        """The recursive definition: first exponent descending, then the rest."""
+        if dimension == 1:
+            return [(total,)]
+        return [
+            (first,) + rest
+            for first in range(total, -1, -1)
+            for rest in TestMonomialOrder.recursive_monomials(dimension - 1, total - first)
+        ]
+
+    def test_of_degree_matches_recursive_definition(self):
+        for d in range(1, 6):
+            for total in range(9):
+                assert monomials_of_degree(d, total) == self.recursive_monomials(d, total)
+
+
+def seeded_upolys(seed, count=40):
+    """Random UPolys with zero gaps, plus the zero and a constant."""
+    rng = random.Random(seed)
+    out = [UPoly.zero(), UPoly.constant(Fraction(-7, 3))]
+    for _ in range(count):
+        coeffs = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+            for _ in range(rng.randint(1, 9))
+        ]
+        out.append(UPoly.from_coeffs(coeffs))
+    return out
+
+
+def as_mpoly(p):
+    """The same polynomial as a 1-dimensional MPoly, built from the coefficients."""
+    return MPoly.make(1, {(k,): c for k, c in enumerate(p.coeffs)})
+
+
+class TestSharedReadInterface:
+    """UPoly reads like the 1-dimensional MPoly of the same polynomial."""
+
+    def test_dimension_terms_and_sparse_view(self):
+        for p in seeded_upolys(11):
+            m = as_mpoly(p)
+            assert p.dimension == m.dimension == 1
+            assert p.terms == m.terms
+            assert all(c != 0 for c in p.terms.values())
+            assert p.sparse_nums == m.sparse_nums
+            assert all(type(c) is int and c != 0 for c in p.sparse_nums.values())
+            assert p.den == m.den
+            assert p.degree == m.degree
+            assert p.constant_term == m.constant_term
+
+    def test_sparse_view_has_gaps_removed(self):
+        p = upoly(Fraction(1, 2), 0, 0, Fraction(-3, 4))
+        assert p.sparse_nums == {(0,): 2, (3,): -3}
+        assert p.den == 4
+        assert p.terms == {(0,): Fraction(1, 2), (3,): Fraction(-3, 4)}
+
+    def test_from_sparse_nums_round_trip(self):
+        for p in seeded_upolys(12):
+            q = poly_from_sparse_nums(1, p.sparse_nums, p.den)
+            assert type(q) is UPoly and q == p
+            m = as_mpoly(p)
+            q = poly_from_sparse_nums(1, m.sparse_nums, m.den)
+            assert type(q) is UPoly and q == p
+        m = MPoly.make(2, {(1, 0): Fraction(1, 2), (0, 3): 5})
+        q = poly_from_sparse_nums(2, dict(m.sparse_nums), m.den)
+        assert type(q) is MPoly and q == m
+
+    def test_from_sparse_nums_canonicalizes(self):
+        p = poly_from_sparse_nums(1, {(0,): 2, (1,): 0, (2,): 4}, 6)
+        assert (p.nums, p.den) == ((1, 0, 2), 3)
+        assert poly_from_sparse_nums(1, {(3,): 0}, 5) == UPoly.zero()
+        assert poly_from_sparse_nums(1, {}, 1) == UPoly.zero()
+        q = poly_from_sparse_nums(2, {(1, 1): 3, (0, 0): 0}, 9)
+        assert (q.nums, q.den) == ({(1, 1): 1}, 3)
