@@ -19,6 +19,7 @@ import io
 import json
 import logging
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -389,12 +390,37 @@ def _write_output(payload: object, kind: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _check_output(output: Optional[str]) -> None:
+    """Raise ``OSError`` if ``output`` cannot be opened for writing.
+
+    Opens the path for appending, which leaves an existing file as it is,
+    and removes the file again if the check created it.
+    """
+    if not output:
+        return
+    existed = os.path.lexists(output)
+    with open(output, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(output)
+
+
+def _output_error(output: str, exc: OSError) -> int:
+    print(f"error: --output {output!r}: {exc.strerror}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # Fail before the work, not after it, on a path that cannot be written.
+    try:
+        _check_output(args.output)
+    except OSError as exc:
+        return _output_error(args.output, exc)
     with _json_log_lines(args.log_level):
         try:
             payload, kind, code = _dispatch(args)
@@ -410,8 +436,7 @@ def run(argv: Sequence[str]) -> int:
         try:
             _write_output(payload, kind, args.output)
         except OSError as exc:
-            print(f"error: --output {args.output!r}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
+            return _output_error(args.output, exc)
         return code
 
 

@@ -1,20 +1,33 @@
 """Moment and localizing matrices with exact rational inversion.
 
 Matrices are indexed by the graded lexicographic monomial basis of degree
-<= n.  The unshifted univariate case is Hankel.  Inversion is exact and runs
-in integers: fraction-free Bareiss elimination on an integer-scaled copy
-(Bareiss, Math. Comp. 1968), then back-substitution to ``det * A^{-1}``, which
-is an integer matrix; every division is checked exact, and each entry is
-divided by ``det`` once at the end.  The Bareiss pivots are the leading
-principal minors, which doubles as the positive definiteness check.  The
-inverse assembled into a quadratic form gives the reciprocal Christoffel
-function as an explicit polynomial.  With ``logging`` at DEBUG, each
-inversion logs its dimension and the bit lengths of ``det`` and of the
-largest entry of ``det * A^{-1}``.
+<= n.  A univariate matrix is Hankel in the moments ``mu_k = L(g x^k)`` of
+the (possibly shifted) measure, and is inverted from that sequence: the
+Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
+Approximation*, 2004, section 2.1.7) gives the recurrence coefficients and
+the norms ``h_k = L(g p_k^2)`` of the monic orthogonal polynomials ``p_k``,
+the three-term recurrence builds the ``p_k``, and
+``M^{-1} = sum_k p_k p_k^T / h_k``.  Every step runs in integers over one
+denominator per row, and the leading principal minor of order ``k+1`` is
+``h_0 ... h_k``, which doubles as the positive definiteness check.
 
-Inversion time grows with the Bareiss intermediates, roughly cubically in
-the matrix dimension times their bit length; ``perfbench/README.md`` has
-measured times by measure and degree.
+Multivariate matrices are inverted by fraction-free Bareiss elimination on
+an integer-scaled copy (Bareiss, Math. Comp. 1968), then back-substitution
+to ``det * A^{-1}``, which is an integer matrix; every division is checked
+exact, and each entry is divided by ``det`` once at the end.  The Bareiss
+pivots are the leading principal minors.  The inverse assembled into a
+quadratic form gives the reciprocal Christoffel function as an explicit
+polynomial.  With ``logging`` at DEBUG, each inversion logs one record with
+its dimension and method: for Bareiss the bit lengths of ``det`` and of the
+largest entry of ``det * A^{-1}``, for the recurrence those of the common
+denominator ``L`` and of the largest entry of ``L * M^{-1}``.
+
+Bareiss time grows with its intermediates, roughly cubically in the matrix
+dimension times their bit length, and ``det`` carries the scale factor once
+per row: arcsine n=48 logs ``det_bits=2303 entry_bits_max=2419``.  The
+recurrence makes about ``n^3 / 6`` integer products; at arcsine n=48 and
+96, arcsine-g n=20 and lebesgue01 n=24 its denominator is 1 and its widest
+integer is the widest inverse entry (117 bits at arcsine n=48).
 """
 
 from __future__ import annotations
@@ -90,6 +103,14 @@ def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -
     dim = measure.dimension
     basis = monomials_upto(dim, n)
     terms = _shift_terms(shift, dim)
+    if dim == 1:
+        # Hankel: row i is mu_i .. mu_{i+n} of the 2n+1 shifted moments.
+        moments = [
+            sum((c * functional.moment((k + gamma[0],)) for gamma, c in terms), Fraction(0))
+            for k in range(2 * n + 1)
+        ]
+        entries = tuple(tuple(moments[i : i + n + 1]) for i in range(n + 1))
+        return MomentMatrix(measure=measure, degree=n, basis=basis, entries=entries, shift=shift)
     size = len(basis)
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
@@ -167,7 +188,7 @@ def invert_symmetric_rational(entries: Sequence[Sequence[Fraction]]) -> Rational
             y_col[i] = y[i][col] = q
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "inverted dim=%d det_bits=%d entry_bits_max=%d",
+            "inverted dim=%d method=bareiss det_bits=%d entry_bits_max=%d",
             m,
             det.bit_length(),
             max(value.bit_length() for row in y for value in row),
@@ -179,8 +200,122 @@ def invert_symmetric_rational(entries: Sequence[Sequence[Fraction]]) -> Rational
     return tuple(tuple(row) for row in inverse)
 
 
+def _hankel_moments(entries: RationalMatrix) -> list[Fraction]:
+    """mu_0 .. mu_{2n} of a Hankel matrix: its first row, then its last column."""
+    m = len(entries)
+    moments = list(entries[0]) + [entries[i][m - 1] for i in range(1, m)]
+    for i, row in enumerate(entries):
+        if len(row) != m:
+            raise ValueError("matrix must be square")
+        for value, moment in zip(row, moments[i:]):
+            if value is not moment and value != moment:
+                raise ValueError("univariate moment matrix must be Hankel")
+    return moments
+
+
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """``nums / den`` with the common factor removed by one gcd."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [v // g for v in nums]
+        den //= g
+    return nums, den
+
+
+def _three_term(x: list[int], y: list[int], x_den: int, alpha: Fraction,
+                z: list[int], z_den: int, beta: Fraction) -> tuple[list[int], int]:
+    """Numerators and denominator of ``x - alpha*y - beta*z``, in lowest terms.
+
+    ``x`` and ``y`` are numerators over ``x_den`` and ``z`` over ``z_den``;
+    the lists are read position by position up to the shortest.
+    """
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    den = math.lcm(x_den * ad, z_den * bd)
+    c1 = den // x_den
+    c2 = an * (den // (x_den * ad))
+    c3 = bn * (den // (z_den * bd))
+    return _lowest([c1 * a - c2 * b - c3 * c for a, b, c in zip(x, y, z)], den)
+
+
+def invert_hankel(moments: Sequence[Fraction]) -> RationalMatrix:
+    """Exact inverse of the Hankel matrix ``[mu_{i+j}]`` of ``mu_0 .. mu_{2n}``.
+
+    Runs the Chebyshev algorithm on the moments.  Row k holds
+    ``sigma_{k,l} = L(p_k x^l)`` for ``l = k .. 2n-k`` as integer numerators
+    over one denominator, and the norms ``h_k = sigma_{k,k}`` and recurrence
+    coefficients ``alpha_k``, ``beta_k = h_k / h_{k-1}`` are read off it.  The
+    monic orthogonal ``p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}`` are
+    stored the same way, and ``Y = L * sum_k p_k p_k^T / h_k``, with ``L``
+    the lcm of the weight denominators, is summed in integers, upper
+    triangle only; each entry becomes one ``Fraction(Y_ij, L)``.  The
+    leading principal minor of order ``k+1`` is ``h_0 ... h_k``;
+    ``NotPositiveDefiniteError`` names the first one that is not positive.
+    """
+    if len(moments) % 2 == 0:
+        raise ValueError("a Hankel matrix needs an odd number of moments")
+    n = len(moments) // 2
+    den = math.lcm(*(mu.denominator for mu in moments))
+    # sigma_k (s over s_den) and sigma_{k-1}, starting from sigma_{-1} = 0;
+    # p_k (p over p_den) and p_{k-1}, starting from p_{-1} = 0.
+    s, s_den = _lowest([mu.numerator * (den // mu.denominator) for mu in moments], den)
+    s_prev, s_prev_den = [0] * len(s), 1
+    p, p_den = [1], 1
+    p_prev, p_prev_den = [0], 1
+    norms: list[Fraction] = []
+    polys: list[tuple[list[int], int]] = []
+    for k in range(n + 1):
+        h = Fraction(s[0], s_den)
+        if h <= 0:
+            for earlier in norms:
+                h *= earlier
+            raise NotPositiveDefiniteError(k + 1, h)
+        beta = h / norms[-1] if norms else Fraction(0)
+        norms.append(h)
+        polys.append((p, p_den))
+        if k == n:
+            break
+        alpha = Fraction(s[1], s[0])
+        if k:
+            alpha -= Fraction(s_prev[1], s_prev[0])
+        s_prev, s_prev_den, (s, s_den) = s, s_den, _three_term(
+            s[2:], s[1:], s_den, alpha, s_prev[2:], s_prev_den, beta)
+        p_prev, p_prev_den, (p, p_den) = p, p_den, _three_term(
+            [0] + p, p + [0], p_den, alpha, p_prev + [0, 0], p_prev_den, beta)
+    # p_k = nums / e, so nums nums^T enters with weight 1 / (h_k * e^2).
+    weights = [1 / (h * (e * e)) for h, (_, e) in zip(norms, polys)]
+    den = math.lcm(*(w.denominator for w in weights))
+    m = n + 1
+    y = [[0] * (m - i) for i in range(m)]  # y[i][j - i] for j >= i
+    for k, ((nums, _), w) in enumerate(zip(polys, weights)):
+        c = w.numerator * (den // w.denominator)
+        for i in range(k + 1):
+            ci = c * nums[i]
+            if ci:
+                row = y[i]
+                row[: k + 1 - i] = [a + ci * b for a, b in zip(row, nums[i:])]
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "inverted dim=%d method=recurrence den_bits=%d num_bits_max=%d",
+            m,
+            den.bit_length(),
+            max(value.bit_length() for row in y for value in row),
+        )
+    inverse = [[Fraction(0)] * m for _ in range(m)]
+    for i, row in enumerate(y):
+        for j, value in enumerate(row, i):
+            inverse[i][j] = inverse[j][i] = Fraction(value, den)
+    return tuple(tuple(row) for row in inverse)
+
+
 def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
-    """Exact inverse of a moment matrix; M * M^{-1} is the identity exactly."""
+    """Exact inverse of a moment matrix; M * M^{-1} is the identity exactly.
+
+    Univariate (Hankel) matrices are inverted from their moment sequence by
+    ``invert_hankel``, multivariate ones by ``invert_symmetric_rational``.
+    """
+    if matrix.measure.dimension == 1:
+        return invert_hankel(_hankel_moments(matrix.entries))
     return invert_symmetric_rational(matrix.entries)
 
 

@@ -284,6 +284,34 @@ class TestPartitionMembersSumToOne:
 
 
 class TestOutputFile:
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_fails_before_the_work(self, tmp_path, capsys, monkeypatch, where):
+        def no_work(args):
+            raise AssertionError("the command ran before --output was checked")
+
+        monkeypatch.setattr(cli, "_dispatch", no_work)
+        target = tmp_path / "missing" / "p.json" if where == "missing-dir" else tmp_path
+        code = cli.run(["maxent", "handelman", "--n", "12", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --output ")
+        assert captured.err.count("\n") == 1
+
+    def test_failed_command_leaves_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("keep\n", encoding="utf-8")
+        code = cli.run(["maxent", "handelman", "--n", "3", "--tol", "nan", "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --tol")
+        assert target.read_text(encoding="utf-8") == "keep\n"
+
+    def test_failed_command_creates_no_file(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        code = cli.run(["maxent", "handelman", "--n", "3", "--tol", "nan", "--output", str(target)])
+        assert code == 2
+        assert not target.exists()
+
     def test_write_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = cli.run(["pell", "--n", "3", "--output", str(target)])

@@ -18,10 +18,12 @@ from unitycert.measures import (
 )
 from unitycert.momatrix import (
     NotPositiveDefiniteError,
+    _quadratic_form_poly,
     christoffel_eval,
     christoffel_form,
     christoffel_form_of_matrix,
     invert_exact,
+    invert_hankel,
     invert_symmetric_rational,
     matrix_to_json,
     moment_matrix,
@@ -230,7 +232,7 @@ class TestIntegerBackSubstitution:
             invert_symmetric_rational([[2, 1], [1, 2]])
         # det = 3 and det * A^{-1} = [[2, -1], [-1, 2]]: two bits each.
         assert [r.getMessage() for r in caplog.records] == [
-            "inverted dim=2 det_bits=2 entry_bits_max=2"
+            "inverted dim=2 method=bareiss det_bits=2 entry_bits_max=2"
         ]
 
     def test_no_debug_record_by_default(self, caplog):
@@ -347,6 +349,119 @@ class TestIntegerQuadraticForm:
         want = fraction_quadratic_form(matrix.basis, form.inverse, measure.dimension)
         assert type(form.quadratic_form_poly) is type(want)
         assert form.quadratic_form_poly == want
+
+
+SHIFTS = {
+    "none": None,
+    "1-x^2": G,
+    "1-x": UPoly.from_coeffs([1, -1]),
+    "x(1-x)": UPoly.from_coeffs([0, 1, -1]),
+    "3": UPoly.from_coeffs([3]),
+}
+
+
+def bareiss_outcome(matrix):
+    """The Bareiss inverse, or (order, minor) of its NotPositiveDefiniteError."""
+    try:
+        return invert_symmetric_rational(matrix.entries)
+    except NotPositiveDefiniteError as exc:
+        return exc.order, exc.minor
+
+
+class TestRecurrenceInverse:
+    """The univariate path (Chebyshev algorithm) against Bareiss as the oracle."""
+
+    @pytest.mark.parametrize("shift", list(SHIFTS), ids=list(SHIFTS))
+    @pytest.mark.parametrize("measure", [ARCSINE, ARCSINE_G, LEBESGUE01], ids=lambda m: m.label())
+    def test_matches_bareiss(self, measure, shift):
+        for n in range(21):
+            matrix = moment_matrix(measure, n, SHIFTS[shift])
+            want = bareiss_outcome(matrix)
+            if isinstance(want[0], int):
+                # x(1-x) is negative on most of [-1,1]; both paths must agree on why.
+                with pytest.raises(NotPositiveDefiniteError) as exc:
+                    invert_exact(matrix)
+                assert (exc.value.order, exc.value.minor) == want
+                continue
+            inverse = invert_exact(matrix)
+            assert inverse == want
+            form = christoffel_form_of_matrix(matrix).quadratic_form_poly
+            assert form == _quadratic_form_poly(matrix.basis, want, 1)
+
+    @pytest.mark.parametrize(
+        "measure, shift, order, minor",
+        [
+            (ARCSINE, UPoly.from_coeffs([0, 1]), 1, Fraction(0)),
+            (LEBESGUE01, UPoly.from_coeffs([Fraction(-1, 2), 1]), 1, Fraction(0)),
+            (LEBESGUE01, UPoly.from_coeffs([Fraction(-1, 3), 1]), 2, Fraction(-1, 216)),
+            (ARCSINE, UPoly.from_coeffs([-1]), 1, Fraction(-1)),
+            (LEBESGUE01, UPoly.zero(), 1, Fraction(0)),
+        ],
+    )
+    def test_not_positive_definite_like_bareiss(self, measure, shift, order, minor):
+        for n in range(order - 1, 6):
+            matrix = moment_matrix(measure, n, shift)
+            assert bareiss_outcome(matrix) == (order, minor)
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                invert_exact(matrix)
+            assert (exc.value.order, exc.value.minor) == (order, minor)
+            assert f"order {order} is {minor}" in str(exc.value)
+
+    def test_arcsine_degree_96(self):
+        form = christoffel_form(ARCSINE, 96)
+        total = UPoly.zero()
+        for j in range(97):
+            total = total + cheb_orthonormal_square(ChebKind.FIRST, j)
+        assert form.quadratic_form_poly == total
+
+    def test_invert_hankel_direct(self):
+        # [[1, 1/2], [1/2, 1/3]] is the Hilbert matrix of Lebesgue on [0,1].
+        inverse = invert_hankel([Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+        assert inverse == frac_rows([[4, -6], [-6, 12]])
+        with pytest.raises(ValueError, match="odd"):
+            invert_hankel([Fraction(1), Fraction(0)])
+
+    def test_non_hankel_entries_rejected(self):
+        base = moment_matrix(ARCSINE, 2)
+        rows = [list(row) for row in base.entries]
+        rows[0][2] += 1
+        broken = dataclasses.replace(base, entries=tuple(tuple(row) for row in rows))
+        with pytest.raises(ValueError, match="Hankel"):
+            invert_exact(broken)
+
+    def test_hankel_fill_reads_each_shifted_moment(self):
+        # Entry (i, j) of the localizing matrix is L(g x^(i+j)).
+        f = functional_for(LEBESGUE01)
+        g = UPoly.from_coeffs([0, 1, -1])
+        matrix = moment_matrix(LEBESGUE01, 4, g)
+        for i in range(5):
+            for j in range(5):
+                want = f.moment((i + j + 1,)) - f.moment((i + j + 2,))
+                assert matrix.entry(i, j) == want
+
+
+class TestInversionLog:
+    def records(self, caplog, build):
+        with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+            build()
+        return [r.getMessage() for r in caplog.records if r.name == "unitycert.momatrix"]
+
+    def test_univariate_logs_recurrence(self, caplog):
+        # M = [[1, 0], [0, 1/2]]: L = 1 and L * M^{-1} = [[1, 0], [0, 2]].
+        messages = self.records(caplog, lambda: christoffel_form(ARCSINE, 1))
+        assert messages == ["inverted dim=2 method=recurrence den_bits=1 num_bits_max=2"]
+
+    def test_localized_logs_recurrence(self, caplog):
+        messages = self.records(caplog, lambda: christoffel_form(ARCSINE, 4, shift=G))
+        assert len(messages) == 1
+        assert messages[0].startswith("inverted dim=5 method=recurrence den_bits=")
+
+    @pytest.mark.parametrize("measure", [simplex_uniform(2), simplex_equilibrium()],
+                             ids=lambda m: m.label())
+    def test_simplex_logs_bareiss(self, caplog, measure):
+        messages = self.records(caplog, lambda: christoffel_form(measure, 2))
+        assert len(messages) == 1
+        assert messages[0].startswith("inverted dim=6 method=bareiss det_bits=")
 
 
 class TestJson:
