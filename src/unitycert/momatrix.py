@@ -255,10 +255,10 @@ def invert_hankel(moments: Sequence[Fraction]) -> RationalMatrix:
     if len(moments) % 2 == 0:
         raise ValueError("a Hankel matrix needs an odd number of moments")
     n = len(moments) // 2
-    den = math.lcm(*(mu.denominator for mu in moments))
+    mu_den = math.lcm(*(mu.denominator for mu in moments))
     # sigma_k (s over s_den) and sigma_{k-1}, starting from sigma_{-1} = 0;
     # p_k (p over p_den) and p_{k-1}, starting from p_{-1} = 0.
-    s, s_den = _lowest([mu.numerator * (den // mu.denominator) for mu in moments], den)
+    s, s_den = _lowest([mu.numerator * (mu_den // mu.denominator) for mu in moments], mu_den)
     s_prev, s_prev_den = [0] * len(s), 1
     p, p_den = [1], 1
     p_prev, p_prev_den = [0], 1

@@ -63,6 +63,14 @@ class TestMomentMatrix:
                 for j in range(n + 1):
                     assert m.entry(i, j) == f.moment((i + j,))
 
+    def test_localizing_hankel_structure(self):
+        # Entry (i, j) of the localizing matrix is L(g x^(i+j)).
+        f = functional_for(LEBESGUE01)
+        m = moment_matrix(LEBESGUE01, 4, UPoly.from_coeffs([0, 1, -1]))
+        for i in range(5):
+            for j in range(5):
+                assert m.entry(i, j) == f.moment((i + j + 1,)) - f.moment((i + j + 2,))
+
     def test_shift_dimension_mismatch(self):
         with pytest.raises(ValueError):
             moment_matrix(simplex_uniform(2), 1, shift=G)
@@ -428,16 +436,6 @@ class TestRecurrenceInverse:
         broken = dataclasses.replace(base, entries=tuple(tuple(row) for row in rows))
         with pytest.raises(ValueError, match="Hankel"):
             invert_exact(broken)
-
-    def test_hankel_fill_reads_each_shifted_moment(self):
-        # Entry (i, j) of the localizing matrix is L(g x^(i+j)).
-        f = functional_for(LEBESGUE01)
-        g = UPoly.from_coeffs([0, 1, -1])
-        matrix = moment_matrix(LEBESGUE01, 4, g)
-        for i in range(5):
-            for j in range(5):
-                want = f.moment((i + j + 1,)) - f.moment((i + j + 2,))
-                assert matrix.entry(i, j) == want
 
 
 class TestInversionLog:
