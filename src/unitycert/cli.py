@@ -79,13 +79,23 @@ def _measure_from_flags(name: str, d: int, normalization: str) -> MeasureId:
     raise ValueError(f"unknown measure {name!r}")
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``, without building the Fraction."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
+
+
 def _poly_to_json(p: AnyPoly) -> dict:
+    den = p.den
     if isinstance(p, UPoly):
-        return {"coefficients": [str(c) for c in p.coeffs]}
+        return {"coefficients": [_ratio_str(c, den) for c in p.nums]}
     return {
         "dimension": p.dimension,
         "terms": [
-            {"alpha": list(e), "value": str(c)} for e, c in sorted(p.terms.items())
+            {"alpha": list(e), "value": _ratio_str(c, den)}
+            for e, c in sorted(p.sparse_nums.items())
         ],
     }
 

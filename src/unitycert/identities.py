@@ -36,7 +36,8 @@ from .polycore import (
     MPoly,
     UPoly,
     cheb,
-    cheb_orthonormal_square,
+    cheb_orthonormal_squares,
+    cheb_table,
     monomials_upto,
     powers,
     simplex_generator_power,
@@ -151,8 +152,8 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
             for i, j in monomials_upto(2, n)
         ]
     if domain == "interval11":
-        first = [cheb_orthonormal_square(ChebKind.FIRST, j) for j in range(n + 1)]
-        second = [_G_INTERVAL * cheb_orthonormal_square(ChebKind.SECOND, j) for j in range(n)]
+        first = cheb_orthonormal_squares(ChebKind.FIRST, n)
+        second = [_G_INTERVAL * g for g in cheb_orthonormal_squares(ChebKind.SECOND, n - 1)]
         return [({"kind": "first", "j": j}, Fraction(1), g) for j, g in enumerate(first)] + [
             ({"kind": "second", "j": j}, Fraction(1), g) for j, g in enumerate(second)
         ]
@@ -190,12 +191,10 @@ def verify_unity_interval(n: int, variant: UnityVariant) -> IdentityReport:
         raise ValueError("n must be >= 1")
     if variant is UnityVariant.UNITY1:
         total = UPoly.zero()
-        for j in range(n + 1):
-            tj = cheb(ChebKind.FIRST, j)
+        for tj in cheb_table(ChebKind.FIRST, n):
             total = total + tj * tj
         second = UPoly.zero()
-        for i in range(n):
-            ui = cheb(ChebKind.SECOND, i)
+        for ui in cheb_table(ChebKind.SECOND, n - 1):
             second = second + ui * ui
         expression = (total + _G_INTERVAL * second) * Fraction(1, n + 1)
         expected = Fraction(1)

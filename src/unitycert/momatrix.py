@@ -252,6 +252,14 @@ def invert_hankel(moments: Sequence[Fraction]) -> RationalMatrix:
     leading principal minor of order ``k+1`` is ``h_0 ... h_k``;
     ``NotPositiveDefiniteError`` names the first one that is not positive.
     """
+    return _fractions_of_upper(*_hankel_inverse_nums(moments))
+
+
+def _hankel_inverse_nums(moments: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """The integer core of ``invert_hankel``: ``(Y, L)`` with ``M^{-1} = Y / L``.
+
+    ``Y`` is returned as its upper triangle, ``Y[i][j - i]`` for ``j >= i``.
+    """
     if len(moments) % 2 == 0:
         raise ValueError("a Hankel matrix needs an odd number of moments")
     n = len(moments) // 2
@@ -301,6 +309,12 @@ def invert_hankel(moments: Sequence[Fraction]) -> RationalMatrix:
             den.bit_length(),
             max(value.bit_length() for row in y for value in row),
         )
+    return y, den
+
+
+def _fractions_of_upper(y: list[list[int]], den: int) -> RationalMatrix:
+    """The symmetric matrix with entries ``y[i][j - i] / den`` for j >= i."""
+    m = len(y)
     inverse = [[Fraction(0)] * m for _ in range(m)]
     for i, row in enumerate(y):
         for j, value in enumerate(row, i):
@@ -340,10 +354,29 @@ def _quadratic_form_poly(basis: tuple[Exponent, ...], inverse: RationalMatrix, d
     return poly_from_sparse_nums(dim, nums, den)
 
 
+def _hankel_form_poly(y: list[list[int]], den: int) -> AnyPoly:
+    """sum_ij (Y_ij / den) x^(i+j) for the upper triangle ``y[i][j - i]``.
+
+    The same polynomial as ``_quadratic_form_poly`` over the monomial basis
+    1, x, .., x^n, summed from the integers without rereading any fraction.
+    """
+    nums = [0] * (2 * len(y) - 1)
+    for i, row in enumerate(y):
+        nums[2 * i] += row[0]
+        for k, value in enumerate(row[1:], 2 * i + 1):
+            nums[k] += 2 * value
+    return poly_from_sparse_nums(1, {(k,): c for k, c in enumerate(nums)}, den)
+
+
 def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
     """Reciprocal Christoffel function v_n(x)^T M^{-1} v_n(x) of a built matrix."""
-    inverse = invert_exact(matrix)
-    poly = _quadratic_form_poly(matrix.basis, inverse, matrix.measure.dimension)
+    if matrix.measure.dimension == 1:
+        y, den = _hankel_inverse_nums(_hankel_moments(matrix.entries))
+        inverse = _fractions_of_upper(y, den)
+        poly = _hankel_form_poly(y, den)
+    else:
+        inverse = invert_symmetric_rational(matrix.entries)
+        poly = _quadratic_form_poly(matrix.basis, inverse, matrix.measure.dimension)
     return ChristoffelForm(
         measure=matrix.measure,
         degree=matrix.degree,

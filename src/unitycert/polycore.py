@@ -158,11 +158,23 @@ class UPoly:
             a, b = self.nums, other.nums
             if not a or not b:
                 return UPoly.zero()
+            # Only nonzero entries enter: Chebyshev polynomials and their
+            # squares are zero at every other degree.
+            right = [(k, d) for k, d in enumerate(b) if d]
             out = [0] * (len(a) + len(b) - 1)
-            for i, c in enumerate(a):
-                if c:
-                    for k, d in enumerate(b, i):
-                        out[k] += c * d
+            if self is other:
+                # A square: each cross product once, doubled, then the diagonal.
+                for pos, (i, c) in enumerate(right):
+                    for k, d in right[pos + 1 :]:
+                        out[i + k] += c * d
+                out = [v + v for v in out]
+                for i, c in right:
+                    out[i + i] += c * c
+            else:
+                for i, c in enumerate(a):
+                    if c:
+                        for k, d in right:
+                            out[i + k] += c * d
             return UPoly._canonical(out, self.den * other.den)
         scalar = _frac(other)
         return UPoly._canonical(
@@ -432,22 +444,27 @@ def powers(p: UPoly, n: int) -> list[UPoly]:
     return out
 
 
-def cheb(kind: ChebKind, n: int) -> UPoly:
-    """Chebyshev polynomial T_n (first kind) or U_n (second kind).
+def cheb_table(kind: ChebKind, n: int) -> list[UPoly]:
+    """Chebyshev polynomials [P_0, ..., P_n] of one kind, from one recurrence.
 
     Three-term recurrence p_{k+1} = 2x p_k - p_{k-1} with T_0 = 1, T_1 = x
-    and U_0 = 1, U_1 = 2x; all coefficients are integers.
+    and U_0 = 1, U_1 = 2x; all coefficients are integers, so it runs on
+    plain integer lists.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    p0 = UPoly.constant(1)
-    if n == 0:
-        return p0
-    p1 = UPoly.x() if kind is ChebKind.FIRST else UPoly.from_coeffs([0, 2])
-    two_x = UPoly.from_coeffs([0, 2])
+    rows = [[1], [0, 1] if kind is ChebKind.FIRST else [0, 2]]
     for _ in range(n - 1):
-        p0, p1 = p1, two_x * p1 - p0
-    return p1
+        prev, cur = rows[-2], rows[-1]
+        # [0] + cur is x * p_k; p_{k-1} is padded to the same length.
+        rows.append([c + c - b for c, b in zip([0] + cur, prev + [0, 0])])
+    # Leading coefficients are powers of two and den is 1: already canonical.
+    return [UPoly(tuple(row)) for row in rows[: n + 1]]
+
+
+def cheb(kind: ChebKind, n: int) -> UPoly:
+    """Chebyshev polynomial T_n (first kind) or U_n (second kind)."""
+    return cheb_table(kind, n)[n]
 
 
 def cheb_orthonormal_square(kind: ChebKind, j: int) -> UPoly:
@@ -461,7 +478,17 @@ def cheb_orthonormal_square(kind: ChebKind, j: int) -> UPoly:
     """
     if j < 0:
         raise ValueError("index must be nonnegative")
-    base = cheb(kind, j)
+    return _orthonormal_square(kind, j, cheb(kind, j))
+
+
+def cheb_orthonormal_squares(kind: ChebKind, n: int) -> list[UPoly]:
+    """``cheb_orthonormal_square(kind, j)`` for j = 0..n, from one ``cheb_table``."""
+    return [_orthonormal_square(kind, j, base) for j, base in enumerate(cheb_table(kind, n))]
+
+
+def _orthonormal_square(kind: ChebKind, j: int, base: UPoly) -> UPoly:
+    # base is P_j of the given kind; its square is multiplied out, never
+    # rewritten by a product formula such as T_j^2 = (1 + T_2j)/2.
     square = base * base
     if kind is ChebKind.FIRST and j == 0:
         return square

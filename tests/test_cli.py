@@ -1,6 +1,10 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +267,52 @@ def poly_from_json(obj):
     if "coefficients" in obj:
         return UPoly.from_coeffs(Fraction(c) for c in obj["coefficients"])
     return MPoly.make(obj["dimension"], {tuple(t["alpha"]): Fraction(t["value"]) for t in obj["terms"]})
+
+
+class TestPolyToJson:
+    """Coefficient strings are those of ``str(Fraction)``, byte for byte."""
+
+    VALUES = [Fraction(-3, 4), Fraction(0), Fraction(5), Fraction(-7), Fraction(6, 8),
+              Fraction(-10, 4), Fraction(1, 12), Fraction(24, 12), Fraction(-9, 3)]
+
+    def test_upoly_coefficients(self):
+        for den in (1, 4, 12):
+            coeffs = [v / den for v in self.VALUES] + [Fraction(0), Fraction(1, 3)]
+            p = UPoly.from_coeffs(coeffs)
+            assert p.den > 1 or den == 1
+            assert cli._poly_to_json(p) == {"coefficients": [str(c) for c in coeffs]}
+        assert cli._poly_to_json(UPoly.from_coeffs([0, -2, 6])) == {"coefficients": ["0", "-2", "6"]}
+        assert cli._poly_to_json(UPoly.zero()) == {"coefficients": []}
+
+    def test_mpoly_terms(self):
+        for den in (1, 4, 12):
+            terms = {(k, 1): v / den for k, v in enumerate(self.VALUES)}
+            p = MPoly.make(2, terms)
+            want = [{"alpha": list(e), "value": str(c)} for e, c in sorted(terms.items()) if c]
+            assert cli._poly_to_json(p) == {"dimension": 2, "terms": want}
+        assert cli._poly_to_json(MPoly.zero(3)) == {"dimension": 3, "terms": []}
+
+
+class TestModuleEntryPoint:
+    """``python -m unitycert`` runs the command line in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-m", "unitycert", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_success_is_exit_0(self):
+        done = self.run_module("verify", "--identity", "pell", "--n", "3")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["holds"] is True
+
+    def test_usage_error_is_exit_2(self):
+        done = self.run_module("verify", "--identity", "pell", "--n", "0")
+        assert done.returncode == 2
+        assert done.stdout == ""
 
 
 class TestPartitionMembersSumToOne:

@@ -12,6 +12,8 @@ from unitycert.polycore import (
     bernstein,
     cheb,
     cheb_orthonormal_square,
+    cheb_orthonormal_squares,
+    cheb_table,
     monomials_of_degree,
     monomials_upto,
     poly_eval,
@@ -46,6 +48,26 @@ class TestCheb:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             cheb(ChebKind.FIRST, -1)
+        for kind in ChebKind:
+            with pytest.raises(ValueError):
+                cheb_table(kind, -1)
+
+    def test_table_matches_per_degree_recurrence(self):
+        two_x = upoly(0, 2)
+        for kind in ChebKind:
+            # The recurrence rerun from degree 0 for every degree, in UPoly.
+            want = []
+            for n in range(65):
+                p0, p1 = upoly(1), (upoly(0, 1) if kind is ChebKind.FIRST else two_x)
+                for _ in range(n):
+                    p0, p1 = p1, two_x * p1 - p0
+                want.append(p0)
+            for n in range(65):
+                table = cheb_table(kind, n)
+                assert table == want[: n + 1]
+                assert cheb(kind, n) == want[n]
+                for p in table:
+                    _assert_canonical(p)
 
     def test_pell_identity_small(self):
         g = upoly(1, 0, -1)
@@ -67,6 +89,13 @@ class TestOrthonormalSquare:
                 base = cheb(kind, j)
                 factor = 1 if (kind is ChebKind.FIRST and j == 0) else 2
                 assert cheb_orthonormal_square(kind, j) == base * base * factor
+
+    def test_table_matches_single_squares(self):
+        for kind in ChebKind:
+            for n in range(10):
+                assert cheb_orthonormal_squares(kind, n) == [
+                    cheb_orthonormal_square(kind, j) for j in range(n + 1)
+                ]
 
 
 class TestBernstein:
@@ -257,6 +286,49 @@ class TestIntegerNumeratorKernel:
                 assert result.coeffs == want
                 _assert_canonical(result)
                 want = _ref_mul(want, a)
+
+    @staticmethod
+    def sparse_coeffs(rng):
+        """Coefficients with interior zeros, every other one zero (as in
+        Chebyshev polynomials), or none zero, over non-unit denominators."""
+        n = rng.randint(1, 14)
+        zero_share = rng.choice([0.0, 0.4])
+        coeffs = [
+            Fraction(0) if rng.random() < zero_share
+            else Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 5, 8, 12]))
+            for _ in range(n)
+        ]
+        if rng.random() < 0.5:
+            parity = rng.randint(0, 1)
+            coeffs = [c if k % 2 == parity else Fraction(0) for k, c in enumerate(coeffs)]
+        return _ref_trim(coeffs + [Fraction(rng.choice([-7, 1, 3]), rng.choice([1, 4, 9]))])
+
+    def test_square_matches_product_and_reference(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            a = self.sparse_coeffs(rng)
+            p = UPoly.from_coeffs(a)
+            copy = UPoly(p.nums, p.den)
+            assert copy is not p
+            square = p * p
+            assert square == p * copy == copy * p
+            assert square.coeffs == _ref_mul(a, a)
+            _assert_canonical(square)
+
+    def test_sparse_powers_match_reference(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            a = self.sparse_coeffs(rng)[:6]
+            p = UPoly.from_coeffs(a)
+            copy = UPoly(p.nums, p.den)
+            want, by_copy = (Fraction(1),), UPoly.constant(1)
+            for k in range(10):
+                result = p**k
+                assert result.coeffs == want
+                assert result == by_copy
+                _assert_canonical(result)
+                want = _ref_mul(want, a)
+                by_copy = by_copy * copy
 
     def test_eval_matches_reference(self):
         rng = random.Random(29)
