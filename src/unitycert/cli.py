@@ -174,18 +174,15 @@ def _parse_rational(flag: str, text: str) -> Fraction:
         raise ValueError(f"{flag} {text!r} has a zero denominator") from None
 
 
-def _parse_target(args, degree_cap: int, default_constant: Fraction) -> UPoly:
+def _parse_target(args, default_constant: Fraction) -> UPoly:
+    # The solvers check n and then the target degree against it.
     if getattr(args, "target_coeffs", None):
-        target = UPoly.from_coeffs(
+        return UPoly.from_coeffs(
             _parse_rational("--target-coeffs", v) for v in args.target_coeffs.split(",")
         )
-    elif getattr(args, "target_constant", None) is not None:
-        target = UPoly.constant(_parse_rational("--target-constant", args.target_constant))
-    else:
-        target = UPoly.constant(default_constant)
-    if target.degree > degree_cap:
-        raise ValueError(f"target degree {target.degree} exceeds {degree_cap}")
-    return target
+    if getattr(args, "target_constant", None) is not None:
+        return UPoly.constant(_parse_rational("--target-constant", args.target_constant))
+    return UPoly.constant(default_constant)
 
 
 def _run_verify(args) -> tuple[dict, int]:
@@ -217,12 +214,12 @@ def _run_maxent(args) -> tuple[dict, int]:
     mode = args.mode
     if mode == "handelman":
         default = Fraction((args.n + 1) * (args.n + 2), 2)
-        target = _parse_target(args, args.n, default)
+        target = _parse_target(args, default)
         cert, dual, report = maxent.solve_handelman(
             target, args.n, tol=args.tol, max_iter=args.max_iter
         )
     elif mode == "putinar":
-        target = _parse_target(args, 2 * args.n, Fraction(2 * args.n + 1))
+        target = _parse_target(args, Fraction(2 * args.n + 1))
         cert, dual, report = maxent.solve_putinar(
             args.n, tol=args.tol, max_iter=args.max_iter, target=target
         )

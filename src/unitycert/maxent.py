@@ -15,23 +15,29 @@ duals rather than the constrained primals:
   the moment and localizing matrices built from y; at the optimum A and B are
   their inverses.
 
-Both solvers use damped Newton with backtracking (Armijo factor 1e-4, step
-halving) and a hard domain guard: positivity of all pairings, or successful
-Cholesky factorizations.  The iteration runs in extended precision
-(``np.longdouble``); in plain double the monomial-basis Hessians are
-ill-conditioned enough that the gradient noise floor sits above the default
-tolerance near degree 8.  LAPACK has no extended-precision kernels, so the
+Both duals are minimized by one damped-Newton driver, ``_damped_newton``, with
+backtracking (Armijo factor 1e-4, step halving) and a hard domain guard.  Each
+family is a barrier around it: a value that is None outside the open domain
+(a nonpositive pairing for Handelman, a failed Cholesky factorization for
+Putinar) and a Newton system (gradient and a lazily formed Hessian).  The
+driver returns one stop word per solve, reported as ``SolverReport.stop``.
+
+The iteration runs in extended precision (``np.longdouble``); in plain
+double the monomial-basis Hessians are ill-conditioned enough that the
+gradient noise floor sits above the default tolerance near degree 8.  LAPACK has no extended-precision kernels, so the
 dense kernels are written here as whole-array longdouble operations: the
 elimination and the Cholesky factorization take one rank-1 or column update
 per pivot, and the Hankel log-det gradient and Hessian are S vec(W) and
 S (W kron W) S' for the 0/1 antidiagonal-sum matrix S, with the
 (1 - x^2)-localizing part pulled back through a shift matrix G.
 
-The exact checks of the Handelman family run in integers: generator powers
-have integer coefficients, so residuals and pairings are integer sums over
-one common denominator, with one ``Fraction`` per result.  With ``logging``
-at DEBUG, each solve logs its family, degree, iteration count, stop reason
-(tol, plateau, diverged, budget, line_search or singular) and exact residual.
+The exact checks run in integers: generator powers have integer
+coefficients, and double or rational weights and Gram entries are brought to
+integer numerators over one common denominator, so each family has one
+integer reconstruction, ``_exact_residual`` is the one exact residual, and
+each result is one ``Fraction``.  With ``logging`` at DEBUG, each solve logs
+its family, degree, iteration count, stop reason (tol, plateau, diverged,
+budget, line_search or singular) and exact residual.
 
 The gradient of either dual is the coefficient residual of the primal
 reconstruction.  Convergence is judged on the residual that actually matters:
@@ -51,9 +57,10 @@ from __future__ import annotations
 import logging
 import math
 import operator
+from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -89,6 +96,7 @@ class SolverReport:
     residual: float
     objective: float
     converged: bool
+    stop: str  # tol, plateau, diverged, budget, line_search or singular
     steps: tuple[float, ...] = ()
     dual_values: tuple[float, ...] = ()
 
@@ -98,6 +106,7 @@ class SolverReport:
             "residual": self.residual,
             "objective": self.objective,
             "converged": self.converged,
+            "stop_reason": self.stop,
         }
 
 
@@ -203,7 +212,105 @@ def _ld_logdet_from_chol(chol: np.ndarray) -> np.longdouble:
 
 
 # ---------------------------------------------------------------------------
-# Handelman family (shared engine for the interval and the simplex)
+# Damped Newton driver
+
+
+def _damped_newton(
+    x0: np.ndarray,
+    value: Callable[[np.ndarray], Optional[np.longdouble]],
+    newton_system: Callable[[np.ndarray], Optional[tuple]],
+    tol: float,
+    max_iter: int,
+):
+    """Minimize a barrier objective from a strictly feasible x0 by damped Newton.
+
+    ``value(x)`` is the longdouble objective, or None outside the open
+    domain.  ``newton_system(x)`` is None where the Newton system cannot be
+    formed, and otherwise ``(gradient, hessian)``, the Hessian a thunk called
+    only when a step is taken.  The gradient equals the coefficient residual
+    of the primal reconstruction.  Stops when its sup norm falls below tol/10 (margin for
+    the final cast to double), when progress plateaus at machine resolution,
+    when the iterates diverge (boundary target), or when the budget runs out.
+    Returns ``(x, iterations, steps, dual_values, stop)``, with the stop
+    reason one of the words ``tol plateau diverged budget line_search
+    singular``.
+    """
+    x = x0
+    current = value(x)
+    if current is None:
+        raise ValueError("initial dual point is not strictly feasible")
+    inner_tol = tol * 0.1
+    steps: list[float] = []
+    history: list[float] = []
+    stop = "budget"
+    best = math.inf
+    no_improve = 0
+    for _ in range(max_iter):
+        system = newton_system(x)
+        if system is None:
+            stop = "singular"
+            break
+        grad, hessian = system
+        residual = float(np.max(np.abs(grad)))
+        if residual <= inner_tol:
+            stop = "tol"
+            break
+        if residual < 0.9 * best:
+            best = residual
+            no_improve = 0
+        else:
+            no_improve += 1
+            if no_improve >= PLATEAU_LIMIT:
+                stop = "plateau"
+                break
+        delta = _ld_solve(hessian(), -grad)
+        if delta is None or not np.all(np.isfinite(delta)):
+            stop = "singular"
+            break
+        slope = grad @ delta
+        # Near the optimum the predicted decrease drops below the resolution
+        # of the objective itself; then the Armijo test is pure noise and the
+        # full Newton step is the right move (domain guard still applies).
+        flat = abs(float(slope)) <= 64.0 * _EPS_LD * max(1.0, abs(float(current)))
+        step = _LD(1.0)
+        while step >= MIN_STEP:
+            candidate = x + step * delta
+            candidate_value = value(candidate)
+            if candidate_value is not None and (
+                flat or candidate_value <= current + ARMIJO * step * slope
+            ):
+                break
+            step = step / 2
+        else:
+            stop = "line_search"
+            break
+        x, current = candidate, candidate_value
+        steps.append(float(step))
+        history.append(float(current))
+        if float(np.max(np.abs(x))) > DIVERGENCE_BOUND:
+            stop = "diverged"
+            break
+    return x, len(steps), tuple(steps), tuple(history), stop
+
+
+def _target_doubles(coeffs: Iterable[Fraction]) -> np.ndarray:
+    """Exact target coefficients as doubles; ValueError if one overflows."""
+    try:
+        return np.array([float(c) for c in coeffs])
+    except OverflowError:
+        raise ValueError("target coefficients must fit in a finite double") from None
+
+
+def _log_solve(family: str, n: int, iterations: int, stop: str, residual: float) -> None:
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "solve=%s n=%d iterations=%d stop=%s residual=%.3e",
+            family, n, iterations, stop, residual,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Handelman family (shared barrier for the interval and the simplex)
 
 
 def _generator_table(d: int, n: int):
@@ -225,106 +332,6 @@ def _generator_table(d: int, n: int):
     return alphas, basis, rows
 
 
-def _log_sum_dual_newton(
-    target: np.ndarray,
-    gens: np.ndarray,
-    lam0: np.ndarray,
-    tol: float,
-    max_iter: int,
-):
-    """Minimize <lam, target> - sum log(gens @ lam) by damped Newton.
-
-    Runs in longdouble; the gradient equals the coefficient residual of the
-    primal reconstruction.  Stops when the gradient sup norm falls below
-    tol/10 (margin for the final cast to double), when progress plateaus at
-    machine resolution, when the iterates diverge (boundary target), or when
-    the budget runs out; the stop reason is returned as one of the words
-    ``tol plateau diverged budget line_search singular``.
-    """
-    target = target.astype(_LD)
-    gens = gens.astype(_LD)
-    lam = lam0.astype(_LD, copy=True)
-    pair = gens @ lam
-    if not np.all(pair > 0):
-        raise ValueError("initial dual point is not strictly feasible")
-    inner_tol = tol * 0.1
-
-    def dual_value(pairings, point):
-        return target @ point - np.log(pairings).sum()
-
-    steps: list[float] = []
-    history: list[float] = []
-    iterations = 0
-    stop = "budget"
-    best = math.inf
-    no_improve = 0
-    for _ in range(max_iter):
-        grad = target - gens.T @ (1.0 / pair)
-        residual = float(np.max(np.abs(grad)))
-        if residual <= inner_tol:
-            stop = "tol"
-            break
-        if residual < 0.9 * best:
-            best = residual
-            no_improve = 0
-        else:
-            no_improve += 1
-            if no_improve >= PLATEAU_LIMIT:
-                stop = "plateau"
-                break
-        weight = 1.0 / pair**2
-        hessian = gens.T @ (weight[:, None] * gens)
-        delta = _ld_solve(hessian, -grad)
-        if delta is None or not np.all(np.isfinite(delta)):
-            stop = "singular"
-            break
-        current = dual_value(pair, lam)
-        slope = grad @ delta
-        # Near the optimum the predicted decrease drops below the resolution
-        # of the objective itself; then the Armijo test is pure noise and the
-        # full Newton step is the right move (domain guard still applies).
-        flat = abs(float(slope)) <= 64.0 * _EPS_LD * max(1.0, abs(float(current)))
-        step = _LD(1.0)
-        accepted = False
-        while step >= MIN_STEP:
-            candidate = lam + step * delta
-            cand_pair = gens @ candidate
-            if np.all(cand_pair > 0):
-                value = dual_value(cand_pair, candidate)
-                if flat or value <= current + ARMIJO * step * slope:
-                    accepted = True
-                    break
-            step = step / 2
-        if not accepted:
-            stop = "line_search"
-            break
-        lam = candidate
-        pair = cand_pair
-        iterations += 1
-        steps.append(float(step))
-        history.append(float(value))
-        if float(np.max(np.abs(lam))) > DIVERGENCE_BOUND:
-            stop = "diverged"
-            break
-    return lam, pair, iterations, tuple(steps), tuple(history), stop
-
-
-def _target_doubles(coeffs: Iterable[Fraction]) -> np.ndarray:
-    """Exact target coefficients as doubles; ValueError if one overflows."""
-    try:
-        return np.array([float(c) for c in coeffs])
-    except OverflowError:
-        raise ValueError("target coefficients must fit in a finite double") from None
-
-
-def _log_solve(family: str, n: int, iterations: int, stop: str, residual: float) -> None:
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "solve=%s n=%d iterations=%d stop=%s residual=%.3e",
-            family, n, iterations, stop, residual,
-        )
-
-
 def _beta22_moments(count: int) -> np.ndarray:
     # Moments of the density 6x(1-x) on [0,1]: strictly feasible and distinct
     # from the Lebesgue optimum, so recovery runs are nontrivial.
@@ -343,57 +350,48 @@ def _simplex_initial_moments(d: int, basis: Sequence[Exponent]) -> np.ndarray:
     return np.array(values)
 
 
-def _common_numerators(values: Sequence[Number]) -> tuple[list[int], int]:
-    """Integer numerators of exact values over the lcm of their denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*(q for _, q in ratios))
-    return [p * (den // q) for p, q in ratios], den
-
-
-def _exact_sup_residual(
-    weights: Sequence[float],
-    rows: Sequence[Sequence[int]],
-    target: Sequence[Fraction],
-) -> Fraction:
-    """Exact sup-norm residual of sum_a w_a m_a against the target vector.
-
-    The double weights are dyadic rationals; the sums run in integers over
-    the lcm of their denominators and the target's.
-    """
-    nums, den = _common_numerators([*weights, *target])
-    weight_nums, target_nums = nums[: len(weights)], nums[len(weights) :]
-    residual = max(
-        (abs(sum(map(operator.mul, weight_nums, column)) - t)
-         for column, t in zip(zip(*rows), target_nums)),
-        default=0,
-    )
-    return Fraction(residual, den)
-
-
 def _solve_handelman_family(
     family: str,
     d: int,
     n: int,
     target_poly: AnyPoly,
-    target_exact: Sequence[Fraction],
     lam0: np.ndarray,
     tol: float,
     max_iter: int,
 ):
-    alphas, _, rows = _generator_table(d, n)
-    gens = np.array(rows, dtype=float)
-    target_vec = _target_doubles(target_exact)
-    lam, pair, iterations, steps, history, stop = _log_sum_dual_newton(
-        target_vec, gens, lam0, tol, max_iter
+    """Minimize <lam, target> - sum log(gens @ lam) over the positive pairings."""
+    alphas, basis, rows = _generator_table(d, n)
+    gens = np.array(rows, dtype=float).astype(_LD)
+    terms = target_poly.terms
+    target = _target_doubles(terms.get(e, 0) for e in basis).astype(_LD)
+
+    def value(lam):
+        pair = gens @ lam
+        if not np.all(pair > 0):
+            return None
+        return target @ lam - np.log(pair).sum()
+
+    def newton_system(lam):
+        pair = gens @ lam
+        grad = target - gens.T @ (1.0 / pair)
+        return grad, lambda: gens.T @ ((1.0 / pair**2)[:, None] * gens)
+
+    lam, iterations, steps, history, stop = _damped_newton(
+        lam0.astype(_LD, copy=True), value, newton_system, tol, max_iter
     )
-    weight_values = [float(1.0 / p) for p in pair]
-    residual = _exact_sup_residual(weight_values, rows, target_exact)
-    objective = float(sum(math.log(w) for w in weight_values))
+    weight_values = [float(1.0 / p) for p in gens @ lam]
+    certificate = HandelmanCertificate(
+        dimension=d, degree=n, weights=dict(zip(alphas, weight_values)), target=target_poly
+    )
+    # The table rows as (exponent, nonzero coefficient) pairs.
+    nonzero = [compress(zip(basis, row), row) for row in rows]
+    residual = _exact_residual(certificate, target_poly, nonzero)
     report = SolverReport(
         iterations=iterations,
         residual=float(residual),
-        objective=objective,
+        objective=float(sum(math.log(w) for w in weight_values)),
         converged=stop != "diverged" and residual <= tol,
+        stop=stop,
         steps=steps,
         dual_values=history,
     )
@@ -402,10 +400,6 @@ def _solve_handelman_family(
         raise NoInteriorCertificateError(
             f"no interior certificate found at degree {n}", report
         )
-    weights = {alpha: w for alpha, w in zip(alphas, weight_values)}
-    certificate = HandelmanCertificate(
-        dimension=d, degree=n, weights=weights, target=target_poly
-    )
     return certificate, DualFunctional(tuple(float(v) for v in lam)), report
 
 
@@ -426,9 +420,8 @@ def solve_handelman(
         raise ValueError("n must be >= 1")
     if p.degree > n:
         raise ValueError(f"target degree {p.degree} exceeds n = {n}")
-    target_exact = [p.coefficient(k) for k in range(n + 1)]
     lam0 = _beta22_moments(n + 1) if initial is None else np.asarray(initial, float)
-    return _solve_handelman_family("handelman", 1, n, p, target_exact, lam0, tol, max_iter)
+    return _solve_handelman_family("handelman", 1, n, p, lam0, tol, max_iter)
 
 
 def solve_simplex(
@@ -446,19 +439,13 @@ def solve_simplex(
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    basis = monomials_upto(d, n)
-    shat = math.comb(d + 1 + n, n)
-    target_poly = MPoly.constant(d, shat)
-    target_exact = [Fraction(0)] * len(basis)
-    target_exact[0] = Fraction(shat)
+    target = MPoly.constant(d, math.comb(d + 1 + n, n))
     lam0 = (
-        _simplex_initial_moments(d, basis)
+        _simplex_initial_moments(d, monomials_upto(d, n))
         if initial is None
         else np.asarray(initial, float)
     )
-    return _solve_handelman_family(
-        "simplex", d, n, target_poly, target_exact, lam0, tol, max_iter
-    )
+    return _solve_handelman_family("simplex", d, n, target, lam0, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -524,28 +511,8 @@ def _putinar_gram_inverses(
     return invert_symmetric_rational(moment), invert_symmetric_rational(localizing)
 
 
-def _snapped_putinar_grams(y: np.ndarray, n: int):
-    """Double-cast exact inverses of the rationalized moment vector, if PD."""
-    lam = [
-        Fraction(float(v)).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND) for v in y
-    ]
-    try:
-        inv_m, inv_l = _putinar_gram_inverses(lam, n)
-    except NotPositiveDefiniteError:
-        return None
-    gram_a = tuple(tuple(float(v) for v in row) for row in inv_m)
-    gram_b = tuple(tuple(float(v) for v in row) for row in inv_l)
-    return gram_a, gram_b
-
-
-def _putinar_exact_residual(
-    gram_a: Sequence[Sequence[float]],
-    gram_b: Sequence[Sequence[float]],
-    target: UPoly,
-    n: int,
-) -> Fraction:
-    recon = _putinar_reconstruction(gram_a, gram_b, n, exact=True)
-    return max(abs(c - target.coefficient(k)) for (k,), c in recon.items())
+def _doubles(gram) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in row) for row in gram)
 
 
 def solve_putinar(
@@ -572,15 +539,14 @@ def solve_putinar(
     size = 2 * n + 1
     t = _target_doubles(target.coefficient(k) for k in range(size)).astype(_LD)
     if initial is None:
-        y = np.array(
+        y0 = np.array(
             [(1.0 + (-1.0) ** k) / (2.0 * (k + 1)) for k in range(size)], dtype=_LD
         )
     else:
-        y = np.asarray(initial, dtype=float).astype(_LD)
-    inner_tol = tol * 0.1
+        y0 = np.asarray(initial, dtype=float).astype(_LD)
     shift = _localizing_shift(2 * n - 1)
 
-    def objective_value(point):
+    def value(point):
         chol_m = _ld_cholesky(_hankel(point, n + 1))
         if chol_m is None:
             return None
@@ -588,9 +554,6 @@ def solve_putinar(
         if chol_l is None:
             return None
         return t @ point - _ld_logdet_from_chol(chol_m) - _ld_logdet_from_chol(chol_l)
-
-    if objective_value(y) is None:
-        raise ValueError("initial moment vector is not strictly feasible")
 
     def refined_inverse(matrix):
         inverse = _ld_spd_inverse(matrix)
@@ -601,106 +564,68 @@ def solve_putinar(
         eye = np.eye(matrix.shape[0], dtype=_LD)
         return inverse + inverse @ (eye - matrix @ inverse)
 
-    def gradient(point):
+    def inverses(point):
         inv_m = refined_inverse(_hankel(point, n + 1))
         inv_l = refined_inverse(_hankel(_localized(point), n))
-        if inv_m is None or inv_l is None:
-            return None, None, None
-        return t - _antidiag_sums(inv_m) - shift @ _antidiag_sums(inv_l), inv_m, inv_l
+        return None if inv_m is None or inv_l is None else (inv_m, inv_l)
 
-    steps: list[float] = []
-    history: list[float] = []
-    iterations = 0
-    stop = "budget"
-    best = math.inf
-    no_improve = 0
-    for _ in range(max_iter):
-        grad, inv_m, inv_l = gradient(y)
-        if grad is None:
-            stop = "singular"
-            break
-        residual = float(np.max(np.abs(grad)))
-        if residual <= inner_tol:
-            stop = "tol"
-            break
-        if residual < 0.9 * best:
-            best = residual
-            no_improve = 0
-        else:
-            no_improve += 1
-            if no_improve >= PLATEAU_LIMIT:
-                stop = "plateau"
-                break
-        hess = _logdet_hessian(inv_m)  # already full size 2n+1
-        hess += shift @ _logdet_hessian(inv_l) @ shift.T
-        delta = _ld_solve(hess, -grad)
-        if delta is None or not np.all(np.isfinite(delta)):
-            stop = "singular"
-            break
-        current = objective_value(y)
-        slope = grad @ delta
-        flat = abs(float(slope)) <= 64.0 * _EPS_LD * max(1.0, abs(float(current)))
-        step = _LD(1.0)
-        accepted = False
-        while step >= MIN_STEP:
-            candidate = y + step * delta
-            value = objective_value(candidate)
-            if value is not None and (flat or value <= current + ARMIJO * step * slope):
-                accepted = True
-                break
-            step = step / 2
-        if not accepted:
-            stop = "line_search"
-            break
-        y = candidate
-        iterations += 1
-        steps.append(float(step))
-        history.append(float(value))
-        if float(np.max(np.abs(y))) > DIVERGENCE_BOUND:
-            stop = "diverged"
-            break
+    def newton_system(point):
+        grams = inverses(point)
+        if grams is None:
+            return None
+        inv_m, inv_l = grams
 
-    diverged = stop == "diverged"
-    grad, inv_m, inv_l = gradient(y)
-    if grad is None:
+        def hessian():
+            hess = _logdet_hessian(inv_m)  # already full size 2n+1
+            hess += shift @ _logdet_hessian(inv_l) @ shift.T
+            return hess
+
+        return t - _antidiag_sums(inv_m) - shift @ _antidiag_sums(inv_l), hessian
+
+    y, iterations, steps, history, stop = _damped_newton(
+        y0, value, newton_system, tol, max_iter
+    )
+    grams = inverses(y)
+    if grams is None:
         _log_solve("putinar", n, iterations, stop, math.inf)
         raise NoInteriorCertificateError(
             f"no interior certificate found at degree {n}",
-            SolverReport(iterations, math.inf, math.nan, False, tuple(steps), tuple(history)),
+            SolverReport(iterations, math.inf, math.nan, False, stop, steps, history),
         )
-    gram_a = tuple(tuple(float(v) for v in row) for row in inv_m)
-    gram_b = tuple(tuple(float(v) for v in row) for row in inv_l)
-    residual = _putinar_exact_residual(gram_a, gram_b, target, n)
-    if not diverged:
+    dual = DualFunctional(tuple(float(v) for v in y))
+    certificate = PutinarCertificate(n, *map(_doubles, grams), target)
+    residual = _exact_residual(certificate, target)
+    if stop != "diverged":
         # The optima of the flagship targets have rational moments; inverting
         # the rationalized dual exactly can beat the extended-precision path.
         # The exact residual decides which candidate ships.
-        snapped = _snapped_putinar_grams(y, n)
-        if snapped is not None:
-            alt_a, alt_b = snapped
-            alt_residual = _putinar_exact_residual(alt_a, alt_b, target, n)
-            if alt_residual < residual:
-                gram_a, gram_b, residual = alt_a, alt_b, alt_residual
-    sign_a, logdet_a = np.linalg.slogdet(np.array(gram_a, dtype=float))
-    sign_b, logdet_b = np.linalg.slogdet(np.array(gram_b, dtype=float))
-    objective = float(logdet_a + logdet_b)  # log det A + log det B
+        try:
+            exact = exact_putinar(n, dual)
+        except NotPositiveDefiniteError:
+            pass
+        else:
+            grams = (exact.gram_a, exact.gram_b)
+            snapped = PutinarCertificate(n, *map(_doubles, grams), target)
+            snapped_residual = _exact_residual(snapped, target)
+            if snapped_residual < residual:
+                certificate, residual = snapped, snapped_residual
+    sign_a, logdet_a = np.linalg.slogdet(np.array(certificate.gram_a, dtype=float))
+    sign_b, logdet_b = np.linalg.slogdet(np.array(certificate.gram_b, dtype=float))
     report = SolverReport(
         iterations=iterations,
         residual=float(residual),
-        objective=objective,
-        converged=not diverged and residual <= tol,
-        steps=tuple(steps),
-        dual_values=tuple(history),
+        objective=float(logdet_a + logdet_b),  # log det A + log det B
+        converged=stop != "diverged" and residual <= tol,
+        stop=stop,
+        steps=steps,
+        dual_values=history,
     )
     _log_solve("putinar", n, iterations, stop, report.residual)
     if not report.converged:
         raise NoInteriorCertificateError(
             f"no interior certificate found at degree {n}", report
         )
-    certificate = PutinarCertificate(
-        degree=n, gram_a=gram_a, gram_b=gram_b, target=target
-    )
-    return certificate, DualFunctional(tuple(float(v) for v in y)), report
+    return certificate, dual, report
 
 
 # ---------------------------------------------------------------------------
@@ -711,51 +636,42 @@ def _is_rational(value: Number) -> bool:
     return isinstance(value, (Fraction, int))
 
 
-def _handelman_reconstruction(cert: HandelmanCertificate, exact: bool):
-    gens = [
-        (weight, simplex_generator_power(cert.dimension, alpha))
-        for alpha, weight in cert.weights.items()
-    ]
-    if not exact:
-        terms: dict[Exponent, float] = {}
-        for weight, g in gens:
-            w = float(weight)
-            for e, c in g.nums.items():
-                terms[e] = terms.get(e, 0.0) + w * (c / g.den)
-        return terms
-    # Sum in integer numerators over the lcm of all weight and generator
-    # denominators; one Fraction per monomial at the end.
-    weights = [(Fraction(weight), g) for weight, g in gens]
-    den = math.lcm(*(w.denominator * g.den for w, g in weights))
-    nums: dict[Exponent, int] = {}
-    for w, g in weights:
-        factor = w.numerator * (den // (w.denominator * g.den))
-        for e, c in g.nums.items():
-            nums[e] = nums.get(e, 0) + factor * c
-    return {e: Fraction(c, den) for e, c in nums.items()}
+def _common_numerators(values: Sequence[Number]) -> tuple[list[int], int]:
+    """Integer numerators of exact values over the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
-def _target_terms(target: AnyPoly, dimension: int, exact: bool):
-    if target.dimension != dimension:
-        raise ValueError("target dimension does not match the certificate")
-    items = target.terms
-    if exact:
-        return items
-    return {e: float(c) for e, c in items.items()}
+def _generator_pairs(cert: HandelmanCertificate):
+    """The (exponent, integer coefficient) pairs of each g^alpha, in weight order."""
+    return [simplex_generator_power(cert.dimension, alpha).nums.items() for alpha in cert.weights]
 
 
-def _putinar_reconstruction(gram_a, gram_b, n: int, exact: bool):
+def _handelman_reconstruction(weights: Iterable, rows: Iterable) -> dict:
+    """Coefficients of sum_a w_a g^alpha by exponent.
+
+    ``rows`` yields the (exponent, integer coefficient) pairs of each
+    generator power, in the order of ``weights``; the sums are floats for
+    float weights and integers for integer numerators.
+    """
+    terms: dict[Exponent, Number] = {}
+    for w, row in zip(weights, rows):
+        for e, c in row:
+            terms[e] = terms.get(e, 0) + w * c
+    return terms
+
+
+def _gram_entries(cert: PutinarCertificate) -> list:
+    return [v for gram in (cert.gram_a, cert.gram_b) for row in gram for v in row]
+
+
+def _putinar_reconstruction(entries: Iterable, n: int) -> dict:
     """Coefficients of v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1} by exponent.
 
-    Exact: the entries (rational, or dyadic doubles) are summed in integers
-    over the lcm of their denominators, one Fraction per coefficient at the
-    end.  Otherwise the entries are summed as floats.
+    ``entries`` are those of A, then of B, row by row; the sums are floats
+    for float entries and integers for integer numerators.
     """
-    entries = [v for gram in (gram_a, gram_b) for row in gram for v in row]
-    if exact:
-        entries, den = _common_numerators(entries)
-    else:
-        entries = [float(v) for v in entries]
     values = iter(entries)
     coeffs = [0] * (2 * n + 1)
     for i in range(n + 1):
@@ -768,9 +684,45 @@ def _putinar_reconstruction(gram_a, gram_b, n: int, exact: bool):
     for k, v in enumerate(sigma1):
         coeffs[k] += v  # g = 1 - x^2 contributes sigma1 shifted by 0 and -x^2
         coeffs[k + 2] -= v
-    if exact:
-        coeffs = [Fraction(c, den) for c in coeffs]
     return {(k,): c for k, c in enumerate(coeffs)}
+
+
+def _check_dimension(target: AnyPoly, dimension: int) -> None:
+    if target.dimension != dimension:
+        raise ValueError("target dimension does not match the certificate")
+
+
+def _exact_residual(
+    cert: Union[HandelmanCertificate, PutinarCertificate],
+    target: AnyPoly,
+    rows: Optional[Iterable] = None,
+) -> Fraction:
+    """Exact sup norm of the coefficient residual between reconstruction and target.
+
+    The weights or Gram entries (rational, or dyadic doubles) become integer
+    numerators over the lcm of their denominators, the reconstruction runs in
+    integers, and the target joins it over one common denominator: one
+    ``Fraction`` for the result.  A Handelman caller that already holds the
+    generator rows (as ``_generator_pairs`` gives them) passes them.
+    """
+    if isinstance(cert, HandelmanCertificate):
+        dimension = cert.dimension
+        nums, den = _common_numerators(list(cert.weights.values()))
+        recon = _handelman_reconstruction(nums, _generator_pairs(cert) if rows is None else rows)
+    else:
+        dimension = 1
+        nums, den = _common_numerators(_gram_entries(cert))
+        recon = _putinar_reconstruction(nums, cert.degree)
+    _check_dimension(target, dimension)
+    scale = math.lcm(den, target.den)
+    factor, target_factor = scale // den, scale // target.den
+    want = target.sparse_nums
+    residual = max(
+        (abs(recon.get(e, 0) * factor - want.get(e, 0) * target_factor)
+         for e in recon.keys() | want.keys()),
+        default=0,
+    )
+    return Fraction(residual, scale)
 
 
 def verify_certificate(
@@ -778,11 +730,14 @@ def verify_certificate(
 ) -> float:
     """Sup norm of the coefficient residual between reconstruction and target."""
     if isinstance(cert, HandelmanCertificate):
-        recon = _handelman_reconstruction(cert, exact=False)
-        want = _target_terms(target, cert.dimension, exact=False)
+        weights = [float(w) for w in cert.weights.values()]
+        recon = _handelman_reconstruction(weights, _generator_pairs(cert))
+        _check_dimension(target, cert.dimension)
     else:
-        recon = _putinar_reconstruction(cert.gram_a, cert.gram_b, cert.degree, exact=False)
-        want = _target_terms(target, 1, exact=False)
+        entries = [float(v) for v in _gram_entries(cert)]
+        recon = _putinar_reconstruction(entries, cert.degree)
+        _check_dimension(target, 1)
+    want = {e: float(c) for e, c in target.terms.items()}
     residual = 0.0
     for e in set(recon) | set(want):
         residual = max(residual, abs(recon.get(e, 0.0) - want.get(e, 0.0)))
@@ -796,17 +751,9 @@ def verify_certificate_exact(
     if isinstance(cert, HandelmanCertificate):
         if not all(_is_rational(w) for w in cert.weights.values()):
             raise TypeError("certificate weights are not rational-valued")
-        recon = _handelman_reconstruction(cert, exact=True)
-        want = _target_terms(target, cert.dimension, exact=True)
-    else:
-        values = [v for row in cert.gram_a for v in row]
-        values += [v for row in cert.gram_b for v in row]
-        if not all(_is_rational(v) for v in values):
-            raise TypeError("certificate Gram entries are not rational-valued")
-        recon = _putinar_reconstruction(cert.gram_a, cert.gram_b, cert.degree, exact=True)
-        want = _target_terms(target, 1, exact=True)
-    keys = set(recon) | set(want)
-    return all(recon.get(e, Fraction(0)) == want.get(e, Fraction(0)) for e in keys)
+    elif not all(_is_rational(v) for v in _gram_entries(cert)):
+        raise TypeError("certificate Gram entries are not rational-valued")
+    return _exact_residual(cert, target) == 0
 
 
 def rationalize_dual(

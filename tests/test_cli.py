@@ -195,6 +195,26 @@ class TestMaxentCommand:
         assert code == 2
         assert "fixed target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code, stop",
+        [
+            (["--n", "4"], 0, "tol"),
+            (["--n", "4", "--max-iter", "0"], 1, "budget"),
+            (["--target-coeffs", "0,1", "--n", "3"], 1, "diverged"),
+        ],
+    )
+    def test_report_carries_stop_reason(self, capsys, argv, code, stop):
+        got, payload = run_json(capsys, ["maxent", "handelman", *argv])
+        assert got == code
+        assert payload["report"]["stop_reason"] == stop
+
+    @pytest.mark.parametrize("mode", ["handelman", "putinar"])
+    def test_negative_n_reports_n(self, capsys, mode):
+        assert cli.run(["maxent", mode, "--n", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
+
     def test_handelman_exact_flag(self, capsys):
         code, payload = run_json(
             capsys, ["maxent", "handelman", "--n", "2", "--exact"]

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -135,6 +136,77 @@ def _generator_rows(d, n):
     from unitycert.maxent import _generator_table
 
     return _generator_table(d, n)
+
+
+def _log_barrier(t):
+    """value(x) = t x - log x on x > 0 and its Newton system; minimum at 1/t."""
+
+    def value(x):
+        return t * x[0] - np.log(x[0]) if x[0] > 0 else None
+
+    def newton_system(x):
+        return np.array([t - 1 / x[0]]), lambda: np.array([[1 / x[0] ** 2]])
+
+    return value, newton_system
+
+
+class TestDampedNewton:
+    X0 = np.array([1.0], dtype=LD)
+
+    def newton(self, value, newton_system, max_iter=50, x0=X0):
+        return maxent._damped_newton(x0, value, newton_system, 1e-10, max_iter)
+
+    def test_tol(self):
+        x, iterations, steps, values, stop = self.newton(*_log_barrier(2.0))
+        assert stop == "tol" and abs(float(x[0]) - 0.5) <= 1e-12
+        assert 0 < iterations == len(steps) == len(values)
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_tol_at_the_start_forms_no_hessian(self):
+        value, _ = _log_barrier(2.0)
+
+        def newton_system(x):
+            def hessian():
+                raise AssertionError("Hessian formed on the final iteration")
+
+            return np.array([2.0 - 1 / x[0]]), hessian
+
+        x0 = np.array([0.5], dtype=LD)
+        assert self.newton(value, newton_system, x0=x0) == (x0, 0, (), (), "tol")
+
+    def test_budget(self):
+        assert self.newton(*_log_barrier(2.0), max_iter=0) == (self.X0, 0, (), (), "budget")
+
+    def test_diverged(self):
+        # -log x has no minimizer: each Newton step doubles x.
+        x, iterations, steps, _, stop = self.newton(*_log_barrier(0.0))
+        assert stop == "diverged" and float(x[0]) > maxent.DIVERGENCE_BOUND
+        assert steps == (1.0,) * iterations
+
+    def test_singular(self):
+        value, _ = _log_barrier(2.0)
+        assert self.newton(value, lambda x: None)[1:] == (0, (), (), "singular")
+
+    def test_line_search(self):
+        _, newton_system = _log_barrier(2.0)
+
+        def value(x):  # the domain is the start point alone
+            return LD(0.0) if x[0] == 1 else None
+
+        assert self.newton(value, newton_system)[1:] == (0, (), (), "line_search")
+
+    def test_plateau(self):
+        # The gradient stays at 1 while every step is accepted.
+        def newton_system(x):
+            return np.array([LD(1.0)]), lambda: np.array([[LD(1.0)]])
+
+        x, iterations, _, _, stop = self.newton(lambda x: x[0], newton_system)
+        assert stop == "plateau" and iterations == maxent.PLATEAU_LIMIT
+        assert float(x[0]) == 1.0 - maxent.PLATEAU_LIMIT
+
+    def test_infeasible_start_rejected(self):
+        with pytest.raises(ValueError, match="not strictly feasible"):
+            self.newton(*_log_barrier(2.0), x0=np.array([-1.0], dtype=LD))
 
 
 class TestSolvePutinar:
@@ -318,7 +390,10 @@ class TestSerialization:
         assert recovered.dimension == cert.dimension
         assert recovered.degree == cert.degree
         assert recovered.weights == dict(cert.weights)
-        assert set(report.to_json()) == {"iterations", "residual", "objective", "converged"}
+        assert set(report.to_json()) == {
+            "iterations", "residual", "objective", "converged", "stop_reason"
+        }
+        assert report.to_json()["stop_reason"] == report.stop == "tol"
 
     def test_exact_values_round_trip_as_strings(self):
         cert = HandelmanCertificate(
@@ -534,7 +609,7 @@ class TestIntegerExactSide:
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 3)])
     def test_exact_sup_residual_matches_fractions(self, d, n):
         rng = random.Random(800 + d)
-        _, basis, rows = maxent._generator_table(d, n)
+        alphas, basis, rows = maxent._generator_table(d, n)
         weights = [rng.uniform(0.1, 50.0) for _ in rows]
         target = [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in basis]
         recon = [Fraction(0)] * len(basis)
@@ -542,7 +617,16 @@ class TestIntegerExactSide:
             for k, c in enumerate(row):
                 recon[k] += Fraction(w) * c
         want = max(abs(r - t) for r, t in zip(recon, target))
-        got = maxent._exact_sup_residual(weights, rows, target)
+        cert = HandelmanCertificate(d, n, dict(zip(alphas, weights)))
+        target_poly = (
+            UPoly.from_coeffs(target) if d == 1 else MPoly.make(d, dict(zip(basis, target)))
+        )
+        got = maxent._exact_residual(cert, target_poly)
+        assert isinstance(got, Fraction) and got == want
+        # The solver's path: the generator rows it already holds.
+        got = maxent._exact_residual(
+            cert, target_poly, [compress(zip(basis, row), row) for row in rows]
+        )
         assert isinstance(got, Fraction) and got == want
 
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 3), (3, 2)])
@@ -598,7 +682,8 @@ class TestIntegerExactSide:
             )
             coeffs = self.fraction_putinar_coeffs(gram_a, gram_b, n)
             want = max(abs(c - target.coefficient(k)) for k, c in enumerate(coeffs))
-            got = maxent._putinar_exact_residual(gram_a, gram_b, target, n)
+            cert = PutinarCertificate(n, gram_a, gram_b)
+            got = maxent._exact_residual(cert, target)
             assert type(got) is Fraction and got == want
             exact_target = UPoly.from_coeffs(coeffs)
-            assert maxent._putinar_exact_residual(gram_a, gram_b, exact_target, n) == 0
+            assert maxent._exact_residual(cert, exact_target) == 0
