@@ -5,59 +5,58 @@ duals rather than the constrained primals:
 
 * Handelman weights on [0,1] or the canonical simplex: maximize the sum of
   log-weights subject to reconstructing the target from the generator powers
-  g^alpha.  The dual is D(lam) = <lam, p> - sum_a log <lam, m_a> over the
-  open set where every pairing is positive; the KKT conditions give the
-  weights back as reciprocals of the pairings.
-
+  g^alpha.  The dual is D(y) = <y, p> - sum_a log <y, g^alpha>; the KKT
+  conditions give the weights back as reciprocals of the pairings.
 * Putinar Gram pair (A, B) on [-1,1] with the fixed multiplier g = 1 - x^2:
   maximize log det A + log det B subject to v_n' A v_n + g v_{n-1}' B v_{n-1}
   equal to the target.  The dual minimizes <y, target> minus the log-dets of
-  the moment and localizing matrices built from y; at the optimum A and B are
-  their inverses.
+  the moment and localizing matrices of y; at the optimum A and B are their
+  inverses.
 
-Both duals are minimized by one damped-Newton driver, ``_damped_newton``, with
-backtracking (Armijo factor 1e-4, step halving) and a hard domain guard.  Each
-family is a barrier around it: a value that is None outside the open domain
-(a nonpositive pairing for Handelman, a failed Cholesky factorization for
-Putinar) and a Newton system (gradient and a lazily formed Hessian).  The
-driver returns one stop word per solve, reported as ``SolverReport.stop``.
+One damped-Newton driver, ``_damped_newton``, minimizes both in float64 and
+names why it stopped (``SolverReport.stop``).  Each family is a barrier
+around it in the basis the paper pairs with its domain, where the dual
+Hessian is well conditioned: at the flagship optima its condition number is
+(n+2)/2 for Handelman and 2n for Putinar, against 3.7e10 and 2.7e16 at n=12
+in monomial moments.
 
-The iteration runs in extended precision (``np.longdouble``); in plain
-double the monomial-basis Hessians are ill-conditioned enough that the
-gradient noise floor sits above the default tolerance near degree 8.  LAPACK has no extended-precision kernels, so the
-dense kernels are written here as whole-array longdouble operations: the
-elimination and the Cholesky factorization take one rank-1 or column update
-per pivot, and the Hankel log-det gradient and Hessian are S vec(W) and
-S (W kron W) S' for the 0/1 antidiagonal-sum matrix S, with the
-(1 - x^2)-localizing part pulled back through a shift matrix G.
+* Handelman and the simplex run in the degree-n Bernstein moments
+  z_gamma = <y, b_gamma>, b_gamma = multinom(n; gamma) x^gamma in barycentric
+  coordinates; g^alpha pairs with z through the nonnegative
+  multinom(n-|alpha|; gamma-alpha) / multinom(n; gamma).
+* Putinar runs in the Chebyshev moments z_k = <y, T_k>: the moment matrix is
+  M_T[i][j] = (z_{i+j} + z_{|i-j|}) / 2, the localizing matrix has the same
+  form over s_k = z_k/2 - (z_{k+2} + z_{|k-2|})/4, and for the linear map
+  A: z -> vec(M_T) and W = M_T^{-1} the gradient of -log det M_T is
+  -A' vec(W) and its Hessian A' (W kron W) A.  The Gram matrices return to
+  the monomial basis through the integer coefficients of T_j.
 
-The exact checks run in integers: generator powers have integer
-coefficients, and double or rational weights and Gram entries are brought to
-integer numerators over one common denominator, so each family has one
-integer reconstruction, ``_exact_residual`` is the one exact residual, and
-each result is one ``Fraction``.  With ``logging`` at DEBUG, each solve logs
-its family, degree, iteration count, stop reason (tol, plateau, diverged,
-budget, line_search or singular) and exact residual.
+Starts, targets and the returned dual (in monomial moments) cross between the
+bases exactly and are rounded once.  A double Handelman certificate soon
+misses the tolerance (one ulp on the flagship weights moves the monomial
+residual by 1.5e-11 at n=12, 7.1e-9 at n=16).  So when the driver stops at
+tol or plateau above the tolerance, one exact rounding step in the style of
+Peyrl & Parrilo (TCS 409, 2008), ``_round_handelman``, moves the exact
+residual into the top-degree weights; if all stay positive, the certificate
+ships with rational weights and zero residual.
 
-The gradient of either dual is the coefficient residual of the primal
-reconstruction.  Convergence is judged on the residual that actually matters:
-the reconstruction residual of the *returned* double-precision certificate,
-computed in exact rational arithmetic.
-
-Non-convergence is a diagnostic, not a proof: a target on the cone boundary
-(or outside) makes the dual unbounded and the iteration runs out of budget.
-
-The dual vectors at the optima of the flagship targets are rational, so a
-continued-fraction rationalization step can turn numeric convergence into an
-exactly verified certificate.
+The exact checks run in integers over one common denominator: one integer
+reconstruction per family and one exact residual, ``_exact_residual``.  A
+solve converges when that residual of the *returned* certificate is within
+the tolerance.  Non-convergence is a diagnostic, not a proof: a target on the
+cone boundary (or outside) makes the dual unbounded.  The flagship optima
+have rational duals, so a continued-fraction rationalization step turns
+numeric convergence into an exactly verified certificate.  With ``logging``
+at DEBUG, each solve logs its family, degree, iteration count, stop reason
+and residual.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
-from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -67,9 +66,12 @@ import numpy as np
 from .momatrix import NotPositiveDefiniteError, RationalMatrix, invert_symmetric_rational
 from .polycore import (
     AnyPoly,
+    ChebKind,
     Exponent,
     MPoly,
     UPoly,
+    cheb_table,
+    monomials_of_degree,
     monomials_upto,
     simplex_generator_power,
 )
@@ -84,8 +86,9 @@ RATIONALIZE_DENOMINATOR_BOUND = 10**6
 DIVERGENCE_BOUND = 1e8  # dual iterates past this norm indicate a boundary target
 PLATEAU_LIMIT = 6  # consecutive non-improving steps once progress stops
 
-_LD = np.longdouble
-_EPS_LD = float(np.finfo(np.longdouble).eps)
+_EPS = float(np.finfo(float).eps)
+_TARGET_RANGE = "target coefficients must fit in a finite double"
+_START_FORM = "initial dual point must be finite, one entry per monomial"
 
 logger = logging.getLogger(__name__)
 
@@ -151,89 +154,29 @@ class NoInteriorCertificateError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Extended-precision dense kernels
-#
-# One Python step per pivot, column or row; the work inside each step is a
-# whole-array longdouble operation.  NumPy's longdouble dot and matmul sum
-# sequentially from zero, so each entry sees the same operations in the same
-# order as an element-by-element loop would.
-
-
-def _ld_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Gaussian elimination with partial pivoting in longdouble."""
-    a = matrix.astype(_LD, copy=True)
-    b = rhs.astype(_LD, copy=True)
-    m = a.shape[0]
-    for k in range(m):
-        pivot = int(np.argmax(np.abs(a[k:, k]))) + k
-        if a[pivot, k] == 0:
-            return None
-        if pivot != k:
-            a[[k, pivot]] = a[[pivot, k]]
-            b[[k, pivot]] = b[[pivot, k]]
-        # Rank-1 update of the trailing block: one multiply-subtract per entry.
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
-        b[k + 1 :] -= factors * b[k]
-    x = np.zeros(m, dtype=_LD)
-    for i in range(m - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
-    return x
-
-
-def _ld_cholesky(matrix: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor in longdouble, or None if not positive definite."""
-    m = matrix.shape[0]
-    chol = np.zeros((m, m), dtype=_LD)
-    for j in range(m):
-        pivot = matrix[j, j] - chol[j, :j] @ chol[j, :j]
-        if pivot <= 0:
-            return None
-        chol[j, j] = np.sqrt(pivot)
-        chol[j + 1 :, j] = (matrix[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j]) / chol[j, j]
-    return chol
-
-
-def _ld_spd_inverse(matrix: np.ndarray) -> Optional[np.ndarray]:
-    chol = _ld_cholesky(matrix)
-    if chol is None:
-        return None
-    m = matrix.shape[0]
-    # Invert the lower-triangular factor row by row, then A^{-1} = L^{-T} L^{-1}.
-    inv_l = np.zeros((m, m), dtype=_LD)
-    for i in range(m):
-        inv_l[i, :i] = -(chol[i, :i] @ inv_l[:i, :i]) / chol[i, i]
-        inv_l[i, i] = 1.0 / chol[i, i]
-    return inv_l.T @ inv_l
-
-
-def _ld_logdet_from_chol(chol: np.ndarray) -> np.longdouble:
-    return 2.0 * np.log(np.diag(chol)).sum()
-
-
-# ---------------------------------------------------------------------------
 # Damped Newton driver
 
 
 def _damped_newton(
     x0: np.ndarray,
-    value: Callable[[np.ndarray], Optional[np.longdouble]],
+    value: Callable[[np.ndarray], Optional[float]],
     newton_system: Callable[[np.ndarray], Optional[tuple]],
     tol: float,
     max_iter: int,
 ):
     """Minimize a barrier objective from a strictly feasible x0 by damped Newton.
 
-    ``value(x)`` is the longdouble objective, or None outside the open
-    domain.  ``newton_system(x)`` is None where the Newton system cannot be
-    formed, and otherwise ``(gradient, hessian)``, the Hessian a thunk called
-    only when a step is taken.  The gradient equals the coefficient residual
-    of the primal reconstruction.  Stops when its sup norm falls below tol/10 (margin for
-    the final cast to double), when progress plateaus at machine resolution,
-    when the iterates diverge (boundary target), or when the budget runs out.
-    Returns ``(x, iterations, steps, dual_values, stop)``, with the stop
-    reason one of the words ``tol plateau diverged budget line_search
-    singular``.
+    ``value(x)`` is the objective, or None outside the open domain.
+    ``newton_system(x)`` is None where the Newton system cannot be formed,
+    and otherwise ``(gradient, hessian)``, the Hessian a thunk called only
+    when a step is taken; steps are ``np.linalg.solve`` with Armijo
+    backtracking.  The gradient is the coefficient residual of the primal
+    reconstruction in the barrier's basis.  Stops when its sup norm falls
+    below tol/10 (margin for the change to the monomial basis), when
+    progress plateaus, when the iterates diverge (boundary target), or when
+    the budget runs out.  Returns ``(x, iterations, steps, dual_values,
+    stop)``, with the stop word one of ``tol plateau diverged budget
+    line_search singular``.
     """
     x = x0
     current = value(x)
@@ -263,16 +206,19 @@ def _damped_newton(
             if no_improve >= PLATEAU_LIMIT:
                 stop = "plateau"
                 break
-        delta = _ld_solve(hessian(), -grad)
+        try:
+            delta = np.linalg.solve(hessian(), -grad)
+        except np.linalg.LinAlgError:
+            delta = None
         if delta is None or not np.all(np.isfinite(delta)):
             stop = "singular"
             break
-        slope = grad @ delta
+        slope = float(grad @ delta)
         # Near the optimum the predicted decrease drops below the resolution
         # of the objective itself; then the Armijo test is pure noise and the
         # full Newton step is the right move (domain guard still applies).
-        flat = abs(float(slope)) <= 64.0 * _EPS_LD * max(1.0, abs(float(current)))
-        step = _LD(1.0)
+        flat = abs(slope) <= 64.0 * _EPS * max(1.0, abs(float(current)))
+        step = 1.0
         while step >= MIN_STEP:
             candidate = x + step * delta
             candidate_value = value(candidate)
@@ -285,7 +231,7 @@ def _damped_newton(
             stop = "line_search"
             break
         x, current = candidate, candidate_value
-        steps.append(float(step))
+        steps.append(step)
         history.append(float(current))
         if float(np.max(np.abs(x))) > DIVERGENCE_BOUND:
             stop = "diverged"
@@ -293,61 +239,152 @@ def _damped_newton(
     return x, len(steps), tuple(steps), tuple(history), stop
 
 
-def _target_doubles(coeffs: Iterable[Fraction]) -> np.ndarray:
-    """Exact target coefficients as doubles; ValueError if one overflows."""
+def _doubles_of(convert: Callable, values, message: str) -> np.ndarray:
+    """The exact ``convert(values)`` rounded once to doubles; ValueError(message) if
+    a value is not finite, the length is wrong or a result overflows."""
     try:
-        return np.array([float(c) for c in coeffs])
-    except OverflowError:
-        raise ValueError("target coefficients must fit in a finite double") from None
+        return np.array([float(v) for v in convert(values)])
+    except (OverflowError, ValueError):
+        raise ValueError(message) from None
 
 
-def _log_solve(family: str, n: int, iterations: int, stop: str, residual: float) -> None:
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "solve=%s n=%d iterations=%d stop=%s residual=%.3e",
-            family, n, iterations, stop, residual,
-        )
+def _report(family: str, n: int, tol: float, newton: tuple, residual, objective) -> SolverReport:
+    """The solve's report, logged at DEBUG; NoInteriorCertificateError unless it converged."""
+    _, iterations, steps, history, stop = newton
+    report = SolverReport(iterations, float(residual), float(objective),
+                          stop != "diverged" and residual <= tol, stop, steps, history)
+    logger.debug("solve=%s n=%d iterations=%d stop=%s residual=%.3e",
+                 family, n, iterations, stop, report.residual)
+    if not report.converged:
+        raise NoInteriorCertificateError(f"no interior certificate found at degree {n}", report)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Handelman family (shared barrier for the interval and the simplex)
 
 
-def _generator_table(d: int, n: int):
-    """Generator exponents alpha, monomial basis, and integer coefficient rows.
+def _object_matrix(rows) -> np.ndarray:
+    """A read-only matrix of Python ints, for exact matrix products."""
+    matrix = np.array(rows, dtype=object)
+    matrix.setflags(write=False)
+    return matrix
 
-    Every generator power x^beta (1 - sum x)^m has integer coefficients
-    (denominator 1), so each row is a tuple of ints over the basis.
+
+def _exact_matvec(matrix: np.ndarray, values: Sequence[Number]) -> list[Fraction]:
+    """``matrix @ values`` exactly, for an integer matrix and rational or real values."""
+    nums, den = _common_numerators([v if _is_rational(v) else float(v) for v in values])
+    return [Fraction(v, den) for v in matrix @ np.array(nums, dtype=object)]
+
+
+def _multinom(parts: Sequence[int]) -> int:
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+
+class _GeneratorTable:
+    """The generator powers of degree <= n on the d-simplex, and their Bernstein forms.
+
+    ``rows[a]`` holds the integer monomial coefficients of g^alphas[a] over
+    ``basis`` and ``pairs[a]`` its nonzero (exponent, coefficient) pairs.
+    The Bernstein index gamma runs over ``tops``, the alphas of degree n,
+    whose generator powers are the x^gamma.  ``homog[b, g]`` is the integer
+    multinom(n-|beta|; gamma-beta), the coefficient of x^gamma in x^beta
+    homogenized to degree n, and ``pairing[a, g]`` the double
+    multinom(n-|alpha|; gamma-alpha) / multinom(n; gamma).
     """
-    alphas = monomials_upto(d + 1, n)
-    basis = monomials_upto(d, n)
-    index = {e: i for i, e in enumerate(basis)}
-    rows = []
-    for alpha in alphas:
-        g = simplex_generator_power(d, alpha)
-        row = [0] * len(basis)
-        for e, c in g.nums.items():
-            row[index[e]] = c
-        rows.append(tuple(row))
-    return alphas, basis, rows
+
+    def __init__(self, d: int, n: int) -> None:
+        self.alphas = monomials_upto(d + 1, n)
+        self.basis = monomials_upto(d, n)
+        index = {e: i for i, e in enumerate(self.basis)}
+        rows, pairs = [], []
+        for alpha in self.alphas:
+            nums = simplex_generator_power(d, alpha).nums
+            rows.append([nums.get(e, 0) for e in self.basis])
+            pairs.append(tuple(nums.items()))
+        self.rows, self.pairs = _object_matrix(rows), tuple(pairs)
+        self.position = {alpha: i for i, alpha in enumerate(self.alphas)}
+        top_start = len(self.alphas) - len(self.basis)
+        self.tops = self.alphas[top_start:]
+        self.multinom = [_multinom(gamma) for gamma in self.tops]
+        homog = [[0] * len(self.basis) for _ in self.basis]
+        self.pairing = np.zeros((len(self.alphas), len(self.basis)))
+        for i, alpha in enumerate(self.alphas):
+            # g^alpha = x^alpha (x_1 + ... + x_{d+1})^(n-|alpha|): each gamma
+            # above alpha once.
+            for delta in monomials_of_degree(d + 1, n - sum(alpha)):
+                g = self.position[tuple(map(operator.add, alpha, delta))] - top_start
+                coefficient = _multinom(delta)
+                self.pairing[i, g] = coefficient / self.multinom[g]
+                if alpha[d] == 0:
+                    homog[index[alpha[:d]]][g] = coefficient
+        self.pairing.setflags(write=False)
+        self.homog = _object_matrix(homog)
+
+    def bernstein_moments(self, y: Sequence[Number]) -> list[Fraction]:
+        """z_gamma = multinom(n; gamma) <y, g^gamma>, exactly."""
+        pairings = _exact_matvec(self.rows[-len(self.basis):], y)
+        return [m * v for m, v in zip(self.multinom, pairings)]
+
+    def monomial_moments(self, z: Sequence[Number]) -> list[Fraction]:
+        """y_beta = sum_gamma homog[beta, gamma] z_gamma / multinom(n; gamma), exactly."""
+        return _exact_matvec(self.homog, [Fraction(v) / m for v, m in zip(z, self.multinom)])
+
+    def bernstein_coefficients(self, p: AnyPoly) -> list[Fraction]:
+        """The coefficients of p in the degree-n Bernstein basis, exactly."""
+        terms = p.terms
+        lifted = _exact_matvec(self.homog.T, [terms.get(beta, 0) for beta in self.basis])
+        return [v / m for v, m in zip(lifted, self.multinom)]
 
 
-def _beta22_moments(count: int) -> np.ndarray:
-    # Moments of the density 6x(1-x) on [0,1]: strictly feasible and distinct
-    # from the Lebesgue optimum, so recovery runs are nontrivial.
-    return np.array([6.0 / ((k + 2) * (k + 3)) for k in range(count)])
+# One table per (d, n), shared by the solve, the exact certificate and the checks.
+_generator_table = functools.lru_cache(maxsize=16)(_GeneratorTable)
 
 
-def _simplex_initial_moments(d: int, basis: Sequence[Exponent]) -> np.ndarray:
-    # Moments of the Dirichlet(2, 1, ..., 1) distribution on the simplex.
-    values = []
-    for beta in basis:
-        num = math.factorial(beta[0] + 1)
-        for b in beta[1:]:
-            num *= math.factorial(b)
-        num *= math.factorial(d + 1)
-        values.append(num / math.factorial(d + 1 + sum(beta)))
-    return np.array(values)
+def _dirichlet_moments(a: Sequence[int], basis: Sequence[Exponent]) -> list[Fraction]:
+    """Dirichlet(a) moments prod_i (a_i)_{beta_i} / (|a|)_{|beta|}; (m)_k = perm(m+k-1, k)."""
+    return [
+        Fraction(math.prod(math.perm(ai - 1 + b, b) for ai, b in zip(a, beta)),
+                 math.perm(sum(a) - 1 + sum(beta), sum(beta)))
+        for beta in basis
+    ]
+
+
+def _round_handelman(
+    cert: HandelmanCertificate, target: AnyPoly, table: _GeneratorTable
+) -> Optional[HandelmanCertificate]:
+    """The certificate with its exact residual moved into the top-degree weights.
+
+    The residual r = target - sum_a w_a g^alpha, homogenized to degree n, is
+    sum_gamma (sum_beta r_beta homog[beta, gamma]) x^gamma, and x^gamma is
+    g^gamma for |gamma| = n: adding those integer combinations to the
+    top-degree weights gives rational weights with zero residual.  None if a
+    weight would not stay positive.
+    """
+    residual, scale = _residual_numerators(cert, target)
+    corrections = table.homog.T @ np.array([residual.get(b, 0) for b in table.basis], dtype=object)
+    weights = {alpha: Fraction(w) for alpha, w in cert.weights.items()}
+    for gamma, correction in zip(table.tops, corrections):
+        weights[gamma] += Fraction(correction, scale)
+    if min(weights.values()) <= 0:
+        return None
+    return HandelmanCertificate(cert.dimension, cert.degree, weights, cert.target)
+
+
+def _handelman_barrier(pairing: np.ndarray, c: np.ndarray):
+    """``(value, newton_system)`` of <c, z> - sum log(pairing @ z) over the Bernstein moments z."""
+
+    def value(z):
+        pair = pairing @ z
+        if not np.all(pair > 0):
+            return None
+        return c @ z - np.log(pair).sum()
+
+    def newton_system(z):
+        weights = 1.0 / (pairing @ z)
+        return c - pairing.T @ weights, lambda: pairing.T @ (pairing * (weights**2)[:, None])
+
+    return value, newton_system
 
 
 def _solve_handelman_family(
@@ -355,52 +392,34 @@ def _solve_handelman_family(
     d: int,
     n: int,
     target_poly: AnyPoly,
-    lam0: np.ndarray,
+    initial: Optional[Sequence[Number]],
     tol: float,
     max_iter: int,
 ):
-    """Minimize <lam, target> - sum log(gens @ lam) over the positive pairings."""
-    alphas, basis, rows = _generator_table(d, n)
-    gens = np.array(rows, dtype=float).astype(_LD)
-    terms = target_poly.terms
-    target = _target_doubles(terms.get(e, 0) for e in basis).astype(_LD)
-
-    def value(lam):
-        pair = gens @ lam
-        if not np.all(pair > 0):
-            return None
-        return target @ lam - np.log(pair).sum()
-
-    def newton_system(lam):
-        pair = gens @ lam
-        grad = target - gens.T @ (1.0 / pair)
-        return grad, lambda: gens.T @ ((1.0 / pair**2)[:, None] * gens)
-
-    lam, iterations, steps, history, stop = _damped_newton(
-        lam0.astype(_LD, copy=True), value, newton_system, tol, max_iter
+    """Handelman or simplex solve in Bernstein moments, then the exact rounding step."""
+    table = _generator_table(d, n)
+    if initial is None:
+        # Dirichlet(2, 2) on [0,1] (the density 6x(1-x)) and Dirichlet(2, 1,
+        # ..., 1) on the simplex: strictly feasible, away from the flagship optima.
+        initial = _dirichlet_moments((2, 2) if d == 1 else (2,) + (1,) * d, table.basis)
+    pairing = table.pairing
+    value, newton_system = _handelman_barrier(
+        pairing, _doubles_of(table.bernstein_coefficients, target_poly, _TARGET_RANGE)
     )
-    weight_values = [float(1.0 / p) for p in gens @ lam]
-    certificate = HandelmanCertificate(
-        dimension=d, degree=n, weights=dict(zip(alphas, weight_values)), target=target_poly
-    )
-    # The table rows as (exponent, nonzero coefficient) pairs.
-    nonzero = [compress(zip(basis, row), row) for row in rows]
-    residual = _exact_residual(certificate, target_poly, nonzero)
-    report = SolverReport(
-        iterations=iterations,
-        residual=float(residual),
-        objective=float(sum(math.log(w) for w in weight_values)),
-        converged=stop != "diverged" and residual <= tol,
-        stop=stop,
-        steps=steps,
-        dual_values=history,
-    )
-    _log_solve(family, n, iterations, stop, report.residual)
-    if not report.converged:
-        raise NoInteriorCertificateError(
-            f"no interior certificate found at degree {n}", report
-        )
-    return certificate, DualFunctional(tuple(float(v) for v in lam)), report
+    z0 = _doubles_of(table.bernstein_moments, initial, _START_FORM)
+    newton = _damped_newton(z0, value, newton_system, tol, max_iter)
+    z, stop = newton[0], newton[-1]
+    weights = dict(zip(table.alphas, (1.0 / (pairing @ z)).tolist()))
+    certificate = HandelmanCertificate(d, n, weights, target_poly)
+    residual = _exact_residual(certificate, target_poly)
+    if residual > tol and stop in ("tol", "plateau"):
+        rounded = _round_handelman(certificate, target_poly, table)
+        if rounded is not None:
+            certificate = rounded
+            residual = _exact_residual(certificate, target_poly)
+    objective = sum(math.log(w) for w in certificate.weights.values())
+    report = _report(family, n, tol, newton, residual, objective)
+    return certificate, DualFunctional(tuple(map(float, table.monomial_moments(z)))), report
 
 
 def solve_handelman(
@@ -415,13 +434,13 @@ def solve_handelman(
     Solves sup { sum log c_ij : p = sum c_ij x^i (1-x)^j, (i, j) in N^2_n }
     through its dual.  Requires deg(p) <= n; converges when p lies in the
     interior of the cone (strictly positive on [0,1] up to degree slack).
+    ``initial`` is a strictly feasible start in monomial moments.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if p.degree > n:
         raise ValueError(f"target degree {p.degree} exceeds n = {n}")
-    lam0 = _beta22_moments(n + 1) if initial is None else np.asarray(initial, float)
-    return _solve_handelman_family("handelman", 1, n, p, lam0, tol, max_iter)
+    return _solve_handelman_family("handelman", 1, n, p, initial, tol, max_iter)
 
 
 def solve_simplex(
@@ -440,65 +459,99 @@ def solve_simplex(
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
     target = MPoly.constant(d, math.comb(d + 1 + n, n))
-    lam0 = (
-        _simplex_initial_moments(d, monomials_upto(d, n))
-        if initial is None
-        else np.asarray(initial, float)
-    )
-    return _solve_handelman_family("simplex", d, n, target, lam0, tol, max_iter)
+    return _solve_handelman_family("simplex", d, n, target, initial, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
 # Putinar Gram pair on [-1,1]
 
 
-def _hankel(values: np.ndarray, size: int) -> np.ndarray:
-    index = np.arange(size)
-    return values[index[:, None] + index]
+def _cheb_hankel(seq: np.ndarray, size: int) -> np.ndarray:
+    """M[i][j] = (seq[i+j] + seq[|i-j|]) / 2 = <y, T_i T_j> for the Chebyshev moments seq of y."""
+    i = np.arange(size)
+    return (seq[i[:, None] + i] + seq[np.abs(i[:, None] - i)]) / 2
 
 
-def _localized(y: np.ndarray) -> np.ndarray:
-    # Sequence of the shifted functional y_k - y_{k+2} for g = 1 - x^2.
-    return y[:-2] - y[2:]
+def _cheb_localized(z: np.ndarray) -> np.ndarray:
+    """s_k = <y, (1 - x^2) T_k> = z_k/2 - (z_{k+2} + z_{|k-2|})/4, from x^2 = (T_0 + T_2)/2."""
+    k = np.arange(len(z) - 2)
+    return z[k] / 2 - (z[k + 2] + z[np.abs(k - 2)]) / 4
 
 
-def _antidiag_sum_rows(x: np.ndarray) -> np.ndarray:
-    """S @ x for the (2m-1) x m^2 0/1 matrix S with S[k, i*m + j] = 1 iff i + j = k.
+class _ChebyshevTable:
+    """The Chebyshev basis up to degree 2n and the linear maps of the Putinar barrier.
 
-    Row block i of x (rows i*m .. i*m + m - 1) is added at offset i, in order
-    of i, starting from zero: the sums of the 0/1 product, bit for bit,
-    without its m^3 multiplications by zero.
+    ``cheb[k, l]`` is the integer coefficient of x^l in T_k, so the Chebyshev
+    moments are z = cheb @ y; ``monomial[l, k] / 4^n`` is the nonnegative
+    coefficient of T_k in x^l, so y = monomial @ z / 4^n.  ``maps`` are the
+    matrices of z -> vec(M_T) (size n+1) and z -> vec(L_T) (size n).
     """
-    m = math.isqrt(x.shape[0])
-    blocks = x.reshape(m, m, *x.shape[1:])
-    out = np.zeros((2 * m - 1, *x.shape[1:]), dtype=x.dtype)
-    for i in range(m):
-        out[i : i + m] += blocks[i]
-    return out
+
+    def __init__(self, n: int) -> None:
+        size = 2 * n + 1
+        self.n = n
+        self.cheb = _object_matrix(
+            [list(t.nums) + [0] * (size - len(t.nums)) for t in cheb_table(ChebKind.FIRST, 2 * n)]
+        )
+        # x^l = 2^(1-l) sum_{i < l/2} C(l, i) T_{l-2i} + [l even] 2^(-l) C(l, l/2) T_0.
+        monomial = [[0] * size for _ in range(size)]
+        for l in range(size):
+            for i in range(l // 2 + 1):
+                monomial[l][l - 2 * i] = math.comb(l, i) << (2 * n - l + (2 * i < l))
+        self.monomial = _object_matrix(monomial)
+        unit = np.eye(size)
+        self.maps = (
+            np.stack([_cheb_hankel(e, n + 1).ravel() for e in unit], axis=1),
+            np.stack([_cheb_hankel(_cheb_localized(e), n).ravel() for e in unit], axis=1),
+        )
+        for matrix in self.maps:
+            matrix.setflags(write=False)
+
+    def chebyshev_moments(self, y: Sequence[Number]) -> list[Fraction]:
+        return _exact_matvec(self.cheb, y)
+
+    def monomial_moments(self, z: Sequence[Number]) -> list[Fraction]:
+        return [v / 4**self.n for v in _exact_matvec(self.monomial, z)]
+
+    def chebyshev_coefficients(self, p: UPoly) -> list[Fraction]:
+        """The coefficients of p in T_0..T_{2n}, exactly."""
+        coeffs = [p.coefficient(k) for k in range(2 * self.n + 1)]
+        return [v / 4**self.n for v in _exact_matvec(self.monomial.T, coeffs)]
 
 
-def _localizing_shift(m: int) -> np.ndarray:
-    """The (m+2) x m matrix G of multiplication by g = 1 - x^2 on sequences.
+_chebyshev_table = functools.lru_cache(maxsize=16)(_ChebyshevTable)
 
-    G[a, a] = 1 and G[a+2, a] = -1: the localized sequence is G.T @ y, so
-    gradients pull back through G and Hessians through G . G.T.
+
+def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
+    """``(value, newton_system, inverses)`` of <t, z> - log det M_T(z) - log det L_T(z).
+
+    ``inverses(z)`` is [M_T^{-1}, L_T^{-1}], or None outside the domain.
     """
-    return np.eye(m + 2, m, dtype=_LD) - np.eye(m + 2, m, k=-2, dtype=_LD)
+    shapes = ((table.n + 1, table.n + 1), (table.n, table.n))
 
+    def factors(z):
+        try:
+            return [np.linalg.cholesky((m @ z).reshape(s)) for m, s in zip(table.maps, shapes)]
+        except np.linalg.LinAlgError:
+            return None
 
-def _antidiag_sums(matrix: np.ndarray) -> np.ndarray:
-    """Antidiagonal sums S @ vec(W); at W = H(y)^{-1}, the gradient of log det H(y)."""
-    return _antidiag_sum_rows(matrix.ravel())
+    def value(z):  # None outside the domain
+        chols = factors(z)
+        if chols is not None:
+            return t @ z - 2.0 * sum(np.log(np.diag(c)).sum() for c in chols)
 
+    def inverses(z):
+        chols = factors(z)
+        return None if chols is None else [inv.T @ inv for inv in map(np.linalg.inv, chols)]
 
-def _logdet_hessian(inverse: np.ndarray) -> np.ndarray:
-    """Hessian of -log det of a Hankel matrix w.r.t. its defining sequence.
+    def newton_system(z):
+        grams = inverses(z)
+        if grams is None:
+            return None
+        grad = t - sum(m.T @ w.ravel() for m, w in zip(table.maps, grams))
+        return grad, lambda: sum(m.T @ np.kron(w, w) @ m for m, w in zip(table.maps, grams))
 
-    With W = H^{-1}, H[k, l] = sum over j + r = k, i + s = l of W[j, i] W[r, s],
-    that is S (W kron W) S' for the antidiagonal matrix S.
-    """
-    left = _antidiag_sum_rows(np.kron(inverse, inverse))
-    return _antidiag_sum_rows(left.T).T
+    return value, newton_system, inverses
 
 
 def _putinar_gram_inverses(
@@ -527,8 +580,9 @@ def solve_putinar(
     Defaults to the constant target 2n+1.  Minimizes
     <y, target> - log det M_n(y) - log det M_{n-1}(g.y) over the moment
     vectors y whose Hankel and localizing matrices are positive definite,
-    starting from the moments of the uniform probability measure on [-1,1].
-    At the optimum A = M_n(y)^{-1} and B = M_{n-1}(g.y)^{-1}.
+    starting from the moments of the uniform probability measure on [-1,1]
+    (or from ``initial``, in monomial moments).  At the optimum
+    A = M_n(y)^{-1} and B = M_{n-1}(g.y)^{-1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -536,96 +590,37 @@ def solve_putinar(
         target = UPoly.constant(2 * n + 1)
     if target.degree > 2 * n:
         raise ValueError(f"target degree {target.degree} exceeds 2n = {2 * n}")
-    size = 2 * n + 1
-    t = _target_doubles(target.coefficient(k) for k in range(size)).astype(_LD)
+    table = _chebyshev_table(n)
+    t = _doubles_of(table.chebyshev_coefficients, target, _TARGET_RANGE)
     if initial is None:
-        y0 = np.array(
-            [(1.0 + (-1.0) ** k) / (2.0 * (k + 1)) for k in range(size)], dtype=_LD
-        )
-    else:
-        y0 = np.asarray(initial, dtype=float).astype(_LD)
-    shift = _localizing_shift(2 * n - 1)
-
-    def value(point):
-        chol_m = _ld_cholesky(_hankel(point, n + 1))
-        if chol_m is None:
-            return None
-        chol_l = _ld_cholesky(_hankel(_localized(point), n))
-        if chol_l is None:
-            return None
-        return t @ point - _ld_logdet_from_chol(chol_m) - _ld_logdet_from_chol(chol_l)
-
-    def refined_inverse(matrix):
-        inverse = _ld_spd_inverse(matrix)
-        if inverse is None:
-            return None
-        # One step of Newton refinement knocks the kappa*eps inversion error
-        # down to evaluation noise; the Gram matrices inherit the accuracy.
-        eye = np.eye(matrix.shape[0], dtype=_LD)
-        return inverse + inverse @ (eye - matrix @ inverse)
-
-    def inverses(point):
-        inv_m = refined_inverse(_hankel(point, n + 1))
-        inv_l = refined_inverse(_hankel(_localized(point), n))
-        return None if inv_m is None or inv_l is None else (inv_m, inv_l)
-
-    def newton_system(point):
-        grams = inverses(point)
-        if grams is None:
-            return None
-        inv_m, inv_l = grams
-
-        def hessian():
-            hess = _logdet_hessian(inv_m)  # already full size 2n+1
-            hess += shift @ _logdet_hessian(inv_l) @ shift.T
-            return hess
-
-        return t - _antidiag_sums(inv_m) - shift @ _antidiag_sums(inv_l), hessian
-
-    y, iterations, steps, history, stop = _damped_newton(
-        y0, value, newton_system, tol, max_iter
-    )
-    grams = inverses(y)
-    if grams is None:
-        _log_solve("putinar", n, iterations, stop, math.inf)
-        raise NoInteriorCertificateError(
-            f"no interior certificate found at degree {n}",
-            SolverReport(iterations, math.inf, math.nan, False, stop, steps, history),
-        )
-    dual = DualFunctional(tuple(float(v) for v in y))
+        initial = [Fraction(1 + (-1) ** k, 2 * (k + 1)) for k in range(2 * n + 1)]
+    value, newton_system, inverses = _putinar_barrier(table, t)
+    z0 = _doubles_of(table.chebyshev_moments, initial, _START_FORM)
+    newton = _damped_newton(z0, value, newton_system, tol, max_iter)
+    z, stop = newton[0], newton[-1]
+    # The driver keeps z where both Cholesky factors exist, so the inverses do.
+    # v' Q' W Q v returns them to the monomial basis through the T_j coefficients Q.
+    q = table.cheb[: n + 1, : n + 1].astype(float)
+    grams = [b.T @ w @ b for b, w in zip((q, q[:n, :n]), inverses(z))]
+    dual = DualFunctional(tuple(map(float, table.monomial_moments(z))))
     certificate = PutinarCertificate(n, *map(_doubles, grams), target)
     residual = _exact_residual(certificate, target)
     if stop != "diverged":
         # The optima of the flagship targets have rational moments; inverting
-        # the rationalized dual exactly can beat the extended-precision path.
+        # the rationalized dual exactly can beat the double-precision path.
         # The exact residual decides which candidate ships.
         try:
             exact = exact_putinar(n, dual)
         except NotPositiveDefiniteError:
             pass
         else:
-            grams = (exact.gram_a, exact.gram_b)
-            snapped = PutinarCertificate(n, *map(_doubles, grams), target)
+            snapped = PutinarCertificate(n, _doubles(exact.gram_a), _doubles(exact.gram_b), target)
             snapped_residual = _exact_residual(snapped, target)
             if snapped_residual < residual:
                 certificate, residual = snapped, snapped_residual
-    sign_a, logdet_a = np.linalg.slogdet(np.array(certificate.gram_a, dtype=float))
-    sign_b, logdet_b = np.linalg.slogdet(np.array(certificate.gram_b, dtype=float))
-    report = SolverReport(
-        iterations=iterations,
-        residual=float(residual),
-        objective=float(logdet_a + logdet_b),  # log det A + log det B
-        converged=stop != "diverged" and residual <= tol,
-        stop=stop,
-        steps=steps,
-        dual_values=history,
-    )
-    _log_solve("putinar", n, iterations, stop, report.residual)
-    if not report.converged:
-        raise NoInteriorCertificateError(
-            f"no interior certificate found at degree {n}", report
-        )
-    return certificate, dual, report
+    objective = sum(np.linalg.slogdet(np.array(g, dtype=float))[1]
+                    for g in (certificate.gram_a, certificate.gram_b))  # log det A + log det B
+    return certificate, dual, _report("putinar", n, tol, newton, residual, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +640,11 @@ def _common_numerators(values: Sequence[Number]) -> tuple[list[int], int]:
 
 def _generator_pairs(cert: HandelmanCertificate):
     """The (exponent, integer coefficient) pairs of each g^alpha, in weight order."""
-    return [simplex_generator_power(cert.dimension, alpha).nums.items() for alpha in cert.weights]
+    table = _generator_table(cert.dimension, cert.degree)
+    try:
+        return [table.pairs[table.position[alpha]] for alpha in cert.weights]
+    except KeyError:
+        raise ValueError("a weight exponent is not in the certificate's generators") from None
 
 
 def _handelman_reconstruction(weights: Iterable, rows: Iterable) -> dict:
@@ -692,23 +691,19 @@ def _check_dimension(target: AnyPoly, dimension: int) -> None:
         raise ValueError("target dimension does not match the certificate")
 
 
-def _exact_residual(
-    cert: Union[HandelmanCertificate, PutinarCertificate],
-    target: AnyPoly,
-    rows: Optional[Iterable] = None,
-) -> Fraction:
-    """Exact sup norm of the coefficient residual between reconstruction and target.
+def _residual_numerators(
+    cert: Union[HandelmanCertificate, PutinarCertificate], target: AnyPoly
+) -> tuple[dict, int]:
+    """Integer numerators of target minus reconstruction by exponent, over one scale.
 
     The weights or Gram entries (rational, or dyadic doubles) become integer
     numerators over the lcm of their denominators, the reconstruction runs in
-    integers, and the target joins it over one common denominator: one
-    ``Fraction`` for the result.  A Handelman caller that already holds the
-    generator rows (as ``_generator_pairs`` gives them) passes them.
+    integers, and the target joins it over one common denominator.
     """
     if isinstance(cert, HandelmanCertificate):
         dimension = cert.dimension
         nums, den = _common_numerators(list(cert.weights.values()))
-        recon = _handelman_reconstruction(nums, _generator_pairs(cert) if rows is None else rows)
+        recon = _handelman_reconstruction(nums, _generator_pairs(cert))
     else:
         dimension = 1
         nums, den = _common_numerators(_gram_entries(cert))
@@ -717,12 +712,19 @@ def _exact_residual(
     scale = math.lcm(den, target.den)
     factor, target_factor = scale // den, scale // target.den
     want = target.sparse_nums
-    residual = max(
-        (abs(recon.get(e, 0) * factor - want.get(e, 0) * target_factor)
-         for e in recon.keys() | want.keys()),
-        default=0,
-    )
-    return Fraction(residual, scale)
+    residual = {
+        e: want.get(e, 0) * target_factor - recon.get(e, 0) * factor
+        for e in recon.keys() | want.keys()
+    }
+    return residual, scale
+
+
+def _exact_residual(
+    cert: Union[HandelmanCertificate, PutinarCertificate], target: AnyPoly
+) -> Fraction:
+    """Exact sup norm of the coefficient residual between reconstruction and target."""
+    residual, scale = _residual_numerators(cert, target)
+    return Fraction(max(map(abs, residual.values()), default=0), scale)
 
 
 def verify_certificate(
@@ -738,10 +740,8 @@ def verify_certificate(
         recon = _putinar_reconstruction(entries, cert.degree)
         _check_dimension(target, 1)
     want = {e: float(c) for e, c in target.terms.items()}
-    residual = 0.0
-    for e in set(recon) | set(want):
-        residual = max(residual, abs(recon.get(e, 0.0) - want.get(e, 0.0)))
-    return residual
+    return max((abs(recon.get(e, 0.0) - want.get(e, 0.0)) for e in recon.keys() | want.keys()),
+               default=0.0)
 
 
 def verify_certificate_exact(
@@ -782,15 +782,14 @@ def exact_handelman(
     """
     d = target.dimension
     lam = rationalize_dual(dual, max_denominator).values
-    alphas, basis, rows = _generator_table(d, n)
-    if len(lam) != len(basis):
+    table = _generator_table(d, n)
+    if len(lam) != len(table.basis):
         raise ValueError("dual vector length does not match the working degree")
     # Pairings in integers over the lcm of the dual's denominators; the
     # weight 1/<lam, g^alpha> is then den / pairing numerator.
     lam_nums, den = _common_numerators(lam)
     weights: dict[Exponent, Fraction] = {}
-    for alpha, row in zip(alphas, rows):
-        pairing = sum(map(operator.mul, lam_nums, row))
+    for alpha, pairing in zip(table.alphas, table.rows @ np.array(lam_nums, dtype=object)):
         if pairing <= 0:
             raise ValueError("rationalized dual is not strictly feasible")
         weights[alpha] = Fraction(den, pairing)

@@ -3,7 +3,6 @@ import logging
 import math
 import random
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -29,12 +28,18 @@ from unitycert.momatrix import invert_exact, moment_matrix
 from unitycert.measures import ARCSINE, functional_for, simplex_uniform
 from unitycert.polycore import MPoly, UPoly, monomials_upto, simplex_generator_power
 
-LD = np.longdouble
-EPS_LD = float(np.finfo(LD).eps)
-
-
 def const(v):
     return UPoly.constant(v)
+
+
+def _arcsine_moments(n):
+    return [Fraction(math.comb(k, k // 2), 2**k) if k % 2 == 0 else Fraction(0)
+            for k in range(2 * n + 1)]
+
+
+def _uniform_simplex_moments(d, basis):
+    return [Fraction(math.factorial(d) * math.prod(map(math.factorial, beta)),
+                     math.factorial(d + sum(beta))) for beta in basis]
 
 
 class TestSolveHandelman:
@@ -90,7 +95,7 @@ class TestSolveHandelman:
         for n in (2, 4, 6):
             s = (n + 1) * (n + 2) // 2
             cert, dual, _ = solve_handelman(const(s), n, tol=tol)
-            _, _, rows = _generator_rows(1, n)
+            rows = maxent._generator_table(1, n).rows
             for (alpha, w), row in zip(cert.weights.items(), rows):
                 pairing = sum(float(c) * dual.values[k] for k, c in enumerate(row))
                 assert abs(w * pairing - 1.0) <= 10 * tol
@@ -132,12 +137,6 @@ class TestSolveHandelman:
             assert closed >= report.objective - 1e-6
 
 
-def _generator_rows(d, n):
-    from unitycert.maxent import _generator_table
-
-    return _generator_table(d, n)
-
-
 def _log_barrier(t):
     """value(x) = t x - log x on x > 0 and its Newton system; minimum at 1/t."""
 
@@ -151,7 +150,7 @@ def _log_barrier(t):
 
 
 class TestDampedNewton:
-    X0 = np.array([1.0], dtype=LD)
+    X0 = np.array([1.0])
 
     def newton(self, value, newton_system, max_iter=50, x0=X0):
         return maxent._damped_newton(x0, value, newton_system, 1e-10, max_iter)
@@ -171,7 +170,7 @@ class TestDampedNewton:
 
             return np.array([2.0 - 1 / x[0]]), hessian
 
-        x0 = np.array([0.5], dtype=LD)
+        x0 = np.array([0.5])
         assert self.newton(value, newton_system, x0=x0) == (x0, 0, (), (), "tol")
 
     def test_budget(self):
@@ -191,14 +190,14 @@ class TestDampedNewton:
         _, newton_system = _log_barrier(2.0)
 
         def value(x):  # the domain is the start point alone
-            return LD(0.0) if x[0] == 1 else None
+            return 0.0 if x[0] == 1 else None
 
         assert self.newton(value, newton_system)[1:] == (0, (), (), "line_search")
 
     def test_plateau(self):
         # The gradient stays at 1 while every step is accepted.
         def newton_system(x):
-            return np.array([LD(1.0)]), lambda: np.array([[LD(1.0)]])
+            return np.array([1.0]), lambda: np.array([[1.0]])
 
         x, iterations, _, _, stop = self.newton(lambda x: x[0], newton_system)
         assert stop == "plateau" and iterations == maxent.PLATEAU_LIMIT
@@ -206,7 +205,7 @@ class TestDampedNewton:
 
     def test_infeasible_start_rejected(self):
         with pytest.raises(ValueError, match="not strictly feasible"):
-            self.newton(*_log_barrier(2.0), x0=np.array([-1.0], dtype=LD))
+            self.newton(*_log_barrier(2.0), x0=np.array([-1.0]))
 
 
 class TestSolvePutinar:
@@ -302,6 +301,29 @@ class TestSolveSimplex:
         assert all(w > 0 for w in cert.weights.values())
 
 
+class TestPastTheMonomialCeiling:
+    """Sizes where monomial-moment Newton plateaus above the tolerance."""
+
+    def test_handelman_n12(self):
+        n = 12
+        flagship = const(91)
+        cert, dual, report = solve_handelman(flagship, n)
+        assert report.converged and report.residual == 0
+        assert verify_certificate_exact(cert, flagship)
+        assert all(w > 0 for w in cert.weights.values())
+        assert all(abs(v - 1 / (k + 1)) <= 1e-15 for k, v in enumerate(dual.values))
+        p = UPoly.from_coeffs([2, 1, -1])
+        cert, _, report = solve_handelman(p, n)
+        assert report.converged and report.residual <= 1e-10
+        assert all(w > 0 for w in cert.weights.values())
+
+    def test_simplex_d3_n7(self):
+        cert, _, report = solve_simplex(3, 7)
+        assert report.converged and report.residual <= 1e-10
+        assert all(w > 0 for w in cert.weights.values())
+        assert verify_certificate(cert, MPoly.constant(3, math.comb(11, 7))) <= 1e-9
+
+
 class TestVerifyCertificate:
     def test_handelman_examples(self):
         cert = HandelmanCertificate(
@@ -361,13 +383,15 @@ class TestRationalization:
             assert cert.gram_a == exact_inverse
 
     def test_exact_putinar_n11_flagship(self):
-        # The largest flagship the benchmark solves: the Newton loop ends near
-        # the longdouble noise floor, and exact recovery rests on the final
-        # iterate snapping to the arcsine moments.
+        # The largest flagship the benchmark solves.  Exact recovery rests on
+        # the dual snapping to the arcsine moments, whose denominators reach
+        # 2^19; in Chebyshev moments the solve lands on them to within a few
+        # ulps, far inside the snapping resolution.
         n = 11
         target = const(2 * n + 1)
         _, dual, report = solve_putinar(n)
         assert report.converged and report.residual <= 1e-10
+        assert max(abs(v - float(m)) for v, m in zip(dual.values, _arcsine_moments(n))) <= 1e-15
         cert = exact_putinar(n, dual, target=target)
         assert verify_certificate_exact(cert, target)
         assert cert.gram_a == invert_exact(moment_matrix(ARCSINE, n))
@@ -461,155 +485,148 @@ class TestSolveLog:
         assert not [r for r in caplog.records if r.name == "unitycert.maxent"]
 
 
-# ---------------------------------------------------------------------------
-# Kernels against their element-by-element forms
+class TestBasisMaps:
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_bernstein_moments_of_lebesgue(self, n):
+        # Every b_{i,n} integrates to 1/(n+1) on [0,1].
+        table = maxent._generator_table(1, n)
+        lebesgue = [Fraction(1, k + 1) for k in range(n + 1)]
+        assert table.monomial_moments([Fraction(1, n + 1)] * (n + 1)) == lebesgue
+        assert table.bernstein_moments(lebesgue) == [Fraction(1, n + 1)] * (n + 1)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
+    def test_bernstein_moments_of_the_uniform_simplex(self, d, n):
+        table = maxent._generator_table(d, n)
+        uniform = _uniform_simplex_moments(d, table.basis)
+        mass = Fraction(1, math.comb(n + d, d))
+        assert table.bernstein_moments(uniform) == [mass] * len(table.basis)
+        assert table.monomial_moments([mass] * len(table.basis)) == uniform
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 3), (3, 2)])
+    def test_pairing_is_the_generator_pairing(self, d, n):
+        # homog writes x^beta in the top-degree generators: the inverse of
+        # their coefficient rows.
+        table = maxent._generator_table(d, n)
+        size = len(table.basis)
+        assert (table.homog @ table.rows[-size:] == np.eye(size, dtype=int)).all()
+        uniform = _uniform_simplex_moments(d, table.basis)
+        exact = [sum(c * y for c, y in zip(row, uniform)) for row in table.rows]
+        z = np.array([float(v) for v in table.bernstein_moments(uniform)])
+        assert np.allclose(table.pairing @ z, [float(v) for v in exact], rtol=1e-15, atol=0)
+        assert (table.pairing >= 0).all()
+
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    def test_chebyshev_unit_is_the_arcsine_functional(self, n):
+        table = maxent._chebyshev_table(n)
+        unit = [Fraction(int(k == 0)) for k in range(2 * n + 1)]
+        assert table.monomial_moments(unit) == _arcsine_moments(n)
+        assert table.chebyshev_moments(_arcsine_moments(n)) == unit
+        assert (table.monomial >= 0).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_chebyshev_moment_matrices_are_congruent(self, n):
+        # M_T(z) = Q M(y) Q' and L_T(z) = Q L(y) Q' for the T_j coefficients Q.
+        rng = random.Random(1100 + n)
+        y = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2 * n + 1)]
+        table = maxent._chebyshev_table(n)
+        z = np.array(table.chebyshev_moments(y), dtype=object)
+        q = table.cheb
+        hankel = np.array([[y[i + j] for j in range(n + 1)] for i in range(n + 1)])
+        localizing = np.array([[y[i + j] - y[i + j + 2] for j in range(n)] for i in range(n)])
+        q_n = q[: n + 1, : n + 1]
+        assert (maxent._cheb_hankel(z, n + 1) == q_n @ hankel @ q_n.T).all()
+        m_l = maxent._cheb_hankel(maxent._cheb_localized(z), n)
+        assert (m_l == q[:n, :n] @ localizing @ q[:n, :n].T).all()
+        # The solver's double maps are the same linear maps.
+        z_double = np.array([float(v) for v in z])
+        for matrix, exact in zip(table.maps, (maxent._cheb_hankel(z, n + 1), m_l)):
+            want = exact.ravel().astype(float)
+            assert np.allclose(matrix @ z_double, want, rtol=1e-14, atol=1e-14)
+
+    def test_initial_converts_exactly(self):
+        rng = random.Random(1200)
+        for table in (maxent._generator_table(1, 5), maxent._generator_table(2, 3)):
+            y = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in table.basis]
+            assert table.monomial_moments(table.bernstein_moments(y)) == y
+        table = maxent._chebyshev_table(4)
+        y = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(9)]
+        assert table.monomial_moments(table.chebyshev_moments(y)) == y
+        # Dyadic double moments convert without rounding, also as numpy scalars.
+        arcsine = np.array([float(v) for v in _arcsine_moments(4)], dtype=np.float32)
+        start = maxent._doubles_of(table.chebyshev_moments, arcsine, "")
+        assert start.tolist() == [1.0] + [0.0] * 8
+        _, _, report = solve_putinar(2, initial=np.array([6, 0, 2, 0, 1]))  # numpy ints
+        assert report.converged
+
+    def test_infeasible_start_rejected(self):
+        with pytest.raises(ValueError, match="not strictly feasible"):
+            solve_handelman(const(3), 1, initial=[1.0, 2.0])  # <y, 1-x> < 0
+        with pytest.raises(ValueError, match="not strictly feasible"):
+            solve_putinar(2, initial=[1.0, 0.0, 0.5, 0.0, 0.1])  # det M(y) < 0
+        with pytest.raises(ValueError, match="finite"):
+            solve_putinar(2, initial=[1.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            solve_simplex(2, 1, initial=[1.0, math.nan, 0.3])
 
 
-def _loop_logdet_hessian(inverse):
-    """Element-by-element Hessian of -log det of a Hankel matrix."""
-    m = inverse.shape[0]
-    size = 2 * m - 1
-    hess = np.zeros((size, size), dtype=inverse.dtype)
-    for k in range(size):
-        for l in range(k, size):
-            value = inverse.dtype.type(0)
-            for j in range(max(0, k - m + 1), min(m, k + 1)):
-                r = k - j
-                for i in range(max(0, l - m + 1), min(m, l + 1)):
-                    value += inverse[i, j] * inverse[r, l - i]
-            hess[k, l] = hess[l, k] = value
-    return hess
+def _finite_differences(function, x, h):
+    """Central differences of function along each coordinate, as columns."""
+    columns = []
+    for l in range(len(x)):
+        step = np.zeros(len(x))
+        step[l] = h
+        columns.append((np.asarray(function(x + step)) - np.asarray(function(x - step))) / (2 * h))
+    return np.array(columns).T
 
 
-def _loop_antidiag_sums(matrix):
-    m = matrix.shape[0]
-    out = np.zeros(2 * m - 1, dtype=matrix.dtype)
-    for i in range(m):
-        for j in range(m):
-            out[i + j] += matrix[i, j]
-    return out
+class TestBarriers:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_putinar_derivatives_match_finite_differences(self, n):
+        # Chebyshev moments of 2n+2 weighted atoms on [-1, 1]: T_k(cos t) = cos kt.
+        rng = np.random.default_rng(300 + n)
+        angles = np.pi * rng.random(2 * n + 2)
+        masses = 0.5 + rng.random(2 * n + 2)
+        z = np.array([(masses * np.cos(k * angles)).sum() for k in range(2 * n + 1)])
+        table = maxent._chebyshev_table(n)
+        value, newton_system, inverses = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
+        grad, hessian = newton_system(z)
+        # Steps of 1e-4 of the smallest eigenvalue of M_T and L_T: truncation
+        # error about 1e-8 relative.
+        smallest = min(np.linalg.eigvalsh(np.linalg.inv(w))[0] for w in inverses(z))
+        h = 1e-4 * smallest
+        fd_grad = _finite_differences(lambda x: [value(x)], z, h)[0]
+        assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad))
+        fd_hess = _finite_differences(lambda x: newton_system(x)[0], z, h)
+        assert np.max(np.abs(fd_hess - hessian())) <= 1e-6 * np.max(np.abs(hessian()))
 
-
-def _loop_add_localizing(hess, hz):
-    """hess + G hz G' for g = 1 - x^2, one signed entry at a time."""
-    hess = hess.copy()
-    for a in range(hz.shape[0]):
-        for b in range(hz.shape[0]):
-            for k, sk in ((a, 1.0), (a + 2, -1.0)):
-                for l, sl in ((b, 1.0), (b + 2, -1.0)):
-                    hess[k, l] += sk * sl * hz[a, b]
-    return hess
-
-
-def _antidiag_0_1(m):
-    s = np.zeros((2 * m - 1, m * m), dtype=LD)
-    for i in range(m):
-        for j in range(m):
-            s[i + j, i * m + j] = 1
-    return s
-
-
-def _random_symmetric(rng, m, integer=False):
-    a = rng.integers(-9, 10, (m, m)) if integer else rng.standard_normal((m, m))
-    return (a + a.T).astype(LD)
-
-
-def _hankel_of_random_measure(rng, m):
-    """Moments y_0..y_{2m-2} of 2m arcsine-distributed atoms on [-1, 1]."""
-    atoms = np.cos(np.pi * rng.random(2 * m)).astype(LD)
-    weights = (0.5 + rng.random(2 * m)).astype(LD)
-    return np.array([(weights * atoms**k).sum() for k in range(2 * m - 1)])
-
-
-class TestKernels:
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_logdet_hessian_matches_loop(self, m):
-        rng = np.random.default_rng(100 + m)
-        w = _random_symmetric(rng, m, integer=True)  # exact: no rounding anywhere
-        assert np.array_equal(maxent._logdet_hessian(w), _loop_logdet_hessian(w))
-        w = _random_symmetric(rng, m)
-        # Both sum the same m^2 products per entry, in different orders.
-        bound = m * m * EPS_LD * _loop_logdet_hessian(np.abs(w))
-        assert np.all(np.abs(maxent._logdet_hessian(w) - _loop_logdet_hessian(w)) <= bound)
-
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_logdet_hessian_is_the_antidiagonal_kron_product(self, m):
-        rng = np.random.default_rng(200 + m)
-        w = _random_symmetric(rng, m)
-        s = _antidiag_0_1(m)
-        assert np.array_equal(maxent._logdet_hessian(w), s @ np.kron(w, w) @ s.T)
-        assert np.array_equal(maxent._antidiag_sums(w), s @ w.ravel())
-
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_logdet_hessian_matches_finite_differences(self, m):
-        rng = np.random.default_rng(300 + m)
-        y = _hankel_of_random_measure(rng, m)
-
-        def gradient(point):  # of -log det H(point)
-            return -maxent._antidiag_sums(maxent._ld_spd_inverse(maxent._hankel(point, m)))
-
-        hess = maxent._logdet_hessian(maxent._ld_spd_inverse(maxent._hankel(y, m)))
-        # Central differences with a step 1e-4 of the smallest eigenvalue of
-        # H(y): truncation error about 1e-8 relative at every m here.
-        h = LD(1e-4 * np.linalg.eigvalsh(maxent._hankel(y, m).astype(float))[0])
-        fd = np.empty_like(hess)
-        for l in range(2 * m - 1):
-            step = np.zeros(2 * m - 1, dtype=LD)
-            step[l] = h
-            fd[:, l] = (gradient(y + step) - gradient(y - step)) / (2 * h)
-        assert np.max(np.abs(fd - hess)) <= 1e-6 * np.max(np.abs(hess))
-
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_antidiag_sums_match_loop(self, m):
-        w = np.random.default_rng(400 + m).standard_normal((m, m)).astype(LD)
-        assert np.array_equal(maxent._antidiag_sums(w), _loop_antidiag_sums(w))
-
-    @pytest.mark.parametrize("n", range(1, 12))
-    def test_localizing_assembly_matches_loop(self, n):
-        rng = np.random.default_rng(500 + n)
-        hess = _random_symmetric(rng, 2 * n + 1, integer=True)
-        hz = _random_symmetric(rng, 2 * n - 1, integer=True)
-        g = maxent._localizing_shift(2 * n - 1)
-        assert np.array_equal(hess + g @ hz @ g.T, _loop_add_localizing(hess, hz))
-        y = rng.standard_normal(2 * n + 1).astype(LD)
-        assert np.array_equal(g.T @ y, maxent._localized(y))
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 21, 56])
-    def test_ld_solve_matches_lapack(self, m):
-        rng = np.random.default_rng(600 + m)
-        a = rng.standard_normal((m, m)) + m * np.eye(m)  # diagonally dominant
-        b = rng.standard_normal(m)
-        x = maxent._ld_solve(a, b).astype(float)
-        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-14)
-
-    def test_ld_solve_singular(self):
-        assert maxent._ld_solve(np.zeros((3, 3)), np.ones(3)) is None
-
-    @pytest.mark.parametrize("m", [1, 2, 4, 9, 13])
-    def test_spd_kernels_match_lapack(self, m):
-        rng = np.random.default_rng(700 + m)
-        a = rng.standard_normal((m, m))
-        spd = a @ a.T + m * np.eye(m)
-        chol = maxent._ld_cholesky(spd.astype(LD)).astype(float)
-        assert np.allclose(chol, np.linalg.cholesky(spd), rtol=1e-12, atol=1e-14)
-        inverse = maxent._ld_spd_inverse(spd.astype(LD)).astype(float)
-        assert np.allclose(inverse, np.linalg.inv(spd), rtol=1e-10, atol=1e-14)
-        assert maxent._ld_cholesky(-spd.astype(LD)) is None
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 3)])
+    def test_handelman_derivatives_match_finite_differences(self, d, n):
+        table = maxent._generator_table(d, n)
+        z = np.array([float(v) for v in table.bernstein_moments(
+            _uniform_simplex_moments(d, table.basis))])
+        value, newton_system = maxent._handelman_barrier(table.pairing, np.zeros(len(z)))
+        grad, hessian = newton_system(z)
+        h = 1e-4 * z.min()
+        fd_grad = _finite_differences(lambda x: [value(x)], z, h)[0]
+        assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad))
+        fd_hess = _finite_differences(lambda x: newton_system(x)[0], z, h)
+        assert np.max(np.abs(fd_hess - hessian())) <= 1e-6 * np.max(np.abs(hessian()))
 
 
 class TestIntegerExactSide:
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 4), (3, 3)])
     def test_generator_rows_are_integer_coefficients(self, d, n):
-        alphas, basis, rows = maxent._generator_table(d, n)
-        for alpha, row in zip(alphas, rows):
+        table = maxent._generator_table(d, n)
+        for alpha, row in zip(table.alphas, table.rows):
             g = simplex_generator_power(d, alpha)
             assert all(type(c) is int for c in row)
-            assert [Fraction(c) for c in row] == [g.coefficient(e) for e in basis]
+            assert [Fraction(c) for c in row] == [g.coefficient(e) for e in table.basis]
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 3)])
     def test_exact_sup_residual_matches_fractions(self, d, n):
         rng = random.Random(800 + d)
-        alphas, basis, rows = maxent._generator_table(d, n)
+        table = maxent._generator_table(d, n)
+        alphas, basis, rows = table.alphas, table.basis, table.rows
         weights = [rng.uniform(0.1, 50.0) for _ in rows]
         target = [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in basis]
         recon = [Fraction(0)] * len(basis)
@@ -622,11 +639,6 @@ class TestIntegerExactSide:
             UPoly.from_coeffs(target) if d == 1 else MPoly.make(d, dict(zip(basis, target)))
         )
         got = maxent._exact_residual(cert, target_poly)
-        assert isinstance(got, Fraction) and got == want
-        # The solver's path: the generator rows it already holds.
-        got = maxent._exact_residual(
-            cert, target_poly, [compress(zip(basis, row), row) for row in rows]
-        )
         assert isinstance(got, Fraction) and got == want
 
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 3), (3, 2)])
@@ -646,13 +658,37 @@ class TestIntegerExactSide:
         )
         target = MPoly.constant(d, 1) if d > 1 else const(1)
         cert = exact_handelman(target, n, DualFunctional(lam))  # rational: kept as is
-        alphas, _, rows = maxent._generator_table(d, n)
+        table = maxent._generator_table(d, n)
+        alphas, rows = table.alphas, table.rows
         want = {
             alpha: 1 / sum((l * c for l, c in zip(lam, row)), Fraction(0))
             for alpha, row in zip(alphas, rows)
         }
         assert cert.weights == want
         assert all(type(w) is Fraction for w in cert.weights.values())
+
+    def test_rounding_absorbs_the_residual(self):
+        n, flagship = 12, const(91)
+        table = maxent._generator_table(1, n)
+        # One ulp above each exact flagship weight: the double certificate
+        # misses the target.
+        weights = {
+            (i, j): math.nextafter(float((i + j + 1) * math.comb(i + j, i)), math.inf)
+            for i, j in table.alphas
+        }
+        cert = HandelmanCertificate(1, n, weights)
+        assert maxent._exact_residual(cert, flagship) > 0
+        rounded = maxent._round_handelman(cert, flagship, table)
+        assert maxent._exact_residual(rounded, flagship) == 0
+        assert all(type(w) is Fraction and w > 0 for w in rounded.weights.values())
+        moved = {a for a in table.alphas if rounded.weights[a] != weights[a]}
+        assert moved and moved <= set(table.tops)
+
+    def test_rounding_keeps_weights_positive(self):
+        # x is on the boundary of the cone: absorbing its residual would
+        # need a negative weight on (1 - x).
+        cert = HandelmanCertificate(1, 1, {(0, 0): 1e-3, (1, 0): 1e-3, (0, 1): 1e-3})
+        assert maxent._round_handelman(cert, UPoly.x(), maxent._generator_table(1, 1)) is None
 
     @staticmethod
     def fraction_putinar_coeffs(gram_a, gram_b, n):
