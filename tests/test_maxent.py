@@ -580,25 +580,6 @@ def _finite_differences(function, x, h):
 
 
 class TestBarriers:
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_putinar_derivatives_match_finite_differences(self, n):
-        # Chebyshev moments of 2n+2 weighted atoms on [-1, 1]: T_k(cos t) = cos kt.
-        rng = np.random.default_rng(300 + n)
-        angles = np.pi * rng.random(2 * n + 2)
-        masses = 0.5 + rng.random(2 * n + 2)
-        z = np.array([(masses * np.cos(k * angles)).sum() for k in range(2 * n + 1)])
-        table = maxent._chebyshev_table(n)
-        value, newton_system, inverses = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
-        grad, hessian = newton_system(z)
-        # Steps of 1e-4 of the smallest eigenvalue of M_T and L_T: truncation
-        # error about 1e-8 relative.
-        smallest = min(np.linalg.eigvalsh(np.linalg.inv(w))[0] for w in inverses(z))
-        h = 1e-4 * smallest
-        fd_grad = _finite_differences(lambda x: [value(x)], z, h)[0]
-        assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad))
-        fd_hess = _finite_differences(lambda x: newton_system(x)[0], z, h)
-        assert np.max(np.abs(fd_hess - hessian())) <= 1e-6 * np.max(np.abs(hessian()))
-
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 3)])
     def test_handelman_derivatives_match_finite_differences(self, d, n):
         table = maxent._generator_table(d, n)
@@ -611,6 +592,125 @@ class TestBarriers:
         assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad))
         fd_hess = _finite_differences(lambda x: newton_system(x)[0], z, h)
         assert np.max(np.abs(fd_hess - hessian())) <= 1e-6 * np.max(np.abs(hessian()))
+
+
+def _chebyshev_moments_of_atoms(rng, n):
+    """Chebyshev moments of 2n+2 weighted atoms on [-1, 1]: T_k(cos t) = cos kt."""
+    angles = np.pi * rng.random(2 * n + 2)
+    masses = 0.5 + rng.random(2 * n + 2)
+    return np.array([(masses * np.cos(k * angles)).sum() for k in range(2 * n + 1)])
+
+
+def _loop_cheb_derivatives(n):
+    """d M_T / d z_k and d L_T / d z_k, entry by entry, one matrix per k."""
+
+    def ds(j, k):  # of s_j = z_j/2 - (z_{j+2} + z_{|j-2|})/4
+        return (j == k) / 2 - ((j + 2 == k) + (abs(j - 2) == k)) / 4
+
+    size = 2 * n + 1
+    moment = [[[((i + j == k) + (abs(i - j) == k)) / 2 for j in range(n + 1)]
+               for i in range(n + 1)] for k in range(size)]
+    localizing = [[[(ds(i + j, k) + ds(abs(i - j), k)) / 2 for j in range(n)]
+                   for i in range(n)] for k in range(size)]
+    return np.array(moment, dtype=float), np.array(localizing, dtype=float)
+
+
+def _loop_logdet_gradient(grams, derivatives):
+    """-sum_ij W[i][j] E_k[i][j] over both log-dets, entry by entry."""
+    return np.array([
+        -sum(w[i, j] * e[k][i, j] for w, e in zip(grams, derivatives)
+             for i in range(len(w)) for j in range(len(w)))
+        for k in range(len(derivatives[0]))
+    ])
+
+
+def _loop_logdet_hessian(grams, derivatives):
+    """tr(W E_k W E_l) over both log-dets, one (k, l) at a time."""
+    size = len(derivatives[0])
+    return np.array([
+        [sum(np.trace(w @ e[k] @ w @ e[l]) for w, e in zip(grams, derivatives))
+         for l in range(size)]
+        for k in range(size)
+    ])
+
+
+class TestKernels:
+    """The Putinar barrier's Chebyshev maps and log-det derivatives."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_logdet_hessian_matches_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        z = _chebyshev_moments_of_atoms(rng, n)
+        table = maxent._chebyshev_table(n)
+        _, newton_system, inverses = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
+        grams = inverses(z)
+        derivatives = _loop_cheb_derivatives(n)
+        want = _loop_logdet_hessian(grams, derivatives)
+        # Both sum the same (n+1)^4 products per entry, in different orders.
+        bound = 4 * (n + 1) ** 2 * np.finfo(float).eps * _loop_logdet_hessian(
+            [np.abs(w) for w in grams], [np.abs(e) for e in derivatives])
+        assert np.all(np.abs(newton_system(z)[1]() - want) <= bound)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_logdet_hessian_is_the_antidiagonal_kron_product(self, n):
+        # The maps are A_M = [vec dM_T/dz_k]_k and A_L = [vec dL_T/dz_k]_k;
+        # the Hessian is A' (W kron W) A summed over both.
+        rng = np.random.default_rng(200 + n)
+        z = _chebyshev_moments_of_atoms(rng, n)
+        t = rng.standard_normal(2 * n + 1)
+        table = maxent._chebyshev_table(n)
+        _, newton_system, inverses = maxent._putinar_barrier(table, t)
+        maps = [e.reshape(2 * n + 1, -1).T for e in _loop_cheb_derivatives(n)]
+        for matrix, want in zip(table.maps, maps):
+            assert np.array_equal(matrix, want)
+        grams = inverses(z)
+        grad, hessian = newton_system(z)
+        want_grad = t - sum(a.T @ w.ravel() for a, w in zip(maps, grams))
+        want_hess = sum(a.T @ np.kron(w, w) @ a for a, w in zip(maps, grams))
+        assert np.allclose(grad, want_grad, rtol=0, atol=1e-14 * np.abs(want_grad).max())
+        assert np.allclose(hessian(), want_hess, rtol=0, atol=1e-14 * np.abs(want_hess).max())
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_logdet_hessian_matches_finite_differences(self, n):
+        rng = np.random.default_rng(300 + n)
+        z = _chebyshev_moments_of_atoms(rng, n)
+        table = maxent._chebyshev_table(n)
+        value, newton_system, inverses = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
+        grad, hessian = newton_system(z)
+        # Steps of 1e-4 of the smallest eigenvalue of M_T and L_T: truncation
+        # error about 1e-8 relative.
+        smallest = min(np.linalg.eigvalsh(np.linalg.inv(w))[0] for w in inverses(z))
+        h = 1e-4 * smallest
+        fd_grad = _finite_differences(lambda x: [value(x)], z, h)[0]
+        assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad))
+        fd_hess = _finite_differences(lambda x: newton_system(x)[0], z, h)
+        assert np.max(np.abs(fd_hess - hessian())) <= 1e-6 * np.max(np.abs(hessian()))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_antidiag_sums_match_loop(self, n):
+        # The gradient of -log det M_T - log det L_T: minus the pairings tr(W E_k).
+        rng = np.random.default_rng(400 + n)
+        z = _chebyshev_moments_of_atoms(rng, n)
+        table = maxent._chebyshev_table(n)
+        _, newton_system, inverses = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
+        grams = inverses(z)
+        derivatives = _loop_cheb_derivatives(n)
+        want = _loop_logdet_gradient(grams, derivatives)
+        bound = 2 * (n + 1) ** 2 * np.finfo(float).eps * -_loop_logdet_gradient(
+            [np.abs(w) for w in grams], [np.abs(e) for e in derivatives])
+        assert np.all(np.abs(newton_system(z)[0] - want) <= bound)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_localizing_assembly_matches_loop(self, n):
+        # Integer z: every entry is a small dyadic rational, so all exact.
+        rng = np.random.default_rng(500 + n)
+        z = rng.integers(-99, 99, 2 * n + 1).astype(float)
+        s = [z[k] / 2 - (z[k + 2] + z[abs(k - 2)]) / 4 for k in range(2 * n - 1)]
+        assert np.array_equal(maxent._cheb_localized(z), s)
+        want = [[(s[i + j] + s[abs(i - j)]) / 2 for j in range(n)] for i in range(n)]
+        localizing = maxent._cheb_hankel(maxent._cheb_localized(z), n)
+        assert np.array_equal(localizing, want)
+        assert np.array_equal(maxent._chebyshev_table(n).maps[1] @ z, localizing.ravel())
 
 
 class TestIntegerExactSide:
