@@ -24,11 +24,11 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .polycore import AnyPoly, Exponent
+from .polycore import AnyPoly, Exponent, simplex_generator_power
 
 _MC_SEED = 20260809  # fixed seed: the simplex oracles must be deterministic
 
@@ -95,6 +95,68 @@ def beta_integral(i: int, j: int) -> Fraction:
     if i < 0 or j < 0:
         raise ValueError("exponents must be nonnegative")
     return Fraction(math.factorial(i) * math.factorial(j), math.factorial(i + j + 1))
+
+
+def rising_factorial(a: Fraction, k: int) -> Fraction:
+    """The rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
+    value = Fraction(1)
+    for i in range(k):
+        value *= a + i
+    return value
+
+
+def _barycentric_subset(shift: AnyPoly, d: int) -> Optional[tuple[int, ...]]:
+    """The 0-based S with ``shift == prod_{i in S} x_i``, or None.
+
+    Coordinates are barycentric: x_1 .. x_d and x_{d+1} = 1 - sum x_i (index
+    d).  The lowest-degree part of such a product is the monomial x_{S - {d}}
+    with coefficient 1, which leaves two candidates to compare in full.
+    """
+    nums = shift.sparse_nums
+    if shift.den != 1 or not nums:
+        return None
+    low = min(map(sum, nums))
+    lowest = [e for e in nums if sum(e) == low]
+    if len(lowest) != 1 or nums[lowest[0]] != 1 or max(lowest[0]) > 1:
+        return None
+    e = lowest[0]
+    for last in (0, 1):
+        if nums == simplex_generator_power(d, e + (last,)).nums:
+            return tuple(i for i, v in enumerate(e) if v) + ((d,) if last else ())
+    return None
+
+
+def dirichlet_parameters(
+    measure: MeasureId, shift: Optional[AnyPoly] = None
+) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
+    """``(kappa, mass)`` with ``shift * measure = mass * Dirichlet(kappa)`` on T^d.
+
+    Dirichlet(kappa) is the probability measure with density proportional
+    to x_1^(kappa_1 - 1) ... x_{d+1}^(kappa_{d+1} - 1), x_{d+1} = 1 - sum x_i.
+    The uniform measure is kappa = (1, .., 1) with mass 1, the equilibrium
+    measure kappa = (1/2, 1/2, 1/2) with mass 1 or 2 by normalization.  A
+    shift equal to the product x_S of barycentric coordinates over a subset
+    S raises kappa by one on S and multiplies the mass by
+    prod_{i in S} kappa_i / (|kappa|)_|S|.  Any other measure or shift gives
+    None.
+    """
+    if measure.kind is _Kind.SIMPLEX_UNIFORM:
+        kappa, mass = (Fraction(1),) * (measure.d + 1), Fraction(1)
+    elif measure.kind is _Kind.SIMPLEX_EQUILIBRIUM:
+        kappa = (Fraction(1, 2),) * 3
+        mass = Fraction(1 if measure.normalization is SimplexNormalization.PROBABILITY else 2)
+    else:
+        return None
+    if shift is None:
+        return kappa, mass
+    if shift.dimension != measure.d:
+        return None
+    subset = _barycentric_subset(shift, measure.d)
+    if subset is None:
+        return None
+    mass *= math.prod(kappa[i] for i in subset) / rising_factorial(sum(kappa), len(subset))
+    kappa = tuple(k + 1 if i in subset else k for i, k in enumerate(kappa))
+    return kappa, mass
 
 
 def _arcsine_moment(k: int) -> Fraction:

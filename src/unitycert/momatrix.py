@@ -1,37 +1,55 @@
 """Moment and localizing matrices with exact rational inversion.
 
 Matrices are indexed by the graded lexicographic monomial basis of degree
-<= n.  A univariate matrix is Hankel in the moments ``mu_k = L(g x^k)`` of
-the (possibly shifted) measure, and is inverted from that sequence: the
+<= n, and every inverse is summed from an orthogonal basis as
+``M^{-1} = sum_k c_k c_k^T / h_k``, with ``c_k`` the monomial coefficients
+of the k-th orthogonal polynomial and ``h_k = L(g P_k^2)`` its norm, in
+integers over one denominator.
+
+A univariate matrix is Hankel in the moments ``mu_k = L(g x^k)`` of the
+(possibly shifted) measure, and is inverted from that sequence: the
 Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, 2004, section 2.1.7) gives the recurrence coefficients and
-the norms ``h_k = L(g p_k^2)`` of the monic orthogonal polynomials ``p_k``,
-the three-term recurrence builds the ``p_k``, and
-``M^{-1} = sum_k p_k p_k^T / h_k``.  Every step runs in integers over one
-denominator per row, and the leading principal minor of order ``k+1`` is
-``h_0 ... h_k``, which doubles as the positive definiteness check.
+the norms of the monic orthogonal polynomials ``p_k``, and the three-term
+recurrence builds the ``p_k``.  The leading principal minor of order
+``k+1`` is ``h_0 ... h_k``, which doubles as the positive definiteness
+check.
 
-Multivariate matrices are inverted by fraction-free Bareiss elimination on
+``christoffel_form`` builds the forms of the simplex measures without any
+matrix: the uniform and equilibrium measures, and their localizations by a
+product ``x_S`` of barycentric coordinates, are Dirichlet measures
+(``measures.dirichlet_parameters``), whose orthogonal basis is explicit
+(Dunkl and Xu, *Orthogonal Polynomials of Several Variables*, 2nd ed.,
+2014, section 5.3): products of univariate Beta orthogonal polynomials,
+which come from the same Chebyshev algorithm, with closed-form norms.
+
+Any other multivariate matrix -- a built ``MomentMatrix``, or a shift that
+is not some ``x_S`` -- is inverted by fraction-free Bareiss elimination on
 an integer-scaled copy (Bareiss, Math. Comp. 1968), then back-substitution
 to ``det * A^{-1}``, which is an integer matrix; every division is checked
 exact, and each entry is divided by ``det`` once at the end.  The Bareiss
-pivots are the leading principal minors.  The inverse assembled into a
-quadratic form gives the reciprocal Christoffel function as an explicit
-polynomial.  With ``logging`` at DEBUG, each inversion logs one record with
-its dimension and method: for Bareiss the bit lengths of ``det`` and of the
-largest entry of ``det * A^{-1}``, for the recurrence those of the common
-denominator ``L`` and of the largest entry of ``L * M^{-1}``.
+pivots are the leading principal minors; the tests use this path as the
+oracle for the other two.  The inverse assembled into a quadratic form
+gives the reciprocal Christoffel function as an explicit polynomial.
 
-Bareiss time grows with its intermediates, roughly cubically in the matrix
-dimension times their bit length, and ``det`` carries the scale factor once
-per row: arcsine n=48 logs ``det_bits=2303 entry_bits_max=2419``.  The
-recurrence makes about ``n^3 / 6`` integer products; at arcsine n=48 and
-96, arcsine-g n=20 and lebesgue01 n=24 its denominator is 1 and its widest
-integer is the widest inverse entry (117 bits at arcsine n=48).
+With ``logging`` at DEBUG, each inversion logs one record with its
+dimension and method: for Bareiss the bit lengths of ``det`` and of the
+largest entry of ``det * A^{-1}``, for ``recurrence`` and ``dirichlet``
+those of the common denominator ``L`` and of the largest entry of
+``L * M^{-1}``.  Bareiss time grows with its intermediates, roughly
+cubically in the matrix dimension times their bit length: arcsine n=48
+logs ``det_bits=2303 entry_bits_max=2419``.  The orthogonal-basis sums make
+about ``m^3 / 6`` integer products for a matrix of dimension m or fewer;
+at arcsine n=48 and 96, arcsine-g n=20 and lebesgue01 n=24 their
+denominator is 1 and their widest integer is the widest inverse entry (117
+bits at arcsine n=48).  Simplex-uniform d=2 n=8 logs ``den_bits=1
+num_bits_max=48`` on the Dirichlet path and ``det_bits=395
+entry_bits_max=442`` through Bareiss.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -39,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .measures import MeasureId, functional_for
+from .measures import MeasureId, dirichlet_parameters, functional_for, rising_factorial
 from .polycore import AnyPoly, Exponent, monomials_upto, poly_eval, poly_from_sparse_nums
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
@@ -111,17 +129,22 @@ def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -
         ]
         entries = tuple(tuple(moments[i : i + n + 1]) for i in range(n + 1))
         return MomentMatrix(measure=measure, degree=n, basis=basis, entries=entries, shift=shift)
+    # One moment sum per distinct exponent a+b, shared by every entry that has it.
+    add = operator.add
+    values: dict[Exponent, Fraction] = {}
     size = len(basis)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
+    rows: list[list] = [[None] * size for _ in range(size)]
+    for i, a in enumerate(basis):
+        row = rows[i]
         for j in range(i, size):
-            total = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            value = sum(
-                (c * functional.moment(tuple(t + g for t, g in zip(total, gamma))) for gamma, c in terms),
-                Fraction(0),
-            )
-            rows[i][j] = value
-            rows[j][i] = value
+            total = tuple(map(add, a, basis[j]))
+            value = values.get(total)
+            if value is None:
+                value = values[total] = sum(
+                    (c * functional.moment(tuple(map(add, total, gamma))) for gamma, c in terms),
+                    Fraction(0),
+                )
+            row[j] = rows[j][i] = value
     entries = tuple(tuple(row) for row in rows)
     return MomentMatrix(measure=measure, degree=n, basis=basis, entries=entries, shift=shift)
 
@@ -262,6 +285,17 @@ def _hankel_inverse_nums(moments: Sequence[Fraction]) -> tuple[list[list[int]], 
     """
     if len(moments) % 2 == 0:
         raise ValueError("a Hankel matrix needs an odd number of moments")
+    polys, norms = _chebyshev_algorithm(moments)
+    return _inverse_nums(polys, norms, len(polys), "recurrence")
+
+
+def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[int], int]], list[Fraction]]:
+    """Monic orthogonal ``p_0 .. p_n`` and norms ``h_k`` from ``mu_0 .. mu_2n``.
+
+    Each ``p_k`` is ``(nums, den)``: integer numerators of 1, x, .., x^k over
+    one denominator.  ``NotPositiveDefiniteError`` names the first leading
+    principal minor ``h_0 ... h_k`` that is not positive.
+    """
     n = len(moments) // 2
     mu_den = math.lcm(*(mu.denominator for mu in moments))
     # sigma_k (s over s_den) and sigma_{k-1}, starting from sigma_{-1} = 0;
@@ -290,26 +324,126 @@ def _hankel_inverse_nums(moments: Sequence[Fraction]) -> tuple[list[list[int]], 
             s[2:], s[1:], s_den, alpha, s_prev[2:], s_prev_den, beta)
         p_prev, p_prev_den, (p, p_den) = p, p_den, _three_term(
             [0] + p, p + [0], p_den, alpha, p_prev + [0, 0], p_prev_den, beta)
-    # p_k = nums / e, so nums nums^T enters with weight 1 / (h_k * e^2).
+    return polys, norms
+
+
+def _inverse_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Fraction], m: int,
+                  method: str) -> tuple[list[list[int]], int]:
+    """``(Y, L)`` with ``Y / L = sum_k c_k c_k^T / h_k``, upper triangle only.
+
+    ``c_k`` is ``polys[k] = (nums, e)``, integer numerators over ``e`` of the
+    first ``len(nums)`` of the ``m`` basis monomials, and ``h_k`` is
+    ``norms[k]``; ``L`` is the lcm of the weights ``1 / (h_k e^2)``.  Logs one
+    DEBUG record naming ``method``.
+    """
+    # c_k = nums / e, so nums nums^T enters with weight 1 / (h_k * e^2).
     weights = [1 / (h * (e * e)) for h, (_, e) in zip(norms, polys)]
     den = math.lcm(*(w.denominator for w in weights))
-    m = n + 1
     y = [[0] * (m - i) for i in range(m)]  # y[i][j - i] for j >= i
-    for k, ((nums, _), w) in enumerate(zip(polys, weights)):
+    for (nums, _), w in zip(polys, weights):
         c = w.numerator * (den // w.denominator)
-        for i in range(k + 1):
+        top = len(nums)
+        for i in range(top):
             ci = c * nums[i]
             if ci:
                 row = y[i]
-                row[: k + 1 - i] = [a + ci * b for a, b in zip(row, nums[i:])]
+                row[: top - i] = [a + ci * b for a, b in zip(row, nums[i:])]
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "inverted dim=%d method=recurrence den_bits=%d num_bits_max=%d",
+            "inverted dim=%d method=%s den_bits=%d num_bits_max=%d",
             m,
+            method,
             den.bit_length(),
             max(value.bit_length() for row in y for value in row),
         )
     return y, den
+
+
+@functools.lru_cache(maxsize=128)
+def _beta_recurrence(a: Fraction, b: Fraction, n: int) -> tuple[list[tuple[list[int], int]], list[Fraction]]:
+    """``_chebyshev_algorithm`` of the Beta(a, b) probability measure on [0, 1].
+
+    Its moments are ``(a)_k / (a+b)_k``.  The tables are shared between
+    calls and must not be mutated.
+    """
+    moments = [Fraction(1)]
+    for k in range(2 * n):
+        moments.append(moments[-1] * (a + k) / (a + b + k))
+    return _chebyshev_algorithm(moments)
+
+
+def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exponent, int], int, int, Fraction]]:
+    """A mutually orthogonal basis of degree <= n for Dirichlet(kappa) on T^d.
+
+    d = len(kappa) - 1.  Each entry is ``(nums, den, degree, norm)``: integer
+    numerators over ``den`` keyed by exponents of length d, and the norm
+    ``E[P^2]`` under the probability measure.  With x = (x_1, x') and
+    ``Q_beta`` this basis for ``kappa' = kappa[1:]`` on T^(d-1), of degree m,
+
+        P_{j,beta}(x) = p_j(x_1) (1 - x_1)^m Q_beta(x' / (1 - x_1)),
+
+    where ``p_j`` is monic orthogonal for Beta(kappa_1, |kappa'| + 2m), with
+    norm ``g_j (|kappa'|)_2m / (|kappa|)_2m h_beta`` (Dunkl and Xu,
+    *Orthogonal Polynomials of Several Variables*, 2nd ed., 2014, section
+    5.3): x_1 is Beta(kappa_1, |kappa'|) and x' / (1 - x_1) is an
+    independent Dirichlet(kappa').
+    """
+    if len(kappa) == 1:
+        return [({(): 1}, 1, 0, Fraction(1))]
+    a, rest = kappa[0], kappa[1:]
+    b = sum(rest)
+    out = []
+    by_degree: dict[int, tuple] = {}
+    for q, q_den, m, q_norm in _dirichlet_basis(rest, n):
+        if m not in by_degree:
+            polys, norms = _beta_recurrence(a, b + 2 * m, n - m)
+            ratio = rising_factorial(b, 2 * m) / rising_factorial(a + b, 2 * m)
+            # shifted[j][s]: numerators of p_j(t) (1 - t)^s over p_j's denominator.
+            shifted = []
+            for nums, _ in polys:
+                row = [nums]
+                for _ in range(m):
+                    row.append([c - prev for c, prev in zip(row[-1] + [0], [0] + row[-1])])
+                shifted.append(row)
+            by_degree[m] = polys, [g * ratio for g in norms], shifted
+        polys, norms, shifted = by_degree[m]
+        terms = [(gamma, c, m - sum(gamma)) for gamma, c in q.items()]
+        for j, ((_, p_den), norm) in enumerate(zip(polys, norms)):
+            products = shifted[j]
+            nums = {}
+            for gamma, c, s in terms:
+                for i, v in enumerate(products[s]):
+                    if v:
+                        nums[(i,) + gamma] = c * v
+            den = q_den * p_den
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: v // g for e, v in nums.items()}
+                den //= g
+            out.append((nums, den, j + m, norm * q_norm))
+    return out
+
+
+def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
+                    kappa: tuple[Fraction, ...], mass: Fraction) -> ChristoffelForm:
+    """The Christoffel form of ``mass * Dirichlet(kappa)`` from ``_dirichlet_basis``."""
+    basis = monomials_upto(measure.dimension, n)
+    index = {e: i for i, e in enumerate(basis)}
+    polys, norms = [], []
+    for nums, den, _, norm in _dirichlet_basis(kappa, n):
+        dense = [0] * (max(index[e] for e in nums) + 1)
+        for e, c in nums.items():
+            dense[index[e]] = c
+        polys.append((dense, den))
+        norms.append(norm * mass)
+    y, den = _inverse_nums(polys, norms, len(basis), "dirichlet")
+    return ChristoffelForm(
+        measure=measure,
+        degree=n,
+        inverse=_fractions_of_upper(y, den),
+        quadratic_form_poly=_form_poly(basis, y, den, measure.dimension),
+        shift=shift,
+    )
 
 
 def _fractions_of_upper(y: list[list[int]], den: int) -> RationalMatrix:
@@ -336,36 +470,46 @@ def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
 def _quadratic_form_poly(basis: tuple[Exponent, ...], inverse: RationalMatrix, dim: int) -> AnyPoly:
     """v(x)^T inverse v(x) for the monomial vector v over ``basis``.
 
-    Sums the numerators by exponent in integers over the lcm of the entry
-    denominators; the symmetric inverse contributes each off-diagonal pair
-    once, doubled.
+    Takes the upper triangle's numerators over the lcm of the entry
+    denominators and sums them with ``_form_poly``.
     """
     den = math.lcm(*(value.denominator for row in inverse for value in row))
-    add = operator.add
-    nums: dict[Exponent, int] = {}
-    get = nums.get
-    for i, a in enumerate(basis):
-        row = inverse[i]
-        for j in range(i, len(basis)):
-            value = row[j]
-            c = value.numerator * (den // value.denominator)
-            e = tuple(map(add, a, basis[j]))
-            nums[e] = get(e, 0) + (c if i == j else 2 * c)
-    return poly_from_sparse_nums(dim, nums, den)
+    y = [[value.numerator * (den // value.denominator) for value in row[i:]]
+         for i, row in enumerate(inverse)]
+    return _form_poly(basis, y, den, dim)
 
 
-def _hankel_form_poly(y: list[list[int]], den: int) -> AnyPoly:
-    """sum_ij (Y_ij / den) x^(i+j) for the upper triangle ``y[i][j - i]``.
+def _form_poly(basis: tuple[Exponent, ...], y: list[list[int]], den: int, dim: int) -> AnyPoly:
+    """sum_ij (Y_ij / den) x^(a_i + a_j) for the upper triangle ``y[i][j - i]``.
 
-    The same polynomial as ``_quadratic_form_poly`` over the monomial basis
-    1, x, .., x^n, summed from the integers without rereading any fraction.
+    Sums the numerators by exponent in integers; each off-diagonal pair
+    enters once, doubled.  Exponents are packed into integers in a base
+    above every exponent of a sum, so that ``a_i + a_j`` is one integer
+    addition.
     """
-    nums = [0] * (2 * len(y) - 1)
-    for i, row in enumerate(y):
-        nums[2 * i] += row[0]
-        for k, value in enumerate(row[1:], 2 * i + 1):
-            nums[k] += 2 * value
-    return poly_from_sparse_nums(1, {(k,): c for k, c in enumerate(nums)}, den)
+    base = 2 * max(map(max, basis)) + 1
+    codes = []
+    for a in basis:
+        code = 0
+        for e in reversed(a):
+            code = code * base + e
+        codes.append(code)
+    sums: dict[int, int] = {}
+    get = sums.get
+    for i, (ci, row) in enumerate(zip(codes, y)):
+        k = ci + ci
+        sums[k] = get(k, 0) + row[0]
+        for cj, value in zip(codes[i + 1 :], row[1:]):
+            k = ci + cj
+            sums[k] = get(k, 0) + 2 * value
+    nums: dict[Exponent, int] = {}
+    for code, value in sums.items():
+        e = []
+        for _ in range(dim):
+            code, r = divmod(code, base)
+            e.append(r)
+        nums[tuple(e)] = value
+    return poly_from_sparse_nums(dim, nums, den)
 
 
 def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
@@ -373,7 +517,7 @@ def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
     if matrix.measure.dimension == 1:
         y, den = _hankel_inverse_nums(_hankel_moments(matrix.entries))
         inverse = _fractions_of_upper(y, den)
-        poly = _hankel_form_poly(y, den)
+        poly = _form_poly(matrix.basis, y, den, 1)
     else:
         inverse = invert_symmetric_rational(matrix.entries)
         poly = _quadratic_form_poly(matrix.basis, inverse, matrix.measure.dimension)
@@ -387,7 +531,18 @@ def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
 
 
 def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> ChristoffelForm:
-    return christoffel_form_of_matrix(moment_matrix(measure, n, shift))
+    """Reciprocal Christoffel function of degree n of ``shift * measure``.
+
+    A multivariate Dirichlet measure (``measures.dirichlet_parameters``) is
+    summed from its orthogonal basis; every other input is filled by
+    ``moment_matrix`` and inverted by ``christoffel_form_of_matrix``.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    parameters = dirichlet_parameters(measure, shift) if measure.dimension > 1 else None
+    if parameters is None:
+        return christoffel_form_of_matrix(moment_matrix(measure, n, shift))
+    return _dirichlet_form(measure, n, shift, *parameters)
 
 
 def christoffel_eval(form: ChristoffelForm, point: Sequence) -> Fraction:

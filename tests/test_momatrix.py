@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -12,12 +13,14 @@ from unitycert.measures import (
     ARCSINE_G,
     LEBESGUE01,
     SimplexNormalization,
+    dirichlet_parameters,
     functional_for,
     simplex_equilibrium,
     simplex_uniform,
 )
 from unitycert.momatrix import (
     NotPositiveDefiniteError,
+    _dirichlet_basis,
     _quadratic_form_poly,
     christoffel_eval,
     christoffel_form,
@@ -29,7 +32,14 @@ from unitycert.momatrix import (
     moment_matrix,
     rational_matrix_from_json,
 )
-from unitycert.polycore import ChebKind, MPoly, UPoly, cheb_orthonormal_square
+from unitycert.polycore import (
+    ChebKind,
+    MPoly,
+    UPoly,
+    cheb_orthonormal_square,
+    monomials_upto,
+    simplex_generator_power,
+)
 
 G = UPoly.from_coeffs([1, 0, -1])  # 1 - x^2
 
@@ -74,6 +84,24 @@ class TestMomentMatrix:
     def test_shift_dimension_mismatch(self):
         with pytest.raises(ValueError):
             moment_matrix(simplex_uniform(2), 1, shift=G)
+
+    @pytest.mark.parametrize(
+        "measure, n, shift",
+        [
+            (simplex_uniform(3), 3, None),
+            (simplex_equilibrium(), 3, MPoly.make(2, {(1, 0): 1, (2, 0): -1, (1, 1): -1})),
+            (simplex_uniform(2), 3, MPoly.make(2, {(0, 0): 1, (1, 0): 1})),
+        ],
+    )
+    def test_multivariate_entries(self, measure, n, shift):
+        # Entry (a, b) is L(g x^(a+b)), integrated here one entry at a time.
+        f = functional_for(measure)
+        g = shift if shift is not None else MPoly.constant(measure.dimension, 1)
+        m = moment_matrix(measure, n, shift)
+        for i, a in enumerate(m.basis):
+            for j, b in enumerate(m.basis):
+                e = tuple(x + y for x, y in zip(a, b))
+                assert m.entry(i, j) == f.poly_moment(g * MPoly.make(measure.dimension, {e: 1}))
 
 
 class TestInvertExact:
@@ -457,9 +485,147 @@ class TestInversionLog:
     @pytest.mark.parametrize("measure", [simplex_uniform(2), simplex_equilibrium()],
                              ids=lambda m: m.label())
     def test_simplex_logs_bareiss(self, caplog, measure):
-        messages = self.records(caplog, lambda: christoffel_form(measure, 2))
+        # A built multivariate matrix still goes through Bareiss.
+        messages = self.records(
+            caplog, lambda: christoffel_form_of_matrix(moment_matrix(measure, 2)))
         assert len(messages) == 1
         assert messages[0].startswith("inverted dim=6 method=bareiss det_bits=")
+
+    def test_simplex_logs_dirichlet(self, caplog):
+        # M^{-1} = [[9, -12, -12], [-12, 24, 12], [-12, 12, 24]]: L = 1.
+        messages = self.records(caplog, lambda: christoffel_form(simplex_uniform(2), 1))
+        assert messages == ["inverted dim=3 method=dirichlet den_bits=1 num_bits_max=5"]
+
+    def test_localized_simplex_logs_dirichlet(self, caplog):
+        xy = MPoly.make(2, {(1, 1): 1})
+        messages = self.records(caplog, lambda: christoffel_form(simplex_equilibrium(), 2, xy))
+        assert len(messages) == 1
+        assert messages[0].startswith("inverted dim=6 method=dirichlet den_bits=")
+
+
+EQUILIBRIA = [simplex_equilibrium(norm) for norm in SimplexNormalization]
+
+
+def barycentric_products(d):
+    """(S, x_S) for every nonempty S of {0..d}; index d is x_{d+1} = 1 - sum x."""
+    for r in range(1, d + 2):
+        for subset in itertools.combinations(range(d + 1), r):
+            yield subset, simplex_generator_power(d, [int(i in subset) for i in range(d + 1)])
+
+
+def case_id(value):
+    return value.label() if hasattr(value, "label") else str(value)
+
+
+def assert_matches_bareiss(measure, n, shift=None):
+    form = christoffel_form(measure, n, shift)
+    want = christoffel_form_of_matrix(moment_matrix(measure, n, shift))
+    assert form.inverse == want.inverse
+    assert form.quadratic_form_poly == want.quadratic_form_poly
+    assert (form.measure, form.degree, form.shift) == (measure, n, shift)
+
+
+class TestDirichletForm:
+    """Simplex forms from the orthogonal basis, against fill + Bareiss as the oracle."""
+
+    @pytest.mark.parametrize(
+        "measure, max_n",
+        [(simplex_uniform(2), 6), (simplex_uniform(3), 4), (simplex_uniform(4), 3)]
+        + [(m, 5) for m in EQUILIBRIA],
+        ids=case_id,
+    )
+    def test_matches_bareiss(self, measure, max_n):
+        for n in range(max_n + 1):
+            assert_matches_bareiss(measure, n)
+
+    @pytest.mark.parametrize(
+        "measure, n",
+        [(simplex_uniform(2), 3), (simplex_uniform(3), 2)] + [(m, 3) for m in EQUILIBRIA],
+        ids=case_id,
+    )
+    def test_every_barycentric_shift(self, measure, n):
+        for subset, shift in barycentric_products(measure.d):
+            kappa, _ = dirichlet_parameters(measure, shift)
+            base, _ = dirichlet_parameters(measure)
+            assert [k - b for k, b in zip(kappa, base)] == [int(i in subset) for i in range(len(base))]
+            assert_matches_bareiss(measure, n, shift)
+
+    def test_parameters(self):
+        half = Fraction(1, 2)
+        assert dirichlet_parameters(simplex_uniform(3)) == ((1, 1, 1, 1), 1)
+        assert dirichlet_parameters(simplex_equilibrium()) == ((half, half, half), 2)
+        prob = simplex_equilibrium(SimplexNormalization.PROBABILITY)
+        assert dirichlet_parameters(prob) == ((half, half, half), 1)
+        for measure in (ARCSINE, ARCSINE_G, LEBESGUE01):
+            assert dirichlet_parameters(measure) is None
+        # The mass of x_S times the measure is its integral.
+        for measure in [simplex_uniform(2), simplex_uniform(3)] + EQUILIBRIA:
+            for _, shift in barycentric_products(measure.d):
+                _, mass = dirichlet_parameters(measure, shift)
+                assert mass == functional_for(measure).poly_moment(shift)
+
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            MPoly.make(2, {(0, 0): 1, (1, 0): 1}),  # 1 + x_1
+            MPoly.make(2, {(1, 1): 2}),  # 2 x y
+            MPoly.make(2, {(2, 0): 1}),  # x^2
+            MPoly.make(2, {(0, 0): 1, (1, 1): 1}),  # 1 + x y
+            MPoly.make(2, {(1, 0): 1, (1, 1): -1}),  # x (1 - y)
+        ],
+        ids=["1+x", "2xy", "x^2", "1+xy", "x(1-y)"],
+    )
+    def test_other_shift_falls_back(self, caplog, shift):
+        for measure in [simplex_uniform(2), simplex_equilibrium()]:
+            assert dirichlet_parameters(measure, shift) is None
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+                christoffel_form(measure, 2, shift)
+            methods = [r.getMessage().split()[2] for r in caplog.records
+                       if r.name == "unitycert.momatrix"]
+            assert methods == ["method=bareiss"]
+            assert_matches_bareiss(measure, 2, shift)
+
+    @pytest.mark.parametrize(
+        "measure, shift",
+        [
+            (simplex_equilibrium(SimplexNormalization.PROBABILITY), None),
+            (simplex_equilibrium(SimplexNormalization.PROBABILITY), MPoly.make(2, {(1, 0): 1, (2, 0): -1, (1, 1): -1})),
+            (simplex_uniform(3), MPoly.make(3, {(0, 1, 1): 1})),
+        ],
+        ids=["kappa=(1/2,1/2,1/2)", "kappa=(3/2,1/2,3/2)", "kappa=(1,2,2,1)"],
+    )
+    def test_basis_orthogonal(self, measure, shift):
+        kappa, mass = dirichlet_parameters(measure, shift)
+        g = shift if shift is not None else MPoly.constant(measure.d, 1)
+        f = functional_for(measure)
+        n = 3
+        basis = _dirichlet_basis(kappa, n)
+        assert len(basis) == len(monomials_upto(measure.d, n))
+        polys = [MPoly.make(measure.d, {e: Fraction(c, den) for e, c in nums.items()})
+                 for nums, den, _, _ in basis]
+        for (_, _, degree, _), p in zip(basis, polys):
+            assert p.degree == degree
+        for (i, p), (j, q) in itertools.combinations_with_replacement(enumerate(polys), 2):
+            want = mass * basis[i][3] if i == j else 0
+            assert f.poly_moment(g * p * q) == want
+
+    def test_errors(self):
+        for measure in [simplex_uniform(2)] + EQUILIBRIA:
+            with pytest.raises(ValueError):
+                christoffel_form(measure, -1)
+            with pytest.raises(ValueError):
+                christoffel_form(measure, -1, MPoly.make(2, {(1, 1): 1}))
+            with pytest.raises(ValueError):
+                christoffel_form(measure, 2, shift=G)
+            with pytest.raises(ValueError):
+                christoffel_form(measure, 2, shift=MPoly.make(3, {(1, 1, 0): 1}))
+
+    def test_uniform_degree_14(self):
+        form = christoffel_form(simplex_uniform(2), 14)
+        assert form.quadratic_form_poly.degree == 28
+        # The integral of the form is the dimension of the space, C(16, 2).
+        assert functional_for(simplex_uniform(2)).poly_moment(form.quadratic_form_poly) == 120
 
 
 class TestJson:
