@@ -236,7 +236,7 @@ def _run_maxent(args) -> tuple[dict, int]:
         "certificate": maxent.certificate_to_json(cert),
         "dual": [float(v) for v in dual.values],
         "report": report.to_json(),
-        "residual": maxent.verify_certificate(cert, target),
+        "residual": report.residual,
     }
     if args.exact:
         if mode == "putinar":

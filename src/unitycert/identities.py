@@ -22,13 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import measures
-from .measures import (
-    SimplexNormalization,
-    beta_integral,
-    functional_for,
-    simplex_equilibrium,
-    simplex_uniform,
-)
+from .measures import SimplexNormalization, simplex_equilibrium
 from .momatrix import christoffel_form
 from .polycore import (
     AnyPoly,
@@ -39,6 +33,7 @@ from .polycore import (
     cheb_orthonormal_squares,
     cheb_table,
     monomials_upto,
+    multinomial,
     powers,
     simplex_generator_power,
 )
@@ -132,10 +127,12 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
     """The ``(label, weight, generator)`` members of a partition of unity.
 
     Each weight is 1/phi(generator), so the weighted generators sum to the
-    member count:
+    member count.  On the d-simplex, phi(g^alpha) for the uniform probability
+    measure is the Dirichlet(1, ..., 1) moment d! prod alpha_i! / (d+|alpha|)!,
+    so the weight is the multinomial (d+|alpha|)! / (d! prod alpha_i!):
 
     * ``interval01``: x^i (1-x)^j over i+j <= n in ``monomials_upto(2, n)``
-      order; phi is Lebesgue measure on [0,1], giving Beta integrals.
+      order; phi is Lebesgue measure on [0,1], the 1-simplex.
     * ``interval11``: the squared orthonormal Chebyshev polynomials of the
       first kind, j <= n, then 1-x^2 times those of the second kind, j < n;
       phi is the arcsine measure, against which each integrates to 1.
@@ -148,7 +145,8 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
         x_powers = powers(UPoly.x(), n)
         one_minus_x_powers = powers(UPoly.from_coeffs([1, -1]), n)
         return [
-            ({"i": i, "j": j}, 1 / beta_integral(i, j), x_powers[i] * one_minus_x_powers[j])
+            ({"i": i, "j": j}, Fraction(multinomial((1, i, j))),
+             x_powers[i] * one_minus_x_powers[j])
             for i, j in monomials_upto(2, n)
         ]
     if domain == "interval11":
@@ -160,9 +158,8 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
     if domain == "simplex":
         if d < 1:
             raise ValueError("d must be >= 1")
-        functional = functional_for(simplex_uniform(d))
-        gens = [(a, simplex_generator_power(d, a)) for a in monomials_upto(d + 1, n)]
-        return [({"alpha": list(a)}, 1 / functional.poly_moment(g), g) for a, g in gens]
+        return [({"alpha": list(a)}, Fraction(multinomial((d, *a))), simplex_generator_power(d, a))
+                for a in monomials_upto(d + 1, n)]
     raise ValueError(f"unknown domain {domain!r}")
 
 

@@ -40,15 +40,16 @@ Peyrl & Parrilo (TCS 409, 2008), ``_round_handelman``, moves the exact
 residual into the top-degree weights; if all stay positive, the certificate
 ships with rational weights and zero residual.
 
-The exact checks run in integers over one common denominator: one integer
-reconstruction per family and one exact residual, ``_exact_residual``.  A
-solve converges when that residual of the *returned* certificate is within
-the tolerance.  Non-convergence is a diagnostic, not a proof: a target on the
-cone boundary (or outside) makes the dual unbounded.  The flagship optima
-have rational duals, so a continued-fraction rationalization step turns
-numeric convergence into an exactly verified certificate.  With ``logging``
-at DEBUG, each solve logs its family, degree, iteration count, stop reason
-and residual.
+Every certificate is checked one way: one integer reconstruction per family
+over one common denominator and one residual, ``_exact_residual``, which
+``verify_certificate`` rounds to a double.  A solve converges when that
+residual of the *returned* certificate is within the tolerance.
+Non-convergence is a diagnostic, not a proof: a target on the cone boundary
+(or outside) makes the dual unbounded.  The flagship optima have rational
+duals, so a continued-fraction rationalization step and the exact Hankel
+inverses of ``momatrix.invert_hankel`` turn numeric convergence into an
+exactly verified certificate.  With ``logging`` at DEBUG, each solve logs its
+family, degree, iteration count, stop reason and residual.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .momatrix import NotPositiveDefiniteError, RationalMatrix, invert_symmetric_rational
+from .momatrix import NotPositiveDefiniteError, invert_hankel
 from .polycore import (
     AnyPoly,
     ChebKind,
@@ -73,6 +74,7 @@ from .polycore import (
     cheb_table,
     monomials_of_degree,
     monomials_upto,
+    multinomial,
     simplex_generator_power,
 )
 
@@ -277,10 +279,6 @@ def _exact_matvec(matrix: np.ndarray, values: Sequence[Number]) -> list[Fraction
     return [Fraction(v, den) for v in matrix @ np.array(nums, dtype=object)]
 
 
-def _multinom(parts: Sequence[int]) -> int:
-    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
-
-
 class _GeneratorTable:
     """The generator powers of degree <= n on the d-simplex, and their Bernstein forms.
 
@@ -306,7 +304,7 @@ class _GeneratorTable:
         self.position = {alpha: i for i, alpha in enumerate(self.alphas)}
         top_start = len(self.alphas) - len(self.basis)
         self.tops = self.alphas[top_start:]
-        self.multinom = [_multinom(gamma) for gamma in self.tops]
+        self.multinom = [multinomial(gamma) for gamma in self.tops]
         homog = [[0] * len(self.basis) for _ in self.basis]
         self.pairing = np.zeros((len(self.alphas), len(self.basis)))
         for i, alpha in enumerate(self.alphas):
@@ -314,7 +312,7 @@ class _GeneratorTable:
             # above alpha once.
             for delta in monomials_of_degree(d + 1, n - sum(alpha)):
                 g = self.position[tuple(map(operator.add, alpha, delta))] - top_start
-                coefficient = _multinom(delta)
+                coefficient = multinomial(delta)
                 self.pairing[i, g] = coefficient / self.multinom[g]
                 if alpha[d] == 0:
                     homog[index[alpha[:d]]][g] = coefficient
@@ -371,20 +369,36 @@ def _round_handelman(
     return HandelmanCertificate(cert.dimension, cert.degree, weights, cert.target)
 
 
+def _newest(compute: Callable) -> Callable:
+    """``compute`` kept for its newest argument, keyed by object identity: the
+    driver forms the Newton system at the accepted candidate object itself."""
+    key, result = None, None
+
+    def cached(x):
+        nonlocal key, result
+        if x is not key:
+            key, result = x, compute(x)
+        return result
+
+    return cached
+
+
 def _handelman_barrier(pairing: np.ndarray, c: np.ndarray):
-    """``(value, newton_system)`` of <c, z> - sum log(pairing @ z) over the Bernstein moments z."""
+    """``(value, newton_system, pairings)`` of <c, z> - sum log(pairing @ z) over the
+    Bernstein moments z; ``pairings(z)`` is ``pairing @ z``."""
+    pairings = _newest(lambda z: pairing @ z)
 
     def value(z):
-        pair = pairing @ z
+        pair = pairings(z)
         if not np.all(pair > 0):
             return None
         return c @ z - np.log(pair).sum()
 
     def newton_system(z):
-        weights = 1.0 / (pairing @ z)
+        weights = 1.0 / pairings(z)
         return c - pairing.T @ weights, lambda: pairing.T @ (pairing * (weights**2)[:, None])
 
-    return value, newton_system
+    return value, newton_system, pairings
 
 
 def _solve_handelman_family(
@@ -402,14 +416,13 @@ def _solve_handelman_family(
         # Dirichlet(2, 2) on [0,1] (the density 6x(1-x)) and Dirichlet(2, 1,
         # ..., 1) on the simplex: strictly feasible, away from the flagship optima.
         initial = _dirichlet_moments((2, 2) if d == 1 else (2,) + (1,) * d, table.basis)
-    pairing = table.pairing
-    value, newton_system = _handelman_barrier(
-        pairing, _doubles_of(table.bernstein_coefficients, target_poly, _TARGET_RANGE)
+    value, newton_system, pairings = _handelman_barrier(
+        table.pairing, _doubles_of(table.bernstein_coefficients, target_poly, _TARGET_RANGE)
     )
     z0 = _doubles_of(table.bernstein_moments, initial, _START_FORM)
     newton = _damped_newton(z0, value, newton_system, tol, max_iter)
     z, stop = newton[0], newton[-1]
-    weights = dict(zip(table.alphas, (1.0 / (pairing @ z)).tolist()))
+    weights = dict(zip(table.alphas, (1.0 / pairings(z)).tolist()))
     certificate = HandelmanCertificate(d, n, weights, target_poly)
     residual = _exact_residual(certificate, target_poly)
     if residual > tol and stop in ("tol", "plateau"):
@@ -529,6 +542,7 @@ def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
     """
     shapes = ((table.n + 1, table.n + 1), (table.n, table.n))
 
+    @_newest
     def factors(z):
         try:
             return [np.linalg.cholesky((m @ z).reshape(s)) for m, s in zip(table.maps, shapes)]
@@ -540,6 +554,7 @@ def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
         if chols is not None:
             return t @ z - 2.0 * sum(np.log(np.diag(c)).sum() for c in chols)
 
+    @_newest
     def inverses(z):
         chols = factors(z)
         return None if chols is None else [inv.T @ inv for inv in map(np.linalg.inv, chols)]
@@ -552,16 +567,6 @@ def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
         return grad, lambda: sum(m.T @ np.kron(w, w) @ m for m, w in zip(table.maps, grams))
 
     return value, newton_system, inverses
-
-
-def _putinar_gram_inverses(
-    lam: Sequence[Fraction], n: int
-) -> tuple[RationalMatrix, RationalMatrix]:
-    """Exact inverses of the Hankel moment and (1 - x^2)-localizing matrices of lam."""
-    moment = [[lam[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    shifted = [lam[k] - lam[k + 2] for k in range(2 * n - 1)]
-    localizing = [[shifted[i + j] for j in range(n)] for i in range(n)]
-    return invert_symmetric_rational(moment), invert_symmetric_rational(localizing)
 
 
 def _doubles(gram) -> tuple[tuple[float, ...], ...]:
@@ -632,8 +637,12 @@ def _is_rational(value: Number) -> bool:
 
 
 def _common_numerators(values: Sequence[Number]) -> tuple[list[int], int]:
-    """Integer numerators of exact values over the lcm of their denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
+    """Integer numerators of exact values over the lcm of their denominators;
+    ValueError if a value is not finite."""
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):
+        raise ValueError("weights, Gram entries and moments must be finite") from None
     den = math.lcm(*(q for _, q in ratios))
     return [p * (den // q) for p, q in ratios], den
 
@@ -647,14 +656,14 @@ def _generator_pairs(cert: HandelmanCertificate):
         raise ValueError("a weight exponent is not in the certificate's generators") from None
 
 
-def _handelman_reconstruction(weights: Iterable, rows: Iterable) -> dict:
-    """Coefficients of sum_a w_a g^alpha by exponent.
+def _handelman_reconstruction(weights: Iterable[int], rows: Iterable) -> dict[Exponent, int]:
+    """Integer coefficients of sum_a w_a g^alpha by exponent.
 
+    ``weights`` are integer numerators over one common denominator, and
     ``rows`` yields the (exponent, integer coefficient) pairs of each
-    generator power, in the order of ``weights``; the sums are floats for
-    float weights and integers for integer numerators.
+    generator power, in the order of ``weights``.
     """
-    terms: dict[Exponent, Number] = {}
+    terms: dict[Exponent, int] = {}
     for w, row in zip(weights, rows):
         for e, c in row:
             terms[e] = terms.get(e, 0) + w * c
@@ -665,11 +674,11 @@ def _gram_entries(cert: PutinarCertificate) -> list:
     return [v for gram in (cert.gram_a, cert.gram_b) for row in gram for v in row]
 
 
-def _putinar_reconstruction(entries: Iterable, n: int) -> dict:
-    """Coefficients of v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1} by exponent.
+def _putinar_reconstruction(entries: Iterable[int], n: int) -> dict[Exponent, int]:
+    """Integer coefficients of v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1} by exponent.
 
-    ``entries`` are those of A, then of B, row by row; the sums are floats
-    for float entries and integers for integer numerators.
+    ``entries`` are integer numerators over one common denominator, those of
+    A, then of B, row by row.
     """
     values = iter(entries)
     coeffs = [0] * (2 * n + 1)
@@ -684,11 +693,6 @@ def _putinar_reconstruction(entries: Iterable, n: int) -> dict:
         coeffs[k] += v  # g = 1 - x^2 contributes sigma1 shifted by 0 and -x^2
         coeffs[k + 2] -= v
     return {(k,): c for k, c in enumerate(coeffs)}
-
-
-def _check_dimension(target: AnyPoly, dimension: int) -> None:
-    if target.dimension != dimension:
-        raise ValueError("target dimension does not match the certificate")
 
 
 def _residual_numerators(
@@ -708,7 +712,8 @@ def _residual_numerators(
         dimension = 1
         nums, den = _common_numerators(_gram_entries(cert))
         recon = _putinar_reconstruction(nums, cert.degree)
-    _check_dimension(target, dimension)
+    if target.dimension != dimension:
+        raise ValueError("target dimension does not match the certificate")
     scale = math.lcm(den, target.den)
     factor, target_factor = scale // den, scale // target.den
     want = target.sparse_nums
@@ -730,18 +735,9 @@ def _exact_residual(
 def verify_certificate(
     cert: Union[HandelmanCertificate, PutinarCertificate], target: AnyPoly
 ) -> float:
-    """Sup norm of the coefficient residual between reconstruction and target."""
-    if isinstance(cert, HandelmanCertificate):
-        weights = [float(w) for w in cert.weights.values()]
-        recon = _handelman_reconstruction(weights, _generator_pairs(cert))
-        _check_dimension(target, cert.dimension)
-    else:
-        entries = [float(v) for v in _gram_entries(cert)]
-        recon = _putinar_reconstruction(entries, cert.degree)
-        _check_dimension(target, 1)
-    want = {e: float(c) for e, c in target.terms.items()}
-    return max((abs(recon.get(e, 0.0) - want.get(e, 0.0)) for e in recon.keys() | want.keys()),
-               default=0.0)
+    """``_exact_residual`` rounded once to a double; ValueError if a weight or
+    Gram entry is not finite."""
+    return float(_exact_residual(cert, target))
 
 
 def verify_certificate_exact(
@@ -756,24 +752,19 @@ def verify_certificate_exact(
     return _exact_residual(cert, target) == 0
 
 
-def rationalize_dual(
-    dual: DualFunctional, max_denominator: int = RATIONALIZE_DENOMINATOR_BOUND
-) -> DualFunctional:
-    """Best rational approximations (bounded denominator) of the dual vector."""
+def rationalize_dual(dual: DualFunctional) -> DualFunctional:
+    """Best rational approximations of the dual vector, with denominators at most
+    ``RATIONALIZE_DENOMINATOR_BOUND``."""
     return DualFunctional(
         tuple(
-            v if isinstance(v, Fraction) else Fraction(float(v)).limit_denominator(max_denominator)
+            v if isinstance(v, Fraction)
+            else Fraction(float(v)).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND)
             for v in dual.values
         )
     )
 
 
-def exact_handelman(
-    target: AnyPoly,
-    n: int,
-    dual: DualFunctional,
-    max_denominator: int = RATIONALIZE_DENOMINATOR_BOUND,
-) -> HandelmanCertificate:
+def exact_handelman(target: AnyPoly, n: int, dual: DualFunctional) -> HandelmanCertificate:
     """Exact-weight certificate from a rationalized dual vector.
 
     Weights are the reciprocal pairings 1/<lam, g^alpha> computed in exact
@@ -781,7 +772,7 @@ def exact_handelman(
     numeric solve landed on an exactly reconstructing optimum.
     """
     d = target.dimension
-    lam = rationalize_dual(dual, max_denominator).values
+    lam = rationalize_dual(dual).values
     table = _generator_table(d, n)
     if len(lam) != len(table.basis):
         raise ValueError("dual vector length does not match the working degree")
@@ -797,16 +788,15 @@ def exact_handelman(
 
 
 def exact_putinar(
-    n: int,
-    dual: DualFunctional,
-    target: Optional[UPoly] = None,
-    max_denominator: int = RATIONALIZE_DENOMINATOR_BOUND,
+    n: int, dual: DualFunctional, target: Optional[UPoly] = None
 ) -> PutinarCertificate:
-    """Exact Gram pair from a rationalized moment vector (exact Hankel inverses)."""
-    lam = rationalize_dual(dual, max_denominator).values
+    """Exact Gram pair from a rationalized moment vector: the inverses of its Hankel
+    moment and (1 - x^2)-localizing matrices, by ``momatrix.invert_hankel``."""
+    lam = rationalize_dual(dual).values
     if len(lam) != 2 * n + 1:
         raise ValueError("dual vector length does not match the working degree")
-    gram_a, gram_b = _putinar_gram_inverses(lam, n)
+    gram_a = invert_hankel(lam)
+    gram_b = invert_hankel([lam[k] - lam[k + 2] for k in range(2 * n - 1)])
     return PutinarCertificate(degree=n, gram_a=gram_a, gram_b=gram_b, target=target)
 
 

@@ -27,10 +27,11 @@ Any other multivariate matrix -- a built ``MomentMatrix``, or a shift that
 is not some ``x_S`` -- is inverted by fraction-free Bareiss elimination on
 an integer-scaled copy (Bareiss, Math. Comp. 1968), then back-substitution
 to ``det * A^{-1}``, which is an integer matrix; every division is checked
-exact, and each entry is divided by ``det`` once at the end.  The Bareiss
-pivots are the leading principal minors; the tests use this path as the
-oracle for the other two.  The inverse assembled into a quadratic form
-gives the reciprocal Christoffel function as an explicit polynomial.
+exact.  The Bareiss pivots are the leading principal minors; the tests use
+this path as the oracle for the other two.  All three paths hand back the
+upper triangle of ``L * M^{-1}`` in integers over one denominator ``L``
+(``det`` for Bareiss), from which one builder sums the quadratic form: the
+reciprocal Christoffel function as an explicit polynomial.
 
 With ``logging`` at DEBUG, each inversion logs one record with its
 dimension and method: for Bareiss the bit lengths of ``det`` and of the
@@ -162,11 +163,17 @@ def invert_symmetric_rational(entries: Sequence[Sequence[Fraction]]) -> Rational
     (Cramer's rule), so back-substitution runs in integers, each division
     again checked exact, and each entry becomes one ``Fraction(Y_ij, det)``.
     """
+    return _fractions_of_upper(*_bareiss_inverse_nums(entries))
+
+
+def _bareiss_inverse_nums(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The integer core of ``invert_symmetric_rational``: ``(Y, det)`` with
+    ``A^{-1} = Y / det``, ``Y`` as its upper triangle ``Y[i][j - i]``."""
     m = len(entries)
     if any(len(row) != m for row in entries):
         raise ValueError("matrix must be square")
     if m == 0:
-        return ()
+        return [], 1
     scale = math.lcm(*(value.denominator for row in entries for value in row))
     # A_int, eliminated in place into the upper-triangular U.
     a = [[value.numerator * (scale // value.denominator) for value in row] for row in entries]
@@ -216,11 +223,7 @@ def invert_symmetric_rational(entries: Sequence[Sequence[Fraction]]) -> Rational
             det.bit_length(),
             max(value.bit_length() for row in y for value in row),
         )
-    inverse = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            inverse[i][j] = inverse[j][i] = Fraction(y[i][j], det)
-    return tuple(tuple(row) for row in inverse)
+    return [row[i:] for i, row in enumerate(y)], det
 
 
 def _hankel_moments(entries: RationalMatrix) -> list[Fraction]:
@@ -437,6 +440,14 @@ def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
         polys.append((dense, den))
         norms.append(norm * mass)
     y, den = _inverse_nums(polys, norms, len(basis), "dirichlet")
+    return _christoffel_form(measure, n, shift, y, den)
+
+
+def _christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
+                      y: list[list[int]], den: int) -> ChristoffelForm:
+    """The form of degree n whose inverse moment matrix is the upper triangle
+    ``y[i][j - i] / den`` over ``monomials_upto(measure.dimension, n)``."""
+    basis = monomials_upto(measure.dimension, n)
     return ChristoffelForm(
         measure=measure,
         degree=n,
@@ -456,27 +467,20 @@ def _fractions_of_upper(y: list[list[int]], den: int) -> RationalMatrix:
     return tuple(tuple(row) for row in inverse)
 
 
-def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
-    """Exact inverse of a moment matrix; M * M^{-1} is the identity exactly.
+def _matrix_inverse_nums(matrix: MomentMatrix) -> tuple[list[list[int]], int]:
+    """``(Y, L)`` with ``M^{-1} = Y / L``, upper triangle only.
 
     Univariate (Hankel) matrices are inverted from their moment sequence by
-    ``invert_hankel``, multivariate ones by ``invert_symmetric_rational``.
+    the recurrence, multivariate ones by Bareiss elimination.
     """
     if matrix.measure.dimension == 1:
-        return invert_hankel(_hankel_moments(matrix.entries))
-    return invert_symmetric_rational(matrix.entries)
+        return _hankel_inverse_nums(_hankel_moments(matrix.entries))
+    return _bareiss_inverse_nums(matrix.entries)
 
 
-def _quadratic_form_poly(basis: tuple[Exponent, ...], inverse: RationalMatrix, dim: int) -> AnyPoly:
-    """v(x)^T inverse v(x) for the monomial vector v over ``basis``.
-
-    Takes the upper triangle's numerators over the lcm of the entry
-    denominators and sums them with ``_form_poly``.
-    """
-    den = math.lcm(*(value.denominator for row in inverse for value in row))
-    y = [[value.numerator * (den // value.denominator) for value in row[i:]]
-         for i, row in enumerate(inverse)]
-    return _form_poly(basis, y, den, dim)
+def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
+    """Exact inverse of a moment matrix; M * M^{-1} is the identity exactly."""
+    return _fractions_of_upper(*_matrix_inverse_nums(matrix))
 
 
 def _form_poly(basis: tuple[Exponent, ...], y: list[list[int]], den: int, dim: int) -> AnyPoly:
@@ -514,20 +518,8 @@ def _form_poly(basis: tuple[Exponent, ...], y: list[list[int]], den: int, dim: i
 
 def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
     """Reciprocal Christoffel function v_n(x)^T M^{-1} v_n(x) of a built matrix."""
-    if matrix.measure.dimension == 1:
-        y, den = _hankel_inverse_nums(_hankel_moments(matrix.entries))
-        inverse = _fractions_of_upper(y, den)
-        poly = _form_poly(matrix.basis, y, den, 1)
-    else:
-        inverse = invert_symmetric_rational(matrix.entries)
-        poly = _quadratic_form_poly(matrix.basis, inverse, matrix.measure.dimension)
-    return ChristoffelForm(
-        measure=matrix.measure,
-        degree=matrix.degree,
-        inverse=inverse,
-        quadratic_form_poly=poly,
-        shift=matrix.shift,
-    )
+    return _christoffel_form(matrix.measure, matrix.degree, matrix.shift,
+                             *_matrix_inverse_nums(matrix))
 
 
 def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> ChristoffelForm:

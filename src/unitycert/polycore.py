@@ -436,6 +436,11 @@ def monomials_upto(dimension: int, degree: int) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
+def multinomial(parts: Sequence[int]) -> int:
+    """The multinomial coefficient (sum parts)! / prod(part!)."""
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+
 def powers(p: UPoly, n: int) -> list[UPoly]:
     """The list [p^0, p^1, ..., p^n], one multiplication per entry."""
     out = [UPoly.constant(1)]

@@ -190,6 +190,14 @@ class TestMaxentCommand:
         assert payload["certificate"]["d"] == 2
         assert payload["residual"] <= 1e-9
 
+    @pytest.mark.parametrize(
+        "argv", [["handelman", "--n", "12"], ["putinar", "--n", "4"], ["simplex", "--d", "3", "--n", "4"]]
+    )
+    def test_residual_is_the_reports(self, capsys, argv):
+        code, payload = run_json(capsys, ["maxent", *argv])
+        assert code == 0
+        assert payload["residual"] == payload["report"]["residual"]
+
     def test_simplex_rejects_target_flags(self, capsys):
         code = cli.run(["maxent", "simplex", "--d", "2", "--n", "1", "--target-constant", "5"])
         assert code == 2

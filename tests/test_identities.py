@@ -159,11 +159,13 @@ class TestPartitionMembers:
     @pytest.mark.parametrize(
         "domain, measure, d",
         [("interval01", LEBESGUE01, 2), ("interval11", ARCSINE, 2),
-         ("simplex", simplex_uniform(2), 2), ("simplex", simplex_uniform(3), 3)],
+         ("simplex", simplex_uniform(2), 2), ("simplex", simplex_uniform(3), 3),
+         ("simplex", simplex_uniform(1), 1), ("simplex", simplex_uniform(4), 4),
+         ("simplex", simplex_uniform(5), 5)],
     )
     def test_weight_is_reciprocal_moment(self, domain, measure, d):
         f = functional_for(measure)
-        for n in range(1, 5):
+        for n in range(1, 7):
             for _, weight, generator in partition_members(domain, n, d):
                 assert weight * f.poly_moment(generator) == 1
 

@@ -24,7 +24,12 @@ from unitycert.maxent import (
     verify_certificate,
     verify_certificate_exact,
 )
-from unitycert.momatrix import invert_exact, moment_matrix
+from unitycert.momatrix import (
+    NotPositiveDefiniteError,
+    invert_exact,
+    invert_symmetric_rational,
+    moment_matrix,
+)
 from unitycert.measures import ARCSINE, functional_for, simplex_uniform
 from unitycert.polycore import MPoly, UPoly, monomials_upto, simplex_generator_power
 
@@ -35,6 +40,12 @@ def const(v):
 def _arcsine_moments(n):
     return [Fraction(math.comb(k, k // 2), 2**k) if k % 2 == 0 else Fraction(0)
             for k in range(2 * n + 1)]
+
+
+def _hankel_pair(lam, n):
+    """The explicit Hankel moment and (1 - x^2)-localizing matrices of lam."""
+    return ([[lam[i + j] for j in range(n + 1)] for i in range(n + 1)],
+            [[lam[i + j] - lam[i + j + 2] for j in range(n)] for i in range(n)])
 
 
 def _uniform_simplex_moments(d, basis):
@@ -355,6 +366,28 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError):
             verify_certificate(cert, const(1))
 
+    def test_float_certificate_is_exact_residual(self):
+        handelman = HandelmanCertificate(
+            dimension=1, degree=1, weights={(0, 0): 0.1, (1, 0): 0.2, (0, 1): 0.3}
+        )
+        putinar, _, _ = solve_putinar(4)
+        for cert, target in ((handelman, const(Fraction(3, 10))), (putinar, const(9))):
+            assert verify_certificate(cert, target) == float(maxent._exact_residual(cert, target))
+        assert verify_certificate(handelman, const(Fraction(3, 10))) > 0
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entries_rejected(self, bad):
+        handelman = certificate_from_json(json.loads(
+            '{"type": "handelman", "d": 1, "n": 1, "weights": [{"alpha": [0, 0], "value": 1.0},'
+            f' {{"alpha": [1, 0], "value": {bad}}}, {{"alpha": [0, 1], "value": 2.0}}]}}'
+        ))
+        putinar = certificate_from_json(json.loads(
+            f'{{"type": "putinar", "n": 1, "gramA": [[1.0, 0.0], [0.0, {bad}]], "gramB": [[2.0]]}}'
+        ))
+        for cert in (handelman, putinar):
+            with pytest.raises(ValueError, match="must be finite"):
+                verify_certificate(cert, const(3))
+
 
 class TestRationalization:
     def test_dual_rationalizes_to_lebesgue_moments(self):
@@ -395,6 +428,37 @@ class TestRationalization:
         cert = exact_putinar(n, dual, target=target)
         assert verify_certificate_exact(cert, target)
         assert cert.gram_a == invert_exact(moment_matrix(ARCSINE, n))
+
+    def test_exact_putinar_matches_bareiss(self):
+        for n in range(1, 17):
+            lam = _arcsine_moments(n)
+            cert = exact_putinar(n, rationalize_dual(DualFunctional(tuple(lam))))
+            hankel, localizing = _hankel_pair(lam, n)
+            assert cert.gram_a == invert_symmetric_rational(hankel)
+            assert cert.gram_b == invert_symmetric_rational(localizing)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            (1, 0, 2),  # localizing [1 - 2]
+            (1, 1, Fraction(1, 2), 0, 0),  # moment minor of order 2 is -1/2
+            (1, 0, Fraction(1, 2), 0, Fraction(1, 2)),  # localizing minor of order 2 is 0
+        ],
+    )
+    def test_not_positive_definite_dual_like_bareiss(self, lam):
+        lam = tuple(map(Fraction, lam))
+        n = len(lam) // 2
+        want = None
+        for matrix in _hankel_pair(lam, n):
+            try:
+                invert_symmetric_rational(matrix)
+            except NotPositiveDefiniteError as exc:
+                want = (exc.order, exc.minor)
+                break
+        assert want is not None
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            exact_putinar(n, DualFunctional(lam))
+        assert (exc.value.order, exc.value.minor) == want
 
     def test_length_check(self):
         with pytest.raises(ValueError):
@@ -585,13 +649,31 @@ class TestBarriers:
         table = maxent._generator_table(d, n)
         z = np.array([float(v) for v in table.bernstein_moments(
             _uniform_simplex_moments(d, table.basis))])
-        value, newton_system = maxent._handelman_barrier(table.pairing, np.zeros(len(z)))
+        value, newton_system, _ = maxent._handelman_barrier(table.pairing, np.zeros(len(z)))
         grad, hessian = newton_system(z)
         h = 1e-4 * z.min()
         fd_grad = _finite_differences(lambda x: [value(x)], z, h)[0]
         assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad))
         fd_hess = _finite_differences(lambda x: newton_system(x)[0], z, h)
         assert np.max(np.abs(fd_hess - hessian())) <= 1e-6 * np.max(np.abs(hessian()))
+
+    def test_barriers_keep_the_newest_point(self):
+        table = maxent._generator_table(1, 4)
+        z = np.array([float(v) for v in table.bernstein_moments(
+            _uniform_simplex_moments(1, table.basis))])
+        value, _, pairings = maxent._handelman_barrier(table.pairing, np.zeros(len(z)))
+        value(z)
+        kept = pairings(z)
+        assert pairings(z) is kept
+        assert pairings(z.copy()) is not kept
+        n = 3
+        table = maxent._chebyshev_table(n)
+        z = np.array([float(v) for v in table.chebyshev_moments(_arcsine_moments(n))])
+        _, newton_system, inverses = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
+        newton_system(z)
+        kept = inverses(z)
+        assert inverses(z) is kept
+        assert all(np.array_equal(a, b) for a, b in zip(inverses(z.copy()), kept))
 
 
 def _chebyshev_moments_of_atoms(rng, n):

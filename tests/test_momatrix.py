@@ -21,7 +21,6 @@ from unitycert.measures import (
 from unitycert.momatrix import (
     NotPositiveDefiniteError,
     _dirichlet_basis,
-    _quadratic_form_poly,
     christoffel_eval,
     christoffel_form,
     christoffel_form_of_matrix,
@@ -422,7 +421,7 @@ class TestRecurrenceInverse:
             inverse = invert_exact(matrix)
             assert inverse == want
             form = christoffel_form_of_matrix(matrix).quadratic_form_poly
-            assert form == _quadratic_form_poly(matrix.basis, want, 1)
+            assert form == fraction_quadratic_form(matrix.basis, want, 1)
 
     @pytest.mark.parametrize(
         "measure, shift, order, minor",
