@@ -370,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=maxent.DEFAULT_MAX_ITER)
     p.add_argument("--target-constant", default=None)
     p.add_argument("--target-coeffs", default=None, help="comma-separated rationals, low degree first")
-    p.add_argument("--exact", action="store_true", help="rationalize the dual and verify exactly")
+    p.add_argument("--exact", action="store_true",
+                   help="snap the dual in the solver's basis and verify the exact certificate")
     add_common(p)
 
     p = sub.add_parser("partition", help="emit a partition of unity")

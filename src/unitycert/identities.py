@@ -12,10 +12,8 @@ degrees where the identity has conjecture status.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,6 +32,7 @@ from .polycore import (
     cheb_table,
     monomials_upto,
     multinomial,
+    poly_from_sparse_nums,
     powers,
     simplex_generator_power,
 )
@@ -164,7 +163,15 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
 
 
 def _members_sum(members: list[tuple[dict, Fraction, AnyPoly]]) -> AnyPoly:
-    return functools.reduce(operator.add, (g * weight for _, weight, g in members))
+    """sum weight * g over the members, by exponent over one common denominator."""
+    scales = [weight / g.den for _, weight, g in members]
+    den = math.lcm(*(s.denominator for s in scales))
+    nums: dict = {}
+    for (_, _, g), s in zip(members, scales):
+        factor = s.numerator * (den // s.denominator)
+        for e, c in g.sparse_nums.items():
+            nums[e] = nums.get(e, 0) + factor * c
+    return poly_from_sparse_nums(members[0][2].dimension, nums, den)
 
 
 def verify_pell(n: int) -> IdentityReport:

@@ -32,24 +32,34 @@ in monomial moments.
   the monomial basis through the integer coefficients of T_j.
 
 Starts, targets and the returned dual (in monomial moments) cross between the
-bases exactly and are rounded once.  A double Handelman certificate soon
-misses the tolerance (one ulp on the flagship weights moves the monomial
-residual by 1.5e-11 at n=12, 7.1e-9 at n=16).  So when the driver stops at
-tol or plateau above the tolerance, one exact rounding step in the style of
-Peyrl & Parrilo (TCS 409, 2008), ``_round_handelman``, moves the exact
-residual into the top-degree weights; if all stay positive, the certificate
-ships with rational weights and zero residual.
+bases exactly and are rounded once.  A double certificate soon misses the
+tolerance by its own rounding (one ulp on the flagship Handelman weights
+moves the residual by 1.5e-11 at n=12; the Putinar pair misses it at every
+n >= 4).  Then one exact step, ``_exact_step``, ships the first of two
+routes whose certificate has exact residual 0, else the double certificate:
+
+1. *Snap* the solver's moments z, in its own basis, to the best rationals
+   p/q with q at most B = ``RATIONALIZE_DENOMINATOR_BOUND`` and, if each z_k
+   is within 1/(2qB) of its snap (``_recover``), build the certificate from
+   them exactly (reciprocal pairings, or the Hankel inverses of
+   ``momatrix.invert_hankel``).
+   The flagship optima z_gamma = 1/C(n+d, d) and z = e_0 are rational there
+   at sizes where their monomial moments are not.
+2. *Round* the double certificate in the style of Peyrl & Parrilo (TCS 409,
+   2008): ``_round_handelman`` and ``_round_putinar`` move the exact residual
+   into the top-degree weights, or into the Chebyshev Gram matrix A, if the
+   weights stay positive, or A and B positive definite.
+
+``exact_handelman`` and ``exact_putinar`` map a monomial dual exactly into
+the solver's basis and snap it there (unless it is rational) the same way.
 
 Every certificate is checked one way: one integer reconstruction per family
 over one common denominator and one residual, ``_exact_residual``, which
 ``verify_certificate`` rounds to a double.  A solve converges when that
 residual of the *returned* certificate is within the tolerance.
 Non-convergence is a diagnostic, not a proof: a target on the cone boundary
-(or outside) makes the dual unbounded.  The flagship optima have rational
-duals, so a continued-fraction rationalization step and the exact Hankel
-inverses of ``momatrix.invert_hankel`` turn numeric convergence into an
-exactly verified certificate.  With ``logging`` at DEBUG, each solve logs its
-family, degree, iteration count, stop reason and residual.
+(or outside) makes the dual unbounded.  With ``logging`` at DEBUG, each solve
+logs its family, degree, iteration count, stop reason and residual.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .momatrix import NotPositiveDefiniteError, invert_hankel
+from .momatrix import NotPositiveDefiniteError, invert_hankel, is_positive_definite
 from .polycore import (
     AnyPoly,
     ChebKind,
@@ -188,7 +198,8 @@ def _damped_newton(
     steps: list[float] = []
     history: list[float] = []
     stop = "budget"
-    best = math.inf
+    best = previous = math.inf
+    flat = True  # whether the last step's predicted decrease was below resolution
     no_improve = 0
     for _ in range(max_iter):
         system = newton_system(x)
@@ -200,14 +211,18 @@ def _damped_newton(
         if residual <= inner_tol:
             stop = "tol"
             break
-        if residual < 0.9 * best:
-            best = residual
+        # Progress is a new best residual or, while the objective still falls
+        # measurably, a residual 10% below the last one: damped steps far
+        # from the optimum can first raise the residual above its start.
+        if residual < 0.9 * best or (residual < 0.9 * previous and not flat):
+            best = min(best, residual)
             no_improve = 0
         else:
             no_improve += 1
             if no_improve >= PLATEAU_LIMIT:
                 stop = "plateau"
                 break
+        previous = residual
         try:
             delta = np.linalg.solve(hessian(), -grad)
         except np.linalg.LinAlgError:
@@ -262,6 +277,54 @@ def _report(family: str, n: int, tol: float, newton: tuple, residual, objective)
     return report
 
 
+def _snap(values: Iterable[Number]) -> list[Fraction]:
+    """Best rational approximations, denominators at most ``RATIONALIZE_DENOMINATOR_BOUND``."""
+    return [Fraction(v).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND) for v in values]
+
+
+def _recover(z: np.ndarray) -> Optional[list[Fraction]]:
+    """``_snap(z)`` if each z_k lies within 1/(2qB) of its snap p/q, else None.
+
+    With B = ``RATIONALIZE_DENOMINATOR_BOUND``, any other fraction with
+    denominator at most B is at least 1/(qB) from p/q, so p/q is then the
+    one such rational that z_k rounds from.  A point that is not rational
+    usually fails within its first few moments, before a certificate is
+    built from it and checked.
+    """
+    bound = RATIONALIZE_DENOMINATOR_BOUND
+    point = []
+    for v in z:
+        p, q = float(v).as_integer_ratio()
+        snapped = Fraction(p, q).limit_denominator(bound)
+        # |snapped - v| = |num q - p den| / (den q)
+        if 2 * bound * abs(snapped.numerator * q - p * snapped.denominator) >= q:
+            return None
+        point.append(snapped)
+    return point
+
+
+def _exact_step(certificate, target: AnyPoly, tol: float, stop: str, z: np.ndarray,
+                build: Callable, round_: Callable):
+    """The certificate that ships and its exact residual.
+
+    Past a ``tol`` or ``plateau`` stop above ``tol``, the first exact
+    certificate with residual 0 of ``build(_recover(z))`` and ``round_()``
+    ships (each gives None or raises ``NotPositiveDefiniteError`` if it has
+    none); otherwise the double certificate does.
+    """
+    residual = _exact_residual(certificate, target)
+    if residual > tol and stop in ("tol", "plateau"):
+        point = _recover(z)
+        for route in ([] if point is None else [lambda: build(point)]) + [round_]:
+            try:
+                exact = route()
+            except NotPositiveDefiniteError:
+                continue
+            if exact is not None and _exact_residual(exact, target) == 0:
+                return exact, Fraction(0)
+    return certificate, residual
+
+
 # ---------------------------------------------------------------------------
 # Handelman family (shared barrier for the interval and the simplex)
 
@@ -285,16 +348,18 @@ class _GeneratorTable:
     ``rows[a]`` holds the integer monomial coefficients of g^alphas[a] over
     ``basis`` and ``pairs[a]`` its nonzero (exponent, coefficient) pairs.
     The Bernstein index gamma runs over ``tops``, the alphas of degree n,
-    whose generator powers are the x^gamma.  ``homog[b, g]`` is the integer
-    multinom(n-|beta|; gamma-beta), the coefficient of x^gamma in x^beta
-    homogenized to degree n, and ``pairing[a, g]`` the double
-    multinom(n-|alpha|; gamma-alpha) / multinom(n; gamma).
+    whose generator powers are the x^gamma, and ``bernstein`` maps monomial
+    moments to Bernstein moments.  ``lift[a, g]`` is the integer
+    multinom(n-|alpha|; gamma-alpha), the coefficient of x^gamma in g^alpha
+    homogenized to degree n, so <y, g^alpha> = sum_g lift[a, g] z_g /
+    multinom(n; gamma); ``pairing`` is that map in doubles, and ``homog``
+    the rows of the x^beta, beta in ``basis``.
     """
 
     def __init__(self, d: int, n: int) -> None:
+        self.d, self.n = d, n
         self.alphas = monomials_upto(d + 1, n)
         self.basis = monomials_upto(d, n)
-        index = {e: i for i, e in enumerate(self.basis)}
         rows, pairs = [], []
         for alpha in self.alphas:
             nums = simplex_generator_power(d, alpha).nums
@@ -305,24 +370,23 @@ class _GeneratorTable:
         top_start = len(self.alphas) - len(self.basis)
         self.tops = self.alphas[top_start:]
         self.multinom = [multinomial(gamma) for gamma in self.tops]
-        homog = [[0] * len(self.basis) for _ in self.basis]
-        self.pairing = np.zeros((len(self.alphas), len(self.basis)))
+        self.bernstein = _object_matrix(
+            self.rows[top_start:] * np.array(self.multinom, dtype=object)[:, None])
+        lift = [[0] * len(self.tops) for _ in self.alphas]
         for i, alpha in enumerate(self.alphas):
             # g^alpha = x^alpha (x_1 + ... + x_{d+1})^(n-|alpha|): each gamma
             # above alpha once.
             for delta in monomials_of_degree(d + 1, n - sum(alpha)):
                 g = self.position[tuple(map(operator.add, alpha, delta))] - top_start
-                coefficient = multinomial(delta)
-                self.pairing[i, g] = coefficient / self.multinom[g]
-                if alpha[d] == 0:
-                    homog[index[alpha[:d]]][g] = coefficient
+                lift[i][g] = multinomial(delta)
+        self.lift = _object_matrix(lift)
+        self.pairing = (self.lift / np.array(self.multinom, dtype=object)).astype(float)
         self.pairing.setflags(write=False)
-        self.homog = _object_matrix(homog)
+        self.homog = _object_matrix(self.lift[[self.position[beta + (0,)] for beta in self.basis]])
 
     def bernstein_moments(self, y: Sequence[Number]) -> list[Fraction]:
         """z_gamma = multinom(n; gamma) <y, g^gamma>, exactly."""
-        pairings = _exact_matvec(self.rows[-len(self.basis):], y)
-        return [m * v for m, v in zip(self.multinom, pairings)]
+        return _exact_matvec(self.bernstein, y)
 
     def monomial_moments(self, z: Sequence[Number]) -> list[Fraction]:
         """y_beta = sum_gamma homog[beta, gamma] z_gamma / multinom(n; gamma), exactly."""
@@ -346,6 +410,22 @@ def _dirichlet_moments(a: Sequence[int], basis: Sequence[Exponent]) -> list[Frac
                  math.perm(sum(a) - 1 + sum(beta), sum(beta)))
         for beta in basis
     ]
+
+
+def _handelman_from_bernstein(
+    table: _GeneratorTable, z: Sequence[Fraction], target: AnyPoly
+) -> Optional[HandelmanCertificate]:
+    """The weights 1/<y, g^alpha> of the rational Bernstein moments z, exactly;
+    None unless every pairing is positive."""
+    # Pairings in integers over the lcm of the denominators of the
+    # <y, x^gamma> = z_gamma / multinom(n; gamma); the weight is then den / pairing.
+    nums, den = _common_numerators([v / m for v, m in zip(z, table.multinom)])
+    weights: dict[Exponent, Fraction] = {}
+    for alpha, pairing in zip(table.alphas, table.lift @ np.array(nums, dtype=object)):
+        if pairing <= 0:
+            return None
+        weights[alpha] = Fraction(den, pairing)
+    return HandelmanCertificate(table.d, table.n, weights, target)
 
 
 def _round_handelman(
@@ -410,7 +490,7 @@ def _solve_handelman_family(
     tol: float,
     max_iter: int,
 ):
-    """Handelman or simplex solve in Bernstein moments, then the exact rounding step."""
+    """Handelman or simplex solve in Bernstein moments, then the exact step."""
     table = _generator_table(d, n)
     if initial is None:
         # Dirichlet(2, 2) on [0,1] (the density 6x(1-x)) and Dirichlet(2, 1,
@@ -422,14 +502,12 @@ def _solve_handelman_family(
     z0 = _doubles_of(table.bernstein_moments, initial, _START_FORM)
     newton = _damped_newton(z0, value, newton_system, tol, max_iter)
     z, stop = newton[0], newton[-1]
-    weights = dict(zip(table.alphas, (1.0 / pairings(z)).tolist()))
-    certificate = HandelmanCertificate(d, n, weights, target_poly)
-    residual = _exact_residual(certificate, target_poly)
-    if residual > tol and stop in ("tol", "plateau"):
-        rounded = _round_handelman(certificate, target_poly, table)
-        if rounded is not None:
-            certificate = rounded
-            residual = _exact_residual(certificate, target_poly)
+    double = HandelmanCertificate(d, n, dict(zip(table.alphas, (1.0 / pairings(z)).tolist())),
+                                  target_poly)
+    certificate, residual = _exact_step(
+        double, target_poly, tol, stop, z,
+        lambda point: _handelman_from_bernstein(table, point, target_poly),
+        lambda: _round_handelman(double, target_poly, table))
     objective = sum(math.log(w) for w in certificate.weights.values())
     report = _report(family, n, tol, newton, residual, objective)
     return certificate, DualFunctional(tuple(map(float, table.monomial_moments(z)))), report
@@ -569,8 +647,47 @@ def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
     return value, newton_system, inverses
 
 
-def _doubles(gram) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in gram)
+def _round_putinar(
+    inverses: Sequence[np.ndarray], target: UPoly, table: _ChebyshevTable
+) -> Optional[PutinarCertificate]:
+    """The double Chebyshev Gram pair (A, B) with its exact residual moved into A.
+
+    A and B are the inverses of M_T and L_T read exactly, upper triangles
+    mirrored, and 8 * ``table.maps`` map them to 8 times their reconstruction
+    in T_0..T_2n.  By T_i T_j = (T_{i+j} + T_{|i-j|})/2 the residual c goes
+    into A from the top down: 2 c_2n into A[n][n] (c_0 lowered by c_2n), c_k,
+    n < k < 2n, into A[k-n][n] and A[n][k-n] (c_{2n-k} lowered by c_k), c_k/2,
+    0 < k <= n, into A[0][k] and A[k][0], and c_0 into A[0][0].  None unless
+    A and B are positive definite; else the pair Q' A Q, Q' B Q over the T_j
+    coefficients Q.
+    """
+    n = table.n
+    a, b = (np.array([[Fraction(w[min(i, j), max(i, j)]) for j in range(len(w))]
+                      for i in range(len(w))], dtype=object) for w in inverses)
+    maps = (8 * np.vstack(table.maps)).astype(int).astype(object)
+    recon = _exact_matvec(maps.T, [*a.ravel(), *b.ravel()])
+    c = [t - r / 8 for t, r in zip(table.chebyshev_coefficients(target), recon)]
+    a[n, n] += 2 * c[2 * n]
+    c[0] -= c[2 * n]
+    for k in range(2 * n - 1, n, -1):
+        a[k - n, n] += c[k]
+        a[n, k - n] += c[k]
+        c[2 * n - k] -= c[k]
+    for k in range(1, n + 1):
+        a[0, k] += c[k] / 2
+        a[k, 0] += c[k] / 2
+    a[0, 0] += c[0]
+    if not (is_positive_definite(a) and is_positive_definite(b)):
+        return None
+    return PutinarCertificate(n, _congruence(table.cheb[: n + 1, : n + 1], a),
+                              _congruence(table.cheb[:n, :n], b), target)
+
+
+def _congruence(q: np.ndarray, gram: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:
+    """q' gram q exactly, for an integer q and a rational gram, in integers over one denominator."""
+    nums, den = _common_numerators(list(gram.ravel()))
+    product = q.T @ np.array(nums, dtype=object).reshape(gram.shape) @ q
+    return tuple(tuple(Fraction(v, den) for v in row) for row in product)
 
 
 def solve_putinar(
@@ -607,24 +724,14 @@ def solve_putinar(
     # v' Q' W Q v returns them to the monomial basis through the T_j coefficients Q.
     q = table.cheb[: n + 1, : n + 1].astype(float)
     grams = [b.T @ w @ b for b, w in zip((q, q[:n, :n]), inverses(z))]
-    dual = DualFunctional(tuple(map(float, table.monomial_moments(z))))
-    certificate = PutinarCertificate(n, *map(_doubles, grams), target)
-    residual = _exact_residual(certificate, target)
-    if stop != "diverged":
-        # The optima of the flagship targets have rational moments; inverting
-        # the rationalized dual exactly can beat the double-precision path.
-        # The exact residual decides which candidate ships.
-        try:
-            exact = exact_putinar(n, dual)
-        except NotPositiveDefiniteError:
-            pass
-        else:
-            snapped = PutinarCertificate(n, _doubles(exact.gram_a), _doubles(exact.gram_b), target)
-            snapped_residual = _exact_residual(snapped, target)
-            if snapped_residual < residual:
-                certificate, residual = snapped, snapped_residual
+    double = PutinarCertificate(n, *(tuple(map(tuple, g.tolist())) for g in grams), target)
+    certificate, residual = _exact_step(
+        double, target, tol, stop, z,
+        lambda point: _hankel_inverse_pair(n, table.monomial_moments(point), target),
+        lambda: _round_putinar(inverses(z), target, table))
     objective = sum(np.linalg.slogdet(np.array(g, dtype=float))[1]
                     for g in (certificate.gram_a, certificate.gram_b))  # log det A + log det B
+    dual = DualFunctional(tuple(map(float, table.monomial_moments(z))))
     return certificate, dual, _report("putinar", n, tol, newton, residual, objective)
 
 
@@ -752,52 +859,41 @@ def verify_certificate_exact(
     return _exact_residual(cert, target) == 0
 
 
-def rationalize_dual(dual: DualFunctional) -> DualFunctional:
-    """Best rational approximations of the dual vector, with denominators at most
-    ``RATIONALIZE_DENOMINATOR_BOUND``."""
-    return DualFunctional(
-        tuple(
-            v if isinstance(v, Fraction)
-            else Fraction(float(v)).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND)
-            for v in dual.values
-        )
-    )
-
-
 def exact_handelman(target: AnyPoly, n: int, dual: DualFunctional) -> HandelmanCertificate:
-    """Exact-weight certificate from a rationalized dual vector.
-
-    Weights are the reciprocal pairings 1/<lam, g^alpha> computed in exact
-    arithmetic; combine with ``verify_certificate_exact`` to confirm that the
-    numeric solve landed on an exactly reconstructing optimum.
-    """
-    d = target.dimension
-    lam = rationalize_dual(dual).values
-    table = _generator_table(d, n)
-    if len(lam) != len(table.basis):
+    """Exact-weight certificate from a monomial dual, snapped in Bernstein moments
+    unless it is rational: the reciprocal pairings 1/<lam, g^alpha>, exactly."""
+    table = _generator_table(target.dimension, n)
+    if len(dual.values) != len(table.basis):
         raise ValueError("dual vector length does not match the working degree")
-    # Pairings in integers over the lcm of the dual's denominators; the
-    # weight 1/<lam, g^alpha> is then den / pairing numerator.
-    lam_nums, den = _common_numerators(lam)
-    weights: dict[Exponent, Fraction] = {}
-    for alpha, pairing in zip(table.alphas, table.rows @ np.array(lam_nums, dtype=object)):
-        if pairing <= 0:
-            raise ValueError("rationalized dual is not strictly feasible")
-        weights[alpha] = Fraction(den, pairing)
-    return HandelmanCertificate(dimension=d, degree=n, weights=weights, target=target)
+    z = table.bernstein_moments(dual.values)
+    if not all(map(_is_rational, dual.values)):
+        z = _snap(z)
+    certificate = _handelman_from_bernstein(table, z, target)
+    if certificate is None:
+        raise ValueError("dual is not strictly feasible")
+    return certificate
+
+
+def _hankel_inverse_pair(n: int, lam: Sequence[Fraction], target: Optional[UPoly]) -> PutinarCertificate:
+    """The inverses of the Hankel moment and (1 - x^2)-localizing matrices of
+    the rational moments lam, by ``momatrix.invert_hankel``."""
+    gram_a = invert_hankel(lam)
+    gram_b = invert_hankel([lam[k] - lam[k + 2] for k in range(2 * n - 1)])
+    return PutinarCertificate(degree=n, gram_a=gram_a, gram_b=gram_b, target=target)
 
 
 def exact_putinar(
     n: int, dual: DualFunctional, target: Optional[UPoly] = None
 ) -> PutinarCertificate:
-    """Exact Gram pair from a rationalized moment vector: the inverses of its Hankel
-    moment and (1 - x^2)-localizing matrices, by ``momatrix.invert_hankel``."""
-    lam = rationalize_dual(dual).values
+    """Exact Gram pair from a monomial dual, snapped in Chebyshev moments unless
+    it is rational: the inverses of its Hankel and localizing matrices."""
+    lam = dual.values
     if len(lam) != 2 * n + 1:
         raise ValueError("dual vector length does not match the working degree")
-    gram_a = invert_hankel(lam)
-    gram_b = invert_hankel([lam[k] - lam[k + 2] for k in range(2 * n - 1)])
-    return PutinarCertificate(degree=n, gram_a=gram_a, gram_b=gram_b, target=target)
+    if not all(map(_is_rational, lam)):
+        table = _chebyshev_table(n)
+        lam = table.monomial_moments(_snap(table.chebyshev_moments(lam)))
+    return _hankel_inverse_pair(n, lam, target)
 
 
 # ---------------------------------------------------------------------------
@@ -805,11 +901,7 @@ def exact_putinar(
 
 
 def _value_to_json(value: Number):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(Fraction(value))
-    return float(value)
+    return str(value) if _is_rational(value) else float(value)
 
 
 def _value_from_json(raw) -> Number:

@@ -166,31 +166,29 @@ def invert_symmetric_rational(entries: Sequence[Sequence[Fraction]]) -> Rational
     return _fractions_of_upper(*_bareiss_inverse_nums(entries))
 
 
-def _bareiss_inverse_nums(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The integer core of ``invert_symmetric_rational``: ``(Y, det)`` with
-    ``A^{-1} = Y / det``, ``Y`` as its upper triangle ``Y[i][j - i]``."""
+def _bareiss_upper(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Bareiss fraction-free elimination of a symmetric rational matrix.
+
+    Returns ``(U, scale)``: ``A_int = scale * A`` eliminated in place, whose
+    upper triangle holds the pivots -- the leading principal minors of
+    ``A_int`` -- on its diagonal.  Raises ``NotPositiveDefiniteError`` at the
+    first pivot that is not positive.
+    """
     m = len(entries)
     if any(len(row) != m for row in entries):
         raise ValueError("matrix must be square")
-    if m == 0:
-        return [], 1
     scale = math.lcm(*(value.denominator for row in entries for value in row))
-    # A_int, eliminated in place into the upper-triangular U.
     a = [[value.numerator * (scale // value.denominator) for value in row] for row in entries]
     if any(a[i][j] != a[j][i] for i in range(m) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    # Bareiss elimination on [A_int | scale*I].  The trailing block stays
-    # symmetric, so only entries on and above the diagonal are updated.  The
-    # back-substitution below reads only the diagonal of the right block, and
-    # its row-k entry is scale times the pivot before k, so it is not stored.
-    rhs = []
+    # The trailing block stays symmetric, so only entries on and above the
+    # diagonal are updated.
     prev = 1
     for k in range(m):
         pivot_row = a[k]
         pivot = pivot_row[k]
         if pivot <= 0:
             raise NotPositiveDefiniteError(k + 1, Fraction(pivot, scale ** (k + 1)))
-        rhs.append(scale * prev)
         for i in range(k + 1, m):
             row = a[i]
             factor = pivot_row[i]
@@ -200,7 +198,30 @@ def _bareiss_inverse_nums(entries: Sequence[Sequence[Fraction]]) -> tuple[list[l
                     raise AssertionError("Bareiss division was not exact")
                 row[j] = q
         prev = pivot
-    det = prev
+    return a, scale
+
+
+def is_positive_definite(entries: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether a symmetric rational matrix is positive definite, by the
+    elimination of ``invert_symmetric_rational`` without its back-substitution."""
+    try:
+        _bareiss_upper(entries)
+    except NotPositiveDefiniteError:
+        return False
+    return True
+
+
+def _bareiss_inverse_nums(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The integer core of ``invert_symmetric_rational``: ``(Y, det)`` with
+    ``A^{-1} = Y / det``, ``Y`` as its upper triangle ``Y[i][j - i]``."""
+    if not entries:
+        return [], 1
+    a, scale = _bareiss_upper(entries)
+    m = len(a)
+    det = a[-1][-1]
+    # Bareiss on [A_int | scale*I]: back-substitution reads only the diagonal
+    # of the right block, whose row-k entry is scale times the pivot before k.
+    rhs = [scale * (a[k - 1][k - 1] if k else 1) for k in range(m)]
     # Y = det * A^{-1} is integral (Cramer's rule) and symmetric.  Columns run
     # last to first: rows below the diagonal of column col are mirrored from
     # the columns already solved, and rows <= col are back-substituted.

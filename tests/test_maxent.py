@@ -17,7 +17,6 @@ from unitycert.maxent import (
     certificate_to_json,
     exact_handelman,
     exact_putinar,
-    rationalize_dual,
     solve_handelman,
     solve_putinar,
     solve_simplex,
@@ -214,6 +213,18 @@ class TestDampedNewton:
         assert stop == "plateau" and iterations == maxent.PLATEAU_LIMIT
         assert float(x[0]) == 1.0 - maxent.PLATEAU_LIMIT
 
+    def test_damped_phase_is_not_a_plateau(self):
+        # The first step raises the gradient a millionfold; it then falls
+        # tenfold per step while the objective falls, below the start only
+        # after PLATEAU_LIMIT steps.
+        gradients = iter([1.0] + [10.0**k for k in range(6, -13, -1)])
+
+        def newton_system(x):
+            return np.array([next(gradients)]), lambda: np.array([[1.0]])
+
+        _, iterations, _, _, stop = self.newton(lambda x: 1e3 * x[0], newton_system)
+        assert stop == "tol" and iterations == 18
+
     def test_infeasible_start_rejected(self):
         with pytest.raises(ValueError, match="not strictly feasible"):
             self.newton(*_log_barrier(2.0), x0=np.array([-1.0]))
@@ -335,6 +346,59 @@ class TestPastTheMonomialCeiling:
         assert verify_certificate(cert, MPoly.constant(3, math.comb(11, 7))) <= 1e-9
 
 
+def _rational_pd(rng, size):
+    """m m' + size I for a random rational m: rational and positive definite."""
+    m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(size)] for _ in range(size)]
+    return [[sum((m[i][k] * m[j][k] for k in range(size)), Fraction(size * (i == j)))
+             for j in range(size)] for i in range(size)]
+
+
+def _putinar_target(gram_a, gram_b, n):
+    """v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1}."""
+    coeffs = [Fraction(0)] * (2 * n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            coeffs[i + j] += gram_a[i][j]
+    for i in range(n):
+        for j in range(n):
+            coeffs[i + j] += gram_b[i][j]
+            coeffs[i + j + 2] -= gram_b[i][j]
+    return UPoly.from_coeffs(coeffs)
+
+
+class TestExactStep:
+    """Solves whose double certificate misses the tolerance ship an exact one."""
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_putinar_flagship_snaps_in_chebyshev_moments(self, n):
+        # The arcsine moments need denominators 2^(2n-2) > 10^6 in monomials.
+        target = const(2 * n + 1)
+        cert, dual, report = solve_putinar(n)
+        assert report.converged and report.residual == 0
+        assert verify_certificate_exact(cert, target)
+        exact_inverse = invert_exact(moment_matrix(ARCSINE, n))
+        assert cert.gram_a == exact_inverse
+        assert exact_putinar(n, dual, target=target).gram_a == exact_inverse
+
+    def test_recover_keeps_only_points_near_their_snap(self):
+        point = maxent._recover(np.array([1 / 3, 0.25, 1e-17, -2.0]))
+        assert point == [Fraction(1, 3), Fraction(1, 4), 0, -2]
+        assert maxent._recover(np.array([0.25, math.pi / 10])) is None
+
+    # At n=4 the double certificate already meets the default tolerance;
+    # tol=0 asks for an exact one.
+    @pytest.mark.parametrize("n, seed, tol", [(4, 0, 0.0), (4, 1, 0.0),
+                                              (8, 2, maxent.DEFAULT_TOL), (8, 3, maxent.DEFAULT_TOL)])
+    def test_seeded_putinar_targets_are_exact(self, n, seed, tol):
+        rng = random.Random(1300 + seed)
+        target = _putinar_target(_rational_pd(rng, n + 1), _rational_pd(rng, n), n)
+        cert, _, report = solve_putinar(n, tol=tol, target=target)
+        assert report.converged and report.residual == 0
+        assert verify_certificate_exact(cert, target)
+        for gram in (cert.gram_a, cert.gram_b):
+            invert_symmetric_rational(gram)  # positive definite, or it raises
+
+
 class TestVerifyCertificate:
     def test_handelman_examples(self):
         cert = HandelmanCertificate(
@@ -391,9 +455,12 @@ class TestVerifyCertificate:
 
 class TestRationalization:
     def test_dual_rationalizes_to_lebesgue_moments(self):
-        _, dual, _ = solve_handelman(const(10), 3)
-        rational = rationalize_dual(dual)
-        assert rational.values == tuple(Fraction(1, k + 1) for k in range(4))
+        # The flagship weights are 1/<lebesgue, x^i (1-x)^j> = (i+j+1) C(i+j, i).
+        n = 3
+        _, dual, _ = solve_handelman(const(10), n)
+        cert = exact_handelman(const(10), n, dual)
+        assert cert.weights == {(i, j): (i + j + 1) * math.comb(i + j, i)
+                                for i, j in monomials_upto(2, n)}
 
     def test_exact_handelman(self):
         _, dual, _ = solve_handelman(const(3), 1)
@@ -432,7 +499,7 @@ class TestRationalization:
     def test_exact_putinar_matches_bareiss(self):
         for n in range(1, 17):
             lam = _arcsine_moments(n)
-            cert = exact_putinar(n, rationalize_dual(DualFunctional(tuple(lam))))
+            cert = exact_putinar(n, DualFunctional(tuple(lam)))
             hankel, localizing = _hankel_pair(lam, n)
             assert cert.gram_a == invert_symmetric_rational(hankel)
             assert cert.gram_b == invert_symmetric_rational(localizing)
@@ -871,6 +938,30 @@ class TestIntegerExactSide:
         # need a negative weight on (1 - x).
         cert = HandelmanCertificate(1, 1, {(0, 0): 1e-3, (1, 0): 1e-3, (0, 1): 1e-3})
         assert maxent._round_handelman(cert, UPoly.x(), maxent._generator_table(1, 1)) is None
+
+    @pytest.mark.parametrize("case", ["one ulp off the flagship", "boundary target"])
+    def test_putinar_rounding(self, case):
+        n = 8
+        table = maxent._chebyshev_table(n)
+        unit = np.array([1.0] + [0.0] * (2 * n))  # the arcsine optimum, z = e_0
+        _, _, inverses = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
+        grams = [np.nextafter(w, np.inf) for w in inverses(unit)]
+        if case == "boundary target":
+            # x^2 vanishes at 0: absorbing its residual leaves A indefinite.
+            assert maxent._round_putinar(grams, UPoly.from_coeffs([0, 0, 1]), table) is None
+            return
+        flagship = const(2 * n + 1)
+        q = table.cheb[: n + 1, : n + 1].astype(float)
+        double = PutinarCertificate(n, *(tuple(map(tuple, b.T @ w @ b))
+                                          for b, w in zip((q, q[:n, :n]), grams)))
+        assert maxent._exact_residual(double, flagship) > 0
+        rounded = maxent._round_putinar(grams, flagship, table)
+        assert maxent._exact_residual(rounded, flagship) == 0
+        assert all(type(v) is Fraction for v in maxent._gram_entries(rounded))
+        for gram, exact in zip((rounded.gram_a, rounded.gram_b), _hankel_pair(_arcsine_moments(n), n)):
+            invert_symmetric_rational(gram)  # positive definite, or it raises
+            want = invert_symmetric_rational(exact)
+            assert max(abs(a - b) for ra, rb in zip(gram, want) for a, b in zip(ra, rb)) < 1e-9
 
     @staticmethod
     def fraction_putinar_coeffs(gram_a, gram_b, n):

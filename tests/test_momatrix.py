@@ -27,6 +27,7 @@ from unitycert.momatrix import (
     invert_exact,
     invert_hankel,
     invert_symmetric_rational,
+    is_positive_definite,
     matrix_to_json,
     moment_matrix,
     rational_matrix_from_json,
@@ -167,6 +168,17 @@ class TestInvertExact:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             invert_symmetric_rational([[Fraction(-1)]])
         assert exc.value.order == 1
+
+    def test_positive_definite_check_is_the_elimination(self):
+        rng = random.Random(170)
+        for size in (1, 4, 7):
+            spd = random_spd(rng, size)
+            assert is_positive_definite(spd)
+            # Lowering the last entry by the Schur complement leaves it singular.
+            last = Fraction(1) / invert_symmetric_rational(spd)[-1][-1]
+            singular = [row[:-1] + [row[-1] - last * (i == size - 1)] for i, row in enumerate(spd)]
+            assert not is_positive_definite(singular)
+        assert is_positive_definite([[2, 1], [1, 2]]) and not is_positive_definite([[1, 2], [2, 1]])
 
 
 
