@@ -1,7 +1,6 @@
 """Dual Newton solvers for max-entropy positivity certificates.
 
-Two certificate families are covered, both solved through their smooth convex
-duals rather than the constrained primals:
+Two certificate families are solved through their smooth convex duals:
 
 * Handelman weights on [0,1] or the canonical simplex: maximize the sum of
   log-weights subject to reconstructing the target from the generator powers
@@ -14,11 +13,10 @@ duals rather than the constrained primals:
   inverses.
 
 One damped-Newton driver, ``_damped_newton``, minimizes both in float64 and
-names why it stopped (``SolverReport.stop``).  Each family is a barrier
-around it in the basis the paper pairs with its domain, where the dual
-Hessian is well conditioned: at the flagship optima its condition number is
-(n+2)/2 for Handelman and 2n for Putinar, against 3.7e10 and 2.7e16 at n=12
-in monomial moments.
+names why it stopped (``SolverReport.stop``).  Each family is a barrier in
+the basis the paper pairs with its domain, where the dual Hessian is well
+conditioned (at the flagship optima (n+2)/2 for Handelman and 2n for
+Putinar, against 3.7e10 and 2.7e16 at n=12 in monomial moments):
 
 * Handelman and the simplex run in the degree-n Bernstein moments
   z_gamma = <y, b_gamma>, b_gamma = multinom(n; gamma) x^gamma in barycentric
@@ -28,38 +26,30 @@ in monomial moments.
   M_T[i][j] = (z_{i+j} + z_{|i-j|}) / 2, the localizing matrix has the same
   form over s_k = z_k/2 - (z_{k+2} + z_{|k-2|})/4, and for the linear map
   A: z -> vec(M_T) and W = M_T^{-1} the gradient of -log det M_T is
-  -A' vec(W) and its Hessian A' (W kron W) A.  The Gram matrices return to
-  the monomial basis through the integer coefficients of T_j.
+  -A' vec(W) and its Hessian A' (W kron W) A.
 
-Starts, targets and the returned dual (in monomial moments) cross between the
-bases exactly and are rounded once.  A double certificate soon misses the
-tolerance by its own rounding (one ulp on the flagship Handelman weights
-moves the residual by 1.5e-11 at n=12; the Putinar pair misses it at every
-n >= 4).  Then one exact step, ``_exact_step``, ships the first of two
-routes whose certificate has exact residual 0, else the double certificate:
+Starts and targets cross into these bases exactly and are rounded once.
+A double certificate soon misses the tolerance by its own rounding (the
+Putinar pair at every n >= 4).  Then one exact step, ``_exact_step``, ships
+the first certificate with exact residual 0 of two routes, else the double:
 
-1. *Snap* the solver's moments z, in its own basis, to the best rationals
-   p/q with q at most B = ``RATIONALIZE_DENOMINATOR_BOUND`` and, if each z_k
-   is within 1/(2qB) of its snap (``_recover``), build the certificate from
-   them exactly (reciprocal pairings, or the Hankel inverses of
-   ``momatrix.invert_hankel``).
-   The flagship optima z_gamma = 1/C(n+d, d) and z = e_0 are rational there
-   at sizes where their monomial moments are not.
+1. *Snap* the solver's z by ``_recover`` to rationals with denominators at
+   most ``RATIONALIZE_DENOMINATOR_BOUND`` and build the certificate from them
+   exactly (reciprocal pairings, or ``momatrix.invert_hankel``).  The flagship
+   optima z_gamma = 1/C(n+d, d) and z = e_0 are rational in these bases at
+   sizes where their monomial moments are not.  The dual returned is then
+   this point, exactly; otherwise z, rounded once.
 2. *Round* the double certificate in the style of Peyrl & Parrilo (TCS 409,
    2008): ``_round_handelman`` and ``_round_putinar`` move the exact residual
-   into the top-degree weights, or into the Chebyshev Gram matrix A, if the
-   weights stay positive, or A and B positive definite.
+   into the top-degree weights or the Chebyshev Gram matrix A.
 
-``exact_handelman`` and ``exact_putinar`` map a monomial dual exactly into
-the solver's basis and snap it there (unless it is rational) the same way.
-
-Every certificate is checked one way: one integer reconstruction per family
-over one common denominator and one residual, ``_exact_residual``, which
-``verify_certificate`` rounds to a double.  A solve converges when that
-residual of the *returned* certificate is within the tolerance.
-Non-convergence is a diagnostic, not a proof: a target on the cone boundary
-(or outside) makes the dual unbounded.  With ``logging`` at DEBUG, each solve
-logs its family, degree, iteration count, stop reason and residual.
+``exact_handelman`` and ``exact_putinar`` snap a double monomial dual the
+same way in the solver's basis.  Every certificate is checked by one exact
+residual, ``_exact_residual``; a solve converges when that of the *returned*
+certificate is within the tolerance.  Non-convergence is a diagnostic, not a
+proof: a target on the cone boundary (or outside) makes the dual unbounded.
+With ``logging`` at DEBUG, each solve logs its family, degree, iteration
+count, stop reason and residual.
 """
 
 from __future__ import annotations
@@ -116,13 +106,8 @@ class SolverReport:
     dual_values: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "objective": self.objective,
-            "converged": self.converged,
-            "stop_reason": self.stop,
-        }
+        return {"iterations": self.iterations, "residual": self.residual,
+                "objective": self.objective, "converged": self.converged, "stop_reason": self.stop}
 
 
 @dataclass(frozen=True)
@@ -157,6 +142,9 @@ class PutinarCertificate:
     target: Optional[UPoly] = None
 
 
+Certificate = Union[HandelmanCertificate, PutinarCertificate]
+
+
 class NoInteriorCertificateError(RuntimeError):
     """Solver diagnostic; does not certify that no certificate exists."""
 
@@ -169,26 +157,20 @@ class NoInteriorCertificateError(RuntimeError):
 # Damped Newton driver
 
 
-def _damped_newton(
-    x0: np.ndarray,
-    value: Callable[[np.ndarray], Optional[float]],
-    newton_system: Callable[[np.ndarray], Optional[tuple]],
-    tol: float,
-    max_iter: int,
-):
+def _damped_newton(x0: np.ndarray, value: Callable[[np.ndarray], Optional[float]],
+                   newton_system: Callable[[np.ndarray], Optional[tuple]],
+                   tol: float, max_iter: int):
     """Minimize a barrier objective from a strictly feasible x0 by damped Newton.
 
-    ``value(x)`` is the objective, or None outside the open domain.
+    ``value(x)`` is the objective, or None outside the open domain;
     ``newton_system(x)`` is None where the Newton system cannot be formed,
-    and otherwise ``(gradient, hessian)``, the Hessian a thunk called only
-    when a step is taken; steps are ``np.linalg.solve`` with Armijo
-    backtracking.  The gradient is the coefficient residual of the primal
-    reconstruction in the barrier's basis.  Stops when its sup norm falls
-    below tol/10 (margin for the change to the monomial basis), when
-    progress plateaus, when the iterates diverge (boundary target), or when
-    the budget runs out.  Returns ``(x, iterations, steps, dual_values,
-    stop)``, with the stop word one of ``tol plateau diverged budget
-    line_search singular``.
+    else ``(gradient, hessian)``, the Hessian a thunk called only when a step
+    is taken (``np.linalg.solve`` with Armijo backtracking).  The gradient is
+    the coefficient residual of the primal in the barrier's basis.  Stops
+    when its sup norm falls below tol/10, when progress plateaus, when the
+    iterates diverge (boundary target) or when the budget runs out.  Returns
+    ``(x, iterations, steps, dual_values, stop)``, the stop word one of
+    ``tol plateau diverged budget line_search singular``.
     """
     x = x0
     current = value(x)
@@ -212,8 +194,7 @@ def _damped_newton(
             stop = "tol"
             break
         # Progress is a new best residual or, while the objective still falls
-        # measurably, a residual 10% below the last one: damped steps far
-        # from the optimum can first raise the residual above its start.
+        # measurably, 10% below the last (damped steps can first raise it).
         if residual < 0.9 * best or (residual < 0.9 * previous and not flat):
             best = min(best, residual)
             no_improve = 0
@@ -277,52 +258,50 @@ def _report(family: str, n: int, tol: float, newton: tuple, residual, objective)
     return report
 
 
-def _snap(values: Iterable[Number]) -> list[Fraction]:
-    """Best rational approximations, denominators at most ``RATIONALIZE_DENOMINATOR_BOUND``."""
-    return [Fraction(v).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND) for v in values]
-
-
-def _recover(z: np.ndarray) -> Optional[list[Fraction]]:
-    """``_snap(z)`` if each z_k lies within 1/(2qB) of its snap p/q, else None.
-
-    With B = ``RATIONALIZE_DENOMINATOR_BOUND``, any other fraction with
-    denominator at most B is at least 1/(qB) from p/q, so p/q is then the
-    one such rational that z_k rounds from.  A point that is not rational
-    usually fails within its first few moments, before a certificate is
-    built from it and checked.
-    """
+def _recover(z: Iterable[Number]) -> Optional[list[Fraction]]:
+    """The best rationals p/q, q <= B = ``RATIONALIZE_DENOMINATOR_BOUND``, of the
+    z_k if each z_k lies within 1/(2qB) of its p/q, else None.  Any other such
+    fraction is at least 1/(qB) from p/q, so p/q is the one z_k rounds from."""
     bound = RATIONALIZE_DENOMINATOR_BOUND
     point = []
-    for v in z:
-        p, q = float(v).as_integer_ratio()
-        snapped = Fraction(p, q).limit_denominator(bound)
-        # |snapped - v| = |num q - p den| / (den q)
-        if 2 * bound * abs(snapped.numerator * q - p * snapped.denominator) >= q:
+    for v in map(Fraction, z):
+        snapped = v.limit_denominator(bound)
+        # 2B |snapped - v| den(snapped) < 1, in integers
+        gap = abs(snapped.numerator * v.denominator - v.numerator * snapped.denominator)
+        if 2 * bound * gap >= v.denominator:
             return None
         point.append(snapped)
     return point
 
 
-def _exact_step(certificate, target: AnyPoly, tol: float, stop: str, z: np.ndarray,
+def _exact_step(double, target: AnyPoly, tol: float, stop: str, z: np.ndarray, table,
                 build: Callable, round_: Callable):
-    """The certificate that ships and its exact residual.
+    """The certificate that ships, its exact residual and the dual in monomial moments.
 
-    Past a ``tol`` or ``plateau`` stop above ``tol``, the first exact
-    certificate with residual 0 of ``build(_recover(z))`` and ``round_()``
-    ships (each gives None or raises ``NotPositiveDefiniteError`` if it has
-    none); otherwise the double certificate does.
+    Unless the double certificate meets ``tol`` or the iterates diverged, the
+    first of ``build(_recover(z))`` and, after a ``tol`` or ``plateau`` stop,
+    ``round_()`` with exact residual 0 ships (each gives None or raises
+    ``NotPositiveDefiniteError`` if it has none): rounding repairs a converged
+    solve's rounding, and would pass off any earlier stop on an interior target.
     """
-    residual = _exact_residual(certificate, target)
-    if residual > tol and stop in ("tol", "plateau"):
+
+    def exact(route):
+        try:
+            cert = route()
+        except NotPositiveDefiniteError:
+            return None
+        return cert if cert is not None and _exact_residual(cert, target) == 0 else None
+
+    residual = _exact_residual(double, target)
+    if residual > tol and stop != "diverged":
         point = _recover(z)
-        for route in ([] if point is None else [lambda: build(point)]) + [round_]:
-            try:
-                exact = route()
-            except NotPositiveDefiniteError:
-                continue
-            if exact is not None and _exact_residual(exact, target) == 0:
-                return exact, Fraction(0)
-    return certificate, residual
+        snapped = None if point is None else exact(lambda: build(point))
+        if snapped is not None:
+            return snapped, Fraction(0), DualFunctional(tuple(table.monomial_moments(point)))
+        rounded = exact(round_) if stop in ("tol", "plateau") else None
+        if rounded is not None:
+            double, residual = rounded, Fraction(0)
+    return double, residual, DualFunctional(tuple(map(float, table.monomial_moments(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +325,12 @@ class _GeneratorTable:
     """The generator powers of degree <= n on the d-simplex, and their Bernstein forms.
 
     ``rows[a]`` holds the integer monomial coefficients of g^alphas[a] over
-    ``basis`` and ``pairs[a]`` its nonzero (exponent, coefficient) pairs.
-    The Bernstein index gamma runs over ``tops``, the alphas of degree n,
-    whose generator powers are the x^gamma, and ``bernstein`` maps monomial
-    moments to Bernstein moments.  ``lift[a, g]`` is the integer
-    multinom(n-|alpha|; gamma-alpha), the coefficient of x^gamma in g^alpha
-    homogenized to degree n, so <y, g^alpha> = sum_g lift[a, g] z_g /
-    multinom(n; gamma); ``pairing`` is that map in doubles, and ``homog``
-    the rows of the x^beta, beta in ``basis``.
+    ``basis`` and ``pairs[a]`` its nonzero (exponent, coefficient) pairs.  The
+    Bernstein index gamma runs over ``tops``, the alphas of degree n (g^gamma
+    is x^gamma).  ``lift[a, g]`` is the integer multinom(n-|alpha|; gamma-alpha),
+    the coefficient of x^gamma in g^alpha homogenized to degree n, so
+    <y, g^alpha> = sum_g lift[a, g] z_g / multinom(n; gamma) (``pairing`` in
+    doubles); ``homog`` holds the rows of the x^beta, beta in ``basis``.
     """
 
     def __init__(self, d: int, n: int) -> None:
@@ -374,8 +351,7 @@ class _GeneratorTable:
             self.rows[top_start:] * np.array(self.multinom, dtype=object)[:, None])
         lift = [[0] * len(self.tops) for _ in self.alphas]
         for i, alpha in enumerate(self.alphas):
-            # g^alpha = x^alpha (x_1 + ... + x_{d+1})^(n-|alpha|): each gamma
-            # above alpha once.
+            # g^alpha = x^alpha (x_1 + ... + x_{d+1})^(n-|alpha|): each gamma above alpha once
             for delta in monomials_of_degree(d + 1, n - sum(alpha)):
                 g = self.position[tuple(map(operator.add, alpha, delta))] - top_start
                 lift[i][g] = multinomial(delta)
@@ -412,13 +388,11 @@ def _dirichlet_moments(a: Sequence[int], basis: Sequence[Exponent]) -> list[Frac
     ]
 
 
-def _handelman_from_bernstein(
-    table: _GeneratorTable, z: Sequence[Fraction], target: AnyPoly
-) -> Optional[HandelmanCertificate]:
+def _handelman_from_bernstein(table: _GeneratorTable, z: Sequence[Fraction],
+                              target: AnyPoly) -> Optional[HandelmanCertificate]:
     """The weights 1/<y, g^alpha> of the rational Bernstein moments z, exactly;
     None unless every pairing is positive."""
-    # Pairings in integers over the lcm of the denominators of the
-    # <y, x^gamma> = z_gamma / multinom(n; gamma); the weight is then den / pairing.
+    # Pairings in integers over one denominator of the <y, x^gamma> = z_gamma / multinom(n; gamma)
     nums, den = _common_numerators([v / m for v, m in zip(z, table.multinom)])
     weights: dict[Exponent, Fraction] = {}
     for alpha, pairing in zip(table.alphas, table.lift @ np.array(nums, dtype=object)):
@@ -428,9 +402,8 @@ def _handelman_from_bernstein(
     return HandelmanCertificate(table.d, table.n, weights, target)
 
 
-def _round_handelman(
-    cert: HandelmanCertificate, target: AnyPoly, table: _GeneratorTable
-) -> Optional[HandelmanCertificate]:
+def _round_handelman(cert: HandelmanCertificate, target: AnyPoly,
+                     table: _GeneratorTable) -> Optional[HandelmanCertificate]:
     """The certificate with its exact residual moved into the top-degree weights.
 
     The residual r = target - sum_a w_a g^alpha, homogenized to degree n, is
@@ -481,15 +454,8 @@ def _handelman_barrier(pairing: np.ndarray, c: np.ndarray):
     return value, newton_system, pairings
 
 
-def _solve_handelman_family(
-    family: str,
-    d: int,
-    n: int,
-    target_poly: AnyPoly,
-    initial: Optional[Sequence[Number]],
-    tol: float,
-    max_iter: int,
-):
+def _solve_handelman_family(family: str, d: int, n: int, target_poly: AnyPoly,
+                            initial: Optional[Sequence[Number]], tol: float, max_iter: int):
     """Handelman or simplex solve in Bernstein moments, then the exact step."""
     table = _generator_table(d, n)
     if initial is None:
@@ -504,22 +470,16 @@ def _solve_handelman_family(
     z, stop = newton[0], newton[-1]
     double = HandelmanCertificate(d, n, dict(zip(table.alphas, (1.0 / pairings(z)).tolist())),
                                   target_poly)
-    certificate, residual = _exact_step(
-        double, target_poly, tol, stop, z,
+    certificate, residual, dual = _exact_step(
+        double, target_poly, tol, stop, z, table,
         lambda point: _handelman_from_bernstein(table, point, target_poly),
         lambda: _round_handelman(double, target_poly, table))
     objective = sum(math.log(w) for w in certificate.weights.values())
-    report = _report(family, n, tol, newton, residual, objective)
-    return certificate, DualFunctional(tuple(map(float, table.monomial_moments(z)))), report
+    return certificate, dual, _report(family, n, tol, newton, residual, objective)
 
 
-def solve_handelman(
-    p: UPoly,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial: Optional[Sequence[float]] = None,
-):
+def solve_handelman(p: UPoly, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                    initial: Optional[Sequence[float]] = None):
     """Max-entropy Handelman certificate of p over the generators of [0,1].
 
     Solves sup { sum log c_ij : p = sum c_ij x^i (1-x)^j, (i, j) in N^2_n }
@@ -534,13 +494,8 @@ def solve_handelman(
     return _solve_handelman_family("handelman", 1, n, p, initial, tol, max_iter)
 
 
-def solve_simplex(
-    d: int,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial: Optional[Sequence[float]] = None,
-):
+def solve_simplex(d: int, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                  initial: Optional[Sequence[float]] = None):
     """Max-entropy certificate of the constant C(d+1+n, n) on the simplex.
 
     Same dual Newton scheme as ``solve_handelman`` with generator powers
@@ -647,24 +602,21 @@ def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
     return value, newton_system, inverses
 
 
-def _round_putinar(
-    inverses: Sequence[np.ndarray], target: UPoly, table: _ChebyshevTable
-) -> Optional[PutinarCertificate]:
-    """The double Chebyshev Gram pair (A, B) with its exact residual moved into A.
+def _round_putinar(inverses: Sequence[np.ndarray], target: UPoly,
+                   table: _ChebyshevTable) -> Optional[PutinarCertificate]:
+    """The double Chebyshev Gram pair (A, B), read exactly with upper triangles
+    mirrored, with its exact residual c in T_0..T_2n moved into A.
 
-    A and B are the inverses of M_T and L_T read exactly, upper triangles
-    mirrored, and 8 * ``table.maps`` map them to 8 times their reconstruction
-    in T_0..T_2n.  By T_i T_j = (T_{i+j} + T_{|i-j|})/2 the residual c goes
-    into A from the top down: 2 c_2n into A[n][n] (c_0 lowered by c_2n), c_k,
-    n < k < 2n, into A[k-n][n] and A[n][k-n] (c_{2n-k} lowered by c_k), c_k/2,
-    0 < k <= n, into A[0][k] and A[k][0], and c_0 into A[0][0].  None unless
-    A and B are positive definite; else the pair Q' A Q, Q' B Q over the T_j
-    coefficients Q.
+    By T_i T_j = (T_{i+j} + T_{|i-j|})/2, from the top down: 2 c_2n into
+    A[n][n] (lowering c_0), c_k, n < k < 2n, into A[k-n][n] and A[n][k-n]
+    (lowering c_{2n-k}), c_k/2, 0 < k <= n, into A[0][k] and A[k][0], and c_0
+    into A[0][0].  None unless A and B are positive definite; else Q' A Q and
+    Q' B Q over the T_j coefficients Q.
     """
     n = table.n
     a, b = (np.array([[Fraction(w[min(i, j), max(i, j)]) for j in range(len(w))]
                       for i in range(len(w))], dtype=object) for w in inverses)
-    maps = (8 * np.vstack(table.maps)).astype(int).astype(object)
+    maps = (8 * np.vstack(table.maps)).astype(int).astype(object)  # entries in (1/8) Z
     recon = _exact_matvec(maps.T, [*a.ravel(), *b.ravel()])
     c = [t - r / 8 for t, r in zip(table.chebyshev_coefficients(target), recon)]
     a[n, n] += 2 * c[2 * n]
@@ -690,20 +642,14 @@ def _congruence(q: np.ndarray, gram: np.ndarray) -> tuple[tuple[Fraction, ...], 
     return tuple(tuple(Fraction(v, den) for v in row) for row in product)
 
 
-def solve_putinar(
-    n: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    target: Optional[UPoly] = None,
-    initial: Optional[Sequence[float]] = None,
-):
+def solve_putinar(n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                  target: Optional[UPoly] = None, initial: Optional[Sequence[float]] = None):
     """Max-entropy Putinar Gram pair for a target positive on [-1,1].
 
-    Defaults to the constant target 2n+1.  Minimizes
-    <y, target> - log det M_n(y) - log det M_{n-1}(g.y) over the moment
-    vectors y whose Hankel and localizing matrices are positive definite,
-    starting from the moments of the uniform probability measure on [-1,1]
-    (or from ``initial``, in monomial moments).  At the optimum
+    Defaults to the constant target 2n+1.  Minimizes <y, target> -
+    log det M_n(y) - log det M_{n-1}(g.y) over the moment vectors y whose
+    Hankel and localizing matrices are positive definite, from the uniform
+    measure on [-1,1] (or ``initial``, in monomial moments).  At the optimum
     A = M_n(y)^{-1} and B = M_{n-1}(g.y)^{-1}.
     """
     if n < 1:
@@ -723,20 +669,20 @@ def solve_putinar(
     # The driver keeps z where both Cholesky factors exist, so the inverses do.
     # v' Q' W Q v returns them to the monomial basis through the T_j coefficients Q.
     q = table.cheb[: n + 1, : n + 1].astype(float)
-    grams = [b.T @ w @ b for b, w in zip((q, q[:n, :n]), inverses(z))]
+    chebyshev_grams = inverses(z)
+    grams = [b.T @ w @ b for b, w in zip((q, q[:n, :n]), chebyshev_grams)]
     double = PutinarCertificate(n, *(tuple(map(tuple, g.tolist())) for g in grams), target)
-    certificate, residual = _exact_step(
-        double, target, tol, stop, z,
+    certificate, residual, dual = _exact_step(
+        double, target, tol, stop, z, table,
         lambda point: _hankel_inverse_pair(n, table.monomial_moments(point), target),
-        lambda: _round_putinar(inverses(z), target, table))
+        lambda: _round_putinar(chebyshev_grams, target, table))
     objective = sum(np.linalg.slogdet(np.array(g, dtype=float))[1]
                     for g in (certificate.gram_a, certificate.gram_b))  # log det A + log det B
-    dual = DualFunctional(tuple(map(float, table.monomial_moments(z))))
     return certificate, dual, _report("putinar", n, tol, newton, residual, objective)
 
 
 # ---------------------------------------------------------------------------
-# Certificate verification and exact rationalization
+# Certificate verification and exact certificates from a dual
 
 
 def _is_rational(value: Number) -> bool:
@@ -764,12 +710,8 @@ def _generator_pairs(cert: HandelmanCertificate):
 
 
 def _handelman_reconstruction(weights: Iterable[int], rows: Iterable) -> dict[Exponent, int]:
-    """Integer coefficients of sum_a w_a g^alpha by exponent.
-
-    ``weights`` are integer numerators over one common denominator, and
-    ``rows`` yields the (exponent, integer coefficient) pairs of each
-    generator power, in the order of ``weights``.
-    """
+    """Integer coefficients of sum_a w_a g^alpha by exponent, for integer weight
+    numerators and the (exponent, coefficient) pairs of each g^alpha in that order."""
     terms: dict[Exponent, int] = {}
     for w, row in zip(weights, rows):
         for e, c in row:
@@ -782,11 +724,8 @@ def _gram_entries(cert: PutinarCertificate) -> list:
 
 
 def _putinar_reconstruction(entries: Iterable[int], n: int) -> dict[Exponent, int]:
-    """Integer coefficients of v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1} by exponent.
-
-    ``entries`` are integer numerators over one common denominator, those of
-    A, then of B, row by row.
-    """
+    """Integer coefficients of v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1} by exponent,
+    for the integer numerators of A, then of B, row by row."""
     values = iter(entries)
     coeffs = [0] * (2 * n + 1)
     for i in range(n + 1):
@@ -802,9 +741,7 @@ def _putinar_reconstruction(entries: Iterable[int], n: int) -> dict[Exponent, in
     return {(k,): c for k, c in enumerate(coeffs)}
 
 
-def _residual_numerators(
-    cert: Union[HandelmanCertificate, PutinarCertificate], target: AnyPoly
-) -> tuple[dict, int]:
+def _residual_numerators(cert: Certificate, target: AnyPoly) -> tuple[dict, int]:
     """Integer numerators of target minus reconstruction by exponent, over one scale.
 
     The weights or Gram entries (rational, or dyadic doubles) become integer
@@ -824,32 +761,23 @@ def _residual_numerators(
     scale = math.lcm(den, target.den)
     factor, target_factor = scale // den, scale // target.den
     want = target.sparse_nums
-    residual = {
-        e: want.get(e, 0) * target_factor - recon.get(e, 0) * factor
-        for e in recon.keys() | want.keys()
-    }
-    return residual, scale
+    return {e: want.get(e, 0) * target_factor - recon.get(e, 0) * factor
+            for e in recon.keys() | want.keys()}, scale
 
 
-def _exact_residual(
-    cert: Union[HandelmanCertificate, PutinarCertificate], target: AnyPoly
-) -> Fraction:
+def _exact_residual(cert: Certificate, target: AnyPoly) -> Fraction:
     """Exact sup norm of the coefficient residual between reconstruction and target."""
     residual, scale = _residual_numerators(cert, target)
     return Fraction(max(map(abs, residual.values()), default=0), scale)
 
 
-def verify_certificate(
-    cert: Union[HandelmanCertificate, PutinarCertificate], target: AnyPoly
-) -> float:
+def verify_certificate(cert: Certificate, target: AnyPoly) -> float:
     """``_exact_residual`` rounded once to a double; ValueError if a weight or
     Gram entry is not finite."""
     return float(_exact_residual(cert, target))
 
 
-def verify_certificate_exact(
-    cert: Union[HandelmanCertificate, PutinarCertificate], target: AnyPoly
-) -> bool:
+def verify_certificate_exact(cert: Certificate, target: AnyPoly) -> bool:
     """Whether a rational-valued certificate reconstructs the target exactly."""
     if isinstance(cert, HandelmanCertificate):
         if not all(_is_rational(w) for w in cert.weights.values()):
@@ -861,38 +789,43 @@ def verify_certificate_exact(
 
 def exact_handelman(target: AnyPoly, n: int, dual: DualFunctional) -> HandelmanCertificate:
     """Exact-weight certificate from a monomial dual, snapped in Bernstein moments
-    unless it is rational: the reciprocal pairings 1/<lam, g^alpha>, exactly."""
+    by ``_recover`` unless it is rational: the reciprocal pairings 1/<lam, g^alpha>.
+
+    A solver's dual is rational when its certificate came from the snap.  The
+    rounding of a double dual, mapped into Bernstein moments, outgrows the
+    snap from n = 24 for the flagship on [0,1].
+    """
     table = _generator_table(target.dimension, n)
     if len(dual.values) != len(table.basis):
         raise ValueError("dual vector length does not match the working degree")
     z = table.bernstein_moments(dual.values)
-    if not all(map(_is_rational, dual.values)):
-        z = _snap(z)
-    certificate = _handelman_from_bernstein(table, z, target)
+    point = z if all(map(_is_rational, dual.values)) else _recover(z)
+    certificate = None if point is None else _handelman_from_bernstein(table, point, target)
     if certificate is None:
-        raise ValueError("dual is not strictly feasible")
+        raise ValueError("dual does not snap to a strictly feasible point")
     return certificate
 
 
-def _hankel_inverse_pair(n: int, lam: Sequence[Fraction], target: Optional[UPoly]) -> PutinarCertificate:
-    """The inverses of the Hankel moment and (1 - x^2)-localizing matrices of
-    the rational moments lam, by ``momatrix.invert_hankel``."""
-    gram_a = invert_hankel(lam)
-    gram_b = invert_hankel([lam[k] - lam[k + 2] for k in range(2 * n - 1)])
-    return PutinarCertificate(degree=n, gram_a=gram_a, gram_b=gram_b, target=target)
+def _hankel_inverse_pair(n: int, lam: Sequence[Fraction], target: Optional[UPoly]):
+    """The inverses of the Hankel moment and (1 - x^2)-localizing matrices of lam."""
+    localized = [lam[k] - lam[k + 2] for k in range(2 * n - 1)]
+    return PutinarCertificate(n, invert_hankel(lam), invert_hankel(localized), target)
 
 
-def exact_putinar(
-    n: int, dual: DualFunctional, target: Optional[UPoly] = None
-) -> PutinarCertificate:
-    """Exact Gram pair from a monomial dual, snapped in Chebyshev moments unless
-    it is rational: the inverses of its Hankel and localizing matrices."""
+def exact_putinar(n: int, dual: DualFunctional,
+                  target: Optional[UPoly] = None) -> PutinarCertificate:
+    """Exact Gram pair from a monomial dual, snapped in Chebyshev moments by
+    ``_recover`` unless it is rational: the inverses of its Hankel and
+    localizing matrices (a double flagship dual outgrows the snap from n = 32)."""
     lam = dual.values
     if len(lam) != 2 * n + 1:
         raise ValueError("dual vector length does not match the working degree")
     if not all(map(_is_rational, lam)):
         table = _chebyshev_table(n)
-        lam = table.monomial_moments(_snap(table.chebyshev_moments(lam)))
+        point = _recover(table.chebyshev_moments(lam))
+        if point is None:
+            raise ValueError("dual does not snap to rational Chebyshev moments")
+        lam = table.monomial_moments(point)
     return _hankel_inverse_pair(n, lam, target)
 
 
@@ -905,45 +838,26 @@ def _value_to_json(value: Number):
 
 
 def _value_from_json(raw) -> Number:
-    if isinstance(raw, str):
-        return Fraction(raw)
-    return float(raw)
+    return Fraction(raw) if isinstance(raw, str) else float(raw)
 
 
-def certificate_to_json(
-    cert: Union[HandelmanCertificate, PutinarCertificate],
-) -> dict:
+def certificate_to_json(cert: Certificate) -> dict:
     if isinstance(cert, HandelmanCertificate):
-        return {
-            "type": "handelman",
-            "d": cert.dimension,
-            "n": cert.degree,
-            "weights": [
-                {"alpha": list(alpha), "value": _value_to_json(w)}
-                for alpha, w in cert.weights.items()
-            ],
-        }
-    return {
-        "type": "putinar",
-        "n": cert.degree,
-        "gramA": [[_value_to_json(v) for v in row] for row in cert.gram_a],
-        "gramB": [[_value_to_json(v) for v in row] for row in cert.gram_b],
-    }
+        weights = [{"alpha": list(alpha), "value": _value_to_json(w)}
+                   for alpha, w in cert.weights.items()]
+        return {"type": "handelman", "d": cert.dimension, "n": cert.degree, "weights": weights}
+    return {"type": "putinar", "n": cert.degree,
+            "gramA": [[_value_to_json(v) for v in row] for row in cert.gram_a],
+            "gramB": [[_value_to_json(v) for v in row] for row in cert.gram_b]}
 
 
 def certificate_from_json(obj: Mapping):
     if obj["type"] == "handelman":
-        weights = {
-            tuple(entry["alpha"]): _value_from_json(entry["value"])
-            for entry in obj["weights"]
-        }
-        return HandelmanCertificate(
-            dimension=int(obj["d"]), degree=int(obj["n"]), weights=weights
-        )
+        weights = {tuple(entry["alpha"]): _value_from_json(entry["value"])
+                   for entry in obj["weights"]}
+        return HandelmanCertificate(dimension=int(obj["d"]), degree=int(obj["n"]), weights=weights)
     if obj["type"] == "putinar":
-        return PutinarCertificate(
-            degree=int(obj["n"]),
-            gram_a=tuple(tuple(_value_from_json(v) for v in row) for row in obj["gramA"]),
-            gram_b=tuple(tuple(_value_from_json(v) for v in row) for row in obj["gramB"]),
-        )
+        gram_a, gram_b = (tuple(tuple(map(_value_from_json, row)) for row in obj[key])
+                          for key in ("gramA", "gramB"))
+        return PutinarCertificate(degree=int(obj["n"]), gram_a=gram_a, gram_b=gram_b)
     raise ValueError(f"unknown certificate type {obj.get('type')!r}")

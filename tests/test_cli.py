@@ -232,6 +232,13 @@ class TestMaxentCommand:
         values = {tuple(w["alpha"]): w["value"] for w in payload["exact_certificate"]["weights"]}
         assert values[(1, 1)] == "6"
 
+    @pytest.mark.parametrize("mode, n", [("handelman", 32), ("putinar", 24)])
+    def test_exact_flag_past_a_double_duals_snap(self, capsys, mode, n):
+        code, payload = run_json(capsys, ["maxent", mode, "--n", str(n), "--exact"])
+        assert code == 0
+        assert payload["exact_reconstruction"] is True
+        assert payload["exact_certificate"] == payload["certificate"]
+
 
 class TestPartition:
     def test_interval01_example(self, capsys):

@@ -380,6 +380,36 @@ class TestExactStep:
         assert cert.gram_a == exact_inverse
         assert exact_putinar(n, dual, target=target).gram_a == exact_inverse
 
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_handelman_dual_rebuilds_the_certificate(self, n):
+        # The snapped Bernstein point comes back as an exact dual; a double
+        # copy of it no longer snaps at this size.
+        flagship = const(Fraction((n + 1) * (n + 2), 2))
+        cert, dual, report = solve_handelman(flagship, n)
+        assert report.converged and report.residual == 0
+        assert dual.values == tuple(Fraction(1, k + 1) for k in range(n + 1))
+        assert exact_handelman(flagship, n, dual).weights == cert.weights
+        with pytest.raises(ValueError, match="does not snap"):
+            exact_handelman(flagship, n, DualFunctional(tuple(map(float, dual.values))))
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_putinar_dual_rebuilds_the_certificate(self, n):
+        target = const(2 * n + 1)
+        cert, dual, report = solve_putinar(n)
+        assert report.converged and report.residual == 0
+        assert list(dual.values) == _arcsine_moments(n)
+        assert exact_putinar(n, dual, target=target) == cert
+
+    def test_snap_after_a_budget_stop(self):
+        # Started at the optimum with no iterations: the snap still ships,
+        # while rounding waits for a tol or plateau stop.
+        n = 12
+        cert, _, report = solve_putinar(n, max_iter=0, initial=_arcsine_moments(n))
+        assert report.stop == "budget" and report.converged and report.residual == 0
+        assert cert.gram_a == invert_exact(moment_matrix(ARCSINE, n))
+        with pytest.raises(NoInteriorCertificateError):
+            solve_putinar(n, max_iter=0)
+
     def test_recover_keeps_only_points_near_their_snap(self):
         point = maxent._recover(np.array([1 / 3, 0.25, 1e-17, -2.0]))
         assert point == [Fraction(1, 3), Fraction(1, 4), 0, -2]
