@@ -261,7 +261,8 @@ def _report(family: str, n: int, tol: float, newton: tuple, residual, objective)
 def _recover(z: Iterable[Number]) -> Optional[list[Fraction]]:
     """The best rationals p/q, q <= B = ``RATIONALIZE_DENOMINATOR_BOUND``, of the
     z_k if each z_k lies within 1/(2qB) of its p/q, else None.  Any other such
-    fraction is at least 1/(qB) from p/q, so p/q is the one z_k rounds from."""
+    fraction is at least 1/(qB) from p/q, so p/q is the one z_k rounds from;
+    a point that is not rational usually fails within its first few moments."""
     bound = RATIONALIZE_DENOMINATOR_BOUND
     point = []
     for v in map(Fraction, z):
