@@ -239,14 +239,22 @@ def _run_maxent(args) -> tuple[dict, int]:
         "residual": report.residual,
     }
     if args.exact:
-        if mode == "putinar":
-            exact_cert = maxent.exact_putinar(args.n, dual, target=target)
+        try:
+            if mode == "putinar":
+                exact_cert = maxent.exact_putinar(args.n, dual, target=target)
+            else:
+                exact_cert = maxent.exact_handelman(target, args.n, dual)
+        except ValueError as exc:
+            # The solver's own dual has the right length, so this is its snap
+            # failing: a fact about the target, not a usage error.
+            payload["exact_certificate"] = None
+            payload["exact_reconstruction"] = False
+            payload["exact_error"] = str(exc)
         else:
-            exact_cert = maxent.exact_handelman(target, args.n, dual)
-        payload["exact_certificate"] = maxent.certificate_to_json(exact_cert)
-        payload["exact_reconstruction"] = maxent.verify_certificate_exact(
-            exact_cert, target
-        )
+            payload["exact_certificate"] = maxent.certificate_to_json(exact_cert)
+            payload["exact_reconstruction"] = maxent.verify_certificate_exact(
+                exact_cert, target
+            )
     return payload, EXIT_OK if report.converged else EXIT_FAILED
 
 

@@ -55,14 +55,14 @@ count, stop reason and residual.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from .momatrix import NotPositiveDefiniteError, invert_hankel, is_positive_definite
 from .polycore import (
@@ -78,6 +78,25 @@ from .polycore import (
     simplex_generator_power,
 )
 
+
+def _lazy_import(name: str):
+    """The module ``name``, its body run on first attribute access (the
+    ``importlib.util.LazyLoader`` recipe); ModuleNotFoundError now if absent."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only the float solves need numpy; exact callers never pay for its import.
+np = _lazy_import("numpy")
+
 Number = Union[float, Fraction]
 
 ARMIJO = 1e-4
@@ -88,7 +107,7 @@ RATIONALIZE_DENOMINATOR_BOUND = 10**6
 DIVERGENCE_BOUND = 1e8  # dual iterates past this norm indicate a boundary target
 PLATEAU_LIMIT = 6  # consecutive non-improving steps once progress stops
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _TARGET_RANGE = "target coefficients must fit in a finite double"
 _START_FORM = "initial dual point must be finite, one entry per monomial"
 
@@ -258,6 +277,29 @@ def _report(family: str, n: int, tol: float, newton: tuple, residual, objective)
     return report
 
 
+def _best_rational(num: int, den: int, bound: int) -> tuple[int, int]:
+    """``Fraction(num, den).limit_denominator(bound)`` as a (numerator,
+    denominator) pair, for coprime num and den > 0: the same continued
+    fraction, with the closer of its two last candidates chosen in integers."""
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    # The candidates (p0 + k p1)/(q0 + k q1) and p1/q1 lie 1/(q1 (q0 + k q1))
+    # apart, and p1/q1 lies d/(q1 den) from num/den; ties go to p1/q1.
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _recover(z: Iterable[Number]) -> Optional[list[Fraction]]:
     """The best rationals p/q, q <= B = ``RATIONALIZE_DENOMINATOR_BOUND``, of the
     z_k if each z_k lies within 1/(2qB) of its p/q, else None.  Any other such
@@ -265,13 +307,13 @@ def _recover(z: Iterable[Number]) -> Optional[list[Fraction]]:
     a point that is not rational usually fails within its first few moments."""
     bound = RATIONALIZE_DENOMINATOR_BOUND
     point = []
-    for v in map(Fraction, z):
-        snapped = v.limit_denominator(bound)
-        # 2B |snapped - v| den(snapped) < 1, in integers
-        gap = abs(snapped.numerator * v.denominator - v.numerator * snapped.denominator)
-        if 2 * bound * gap >= v.denominator:
+    for v in z:
+        num, den = v.as_integer_ratio()
+        p, q = _best_rational(num, den, bound)
+        # 2B |p/q - num/den| q < 1, in integers
+        if 2 * bound * abs(p * den - num * q) >= den:
             return None
-        point.append(snapped)
+        point.append(Fraction(p, q))
     return point
 
 
@@ -817,17 +859,22 @@ def exact_putinar(n: int, dual: DualFunctional,
                   target: Optional[UPoly] = None) -> PutinarCertificate:
     """Exact Gram pair from a monomial dual, snapped in Chebyshev moments by
     ``_recover`` unless it is rational: the inverses of its Hankel and
-    localizing matrices (a double flagship dual outgrows the snap from n = 32)."""
+    localizing matrices.  A rational dual whose matrices are not positive
+    definite raises ``NotPositiveDefiniteError``; a double one, ValueError
+    (a double flagship dual outgrows the snap from n = 32)."""
     lam = dual.values
     if len(lam) != 2 * n + 1:
         raise ValueError("dual vector length does not match the working degree")
-    if not all(map(_is_rational, lam)):
-        table = _chebyshev_table(n)
-        point = _recover(table.chebyshev_moments(lam))
-        if point is None:
-            raise ValueError("dual does not snap to rational Chebyshev moments")
-        lam = table.monomial_moments(point)
-    return _hankel_inverse_pair(n, lam, target)
+    if all(map(_is_rational, lam)):
+        return _hankel_inverse_pair(n, lam, target)
+    table = _chebyshev_table(n)
+    point = _recover(table.chebyshev_moments(lam))
+    if point is None:
+        raise ValueError("dual does not snap to rational Chebyshev moments")
+    try:
+        return _hankel_inverse_pair(n, table.monomial_moments(point), target)
+    except NotPositiveDefiniteError:
+        raise ValueError("dual does not snap to a strictly feasible point") from None
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .polycore import AnyPoly, Exponent, simplex_generator_power
 
 _MC_SEED = 20260809  # fixed seed: the simplex oracles must be deterministic
@@ -280,6 +278,8 @@ def simplex_uniform_moment_oracle(d: int, alpha: Sequence[int]) -> Fraction:
 
 def _eval_float(p: AnyPoly, point: np.ndarray) -> np.ndarray:
     """Evaluate p at an array of points (shape (N, dim)) in float arithmetic."""
+    import numpy as np
+
     total = np.zeros(point.shape[0])
     for exponent, coeff in p.terms.items():
         term = np.full(point.shape[0], float(coeff))
@@ -298,6 +298,8 @@ def quadrature_oracle(measure: MeasureId, p: AnyPoly, nodes: int) -> float:
     2*nodes exceeds the degree), and fixed-seed Dirichlet Monte Carlo with
     ``nodes`` samples for the simplex measures.
     """
+    import numpy as np  # the exact functions here never need it
+
     if nodes <= 0:
         raise ValueError("nodes must be positive")
     if measure.kind in (_Kind.ARCSINE, _Kind.ARCSINE_G):

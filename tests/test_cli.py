@@ -239,6 +239,23 @@ class TestMaxentCommand:
         assert payload["exact_reconstruction"] is True
         assert payload["exact_certificate"] == payload["certificate"]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["handelman", "--n", "12", "--target-coeffs", "2,1,-1"],
+         "dual does not snap to a strictly feasible point"),
+        (["putinar", "--n", "6", "--target-coeffs", "3,1,2"],
+         "dual does not snap to rational Chebyshev moments"),
+    ])
+    def test_exact_flag_on_a_dual_that_does_not_snap(self, capsys, argv, error):
+        # A converged solve of a valid target whose optimum is not rational.
+        code, payload = run_json(capsys, ["maxent", *argv, "--exact"])
+        assert code == 0
+        assert payload["report"]["converged"] is True
+        assert payload["certificate"]["type"] == argv[0]
+        assert payload["exact_certificate"] is None
+        assert payload["exact_reconstruction"] is False
+        assert payload["exact_error"] == error
+        assert capsys.readouterr().err == ""
+
 
 class TestPartition:
     def test_interval01_example(self, capsys):
@@ -336,16 +353,36 @@ class TestModuleEntryPoint:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        return subprocess.run([sys.executable, "-m", "unitycert", *argv], env=env,
+        return subprocess.run([sys.executable, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
 
+    # Exact work in a fresh interpreter, then the package's first float solve.
+    COLD_START = """
+import contextlib, io, sys
+import unitycert as uc
+from unitycert import cli
+assert uc.verify_pell(8).holds
+uc.christoffel_form(uc.ARCSINE, 4)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["partition", "--domain", "interval01", "--n", "2", "--points", "0.25"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+cert, dual, report = uc.solve_handelman(uc.UPoly.constant(3), 1)
+print(report.converged, [float(v) for v in dual.values])
+"""
+
+    def test_exact_work_never_imports_numpy(self):
+        # pytest has imported numpy already, so this needs its own process.
+        done = self.run_module("-c", self.COLD_START)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "True [1.0, 0.5]"]
+
     def test_success_is_exit_0(self):
-        done = self.run_module("verify", "--identity", "pell", "--n", "3")
+        done = self.run_module("-m", "unitycert", "verify", "--identity", "pell", "--n", "3")
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["holds"] is True
 
     def test_usage_error_is_exit_2(self):
-        done = self.run_module("verify", "--identity", "pell", "--n", "0")
+        done = self.run_module("-m", "unitycert", "verify", "--identity", "pell", "--n", "0")
         assert done.returncode == 2
         assert done.stdout == ""
 

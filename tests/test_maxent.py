@@ -400,6 +400,19 @@ class TestExactStep:
         assert list(dual.values) == _arcsine_moments(n)
         assert exact_putinar(n, dual, target=target) == cert
 
+    def test_putinar_double_dual_that_snaps_wrongly(self):
+        # Rounded to doubles, the n=32 flagship dual passes _recover but snaps
+        # to a point whose Hankel pair is not positive definite.
+        n = 32
+        lam = _arcsine_moments(n)
+        doubles = DualFunctional(tuple(map(float, lam)))
+        assert maxent._recover(maxent._chebyshev_table(n).chebyshev_moments(doubles.values))
+        with pytest.raises(ValueError, match="does not snap to a strictly feasible point"):
+            exact_putinar(n, doubles)
+        # The exact dual is inverted as it is.
+        assert exact_putinar(n, DualFunctional(tuple(lam))).gram_a == invert_exact(
+            moment_matrix(ARCSINE, n))
+
     def test_snap_after_a_budget_stop(self):
         # Started at the optimum with no iterations: the snap still ships,
         # while rounding waits for a tol or plateau stop.
@@ -409,6 +422,22 @@ class TestExactStep:
         assert cert.gram_a == invert_exact(moment_matrix(ARCSINE, n))
         with pytest.raises(NoInteriorCertificateError):
             solve_putinar(n, max_iter=0)
+
+    def test_best_rational_matches_limit_denominator(self):
+        rng = random.Random(20261019)
+        bound = maxent.RATIONALIZE_DENOMINATOR_BOUND
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1 / 3, -2.0, 1e300]
+        for _ in range(2000):
+            bits = rng.getrandbits(64)
+            if bits >> 52 & 0x7FF != 0x7FF:  # skip infinities and NaNs
+                values.append(np.frombuffer(bits.to_bytes(8, "little"), dtype=np.float64)[0])
+            values.append(rng.uniform(-1, 1))
+            q = rng.randrange(1, 2 * bound)
+            values.append(rng.randrange(-q, q) / q * (1 + rng.uniform(-1e-12, 1e-12)))
+        for v in values:
+            want = Fraction(float(v)).limit_denominator(bound)
+            p, q = maxent._best_rational(*float(v).as_integer_ratio(), bound)
+            assert (p, q) == (want.numerator, want.denominator), v
 
     def test_recover_keeps_only_points_near_their_snap(self):
         point = maxent._recover(np.array([1 / 3, 0.25, 1e-17, -2.0]))
