@@ -247,14 +247,15 @@ class TestMaxentCommand:
     ])
     def test_exact_flag_on_a_dual_that_does_not_snap(self, capsys, argv, error):
         # A converged solve of a valid target whose optimum is not rational.
-        code, payload = run_json(capsys, ["maxent", *argv, "--exact"])
-        assert code == 0
+        code = cli.run(["maxent", *argv, "--exact"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        payload = json.loads(captured.out)
         assert payload["report"]["converged"] is True
         assert payload["certificate"]["type"] == argv[0]
         assert payload["exact_certificate"] is None
         assert payload["exact_reconstruction"] is False
         assert payload["exact_error"] == error
-        assert capsys.readouterr().err == ""
 
 
 class TestPartition:
@@ -346,10 +347,11 @@ class TestPolyToJson:
 
 
 class TestModuleEntryPoint:
-    """``python -m unitycert`` runs the command line in a fresh interpreter."""
+    """Fresh interpreters: ``python -m unitycert`` runs the command line, and
+    exact work never imports numpy."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_python(*argv):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -372,17 +374,17 @@ print(report.converged, [float(v) for v in dual.values])
 
     def test_exact_work_never_imports_numpy(self):
         # pytest has imported numpy already, so this needs its own process.
-        done = self.run_module("-c", self.COLD_START)
+        done = self.run_python("-c", self.COLD_START)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "True [1.0, 0.5]"]
 
     def test_success_is_exit_0(self):
-        done = self.run_module("-m", "unitycert", "verify", "--identity", "pell", "--n", "3")
+        done = self.run_python("-m", "unitycert", "verify", "--identity", "pell", "--n", "3")
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["holds"] is True
 
     def test_usage_error_is_exit_2(self):
-        done = self.run_module("-m", "unitycert", "verify", "--identity", "pell", "--n", "0")
+        done = self.run_python("-m", "unitycert", "verify", "--identity", "pell", "--n", "0")
         assert done.returncode == 2
         assert done.stdout == ""
 
