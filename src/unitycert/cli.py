@@ -7,14 +7,14 @@ exact reports); moment tables can also be emitted as CSV.  Exit codes:
 did not converge, 2 usage error, 3 internal numeric failure.  The top-level
 ``--log-level`` flag writes the package's ``unitycert.*`` log records at or
 above that level to stderr as JSON lines; without it no handler is
-installed.
+installed.  In-process callers of ``run`` share one parser per process,
+built on the first call.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import csv
+import functools
 import io
 import json
 import logging
@@ -22,12 +22,15 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import identities, maxent, measures, momatrix
 from .measures import MeasureId, SimplexNormalization, functional_for
 from .momatrix import NotPositiveDefiniteError
 from .polycore import AnyPoly, UPoly, monomials_upto, poly_eval
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -65,6 +68,12 @@ def _json_log_lines(level: Optional[str]):
         package_logger.setLevel(previous_level)
 
 
+def _check_equilibrium_d(d: int) -> None:
+    # The simplex equilibrium measure is implemented on the triangle only.
+    if d != 2:
+        raise ValueError(f"--d must be 2 for simplex-equilibrium, got {d}")
+
+
 def _measure_from_flags(name: str, d: int, normalization: str) -> MeasureId:
     if name == "arcsine":
         return measures.ARCSINE
@@ -75,6 +84,7 @@ def _measure_from_flags(name: str, d: int, normalization: str) -> MeasureId:
     if name == "simplex-uniform":
         return measures.simplex_uniform(d)
     if name == "simplex-equilibrium":
+        _check_equilibrium_d(d)
         return measures.simplex_equilibrium(SimplexNormalization(normalization))
     raise ValueError(f"unknown measure {name!r}")
 
@@ -159,6 +169,8 @@ def _moments_payload(measure: MeasureId, max_degree: int) -> list[tuple[tuple[in
 
 
 def _moments_csv(rows) -> str:
+    import csv  # only CSV output needs it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["exponent", "value"])
@@ -198,6 +210,7 @@ def _run_verify(args) -> tuple[dict, int]:
     elif identity == "simplex-unity":
         report = identities.verify_simplex_unity(args.d, args.n)
     elif identity == "simplex-equilibrium":
+        _check_equilibrium_d(args.d)
         report = identities.verify_simplex_equilibrium(
             args.n, SimplexNormalization(args.normalization)
         )
@@ -306,7 +319,16 @@ def _dispatch(args) -> tuple[object, str, int]:
     raise ValueError(f"unknown command {args.command!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Sharing is safe because ``parse_args`` keeps no state in the parser:
+    each parse fills a fresh namespace, and no action has a mutable default.
+    ``argparse`` is imported here, so importing this module does not load it.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="unitycert",
         description="Exact partition-of-unity identities and max-entropy certificates.",

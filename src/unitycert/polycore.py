@@ -468,8 +468,24 @@ def cheb_table(kind: ChebKind, n: int) -> list[UPoly]:
 
 
 def cheb(kind: ChebKind, n: int) -> UPoly:
-    """Chebyshev polynomial T_n (first kind) or U_n (second kind)."""
-    return cheb_table(kind, n)[n]
+    """Chebyshev polynomial T_n (first kind) or U_n (second kind).
+
+    Written from the explicit integer coefficients, without the lower rows:
+    U_n has (-1)^k C(n-k, k) 2^(n-2k) on x^(n-2k), and T_n (n >= 1) has
+    (-1)^k n C(n-k, k) 2^(n-2k) / (2(n-k)), an exact division.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if n == 0:
+        return UPoly((1,))
+    nums = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = math.comb(n - k, k) << (n - 2 * k)
+        if kind is ChebKind.FIRST:
+            c = n * c // (2 * (n - k))
+        nums[n - 2 * k] = -c if k & 1 else c
+    # The leading coefficient is a power of two and den is 1: canonical.
+    return UPoly(tuple(nums))
 
 
 def cheb_orthonormal_square(kind: ChebKind, j: int) -> UPoly:

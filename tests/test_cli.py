@@ -99,6 +99,25 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert captured.err == "error: target coefficients must fit in a finite double\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--measure", "simplex-equilibrium", "--max-degree", "2"],
+            ["matrix", "--measure", "simplex-equilibrium", "--n", "1"],
+            ["christoffel", "--measure", "simplex-equilibrium", "--n", "1"],
+            ["verify", "--identity", "simplex-equilibrium", "--n", "1"],
+        ],
+    )
+    def test_simplex_equilibrium_is_the_triangle(self, capsys, argv):
+        assert cli.run(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.run(argv + ["--d", "2"]) == 0
+        assert capsys.readouterr().out == default
+        assert cli.run(argv + ["--d", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --d must be 2 for simplex-equilibrium, got 3\n"
+
     def test_numeric_failure_is_exit_3(self, capsys, monkeypatch):
         def boom(measure, n, shift=None):
             raise NotPositiveDefiniteError(1, Fraction(-1))
@@ -108,8 +127,12 @@ class TestExitCodeContract:
         assert "not positive definite" in capsys.readouterr().err
 
     def test_help_is_exit_0(self, capsys):
+        # Twice, since in-process runs share one parser.
         assert cli.run(["--help"]) == 0
-        capsys.readouterr()
+        first = capsys.readouterr().out
+        assert first.startswith("usage: unitycert ")
+        assert cli.run(["--help"]) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestPellCommand:
@@ -358,25 +381,34 @@ class TestModuleEntryPoint:
         return subprocess.run([sys.executable, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
 
-    # Exact work in a fresh interpreter, then the package's first float solve.
+    # Exact library work in a fresh interpreter, then the first cli.run, then
+    # the package's first float solve.
     COLD_START = """
 import contextlib, io, sys
 import unitycert as uc
 from unitycert import cli
+def loaded():
+    return [m for m in ("argparse", "csv") if m in sys.modules], cli._build_parser.cache_info().currsize
 assert uc.verify_pell(8).holds
 uc.christoffel_form(uc.ARCSINE, 4)
+cli.emit_partition("interval01", 2, points=[[0.25]])
+print(*loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["partition", "--domain", "interval01", "--n", "2", "--points", "0.25"]) == 0
+print(*loaded())
 print(sorted(m for m in sys.modules if m.startswith("numpy.")))
 cert, dual, report = uc.solve_handelman(uc.UPoly.constant(3), 1)
 print(report.converged, [float(v) for v in dual.values])
 """
 
     def test_exact_work_never_imports_numpy(self):
-        # pytest has imported numpy already, so this needs its own process.
+        # pytest has imported numpy, argparse and csv already, so this needs
+        # its own process.  Neither module loads, and no parser is built,
+        # before the first cli.run.
         done = self.run_python("-c", self.COLD_START)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["[]", "True [1.0, 0.5]"]
+        assert done.stdout.splitlines() == [
+            "[] 0", "['argparse'] 1", "[]", "True [1.0, 0.5]"]
 
     def test_success_is_exit_0(self):
         done = self.run_python("-m", "unitycert", "verify", "--identity", "pell", "--n", "3")
@@ -498,3 +530,58 @@ class TestLogLevel:
         assert package_logger.handlers == handlers
         assert package_logger.level == level
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """One process, one parser: no run leaks into the next."""
+
+    def test_second_run_builds_no_parser(self, capsys):
+        argv = ["verify", "--identity", "pell", "--n", "3"]
+        assert cli.run(argv) == 0
+        built = cli._build_parser.cache_info().misses
+        assert cli.run(argv) == 0
+        assert cli._build_parser.cache_info().misses == built
+        capsys.readouterr()
+
+    def test_exact_flag_does_not_stick(self, capsys):
+        argv = ["maxent", "handelman", "--n", "2"]
+        code, plain = run_json(capsys, argv)
+        assert code == 0 and "exact_certificate" not in plain
+        code, exact = run_json(capsys, argv + ["--exact"])
+        assert code == 0 and exact["exact_reconstruction"] is True
+        code, again = run_json(capsys, argv)
+        assert code == 0 and again == plain
+
+    def test_log_level_does_not_stick(self, capsys):
+        package_logger = logging.getLogger("unitycert")
+        handlers = list(package_logger.handlers)
+        argv = ["christoffel", "--measure", "arcsine", "--n", "2"]
+        assert cli.run(["--log-level", "DEBUG"] + argv) == 0
+        assert capsys.readouterr().err != ""
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert package_logger.handlers == handlers
+
+    def test_output_file_does_not_stick(self, tmp_path, capsys):
+        target = tmp_path / "pell.json"
+        argv = ["pell", "--n", "4"]
+        assert cli.run(argv + ["--output", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == target.read_text(encoding="utf-8")
+
+    def test_usage_error_between_runs_matches_fresh_processes(self, capsys, monkeypatch):
+        # argparse wraps usage lines to the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        runs = [
+            ["verify", "--identity", "unity-01", "--n", "3"],
+            ["verify", "--identity", "pell", "--n", "-2", "--frobnicate"],
+            ["partition", "--domain", "interval11", "--n", "2", "--points", "0.5"],
+        ]
+        for argv in runs:
+            code = cli.run(argv)
+            captured = capsys.readouterr()
+            fresh = TestModuleEntryPoint.run_python("-m", "unitycert", *argv)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0

@@ -69,6 +69,15 @@ class TestCheb:
                 for p in table:
                     _assert_canonical(p)
 
+    def test_closed_form_matches_table(self):
+        # cheb writes the explicit coefficients; cheb_table runs the recurrence.
+        for kind in ChebKind:
+            table = cheb_table(kind, 300)
+            for n, want in enumerate(table):
+                got = cheb(kind, n)
+                assert got == want
+                _assert_canonical(got)
+
     def test_pell_identity_small(self):
         g = upoly(1, 0, -1)
         for n in range(1, 9):
