@@ -4,11 +4,11 @@ Subcommands: pell, moments, matrix, christoffel, verify, maxent, partition.
 JSON is the default output (rationals as "p/q" strings, never floats in
 exact reports); moment tables can also be emitted as CSV.  Exit codes:
 0 success (identity holds / solver converged), 1 identity fails or solver
-did not converge, 2 usage error, 3 internal numeric failure.  The top-level
-``--log-level`` flag writes the package's ``unitycert.*`` log records at or
-above that level to stderr as JSON lines; without it no handler is
-installed.  In-process callers of ``run`` share one parser per process,
-built on the first call.
+did not converge, 2 usage error, 3 internal numeric failure or out of
+memory.  The top-level ``--log-level`` flag writes the package's
+``unitycert.*`` log records at or above that level to stderr as JSON lines;
+without it no handler is installed.  In-process callers of ``run`` share
+one parser per process, built on the first call.
 """
 
 from __future__ import annotations
@@ -74,13 +74,22 @@ def _check_equilibrium_d(d: int) -> None:
         raise ValueError(f"--d must be 2 for simplex-equilibrium, got {d}")
 
 
-def _measure_from_flags(name: str, d: int, normalization: str) -> MeasureId:
-    if name == "arcsine":
-        return measures.ARCSINE
-    if name == "arcsine-g":
-        return measures.ARCSINE_G
-    if name == "lebesgue01":
-        return measures.LEBESGUE01
+def _reject_d(d: Optional[int], what: str) -> None:
+    # --d defaults to None where it can be meaningless, so a given one is seen.
+    if d is not None:
+        raise ValueError(f"--d does not apply to {what}, which is one-dimensional")
+
+
+_ONE_DIMENSIONAL = {"arcsine": measures.ARCSINE, "arcsine-g": measures.ARCSINE_G,
+                    "lebesgue01": measures.LEBESGUE01}
+
+
+def _measure_from_flags(name: str, d: Optional[int], normalization: str) -> MeasureId:
+    """The measure named by ``--measure``; ``d`` is ``--d``, None if not given."""
+    if name in _ONE_DIMENSIONAL:
+        _reject_d(d, name)
+        return _ONE_DIMENSIONAL[name]
+    d = 2 if d is None else d
     if name == "simplex-uniform":
         return measures.simplex_uniform(d)
     if name == "simplex-equilibrium":
@@ -297,11 +306,14 @@ def _dispatch(args) -> tuple[object, str, int]:
     if args.command == "christoffel":
         measure = _measure_from_flags(args.measure, args.d, args.normalization)
         form = momatrix.christoffel_form(measure, args.n)
+        # The inverse's strings, written from its upper triangle in integers.
+        upper = [[_ratio_str(v, form.inverse_den) for v in row] for row in form.inverse_upper]
+        size = len(upper)
         payload = {
             "measure": measure.label(),
             "degree": form.degree,
             "basis": [list(e) for e in monomials_upto(measure.dimension, args.n)],
-            "inverse": [[str(v) for v in row] for row in form.inverse],
+            "inverse": [[upper[min(i, j)][abs(j - i)] for j in range(size)] for i in range(size)],
             "polynomial": _poly_to_json(form.quadratic_form_poly),
         }
         return payload, "json", EXIT_OK
@@ -312,9 +324,13 @@ def _dispatch(args) -> tuple[object, str, int]:
         payload, code = _run_maxent(args)
         return payload, "json", code
     if args.command == "partition":
-        dimension = 1 if args.domain.startswith("interval") else args.d
-        points = _parse_points(args.points, dimension)
-        payload = emit_partition(args.domain, args.n, d=args.d, points=points)
+        if args.domain == "simplex":
+            d = 2 if args.d is None else args.d
+        else:
+            _reject_d(args.d, f"--domain {args.domain}")
+            d = 1
+        points = _parse_points(args.points, d)
+        payload = emit_partition(args.domain, args.n, d=d, points=points)
         return payload, "json", EXIT_OK
     raise ValueError(f"unknown command {args.command!r}")
 
@@ -361,21 +377,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="emit a moment table")
     p.add_argument("--measure", choices=measure_names, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--normalization", choices=norm_names, default="pi-density")
     p.add_argument("--max-degree", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("matrix", help="emit an exact moment matrix")
     p.add_argument("--measure", choices=measure_names, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--normalization", choices=norm_names, default="pi-density")
     p.add_argument("--n", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("christoffel", help="emit a reciprocal Christoffel function")
     p.add_argument("--measure", choices=measure_names, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--normalization", choices=norm_names, default="pi-density")
     p.add_argument("--n", type=int, required=True)
     add_common(p)
@@ -407,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="emit a partition of unity")
     p.add_argument("--domain", choices=["interval01", "interval11", "simplex"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--points", default=None, help="semicolon-separated points, comma-separated coordinates")
     add_common(p)
 
@@ -467,6 +483,10 @@ def run(argv: Sequence[str]) -> int:
             code = EXIT_FAILED
         except NotPositiveDefiniteError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+                  file=sys.stderr)
             return EXIT_NUMERIC
         except (ValueError, TypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)

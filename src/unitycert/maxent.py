@@ -26,7 +26,9 @@ Putinar, against 3.7e10 and 2.7e16 at n=12 in monomial moments):
   M_T[i][j] = (z_{i+j} + z_{|i-j|}) / 2, the localizing matrix has the same
   form over s_k = z_k/2 - (z_{k+2} + z_{|k-2|})/4, and for the linear map
   A: z -> vec(M_T) and W = M_T^{-1} the gradient of -log det M_T is
-  -A' vec(W) and its Hessian A' (W kron W) A.
+  -A' vec(W) and its Hessian has entries tr(W E_k W E_l), E_k = dM_T/dz_k,
+  from the batched products W E_k W, without forming the (n+1)^2 x (n+1)^2
+  matrix W kron W.
 
 Starts and targets cross into these bases exactly and are rounded once.
 A double certificate soon misses the tolerance by its own rounding (the
@@ -542,8 +544,11 @@ def solve_simplex(d: int, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     """Max-entropy certificate of the constant C(d+1+n, n) on the simplex.
 
     Same dual Newton scheme as ``solve_handelman`` with generator powers
-    g^alpha, alpha in N^(d+1)_n.  For n <= 2 the optimal weights are the
-    reciprocal uniform-measure moments of the generators.
+    g^alpha, alpha in N^(d+1)_n.  At every n the optimal dual is the uniform
+    probability measure, Bernstein moments z_gamma = 1/C(n+d, d), and the
+    optimal weights are the reciprocal uniform-measure moments of the
+    generators, which sum the g^alpha to C(d+1+n, n) by the multinomial
+    theorem.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
@@ -573,7 +578,8 @@ class _ChebyshevTable:
     ``cheb[k, l]`` is the integer coefficient of x^l in T_k, so the Chebyshev
     moments are z = cheb @ y; ``monomial[l, k] / 4^n`` is the nonnegative
     coefficient of T_k in x^l, so y = monomial @ z / 4^n.  ``maps`` are the
-    matrices of z -> vec(M_T) (size n+1) and z -> vec(L_T) (size n).
+    matrices of z -> vec(M_T) (size n+1) and z -> vec(L_T) (size n), and
+    ``derivatives`` their columns as square matrices, dM_T/dz_k and dL_T/dz_k.
     """
 
     def __init__(self, n: int) -> None:
@@ -593,7 +599,8 @@ class _ChebyshevTable:
             np.stack([_cheb_hankel(e, n + 1).ravel() for e in unit], axis=1),
             np.stack([_cheb_hankel(_cheb_localized(e), n).ravel() for e in unit], axis=1),
         )
-        for matrix in self.maps:
+        self.derivatives = tuple(m.T.reshape(size, s, s) for m, s in zip(self.maps, (n + 1, n)))
+        for matrix in self.maps + self.derivatives:
             matrix.setflags(write=False)
 
     def chebyshev_moments(self, y: Sequence[Number]) -> list[Fraction]:
@@ -640,7 +647,9 @@ def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
         if grams is None:
             return None
         grad = t - sum(m.T @ w.ravel() for m, w in zip(table.maps, grams))
-        return grad, lambda: sum(m.T @ np.kron(w, w) @ m for m, w in zip(table.maps, grams))
+        # H_kl = tr(W E_k W E_l) = vec(W E_k W) . vec(E_l), summed over both maps.
+        return grad, lambda: sum((w @ e @ w).reshape(len(e), -1) @ m
+                                 for m, e, w in zip(table.maps, table.derivatives, grams))
 
     return value, newton_system, inverses
 

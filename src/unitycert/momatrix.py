@@ -11,9 +11,10 @@ A univariate matrix is Hankel in the moments ``mu_k = L(g x^k)`` of the
 Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, 2004, section 2.1.7) gives the recurrence coefficients and
 the norms of the monic orthogonal polynomials ``p_k``, and the three-term
-recurrence builds the ``p_k``.  The leading principal minor of order
-``k+1`` is ``h_0 ... h_k``, which doubles as the positive definiteness
-check.
+recurrence builds the ``p_k``.  The recurrence coefficients and norms are
+reduced integer ``(numerator, denominator)`` pairs, so the algorithm builds
+no ``Fraction``.  The leading principal minor of order ``k+1`` is
+``h_0 ... h_k``, which doubles as the positive definiteness check.
 
 ``christoffel_form`` builds the forms of the simplex measures without any
 matrix: the uniform and equilibrium measures, and their localizations by a
@@ -21,7 +22,8 @@ product ``x_S`` of barycentric coordinates, are Dirichlet measures
 (``measures.dirichlet_parameters``), whose orthogonal basis is explicit
 (Dunkl and Xu, *Orthogonal Polynomials of Several Variables*, 2nd ed.,
 2014, section 5.3): products of univariate Beta orthogonal polynomials,
-which come from the same Chebyshev algorithm, with closed-form norms.
+which come from the same Chebyshev algorithm, with closed-form norms, also
+kept as integer pairs.
 
 Any other multivariate matrix -- a built ``MomentMatrix``, or a shift that
 is not some ``x_S`` -- is inverted by fraction-free Bareiss elimination on
@@ -30,8 +32,10 @@ to ``det * A^{-1}``, which is an integer matrix; every division is checked
 exact.  The Bareiss pivots are the leading principal minors; the tests use
 this path as the oracle for the other two.  All three paths hand back the
 upper triangle of ``L * M^{-1}`` in integers over one denominator ``L``
-(``det`` for Bareiss), from which one builder sums the quadratic form: the
-reciprocal Christoffel function as an explicit polynomial.
+(``det`` for Bareiss).  A ``ChristoffelForm`` keeps that triangle in lowest
+terms and sums the quadratic form from it -- the reciprocal Christoffel
+function as an explicit polynomial -- and builds the ``Fraction`` matrix
+``inverse`` only when it is read; the identity verifiers never read it.
 
 With ``logging`` at DEBUG, each inversion logs one record with its
 dimension and method: for Bareiss the bit lengths of ``det`` and of the
@@ -51,6 +55,7 @@ entry_bits_max=442`` through Bareiss.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import operator
@@ -58,10 +63,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .measures import MeasureId, dirichlet_parameters, functional_for, rising_factorial
+from .measures import MeasureId, dirichlet_parameters, functional_for
 from .polycore import AnyPoly, Exponent, monomials_upto, poly_eval, poly_from_sparse_nums
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+Ratio = tuple[int, int]  # (numerator, denominator), denominator > 0
 
 logger = logging.getLogger(__name__)
 
@@ -96,11 +102,23 @@ class MomentMatrix:
 
 @dataclass(frozen=True)
 class ChristoffelForm:
+    """A reciprocal Christoffel function and its inverse moment matrix.
+
+    Entry (i, j), j >= i, of the inverse is ``inverse_upper[i][j - i] /
+    inverse_den`` in lowest terms, so ``==`` compares inverses exactly; the
+    ``Fraction`` matrix ``inverse`` is built on first read.
+    """
+
     measure: MeasureId
     degree: int
-    inverse: RationalMatrix
+    inverse_upper: tuple[tuple[int, ...], ...]
+    inverse_den: int
     quadratic_form_poly: AnyPoly
     shift: Optional[AnyPoly] = None
+
+    @functools.cached_property
+    def inverse(self) -> RationalMatrix:
+        return _fractions_of_upper(self.inverse_upper, self.inverse_den)
 
 
 def _shift_terms(shift: Optional[AnyPoly], dimension: int) -> list[tuple[Exponent, Fraction]]:
@@ -269,15 +287,21 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def _three_term(x: list[int], y: list[int], x_den: int, alpha: Fraction,
-                z: list[int], z_den: int, beta: Fraction) -> tuple[list[int], int]:
+def _reduced(num: int, den: int) -> Ratio:
+    """``num / den`` in lowest terms, for ``den > 0``."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _three_term(x: list[int], y: list[int], x_den: int, alpha: Ratio,
+                z: list[int], z_den: int, beta: Ratio) -> tuple[list[int], int]:
     """Numerators and denominator of ``x - alpha*y - beta*z``, in lowest terms.
 
     ``x`` and ``y`` are numerators over ``x_den`` and ``z`` over ``z_den``;
     the lists are read position by position up to the shortest.
     """
-    an, ad = alpha.numerator, alpha.denominator
-    bn, bd = beta.numerator, beta.denominator
+    an, ad = alpha
+    bn, bd = beta
     den = math.lcm(x_den * ad, z_den * bd)
     c1 = den // x_den
     c2 = an * (den // (x_den * ad))
@@ -313,12 +337,14 @@ def _hankel_inverse_nums(moments: Sequence[Fraction]) -> tuple[list[list[int]], 
     return _inverse_nums(polys, norms, len(polys), "recurrence")
 
 
-def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[int], int]], list[Fraction]]:
+def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[int], int]], list[Ratio]]:
     """Monic orthogonal ``p_0 .. p_n`` and norms ``h_k`` from ``mu_0 .. mu_2n``.
 
     Each ``p_k`` is ``(nums, den)``: integer numerators of 1, x, .., x^k over
-    one denominator.  ``NotPositiveDefiniteError`` names the first leading
-    principal minor ``h_0 ... h_k`` that is not positive.
+    one denominator.  Each ``h_k``, like the recurrence coefficients, is a
+    reduced ``(numerator, denominator)`` pair.  ``NotPositiveDefiniteError``
+    names the first leading principal minor ``h_0 ... h_k`` that is not
+    positive.
     """
     n = len(moments) // 2
     mu_den = math.lcm(*(mu.denominator for mu in moments))
@@ -328,22 +354,26 @@ def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[i
     s_prev, s_prev_den = [0] * len(s), 1
     p, p_den = [1], 1
     p_prev, p_prev_den = [0], 1
-    norms: list[Fraction] = []
+    norms: list[Ratio] = []
     polys: list[tuple[list[int], int]] = []
+    beta = (0, 1)
     for k in range(n + 1):
-        h = Fraction(s[0], s_den)
-        if h <= 0:
-            for earlier in norms:
-                h *= earlier
-            raise NotPositiveDefiniteError(k + 1, h)
-        beta = h / norms[-1] if norms else Fraction(0)
+        h = _reduced(s[0], s_den)
+        if h[0] <= 0:
+            minor = Fraction(math.prod(v for v, _ in norms) * h[0],
+                             math.prod(d for _, d in norms) * h[1])
+            raise NotPositiveDefiniteError(k + 1, minor)
+        if norms:
+            beta = _reduced(h[0] * norms[-1][1], h[1] * norms[-1][0])
         norms.append(h)
         polys.append((p, p_den))
         if k == n:
             break
-        alpha = Fraction(s[1], s[0])
+        # alpha_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1}.
         if k:
-            alpha -= Fraction(s_prev[1], s_prev[0])
+            alpha = _reduced(s[1] * s_prev[0] - s_prev[1] * s[0], s[0] * s_prev[0])
+        else:
+            alpha = _reduced(s[1], s[0])
         s_prev, s_prev_den, (s, s_den) = s, s_den, _three_term(
             s[2:], s[1:], s_den, alpha, s_prev[2:], s_prev_den, beta)
         p_prev, p_prev_den, (p, p_den) = p, p_den, _three_term(
@@ -351,21 +381,21 @@ def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[i
     return polys, norms
 
 
-def _inverse_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Fraction], m: int,
+def _inverse_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio], m: int,
                   method: str) -> tuple[list[list[int]], int]:
     """``(Y, L)`` with ``Y / L = sum_k c_k c_k^T / h_k``, upper triangle only.
 
     ``c_k`` is ``polys[k] = (nums, e)``, integer numerators over ``e`` of the
-    first ``len(nums)`` of the ``m`` basis monomials, and ``h_k`` is
-    ``norms[k]``; ``L`` is the lcm of the weights ``1 / (h_k e^2)``.  Logs one
-    DEBUG record naming ``method``.
+    first ``len(nums)`` of the ``m`` basis monomials, and ``h_k > 0`` is
+    ``norms[k]``; ``L`` is the lcm of the weights ``1 / (h_k e^2)`` in lowest
+    terms.  Logs one DEBUG record naming ``method``.
     """
     # c_k = nums / e, so nums nums^T enters with weight 1 / (h_k * e^2).
-    weights = [1 / (h * (e * e)) for h, (_, e) in zip(norms, polys)]
-    den = math.lcm(*(w.denominator for w in weights))
+    weights = [_reduced(hd, hn * e * e) for (hn, hd), (_, e) in zip(norms, polys)]
+    den = math.lcm(*(wd for _, wd in weights))
     y = [[0] * (m - i) for i in range(m)]  # y[i][j - i] for j >= i
-    for (nums, _), w in zip(polys, weights):
-        c = w.numerator * (den // w.denominator)
+    for (nums, _), (wn, wd) in zip(polys, weights):
+        c = wn * (den // wd)
         top = len(nums)
         for i in range(top):
             ci = c * nums[i]
@@ -384,7 +414,7 @@ def _inverse_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Fracti
 
 
 @functools.lru_cache(maxsize=128)
-def _beta_recurrence(a: Fraction, b: Fraction, n: int) -> tuple[list[tuple[list[int], int]], list[Fraction]]:
+def _beta_recurrence(a: Fraction, b: Fraction, n: int) -> tuple[list[tuple[list[int], int]], list[Ratio]]:
     """``_chebyshev_algorithm`` of the Beta(a, b) probability measure on [0, 1].
 
     Its moments are ``(a)_k / (a+b)_k``.  The tables are shared between
@@ -396,13 +426,14 @@ def _beta_recurrence(a: Fraction, b: Fraction, n: int) -> tuple[list[tuple[list[
     return _chebyshev_algorithm(moments)
 
 
-def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exponent, int], int, int, Fraction]]:
+def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exponent, int], int, int, Ratio]]:
     """A mutually orthogonal basis of degree <= n for Dirichlet(kappa) on T^d.
 
     d = len(kappa) - 1.  Each entry is ``(nums, den, degree, norm)``: integer
     numerators over ``den`` keyed by exponents of length d, and the norm
-    ``E[P^2]`` under the probability measure.  With x = (x_1, x') and
-    ``Q_beta`` this basis for ``kappa' = kappa[1:]`` on T^(d-1), of degree m,
+    ``E[P^2]`` under the probability measure, a ``Ratio`` not necessarily in
+    lowest terms.  With x = (x_1, x') and ``Q_beta`` this basis for
+    ``kappa' = kappa[1:]`` on T^(d-1), of degree m,
 
         P_{j,beta}(x) = p_j(x_1) (1 - x_1)^m Q_beta(x' / (1 - x_1)),
 
@@ -413,15 +444,20 @@ def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exp
     independent Dirichlet(kappa').
     """
     if len(kappa) == 1:
-        return [({(): 1}, 1, 0, Fraction(1))]
+        return [({(): 1}, 1, 0, (1, 1))]
     a, rest = kappa[0], kappa[1:]
     b = sum(rest)
+    bn, bd = b.numerator, b.denominator
+    cn, cd = (a + b).numerator, (a + b).denominator
     out = []
     by_degree: dict[int, tuple] = {}
     for q, q_den, m, q_norm in _dirichlet_basis(rest, n):
         if m not in by_degree:
             polys, norms = _beta_recurrence(a, b + 2 * m, n - m)
-            ratio = rising_factorial(b, 2 * m) / rising_factorial(a + b, 2 * m)
+            # (b)_2m / (a+b)_2m, each rising factorial one integer product.
+            rn = math.prod(bn + i * bd for i in range(2 * m)) * cd ** (2 * m)
+            rd = math.prod(cn + i * cd for i in range(2 * m)) * bd ** (2 * m)
+            rn, rd = _reduced(rn, rd)
             # shifted[j][s]: numerators of p_j(t) (1 - t)^s over p_j's denominator.
             shifted = []
             for nums, _ in polys:
@@ -429,10 +465,10 @@ def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exp
                 for _ in range(m):
                     row.append([c - prev for c, prev in zip(row[-1] + [0], [0] + row[-1])])
                 shifted.append(row)
-            by_degree[m] = polys, [g * ratio for g in norms], shifted
+            by_degree[m] = polys, [(gn * rn, gd * rd) for gn, gd in norms], shifted
         polys, norms, shifted = by_degree[m]
         terms = [(gamma, c, m - sum(gamma)) for gamma, c in q.items()]
-        for j, ((_, p_den), norm) in enumerate(zip(polys, norms)):
+        for j, ((_, p_den), (gn, gd)) in enumerate(zip(polys, norms)):
             products = shifted[j]
             nums = {}
             for gamma, c, s in terms:
@@ -444,7 +480,7 @@ def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exp
             if g != 1:
                 nums = {e: v // g for e, v in nums.items()}
                 den //= g
-            out.append((nums, den, j + m, norm * q_norm))
+            out.append((nums, den, j + m, (gn * q_norm[0], gd * q_norm[1])))
     return out
 
 
@@ -454,12 +490,12 @@ def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
     basis = monomials_upto(measure.dimension, n)
     index = {e: i for i, e in enumerate(basis)}
     polys, norms = [], []
-    for nums, den, _, norm in _dirichlet_basis(kappa, n):
+    for nums, den, _, (hn, hd) in _dirichlet_basis(kappa, n):
         dense = [0] * (max(index[e] for e in nums) + 1)
         for e, c in nums.items():
             dense[index[e]] = c
         polys.append((dense, den))
-        norms.append(norm * mass)
+        norms.append((hn * mass.numerator, hd * mass.denominator))
     y, den = _inverse_nums(polys, norms, len(basis), "dirichlet")
     return _christoffel_form(measure, n, shift, y, den)
 
@@ -467,18 +503,22 @@ def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
 def _christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
                       y: list[list[int]], den: int) -> ChristoffelForm:
     """The form of degree n whose inverse moment matrix is the upper triangle
-    ``y[i][j - i] / den`` over ``monomials_upto(measure.dimension, n)``."""
+    ``y[i][j - i] / den`` over ``monomials_upto(measure.dimension, n)``,
+    which it keeps in lowest terms."""
     basis = monomials_upto(measure.dimension, n)
+    g = math.gcd(den, *itertools.chain.from_iterable(y))
+    upper = tuple(tuple(v // g for v in row) for row in y) if g != 1 else tuple(map(tuple, y))
     return ChristoffelForm(
         measure=measure,
         degree=n,
-        inverse=_fractions_of_upper(y, den),
-        quadratic_form_poly=_form_poly(basis, y, den, measure.dimension),
+        inverse_upper=upper,
+        inverse_den=den // g,
+        quadratic_form_poly=_form_poly(basis, upper, den // g, measure.dimension),
         shift=shift,
     )
 
 
-def _fractions_of_upper(y: list[list[int]], den: int) -> RationalMatrix:
+def _fractions_of_upper(y: Sequence[Sequence[int]], den: int) -> RationalMatrix:
     """The symmetric matrix with entries ``y[i][j - i] / den`` for j >= i."""
     m = len(y)
     inverse = [[Fraction(0)] * m for _ in range(m)]
@@ -504,7 +544,7 @@ def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
     return _fractions_of_upper(*_matrix_inverse_nums(matrix))
 
 
-def _form_poly(basis: tuple[Exponent, ...], y: list[list[int]], den: int, dim: int) -> AnyPoly:
+def _form_poly(basis: tuple[Exponent, ...], y: Sequence[Sequence[int]], den: int, dim: int) -> AnyPoly:
     """sum_ij (Y_ij / den) x^(a_i + a_j) for the upper triangle ``y[i][j - i]``.
 
     Sums the numerators by exponent in integers; each off-diagonal pair

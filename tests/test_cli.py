@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from unitycert import cli, identities
+from unitycert import cli, identities, momatrix
+from unitycert.measures import LEBESGUE01, simplex_equilibrium, simplex_uniform
 from unitycert.momatrix import NotPositiveDefiniteError, rational_matrix_from_json
 from unitycert.polycore import MPoly, UPoly
 
@@ -126,6 +127,42 @@ class TestExitCodeContract:
         assert cli.run(["matrix", "--measure", "arcsine", "--n", "1"]) == 3
         assert "not positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--measure", "arcsine", "--d", "3", "--max-degree", "2"],
+            ["matrix", "--measure", "lebesgue01", "--d", "2", "--n", "1"],
+            ["christoffel", "--measure", "arcsine-g", "--d", "1", "--n", "1"],
+            ["partition", "--domain", "interval01", "--d", "7", "--n", "1"],
+            ["partition", "--domain", "interval11", "--d", "2", "--n", "1"],
+        ],
+    )
+    def test_d_of_a_one_dimensional_command_is_exit_2(self, capsys, argv):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --d does not apply to ")
+        assert captured.err.endswith(", which is one-dimensional\n")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 193. GiB for an array"),
+             "error: out of memory: Unable to allocate 193. GiB for an array\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+    )
+    def test_memory_error_is_exit_3(self, capsys, monkeypatch, exc, message):
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("unitycert.cli.maxent.solve_putinar", refuse)
+        assert cli.run(["maxent", "putinar", "--n", "400"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_help_is_exit_0(self, capsys):
         # Twice, since in-process runs share one parser.
         assert cli.run(["--help"]) == 0
@@ -176,6 +213,23 @@ class TestMatrixAndChristoffel:
         code, payload = run_json(capsys, ["christoffel", "--measure", "arcsine", "--n", "1"])
         assert code == 0
         assert payload["polynomial"]["coefficients"] == ["1", "0", "2"]
+
+    @pytest.mark.parametrize(
+        "flags, measure",
+        [
+            (["--measure", "lebesgue01", "--n", "3"], LEBESGUE01),
+            (["--measure", "simplex-uniform", "--d", "2", "--n", "2"], simplex_uniform(2)),
+            (["--measure", "simplex-equilibrium", "--n", "2"], simplex_equilibrium()),
+        ],
+        ids=["lebesgue01", "simplex-uniform", "simplex-equilibrium"],
+    )
+    def test_christoffel_inverse_strings(self, capsys, flags, measure):
+        # Written from the integer triangle, as str() of the Fraction inverse
+        # (the equilibrium inverse has entries such as -15/4).
+        code, payload = run_json(capsys, ["christoffel"] + flags)
+        assert code == 0
+        form = momatrix.christoffel_form(measure, payload["degree"])
+        assert payload["inverse"] == [[str(v) for v in row] for row in form.inverse]
 
     def test_equilibrium_normalization_flag(self, capsys):
         code, payload = run_json(

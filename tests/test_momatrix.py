@@ -3,7 +3,7 @@ import itertools
 import logging
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 import sympy
@@ -18,6 +18,8 @@ from unitycert.measures import (
     simplex_equilibrium,
     simplex_uniform,
 )
+from unitycert import momatrix
+from unitycert.identities import UnityVariant, verify_simplex_equilibrium, verify_unity_interval
 from unitycert.momatrix import (
     NotPositiveDefiniteError,
     _dirichlet_basis,
@@ -454,6 +456,31 @@ class TestRecurrenceInverse:
             assert (exc.value.order, exc.value.minor) == (order, minor)
             assert f"order {order} is {minor}" in str(exc.value)
 
+    def test_random_hankel_like_bareiss(self):
+        # Moments of r rational atoms: the minors are positive up to order r
+        # and 0 after it, and a perturbed top moment moves the last minor.
+        rng = random.Random(23)
+        failures = set()
+        for _ in range(80):
+            atoms = [(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                     for _ in range(rng.randint(1, 6))]
+            n = rng.randint(0, 6)
+            moments = [sum(w * x**k for w, x in atoms) for k in range(2 * n + 1)]
+            moments[-1] += Fraction(rng.randint(-3, 1), rng.randint(1, 5))
+            try:
+                want = invert_symmetric_rational([moments[i : i + n + 1] for i in range(n + 1)])
+            except NotPositiveDefiniteError as exc:
+                with pytest.raises(NotPositiveDefiniteError) as got:
+                    invert_hankel(moments)
+                assert (got.value.order, got.value.minor) == (exc.order, exc.minor)
+                failures.add((exc.order, exc.minor < 0))
+                continue
+            assert invert_hankel(moments) == want
+        # Zero and negative minors, first met at several orders.
+        assert {negative for _, negative in failures} == {False, True}
+        assert len({order for order, _ in failures}) >= 4
+
     def test_arcsine_degree_96(self):
         form = christoffel_form(ARCSINE, 96)
         total = UPoly.zero()
@@ -512,6 +539,53 @@ class TestInversionLog:
         messages = self.records(caplog, lambda: christoffel_form(simplex_equilibrium(), 2, xy))
         assert len(messages) == 1
         assert messages[0].startswith("inverted dim=6 method=dirichlet den_bits=")
+
+
+class TestLazyInverse:
+    """``ChristoffelForm`` keeps its inverse in integers and builds the
+    ``Fraction`` matrix only when ``inverse`` is read."""
+
+    @pytest.mark.parametrize(
+        "measure, n, shift",
+        [
+            (ARCSINE, 6, None),
+            (LEBESGUE01, 6, None),
+            (simplex_uniform(2), 4, None),
+            (simplex_equilibrium(), 3, MPoly.make(2, {(1, 1): 1})),
+        ],
+        ids=["arcsine", "lebesgue01", "simplex-uniform", "equilibrium-x1x2"],
+    )
+    def test_inverse_is_bareiss_of_the_built_matrix(self, measure, n, shift):
+        form = christoffel_form(measure, n, shift)
+        assert "inverse" not in vars(form)
+        want = invert_symmetric_rational(moment_matrix(measure, n, shift).entries)
+        assert form.inverse == want
+        assert form.inverse is form.inverse
+        assert form.inverse_den == lcm(*(v.denominator for row in want for v in row))
+
+    def test_equality_is_same_inverse_and_form(self):
+        # The Dirichlet sum and Bareiss reach the inverse over different
+        # denominators; both are kept in lowest terms.
+        measure = simplex_uniform(2)
+        form = christoffel_form(measure, 3)
+        assert form == christoffel_form_of_matrix(moment_matrix(measure, 3))
+        assert form != christoffel_form(measure, 2)
+        assert form != christoffel_form(measure, 3, MPoly.make(2, {(1, 0): 1}))
+
+    def test_identity_verifiers_build_no_inverse(self, monkeypatch):
+        calls = []
+        build = momatrix._fractions_of_upper
+
+        def counted(y, den):
+            calls.append(len(y))
+            return build(y, den)
+
+        monkeypatch.setattr(momatrix, "_fractions_of_upper", counted)
+        verify_simplex_equilibrium(3, SimplexNormalization.PI_DENSITY)
+        assert verify_unity_interval(16, UnityVariant.CHEBY2).holds
+        assert calls == []
+        christoffel_form(ARCSINE, 2).inverse
+        assert calls == [3]
 
 
 EQUILIBRIA = [simplex_equilibrium(norm) for norm in SimplexNormalization]
@@ -618,7 +692,7 @@ class TestDirichletForm:
         for (_, _, degree, _), p in zip(basis, polys):
             assert p.degree == degree
         for (i, p), (j, q) in itertools.combinations_with_replacement(enumerate(polys), 2):
-            want = mass * basis[i][3] if i == j else 0
+            want = mass * Fraction(*basis[i][3]) if i == j else 0
             assert f.poly_moment(g * p * q) == want
 
     def test_errors(self):
