@@ -208,6 +208,9 @@ def _parse_target(args, default_constant: Fraction) -> UPoly:
 
 def _run_verify(args) -> tuple[dict, int]:
     identity = args.identity
+    if not identity.startswith("simplex-"):
+        _reject_d(args.d, f"--identity {identity}")
+    d = 2 if args.d is None else args.d
     if identity == "pell":
         report = identities.verify_pell(args.n)
     elif identity == "unity-interval":
@@ -217,9 +220,9 @@ def _run_verify(args) -> tuple[dict, int]:
     elif identity == "unity-01":
         report = identities.verify_unity_01(args.n)
     elif identity == "simplex-unity":
-        report = identities.verify_simplex_unity(args.d, args.n)
+        report = identities.verify_simplex_unity(d, args.n)
     elif identity == "simplex-equilibrium":
-        _check_equilibrium_d(args.d)
+        _check_equilibrium_d(d)
         report = identities.verify_simplex_equilibrium(
             args.n, SimplexNormalization(args.normalization)
         )
@@ -234,6 +237,8 @@ def _run_maxent(args) -> tuple[dict, int]:
     if args.max_iter < 0:
         raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
     mode = args.mode
+    if mode != "simplex":
+        _reject_d(args.d, f"maxent {mode}")
     if mode == "handelman":
         default = Fraction((args.n + 1) * (args.n + 2), 2)
         target = _parse_target(args, default)
@@ -249,7 +254,7 @@ def _run_maxent(args) -> tuple[dict, int]:
         if args.target_constant is not None or args.target_coeffs:
             raise ValueError("simplex mode has a fixed target; drop the target flags")
         cert, dual, report = maxent.solve_simplex(
-            args.d, args.n, tol=args.tol, max_iter=args.max_iter
+            2 if args.d is None else args.d, args.n, tol=args.tol, max_iter=args.max_iter
         )
         target = cert.target
     else:
@@ -403,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--variant", choices=[v.value for v in identities.UnityVariant], default="unity2")
     p.add_argument("--normalization", choices=norm_names, default="pi-density")
     add_common(p)
@@ -411,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxent", help="solve a max-entropy certificate program")
     p.add_argument("mode", choices=["handelman", "putinar", "simplex"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--tol", type=float, default=maxent.DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=maxent.DEFAULT_MAX_ITER)
     p.add_argument("--target-constant", default=None)

@@ -25,7 +25,6 @@ from .momatrix import christoffel_form
 from .polycore import (
     AnyPoly,
     ChebKind,
-    MPoly,
     UPoly,
     cheb,
     cheb_orthonormal_squares,
@@ -241,30 +240,25 @@ def verify_simplex_unity(d: int, n: int) -> IdentityReport:
     return _report("simplex-unity", {"d": d, "n": n}, expression, expected)
 
 
-_SIMPLEX_QUADRATIC_GENERATORS = (
-    MPoly.make(2, {(1, 1): 1}),  # x*y
-    MPoly.make(2, {(1, 0): 1, (2, 0): -1, (1, 1): -1}),  # x*(1-x-y)
-    MPoly.make(2, {(0, 1): 1, (0, 2): -1, (1, 1): -1}),  # y*(1-x-y)
-)
-
-
 def verify_simplex_equilibrium(
     n: int, normalization: SimplexNormalization
 ) -> IdentityReport:
     """Check whether the triangle's Christoffel-function combination is constant.
 
     Computes the reciprocal Christoffel function of the equilibrium measure at
-    degree n plus the sum over the quadratic edge generators g_i of
-    g_i times the degree-(n-1) localized form, all exactly.  The predicted
-    constant s(n)+s(n-1) = (n+1)^2 is recorded; the computed constant depends
-    on the measure normalization and is reported as found (a mismatch is a
-    logged warning).
+    degree n plus the sum over the three edge products g = x_i x_j of
+    barycentric coordinates (``simplex_generator_power`` of (1,1,0), (1,0,1)
+    and (0,1,1)) of g times the degree-(n-1) localized form, all exactly.
+    The predicted constant s(n)+s(n-1) = (n+1)^2 is recorded; the computed
+    constant depends on the measure normalization and is reported as found
+    (a mismatch is a logged warning).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     measure = simplex_equilibrium(normalization)
     expression = christoffel_form(measure, n).quadratic_form_poly
-    for g in _SIMPLEX_QUADRATIC_GENERATORS:
+    for pair in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
+        g = simplex_generator_power(2, pair)
         localized = christoffel_form(measure, n - 1, shift=g).quadratic_form_poly
         expression = expression + g * localized
     expected = Fraction((n + 1) ** 2)  # s(n) + s(n-1)

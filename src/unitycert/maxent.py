@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from .measures import dirichlet, functional_for
 from .momatrix import NotPositiveDefiniteError, invert_hankel, is_positive_definite
 from .polycore import (
     AnyPoly,
@@ -424,15 +425,6 @@ class _GeneratorTable:
 _generator_table = functools.lru_cache(maxsize=16)(_GeneratorTable)
 
 
-def _dirichlet_moments(a: Sequence[int], basis: Sequence[Exponent]) -> list[Fraction]:
-    """Dirichlet(a) moments prod_i (a_i)_{beta_i} / (|a|)_{|beta|}; (m)_k = perm(m+k-1, k)."""
-    return [
-        Fraction(math.prod(math.perm(ai - 1 + b, b) for ai, b in zip(a, beta)),
-                 math.perm(sum(a) - 1 + sum(beta), sum(beta)))
-        for beta in basis
-    ]
-
-
 def _handelman_from_bernstein(table: _GeneratorTable, z: Sequence[Fraction],
                               target: AnyPoly) -> Optional[HandelmanCertificate]:
     """The weights 1/<y, g^alpha> of the rational Bernstein moments z, exactly;
@@ -506,7 +498,8 @@ def _solve_handelman_family(family: str, d: int, n: int, target_poly: AnyPoly,
     if initial is None:
         # Dirichlet(2, 2) on [0,1] (the density 6x(1-x)) and Dirichlet(2, 1,
         # ..., 1) on the simplex: strictly feasible, away from the flagship optima.
-        initial = _dirichlet_moments((2, 2) if d == 1 else (2,) + (1,) * d, table.basis)
+        start = functional_for(dirichlet((2, 2) if d == 1 else (2,) + (1,) * d))
+        initial = [start.moment(beta) for beta in table.basis]
     value, newton_system, pairings = _handelman_barrier(
         table.pairing, _doubles_of(table.bernstein_coefficients, target_poly, _TARGET_RANGE)
     )

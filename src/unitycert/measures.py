@@ -6,11 +6,15 @@ Exact monomial moments, in closed form, for:
   the interval; even moments are central binomials C(k, k/2)/2^k.
 * ``ArcsineG`` -- (1-x^2) times Arcsine.
 * ``Lebesgue01`` -- Lebesgue measure on [0,1].
-* ``SimplexUniform(d)`` -- uniform probability measure on the canonical
-  simplex, moments d! a_1! ... a_d! / (d + |a|)!.
-* ``SimplexEquilibrium`` -- dx dy/(pi sqrt(x y (1-x-y))) on the triangle,
-  either with its raw total mass 2 (``PAPER_PI``) or rescaled to a
-  probability measure (``PROBABILITY``).
+* ``dirichlet(kappa, mass)`` -- ``mass`` times the Dirichlet(kappa)
+  probability measure on the d-simplex, d = len(kappa) - 1, with moments
+  mass * prod (kappa_i)_{a_i} / (|kappa|)_{|a|} (Dunkl and Xu, *Orthogonal
+  Polynomials of Several Variables*, 2nd ed., 2014, section 5.3).  The
+  paper's two simplex measures are constructors over it:
+  ``simplex_uniform(d)``, the uniform probability measure, is
+  Dirichlet(1, ..., 1); ``simplex_equilibrium`` is Dirichlet(1/2, 1/2, 1/2)
+  on the triangle, dx dy/(pi sqrt(x y (1-x-y))) with its raw total mass 2
+  (``PI_DENSITY``) or rescaled to a probability measure (``PROBABILITY``).
 
 Floating-point quadrature oracles (Gauss-Chebyshev, Gauss-Legendre, and
 fixed-seed Monte Carlo on the simplex) are provided as independent
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -40,37 +44,28 @@ class _Kind(Enum):
     ARCSINE = "arcsine"
     ARCSINE_G = "arcsine-g"
     LEBESGUE01 = "lebesgue01"
-    SIMPLEX_UNIFORM = "simplex-uniform"
-    SIMPLEX_EQUILIBRIUM = "simplex-equilibrium"
+    DIRICHLET = "dirichlet"
 
 
 @dataclass(frozen=True)
 class MeasureId:
-    kind: _Kind
-    d: int = 1
-    normalization: SimplexNormalization | None = None
+    """A measure by kind; a ``DIRICHLET`` one is ``mass * Dirichlet(kappa)``.
 
-    def __post_init__(self) -> None:
-        if self.kind is _Kind.SIMPLEX_UNIFORM and self.d < 1:
-            raise ValueError("simplex dimension must be >= 1")
-        if self.kind is _Kind.SIMPLEX_EQUILIBRIUM:
-            if self.d != 2:
-                raise ValueError("simplex equilibrium measure is only supported for d = 2")
-            if self.normalization is None:
-                raise ValueError("simplex equilibrium measure needs a normalization")
+    ``name`` is the label and takes no part in equality, so two names for
+    one measure share one ``functional_for`` memo.
+    """
+
+    kind: _Kind
+    kappa: tuple[Fraction, ...] = ()
+    mass: Fraction = Fraction(1)
+    name: str = field(default="", compare=False)
 
     @property
     def dimension(self) -> int:
-        if self.kind in (_Kind.SIMPLEX_UNIFORM, _Kind.SIMPLEX_EQUILIBRIUM):
-            return self.d
-        return 1
+        return len(self.kappa) - 1 if self.kappa else 1
 
     def label(self) -> str:
-        if self.kind is _Kind.SIMPLEX_UNIFORM:
-            return f"simplex-uniform(d={self.d})"
-        if self.kind is _Kind.SIMPLEX_EQUILIBRIUM:
-            return f"simplex-equilibrium({self.normalization.value})"
-        return self.kind.value
+        return self.name or self.kind.value
 
 
 ARCSINE = MeasureId(_Kind.ARCSINE)
@@ -78,14 +73,31 @@ ARCSINE_G = MeasureId(_Kind.ARCSINE_G)
 LEBESGUE01 = MeasureId(_Kind.LEBESGUE01)
 
 
+def dirichlet(kappa: Sequence, mass=1, name: str = "") -> MeasureId:
+    """``mass * Dirichlet(kappa)`` on the d-simplex, d = len(kappa) - 1.
+
+    Dirichlet(kappa) is the probability measure with density proportional
+    to x_1^(kappa_1 - 1) ... x_{d+1}^(kappa_{d+1} - 1), x_{d+1} = 1 - sum x_i.
+    ``name`` is the label; the default one spells out kappa and the mass.
+    """
+    kappa, mass = tuple(map(Fraction, kappa)), Fraction(mass)
+    if len(kappa) < 2:
+        raise ValueError(f"a Dirichlet measure needs at least 2 parameters, got {len(kappa)}")
+    if min(kappa) <= 0 or mass <= 0:
+        raise ValueError("Dirichlet parameters and mass must be positive")
+    name = name or f"dirichlet(kappa=({', '.join(map(str, kappa))}), mass={mass})"
+    return MeasureId(_Kind.DIRICHLET, kappa, mass, name)
+
+
 def simplex_uniform(d: int) -> MeasureId:
-    return MeasureId(_Kind.SIMPLEX_UNIFORM, d=d)
+    return dirichlet((1,) * (d + 1), name=f"simplex-uniform(d={d})")
 
 
 def simplex_equilibrium(
     normalization: SimplexNormalization = SimplexNormalization.PI_DENSITY,
 ) -> MeasureId:
-    return MeasureId(_Kind.SIMPLEX_EQUILIBRIUM, d=2, normalization=normalization)
+    mass = 2 if normalization is SimplexNormalization.PI_DENSITY else 1
+    return dirichlet((Fraction(1, 2),) * 3, mass, f"simplex-equilibrium({normalization.value})")
 
 
 def beta_integral(i: int, j: int) -> Fraction:
@@ -129,27 +141,20 @@ def dirichlet_parameters(
 ) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
     """``(kappa, mass)`` with ``shift * measure = mass * Dirichlet(kappa)`` on T^d.
 
-    Dirichlet(kappa) is the probability measure with density proportional
-    to x_1^(kappa_1 - 1) ... x_{d+1}^(kappa_{d+1} - 1), x_{d+1} = 1 - sum x_i.
-    The uniform measure is kappa = (1, .., 1) with mass 1, the equilibrium
-    measure kappa = (1/2, 1/2, 1/2) with mass 1 or 2 by normalization.  A
-    shift equal to the product x_S of barycentric coordinates over a subset
-    S raises kappa by one on S and multiplies the mass by
+    A Dirichlet measure (``dirichlet``) gives its own fields.  A shift equal
+    to the product x_S of barycentric coordinates over a subset S raises
+    kappa by one on S and multiplies the mass by
     prod_{i in S} kappa_i / (|kappa|)_|S|.  Any other measure or shift gives
     None.
     """
-    if measure.kind is _Kind.SIMPLEX_UNIFORM:
-        kappa, mass = (Fraction(1),) * (measure.d + 1), Fraction(1)
-    elif measure.kind is _Kind.SIMPLEX_EQUILIBRIUM:
-        kappa = (Fraction(1, 2),) * 3
-        mass = Fraction(1 if measure.normalization is SimplexNormalization.PROBABILITY else 2)
-    else:
+    if measure.kind is not _Kind.DIRICHLET:
         return None
+    kappa, mass = measure.kappa, measure.mass
     if shift is None:
         return kappa, mass
-    if shift.dimension != measure.d:
+    if shift.dimension != measure.dimension:
         return None
-    subset = _barycentric_subset(shift, measure.d)
+    subset = _barycentric_subset(shift, measure.dimension)
     if subset is None:
         return None
     mass *= math.prod(kappa[i] for i in subset) / rising_factorial(sum(kappa), len(subset))
@@ -161,18 +166,6 @@ def _arcsine_moment(k: int) -> Fraction:
     if k % 2:
         return Fraction(0)
     return Fraction(math.comb(k, k // 2), 2**k)
-
-
-def _double_factorial_ratio(k: int) -> Fraction:
-    # (2k)! / (4^k k!), the half-integer Gamma ratio Gamma(k+1/2)/Gamma(1/2).
-    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
-
-
-def _simplex_equilibrium_moment(a: int, b: int) -> Fraction:
-    # Raw-density moment (total mass 2).
-    m = a + b
-    scale = Fraction(4 ** (m + 1) * math.factorial(m + 1), math.factorial(2 * m + 2))
-    return _double_factorial_ratio(a) * _double_factorial_ratio(b) * scale
 
 
 def _normalize_alpha(measure: MeasureId, alpha) -> Exponent:
@@ -195,15 +188,14 @@ def _closed_form_moment(measure: MeasureId, alpha: Exponent) -> Fraction:
         return _arcsine_moment(alpha[0]) - _arcsine_moment(alpha[0] + 2)
     if measure.kind is _Kind.LEBESGUE01:
         return Fraction(1, alpha[0] + 1)
-    if measure.kind is _Kind.SIMPLEX_UNIFORM:
-        num = math.factorial(measure.d)
-        for a in alpha:
-            num *= math.factorial(a)
-        return Fraction(num, math.factorial(measure.d + sum(alpha)))
-    value = _simplex_equilibrium_moment(alpha[0], alpha[1])
-    if measure.normalization is SimplexNormalization.PROBABILITY:
-        value /= 2
-    return value
+    # mass * prod (kappa_i)_{a_i} / (|kappa|)_{|a|}; x_{d+1} has exponent 0.
+    # Over a common denominator, kappa_i = p_i / q and (p / q)_a is
+    # prod (p + j q) / q^a, so the powers of q cancel: one Fraction at the end.
+    q = math.lcm(*(k.denominator for k in measure.kappa))
+    p = [k.numerator * (q // k.denominator) for k in measure.kappa]
+    num = math.prod(math.prod(range(pi, pi + a * q, q)) for pi, a in zip(p, alpha))
+    den = math.prod(range(sum(p), sum(p) + sum(alpha) * q, q))
+    return Fraction(measure.mass.numerator * num, measure.mass.denominator * den)
 
 
 class MomentFunctional:
@@ -260,7 +252,7 @@ def simplex_uniform_moment_oracle(d: int, alpha: Sequence[int]) -> Fraction:
     Peels off one variable at a time: integrating x_1^{a_1} over its range
     leaves a rescaled copy of the lower-dimensional simplex, contributing the
     factor B(a_1+1, a_2+...+a_d + d), i.e. beta_integral(a_1, rest + d - 1).
-    Independent of the factorial closed form used by ``MomentFunctional``.
+    Independent of the Dirichlet closed form used by ``MomentFunctional``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -296,7 +288,7 @@ def quadrature_oracle(measure: MeasureId, p: AnyPoly, nodes: int) -> float:
     Gauss-Chebyshev nodes cos((2k-1)pi/2N) for the arcsine measures,
     Gauss-Legendre on [0,1] for Lebesgue (both exact to rounding once
     2*nodes exceeds the degree), and fixed-seed Dirichlet Monte Carlo with
-    ``nodes`` samples for the simplex measures.
+    ``nodes`` samples for the Dirichlet measures.
     """
     import numpy as np  # the exact functions here never need it
 
@@ -314,12 +306,9 @@ def quadrature_oracle(measure: MeasureId, p: AnyPoly, nodes: int) -> float:
         x = (t + 1.0) / 2.0
         return float(0.5 * np.dot(w, _eval_float(p, x[:, None])))
     rng = np.random.default_rng(_MC_SEED)
-    if measure.kind is _Kind.SIMPLEX_UNIFORM:
-        samples = rng.dirichlet(np.ones(measure.d + 1), size=nodes)[:, : measure.d]
-        return float(_eval_float(p, samples).mean())
-    samples = rng.dirichlet(np.full(3, 0.5), size=nodes)[:, :2]
-    mass = 1.0 if measure.normalization is SimplexNormalization.PROBABILITY else 2.0
-    return float(mass * _eval_float(p, samples).mean())
+    kappa = [float(k) for k in measure.kappa]
+    samples = rng.dirichlet(kappa, size=nodes)[:, : measure.dimension]
+    return float(measure.mass) * float(_eval_float(p, samples).mean())
 
 
 def bernstein_envelope(n: int, x: float) -> float:

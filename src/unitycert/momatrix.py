@@ -16,10 +16,11 @@ reduced integer ``(numerator, denominator)`` pairs, so the algorithm builds
 no ``Fraction``.  The leading principal minor of order ``k+1`` is
 ``h_0 ... h_k``, which doubles as the positive definiteness check.
 
-``christoffel_form`` builds the forms of the simplex measures without any
-matrix: the uniform and equilibrium measures, and their localizations by a
-product ``x_S`` of barycentric coordinates, are Dirichlet measures
-(``measures.dirichlet_parameters``), whose orthogonal basis is explicit
+``christoffel_form`` builds the forms of the Dirichlet measures
+(``measures.dirichlet``, in any dimension, the uniform and equilibrium
+simplex measures among them) without any matrix: they and their
+localizations by a product ``x_S`` of barycentric coordinates
+(``measures.dirichlet_parameters``) have an explicit orthogonal basis
 (Dunkl and Xu, *Orthogonal Polynomials of Several Variables*, 2nd ed.,
 2014, section 5.3): products of univariate Beta orthogonal polynomials,
 which come from the same Chebyshev algorithm, with closed-form norms, also
@@ -586,13 +587,13 @@ def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
 def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> ChristoffelForm:
     """Reciprocal Christoffel function of degree n of ``shift * measure``.
 
-    A multivariate Dirichlet measure (``measures.dirichlet_parameters``) is
-    summed from its orthogonal basis; every other input is filled by
+    A Dirichlet measure (``measures.dirichlet_parameters``) is summed from
+    its orthogonal basis; every other input is filled by
     ``moment_matrix`` and inverted by ``christoffel_form_of_matrix``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    parameters = dirichlet_parameters(measure, shift) if measure.dimension > 1 else None
+    parameters = dirichlet_parameters(measure, shift)
     if parameters is None:
         return christoffel_form_of_matrix(moment_matrix(measure, n, shift))
     return _dirichlet_form(measure, n, shift, *parameters)

@@ -135,6 +135,11 @@ class TestExitCodeContract:
             ["christoffel", "--measure", "arcsine-g", "--d", "1", "--n", "1"],
             ["partition", "--domain", "interval01", "--d", "7", "--n", "1"],
             ["partition", "--domain", "interval11", "--d", "2", "--n", "1"],
+            ["verify", "--identity", "pell", "--d", "3", "--n", "2"],
+            ["verify", "--identity", "unity-interval", "--d", "2", "--n", "2"],
+            ["verify", "--identity", "unity-01", "--d", "1", "--n", "2"],
+            ["maxent", "handelman", "--d", "2", "--n", "2"],
+            ["maxent", "putinar", "--n", "4", "--d", "5"],
         ],
     )
     def test_d_of_a_one_dimensional_command_is_exit_2(self, capsys, argv):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from unitycert.measures import (
     SimplexNormalization,
     bernstein_envelope,
     beta_integral,
+    dirichlet,
     functional_for,
     quadrature_oracle,
     simplex_equilibrium,
@@ -86,11 +88,14 @@ class TestClosedForms:
 
 
 class TestMeasureValidation:
-    def test_equilibrium_needs_d2(self):
-        from unitycert.measures import MeasureId, _Kind
-
+    @pytest.mark.parametrize(
+        "kappa, mass",
+        [((), 1), ((1,), 1), ((1, 0), 1), ((1, -2, 1), 1), ((Fraction(-1, 2), 1), 1),
+         ((1, 1), 0), ((1, 1, 1), Fraction(-1, 3))],
+    )
+    def test_dirichlet_rejects_bad_input(self, kappa, mass):
         with pytest.raises(ValueError):
-            MeasureId(_Kind.SIMPLEX_EQUILIBRIUM, d=3, normalization=SimplexNormalization.PI_DENSITY)
+            dirichlet(kappa, mass)
 
     def test_uniform_needs_positive_d(self):
         with pytest.raises(ValueError):
@@ -100,6 +105,67 @@ class TestMeasureValidation:
         assert ARCSINE.dimension == 1
         assert simplex_uniform(4).dimension == 4
         assert simplex_equilibrium().dimension == 2
+        assert dirichlet((1, 2)).dimension == 1
+
+
+def _uniform_reference(d, alpha):
+    # d! a_1! ... a_d! / (d + |a|)!
+    num = math.factorial(d) * math.prod(math.factorial(a) for a in alpha)
+    return Fraction(num, math.factorial(d + sum(alpha)))
+
+
+def _equilibrium_reference(a, b):
+    # Raw density (mass 2): G(a) G(b) 4^(m+1) (m+1)! / (2m+2)!, m = a + b and
+    # G(k) = (2k)! / (4^k k!) = Gamma(k + 1/2) / Gamma(1/2).
+    def ratio(k):
+        return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+
+    m = a + b
+    return ratio(a) * ratio(b) * Fraction(4 ** (m + 1) * math.factorial(m + 1), math.factorial(2 * m + 2))
+
+
+class TestDirichletMoments:
+    """One Dirichlet formula against the separate closed forms it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_uniform_is_the_factorial_formula(self, d):
+        f = functional_for(simplex_uniform(d))
+        for alpha in monomials_upto(d, 10):
+            assert f.moment(alpha) == _uniform_reference(d, alpha)
+
+    @pytest.mark.parametrize("normalization", list(SimplexNormalization))
+    def test_equilibrium_is_the_double_factorial_formula(self, normalization):
+        f = functional_for(simplex_equilibrium(normalization))
+        scale = Fraction(1, 2) if normalization is SimplexNormalization.PROBABILITY else 1
+        for a, b in monomials_upto(2, 10):
+            assert f.moment((a, b)) == scale * _equilibrium_reference(a, b)
+
+    def test_mass_scales_every_moment(self):
+        raw = functional_for(dirichlet((Fraction(1, 2), 3, Fraction(5, 2))))
+        scaled = functional_for(dirichlet((Fraction(1, 2), 3, Fraction(5, 2)), Fraction(7, 3)))
+        for alpha in monomials_upto(2, 6):
+            assert scaled.moment(alpha) == Fraction(7, 3) * raw.moment(alpha)
+
+    def test_beta_moments(self):
+        # Dirichlet(a, b) in one variable is Beta(a, b): E[x^k] = B(a + k, b) / B(a, b).
+        f = functional_for(dirichlet((3, 2)))
+        for k in range(12):
+            assert f.moment((k,)) == beta_integral(k + 2, 1) / beta_integral(2, 1)
+
+    def test_names_do_not_split_the_memo(self):
+        assert simplex_uniform(1) == dirichlet((1, 1))
+        assert hash(simplex_uniform(1)) == hash(dirichlet((1, 1)))
+        assert functional_for(simplex_uniform(1)) is functional_for(dirichlet((1, 1)))
+        assert simplex_equilibrium() == dirichlet([Fraction(1, 2)] * 3, 2)
+        assert simplex_equilibrium() != simplex_equilibrium(SimplexNormalization.PROBABILITY)
+
+    def test_labels(self):
+        assert simplex_uniform(2).label() == "simplex-uniform(d=2)"
+        assert simplex_equilibrium().label() == "simplex-equilibrium(pi-density)"
+        prob = simplex_equilibrium(SimplexNormalization.PROBABILITY)
+        assert prob.label() == "simplex-equilibrium(probability)"
+        assert dirichlet((1, 2), name="beta").label() == "beta"
+        assert dirichlet((Fraction(1, 2), 2), 3).label() == "dirichlet(kappa=(1/2, 2), mass=3)"
 
 
 class TestPolyMoment:

@@ -13,6 +13,7 @@ from unitycert.measures import (
     ARCSINE_G,
     LEBESGUE01,
     SimplexNormalization,
+    dirichlet,
     dirichlet_parameters,
     functional_for,
     simplex_equilibrium,
@@ -624,12 +625,32 @@ class TestDirichletForm:
             assert_matches_bareiss(measure, n)
 
     @pytest.mark.parametrize(
+        "measure",
+        [simplex_uniform(1), dirichlet((Fraction(1, 2), Fraction(3, 2)), 5),
+         dirichlet((2, Fraction(1, 3)))],
+        ids=case_id,
+    )
+    def test_one_dimensional_matches_hankel(self, caplog, measure):
+        # Beta(a, b) on [0,1], and its localizations by x, 1 - x and x(1 - x),
+        # take the Dirichlet path too; the Hankel recurrence is the oracle.
+        shifts = [None, UPoly.x(), UPoly.from_coeffs([1, -1]), UPoly.from_coeffs([0, 1, -1])]
+        for n in range(6):
+            for shift in shifts:
+                assert_matches_bareiss(measure, n, shift)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+            christoffel_form(measure, 3, shifts[-1])
+        methods = [r.getMessage().split()[2] for r in caplog.records
+                   if r.name == "unitycert.momatrix"]
+        assert methods == ["method=dirichlet"]
+
+    @pytest.mark.parametrize(
         "measure, n",
         [(simplex_uniform(2), 3), (simplex_uniform(3), 2)] + [(m, 3) for m in EQUILIBRIA],
         ids=case_id,
     )
     def test_every_barycentric_shift(self, measure, n):
-        for subset, shift in barycentric_products(measure.d):
+        for subset, shift in barycentric_products(measure.dimension):
             kappa, _ = dirichlet_parameters(measure, shift)
             base, _ = dirichlet_parameters(measure)
             assert [k - b for k, b in zip(kappa, base)] == [int(i in subset) for i in range(len(base))]
@@ -645,7 +666,7 @@ class TestDirichletForm:
             assert dirichlet_parameters(measure) is None
         # The mass of x_S times the measure is its integral.
         for measure in [simplex_uniform(2), simplex_uniform(3)] + EQUILIBRIA:
-            for _, shift in barycentric_products(measure.d):
+            for _, shift in barycentric_products(measure.dimension):
                 _, mass = dirichlet_parameters(measure, shift)
                 assert mass == functional_for(measure).poly_moment(shift)
 
@@ -682,12 +703,12 @@ class TestDirichletForm:
     )
     def test_basis_orthogonal(self, measure, shift):
         kappa, mass = dirichlet_parameters(measure, shift)
-        g = shift if shift is not None else MPoly.constant(measure.d, 1)
+        g = shift if shift is not None else MPoly.constant(measure.dimension, 1)
         f = functional_for(measure)
         n = 3
         basis = _dirichlet_basis(kappa, n)
-        assert len(basis) == len(monomials_upto(measure.d, n))
-        polys = [MPoly.make(measure.d, {e: Fraction(c, den) for e, c in nums.items()})
+        assert len(basis) == len(monomials_upto(measure.dimension, n))
+        polys = [MPoly.make(measure.dimension, {e: Fraction(c, den) for e, c in nums.items()})
                  for nums, den, _, _ in basis]
         for (_, _, degree, _), p in zip(basis, polys):
             assert p.degree == degree
