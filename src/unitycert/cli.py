@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import identities, maxent, measures, momatrix
 from .measures import MeasureId, SimplexNormalization, functional_for
 from .momatrix import NotPositiveDefiniteError
-from .polycore import AnyPoly, UPoly, monomials_upto, poly_eval
+from .polycore import AnyPoly, UPoly, eval_pairs, monomials_upto
 
 if TYPE_CHECKING:
     import argparse
@@ -106,14 +106,15 @@ def _ratio_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def _poly_to_json(p: AnyPoly) -> dict:
-    den = p.den
+def _poly_to_json(p: AnyPoly, scale: Fraction = Fraction(1)) -> dict:
+    """The JSON form of ``scale * p``, each coefficient reduced on its own."""
+    k, den = scale.numerator, scale.denominator * p.den
     if isinstance(p, UPoly):
-        return {"coefficients": [_ratio_str(c, den) for c in p.nums]}
+        return {"coefficients": [_ratio_str(k * c, den) for c in p.nums]}
     return {
         "dimension": p.dimension,
         "terms": [
-            {"alpha": list(e), "value": _ratio_str(c, den)}
+            {"alpha": list(e), "value": _ratio_str(k * c, den)}
             for e, c in sorted(p.sparse_nums.items())
         ],
     }
@@ -145,24 +146,27 @@ def emit_partition(
     multiplier 1-x^2), ``simplex`` (scaled simplex generator powers).  The
     members are those of ``identities.partition_members``, each weight
     divided by the member count; every member is weight * generator, and the
-    members sum identically to 1.
+    members sum identically to 1.  A member's coefficients are written from
+    the generator's numerators times the weight, and its value at a point is
+    the weight times the generator's unreduced exact value (``eval_pairs``),
+    divided once as integers: the correctly rounded double of the exact value.
     """
     generators = identities.partition_members(domain, n, d)
     count = len(generators)
-    members: list[dict] = []
-    polys: list[AnyPoly] = []
-    for label, weight, generator in generators:
-        weight = weight / count
-        poly = generator * weight
-        members.append({"label": label, "weight": str(weight), "polynomial": _poly_to_json(poly)})
-        polys.append(poly)
+    weights = [weight / count for _, weight, _ in generators]
+    members = [
+        {"label": label, "weight": str(weight), "polynomial": _poly_to_json(generator, weight)}
+        for (label, _, generator), weight in zip(generators, weights)
+    ]
     report = {"domain": domain, "n": n, "members": members}
     if domain == "simplex":
         report["d"] = d
+    polys = [generator for _, _, generator in generators]
     evaluations = []
     for point in points or []:
-        exact_point = [Fraction(v) for v in point]
-        values = [float(poly_eval(p, exact_point)) for p in polys]
+        pairs = eval_pairs(polys, [Fraction(v) for v in point])
+        values = [w.numerator * num / (w.denominator * den)
+                  for w, (num, den) in zip(weights, pairs)]
         evaluations.append({"point": list(point), "values": values, "sum": sum(values)})
     if evaluations:
         report["evaluations"] = evaluations

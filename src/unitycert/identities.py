@@ -29,10 +29,9 @@ from .polycore import (
     cheb,
     cheb_orthonormal_squares,
     cheb_table,
+    linear_combination,
     monomials_upto,
     multinomial,
-    poly_from_sparse_nums,
-    powers,
     simplex_generator_power,
 )
 
@@ -140,13 +139,11 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
     if n < 1:
         raise ValueError("n must be >= 1")
     if domain == "interval01":
-        x_powers = powers(UPoly.x(), n)
-        one_minus_x_powers = powers(UPoly.from_coeffs([1, -1]), n)
-        return [
-            ({"i": i, "j": j}, Fraction(multinomial((1, i, j))),
-             x_powers[i] * one_minus_x_powers[j])
-            for i, j in monomials_upto(2, n)
-        ]
+        # x^i (1-x)^j is i zeros, then the signed binomial row (-1)^k C(j, k).
+        rows = [tuple([-math.comb(j, k) if k & 1 else math.comb(j, k) for k in range(j + 1)])
+                for j in range(n + 1)]
+        return [({"i": i, "j": j}, Fraction(multinomial((1, i, j))), UPoly((0,) * i + rows[j]))
+                for i, j in monomials_upto(2, n)]
     if domain == "interval11":
         first = cheb_orthonormal_squares(ChebKind.FIRST, n)
         second = [_G_INTERVAL * g for g in cheb_orthonormal_squares(ChebKind.SECOND, n - 1)]
@@ -159,18 +156,6 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
         return [({"alpha": list(a)}, Fraction(multinomial((d, *a))), simplex_generator_power(d, a))
                 for a in monomials_upto(d + 1, n)]
     raise ValueError(f"unknown domain {domain!r}")
-
-
-def _members_sum(members: list[tuple[dict, Fraction, AnyPoly]]) -> AnyPoly:
-    """sum weight * g over the members, by exponent over one common denominator."""
-    scales = [weight / g.den for _, weight, g in members]
-    den = math.lcm(*(s.denominator for s in scales))
-    nums: dict = {}
-    for (_, _, g), s in zip(members, scales):
-        factor = s.numerator * (den // s.denominator)
-        for e, c in g.sparse_nums.items():
-            nums[e] = nums.get(e, 0) + factor * c
-    return poly_from_sparse_nums(members[0][2].dimension, nums, den)
 
 
 def verify_pell(n: int) -> IdentityReport:
@@ -202,7 +187,7 @@ def verify_unity_interval(n: int, variant: UnityVariant) -> IdentityReport:
         expression = (total + _G_INTERVAL * second) * Fraction(1, n + 1)
         expected = Fraction(1)
     elif variant is UnityVariant.UNITY2:
-        expression = _members_sum(partition_members("interval11", n))
+        expression = linear_combination((w, g) for _, w, g in partition_members("interval11", n))
         expected = Fraction(2 * n + 1)
     else:
         first = christoffel_form(measures.ARCSINE, n).quadratic_form_poly
@@ -220,7 +205,7 @@ def verify_unity_01(n: int) -> IdentityReport:
     Sums x^i (1-x)^j over i+j <= n, each divided by its Beta integral; the
     constant is the number of terms, (n+1)(n+2)/2.
     """
-    expression = _members_sum(partition_members("interval01", n))
+    expression = linear_combination((w, g) for _, w, g in partition_members("interval01", n))
     expected = Fraction((n + 1) * (n + 2), 2)
     return _report("unity-01", {"n": n}, expression, expected)
 
@@ -235,7 +220,7 @@ def verify_simplex_unity(d: int, n: int) -> IdentityReport:
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    expression = _members_sum(partition_members("simplex", n, d))
+    expression = linear_combination((w, g) for _, w, g in partition_members("simplex", n, d))
     expected = Fraction(math.comb(d + 1 + n, n)) if n <= 2 else None
     return _report("simplex-unity", {"d": d, "n": n}, expression, expected)
 

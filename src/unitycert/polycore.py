@@ -2,12 +2,17 @@
 
 Polynomials store integer numerators over one common denominator: univariate
 ones as dense tuples, multivariate ones as sparse exponent->numerator maps,
-so their products are integer convolutions with one gcd at the end.  All
-arithmetic here is exact; floating point never enters this module.  On top
-of the generic ring operations it provides the classical families used
-throughout the package: Chebyshev polynomials of both kinds, their squared
-orthonormalizations, the Bernstein basis on [0,1], and power products of the
-affine generators of the canonical simplex, expanded in closed form.
+so their products are integer convolutions with one gcd at the end.
+Evaluation and weighted sums run in integers as well: ``eval_pairs`` gives a
+batch of exact values at one point as unreduced (numerator, denominator)
+pairs, its multivariate members sharing one power table per coordinate, and
+``linear_combination`` adds weighted polynomials over one common
+denominator.  All arithmetic here is exact; floating point never enters this
+module.  On top of the generic ring operations it provides the classical
+families used throughout the package: Chebyshev polynomials of both kinds,
+their squared orthonormalizations, the Bernstein basis on [0,1], and power
+products of the affine generators of the canonical simplex, expanded in
+closed form.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ class ChebKind(Enum):
 
 
 def _frac(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("exact layer does not accept floats")
     return Fraction(value)
@@ -187,17 +194,7 @@ class UPoly:
         return _power(self, UPoly.constant(1), n)
 
     def eval(self, point) -> Fraction:
-        # Horner's scheme on p/q in integers: sum nums[k] p^k q^(deg-k).
-        x = _frac(point)
-        if not self.nums:
-            return Fraction(0)
-        p, q = x.numerator, x.denominator
-        descending = reversed(self.nums)
-        acc, scale = next(descending), 1
-        for c in descending:
-            scale *= q
-            acc = acc * p + c * scale
-        return Fraction(acc, self.den * scale)
+        return Fraction(*eval_pairs((self,), (point,))[0])
 
     def __repr__(self) -> str:
         parts = [f"{c}" if k == 0 else f"{c}*x^{k}" for (k,), c in self.terms.items()]
@@ -347,29 +344,7 @@ class MPoly:
         return _power(self, MPoly.constant(self.dimension, 1), n)
 
     def eval(self, point: Sequence) -> Fraction:
-        # With x_i = p_i/q_i and D_i the top degree in x_i, sum in integers
-        # nums[e] * prod p_i^e_i q_i^(D_i - e_i) over den * prod q_i^D_i.
-        if len(point) != self.dimension:
-            raise ValueError("point dimension mismatch")
-        values = [_frac(v) for v in point]
-        if not self.nums:
-            return Fraction(0)
-        scale = self.den
-        tables = []
-        for i, v in enumerate(values):
-            top = max(e[i] for e in self.nums)
-            p, q = v.numerator, v.denominator
-            p_pows, q_pows = [1], [1]
-            for _ in range(top):
-                p_pows.append(p_pows[-1] * p)
-                q_pows.append(q_pows[-1] * q)
-            tables.append([p_pows[k] * q_pows[top - k] for k in range(top + 1)])
-            scale *= q_pows[top]
-        pick = list.__getitem__
-        acc = 0
-        for e, c in self.nums.items():
-            acc += c * math.prod(map(pick, tables, e))
-        return Fraction(acc, scale)
+        return Fraction(*eval_pairs((self,), point)[0])
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -399,11 +374,90 @@ def poly_from_sparse_nums(dimension: int, nums: dict[Exponent, int], den: int) -
 
 def poly_eval(p: AnyPoly, point: Sequence) -> Fraction:
     """Exact evaluation of a polynomial at a rational point."""
-    if isinstance(p, UPoly):
-        if len(point) != 1:
-            raise ValueError("univariate polynomial takes a 1-dimensional point")
-        return p.eval(point[0])
-    return p.eval(point)
+    return Fraction(*eval_pairs((p,), point)[0])
+
+
+def eval_pairs(polys: Sequence[AnyPoly], point: Sequence) -> list[tuple[int, int]]:
+    """The exact value of each polynomial at one rational point, unreduced.
+
+    Each value is an integer pair ``(num, den)`` with ``den > 0``; no gcd is
+    taken.  With x_i = p_i/q_i, a ``UPoly`` runs Horner's scheme in integers,
+    and every ``MPoly`` of the batch reads one shared table of
+    p_i^k q_i^(D_i - k) per coordinate, D_i being the top degree in x_i over
+    the batch, summing nums[e] * prod table_i[e_i] over den * prod q_i^D_i.
+    """
+    values = [_frac(v) for v in point]
+    dimension = len(values)
+    if any(p.dimension != dimension for p in polys):
+        raise ValueError("point dimension mismatch")
+    sparse = [p.nums for p in polys if isinstance(p, MPoly)]
+    if sparse:
+        tables, scale = [], 1
+        for i, v in enumerate(values):
+            top = max((e[i] for nums in sparse for e in nums), default=0)
+            p, q = v.numerator, v.denominator
+            p_pows, q_pows = [1], [1]
+            for _ in range(top):
+                p_pows.append(p_pows[-1] * p)
+                q_pows.append(q_pows[-1] * q)
+            tables.append([p_pows[k] * q_pows[top - k] for k in range(top + 1)])
+            scale *= q_pows[top]
+    pick, prod = list.__getitem__, math.prod
+    out = []
+    for poly in polys:
+        if isinstance(poly, MPoly):
+            acc = 0
+            for e, c in poly.nums.items():
+                acc += c * prod(map(pick, tables, e))
+            out.append((acc, poly.den * scale))
+        elif poly.nums:
+            # Horner on p/q: sum nums[k] p^k q^(deg-k) over den q^deg.
+            p, q = values[0].numerator, values[0].denominator
+            descending = reversed(poly.nums)
+            acc, power = next(descending), 1
+            for c in descending:
+                power *= q
+                acc = acc * p + c * power
+            out.append((acc, poly.den * power))
+        else:
+            out.append((0, 1))
+    return out
+
+
+def linear_combination(pairs: Iterable[tuple[object, AnyPoly]]) -> AnyPoly:
+    """The sum of weight * poly over a nonempty list of ``(weight, poly)`` pairs.
+
+    Every term is scaled to one common denominator and added in integers:
+    densely by degree in dimension 1, by exponent otherwise.  The result is
+    the class ``poly_from_sparse_nums`` picks, a ``UPoly`` in dimension 1
+    whichever class the terms have.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("linear_combination of no terms")
+    dimension = pairs[0][1].dimension
+    if any(p.dimension != dimension for _, p in pairs):
+        raise ValueError("dimension mismatch")
+    weights = [_frac(w) for w, _ in pairs]
+    dens = [w.denominator * p.den for w, (_, p) in zip(weights, pairs)]
+    den = math.lcm(*dens)
+    factors = [w.numerator * (den // d) for w, d in zip(weights, dens)]
+    if dimension == 1:
+        dense = [0] * (max(p.degree for _, p in pairs) + 1)
+        for f, (_, p) in zip(factors, pairs):
+            if isinstance(p, UPoly):
+                for k, c in enumerate(p.nums):
+                    dense[k] += f * c
+            else:
+                for (k,), c in p.nums.items():
+                    dense[k] += f * c
+        return UPoly._canonical(dense, den)
+    nums: dict[Exponent, int] = {}
+    get = nums.get
+    for f, (_, p) in zip(factors, pairs):
+        for e, c in p.nums.items():
+            nums[e] = get(e, 0) + f * c
+    return MPoly._canonical(dimension, nums, den)
 
 
 def monomials_of_degree(dimension: int, total: int) -> list[Exponent]:
@@ -439,14 +493,6 @@ def monomials_upto(dimension: int, degree: int) -> tuple[Exponent, ...]:
 def multinomial(parts: Sequence[int]) -> int:
     """The multinomial coefficient (sum parts)! / prod(part!)."""
     return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
-
-
-def powers(p: UPoly, n: int) -> list[UPoly]:
-    """The list [p^0, p^1, ..., p^n], one multiplication per entry."""
-    out = [UPoly.constant(1)]
-    for _ in range(n):
-        out.append(out[-1] * p)
-    return out
 
 
 def cheb_table(kind: ChebKind, n: int) -> list[UPoly]:

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from unitycert import cli, identities, momatrix
 from unitycert.measures import LEBESGUE01, simplex_equilibrium, simplex_uniform
 from unitycert.momatrix import NotPositiveDefiniteError, rational_matrix_from_json
-from unitycert.polycore import MPoly, UPoly
+from unitycert.polycore import MPoly, UPoly, poly_eval
 
 
 def run_json(capsys, argv):
@@ -496,6 +497,36 @@ class TestPartitionMembersSumToOne:
         ):
             assert Fraction(member["weight"]) == weight / len(members)
             assert p == generator * Fraction(member["weight"])
+
+
+def odd_points(seed, low, high, d, count=6):
+    """Seeded points whose coordinates are odd multiples of 1/1024 in [low, high)/1024."""
+    rng = random.Random(seed)
+    return [[rng.randrange(low, high, 2) / 1024 for _ in range(d)] for _ in range(count)]
+
+
+class TestPartitionValuesAreExactlyRounded:
+    """Each reported value is the double nearest the member's exact value."""
+
+    @pytest.mark.parametrize(
+        "domain, n, d, points",
+        [("interval01", 7, 2, odd_points(71, 1, 1024, 1) + [[0.1], [1 / 3]]),
+         ("interval11", 9, 2, odd_points(73, -1023, 1024, 1) + [[-0.1], [1 / 3]]),
+         ("simplex", 5, 1, odd_points(79, 1, 1024, 1) + [[0.1], [1 / 3]]),
+         ("simplex", 6, 2, odd_points(83, 1, 512, 2) + [[0.1, 1 / 3]]),
+         ("simplex", 3, 3, odd_points(89, 1, 341, 3) + [[1 / 3, 0.1, 1 / 3]])],
+    )
+    def test_values_equal_float_of_exact_value(self, domain, n, d, points):
+        report = cli.emit_partition(domain, n, d=d, points=points)
+        members = identities.partition_members(domain, n, d)
+        assert len(report["evaluations"]) == len(points)
+        for point, evaluation in zip(points, report["evaluations"]):
+            exact_point = [Fraction(v) for v in point]
+            want = [float(poly_eval(generator * (weight / len(members)), exact_point))
+                    for _, weight, generator in members]
+            assert evaluation["point"] == point
+            assert evaluation["values"] == want
+            assert evaluation["sum"] == sum(want)
 
 
 class TestOutputFile:

@@ -169,6 +169,13 @@ class TestPartitionMembers:
             for _, weight, generator in partition_members(domain, n, d):
                 assert weight * f.poly_moment(generator) == 1
 
+    def test_interval01_members_are_expanded_products(self):
+        for n in range(1, 9):
+            for label, _, generator in partition_members("interval01", n):
+                want = UPoly.x() ** label["i"] * UPoly.from_coeffs([1, -1]) ** label["j"]
+                assert type(generator) is UPoly
+                assert (generator.nums, generator.den) == (want.nums, want.den)
+
     def test_order_and_labels(self):
         assert [label for label, _, _ in partition_members("interval01", 2)] == [
             {"i": i, "j": j} for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))

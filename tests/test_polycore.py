@@ -14,6 +14,8 @@ from unitycert.polycore import (
     cheb_orthonormal_square,
     cheb_orthonormal_squares,
     cheb_table,
+    eval_pairs,
+    linear_combination,
     monomials_of_degree,
     monomials_upto,
     poly_eval,
@@ -650,3 +652,143 @@ class TestSharedReadInterface:
         assert poly_from_sparse_nums(1, {}, 1) == UPoly.zero()
         q = poly_from_sparse_nums(2, {(1, 1): 3, (0, 0): 0}, 9)
         assert (q.nums, q.den) == ({(1, 1): 1}, 3)
+
+
+def _upoly_ref_eval(p, x):
+    return sum((c * Fraction(x) ** k for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def _points(rng, d):
+    """Rational, negative and integer points of dimension d."""
+    return [
+        [Fraction(rng.randint(-20, 20), rng.randint(1, 16)) for _ in range(d)],
+        [Fraction(-rng.randint(1, 9), rng.randint(2, 7)) for _ in range(d)],
+        [rng.randint(-3, 3) for _ in range(d)],
+    ]
+
+
+class TestEvalPairs:
+    """eval_pairs against a Fraction reference computed here."""
+
+    def test_upoly_batch_matches_reference(self):
+        rng = random.Random(41)
+        batch = seeded_upolys(13)
+        for point in _points(rng, 1):
+            pairs = eval_pairs(batch, point)
+            assert len(pairs) == len(batch)
+            for p, (num, den) in zip(batch, pairs):
+                assert type(num) is int and type(den) is int and den > 0
+                assert Fraction(num, den) == _upoly_ref_eval(p, point[0])
+
+    def test_mpoly_batch_of_mixed_degrees_matches_reference(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            d = rng.choice([2, 3])
+            # Degrees 0..6 in each variable within one batch, the zero polynomial among them.
+            terms = [TestMPolyIntegerNumerators.rand_terms(rng, d) for _ in range(5)]
+            terms.append({tuple(rng.randint(0, 6) for _ in range(d)): Fraction(5, 3)})
+            terms.append({})
+            batch = [MPoly.make(d, t) for t in terms]
+            for point in _points(rng, d):
+                pairs = eval_pairs(batch, point)
+                assert len(pairs) == len(batch)
+                for t, (num, den) in zip(terms, pairs):
+                    assert den > 0
+                    assert Fraction(num, den) == _mref_eval(t, point)
+
+    def test_univariate_classes_share_a_batch(self):
+        rng = random.Random(47)
+        ups = seeded_upolys(17, count=10)
+        batch = [q for p in ups for q in (p, as_mpoly(p))]
+        for point in _points(rng, 1):
+            values = [Fraction(*pair) for pair in eval_pairs(batch, point)]
+            for p, got, got_m in zip(ups, values[::2], values[1::2]):
+                assert got == got_m == _upoly_ref_eval(p, point[0])
+
+    def test_single_polynomial_evaluators_agree(self):
+        rng = random.Random(53)
+        for p in seeded_upolys(19, count=10):
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            assert p.eval(x) == poly_eval(p, [x]) == Fraction(*eval_pairs([p], [x])[0])
+        m = simplex_generator_power(3, (2, 0, 1, 3))
+        point = [Fraction(1, 3), Fraction(-1, 2), 2]
+        assert m.eval(point) == poly_eval(m, point) == Fraction(*eval_pairs([m], point)[0])
+
+    def test_zero_and_empty(self):
+        for zero, point in ((UPoly.zero(), [Fraction(1, 3)]), (MPoly.zero(2), [2, Fraction(-1, 5)])):
+            ((num, den),) = eval_pairs([zero], point)
+            assert num == 0 and den > 0
+        assert eval_pairs([], [Fraction(1, 2)]) == []
+        assert eval_pairs([], [1, 2, 3]) == []
+
+    def test_rejects_floats_and_wrong_dimensions(self):
+        for batch, point in (([upoly(1, 2)], [0.5]), ([MPoly.constant(2, 1)], [1, 0.25]),
+                             ([], [0.5])):
+            with pytest.raises(TypeError):
+                eval_pairs(batch, point)
+        with pytest.raises(TypeError):
+            upoly(1, 2).eval(0.5)
+        with pytest.raises(TypeError):
+            MPoly.constant(2, 1).eval([1, 0.25])
+        for batch, point in (([upoly(1, 2)], [1, 2]), ([MPoly.constant(2, 1)], [1]),
+                             ([upoly(1), MPoly.constant(2, 1)], [1, 2])):
+            with pytest.raises(ValueError):
+                eval_pairs(batch, point)
+        with pytest.raises(ValueError):
+            MPoly.constant(3, 1).eval([1, 2])
+
+
+class TestLinearCombination:
+    """linear_combination against the sequential sum of weight * poly."""
+
+    @staticmethod
+    def sequential(pairs):
+        total = pairs[0][1] * pairs[0][0]
+        for w, p in pairs[1:]:
+            total = total + p * w
+        return total
+
+    def test_upoly_matches_sequential_sum(self):
+        rng = random.Random(59)
+        polys = seeded_upolys(23)
+        pairs = [(Fraction(rng.randint(-9, 9), rng.randint(1, 8)), p) for p in polys]
+        for k in (1, 2, len(pairs)):
+            got = linear_combination(pairs[:k])
+            assert type(got) is UPoly and got == self.sequential(pairs[:k])
+            _assert_canonical(got)
+
+    def test_mpoly_matches_sequential_sum(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            d = rng.choice([2, 3])
+            pairs = [(Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+                      MPoly.make(d, TestMPolyIntegerNumerators.rand_terms(rng, d)))
+                     for _ in range(rng.randint(1, 6))]
+            got = linear_combination(iter(pairs))
+            assert type(got) is MPoly and got == self.sequential(pairs)
+            _assert_mcanonical(got)
+
+    def test_dimension_one_gives_a_upoly(self):
+        # The d=1 simplex generators are 1-dimensional MPolys.
+        pairs = [(Fraction(3, k + 1), simplex_generator_power(1, a))
+                 for k, a in enumerate(monomials_upto(2, 4))]
+        total = self.sequential(pairs)
+        assert type(total) is MPoly
+        got = linear_combination(pairs)
+        assert type(got) is UPoly
+        assert got == poly_from_sparse_nums(1, total.sparse_nums, total.den)
+        ups = seeded_upolys(29, count=8)
+        dense = [(Fraction(1, 3), p) for p in ups] + [(Fraction(-2, 5), p) for p in ups]
+        mixed = [(Fraction(1, 3), p) for p in ups] + [(Fraction(-2, 5), as_mpoly(p)) for p in ups]
+        got = linear_combination(mixed)
+        assert type(got) is UPoly and got == self.sequential(dense)
+
+    def test_cancellation_and_bad_input(self):
+        p = upoly(Fraction(1, 2), 3)
+        assert linear_combination([(2, p), (-1, p * 2)]) == UPoly.zero()
+        with pytest.raises(ValueError):
+            linear_combination([])
+        with pytest.raises(ValueError):
+            linear_combination([(1, upoly(1)), (1, MPoly.constant(2, 1))])
+        with pytest.raises(TypeError):
+            linear_combination([(0.5, upoly(1))])
