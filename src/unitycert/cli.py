@@ -22,12 +22,12 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import identities, maxent, measures, momatrix
 from .measures import MeasureId, SimplexNormalization, functional_for
 from .momatrix import NotPositiveDefiniteError
-from .polycore import AnyPoly, UPoly, eval_pairs, monomials_upto
+from .polycore import AnyPoly, UPoly, monomials_upto
 
 if TYPE_CHECKING:
     import argparse
@@ -98,25 +98,29 @@ def _measure_from_flags(name: str, d: Optional[int], normalization: str) -> Meas
     raise ValueError(f"unknown measure {name!r}")
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for ``den > 0``, without building the Fraction."""
-    g = math.gcd(num, den)
-    if g == den:
-        return str(num // den)
-    return f"{num // g}/{den // g}"
+def _ratio_strs(nums: Iterable[int], den: int, k: int = 1) -> list[str]:
+    """``str(Fraction(k * c, den))`` for each ``c`` in ``nums``, for ``den > 0``.
+
+    Each string is reduced on its own, without building the Fraction.
+    """
+    gcd, out = math.gcd, []
+    for c in nums:
+        c *= k
+        g = gcd(c, den)
+        out.append(str(c // den) if g == den else f"{c // g}/{den // g}")
+    return out
 
 
 def _poly_to_json(p: AnyPoly, scale: Fraction = Fraction(1)) -> dict:
     """The JSON form of ``scale * p``, each coefficient reduced on its own."""
     k, den = scale.numerator, scale.denominator * p.den
     if isinstance(p, UPoly):
-        return {"coefficients": [_ratio_str(k * c, den) for c in p.nums]}
+        return {"coefficients": _ratio_strs(p.nums, den, k)}
+    items = sorted(p.sparse_nums.items())
+    values = _ratio_strs((c for _, c in items), den, k)
     return {
         "dimension": p.dimension,
-        "terms": [
-            {"alpha": list(e), "value": _ratio_str(k * c, den)}
-            for e, c in sorted(p.sparse_nums.items())
-        ],
+        "terms": [{"alpha": list(e), "value": v} for (e, _), v in zip(items, values)],
     }
 
 
@@ -147,8 +151,9 @@ def emit_partition(
     members are those of ``identities.partition_members``, each weight
     divided by the member count; every member is weight * generator, and the
     members sum identically to 1.  A member's coefficients are written from
-    the generator's numerators times the weight, and its value at a point is
-    the weight times the generator's unreduced exact value (``eval_pairs``),
+    the generator's numerators times the weight.  Its value at a point is
+    the weight times the generator's unreduced exact value, which
+    ``identities.partition_values`` computes from the generator's factors,
     divided once as integers: the correctly rounded double of the exact value.
     """
     generators = identities.partition_members(domain, n, d)
@@ -161,10 +166,9 @@ def emit_partition(
     report = {"domain": domain, "n": n, "members": members}
     if domain == "simplex":
         report["d"] = d
-    polys = [generator for _, _, generator in generators]
     evaluations = []
     for point in points or []:
-        pairs = eval_pairs(polys, [Fraction(v) for v in point])
+        pairs = identities.partition_values(domain, n, [Fraction(v) for v in point], d)
         values = [w.numerator * num / (w.denominator * den)
                   for w, (num, den) in zip(weights, pairs)]
         evaluations.append({"point": list(point), "values": values, "sum": sum(values)})
@@ -316,7 +320,7 @@ def _dispatch(args) -> tuple[object, str, int]:
         measure = _measure_from_flags(args.measure, args.d, args.normalization)
         form = momatrix.christoffel_form(measure, args.n)
         # The inverse's strings, written from its upper triangle in integers.
-        upper = [[_ratio_str(v, form.inverse_den) for v in row] for row in form.inverse_upper]
+        upper = [_ratio_strs(row, form.inverse_den) for row in form.inverse_upper]
         size = len(upper)
         payload = {
             "measure": measure.label(),

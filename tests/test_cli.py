@@ -390,6 +390,12 @@ class TestPartition:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("domain, d, point", [("simplex", 3, [0.1, 0.2]), ("simplex", 1, [0.1, 0.2]),
+                                                  ("interval01", 2, [0.1, 0.2]), ("interval11", 2, [])])
+    def test_emit_partition_rejects_wrong_point_dimension(self, domain, d, point):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            cli.emit_partition(domain, 2, d=d, points=[point])
+
     @pytest.mark.parametrize("points", ["inf", "nan", "-inf", "1e400", "0.5;nan"])
     def test_non_finite_point_is_exit_2(self, capsys, points):
         code = cli.run(["partition", "--domain", "interval01", "--n", "3", f"--points={points}"])
@@ -427,6 +433,14 @@ class TestPolyToJson:
             want = [{"alpha": list(e), "value": str(c)} for e, c in sorted(terms.items()) if c]
             assert cli._poly_to_json(p) == {"dimension": 2, "terms": want}
         assert cli._poly_to_json(MPoly.zero(3)) == {"dimension": 3, "terms": []}
+
+    def test_ratio_strs_match_fraction_str(self):
+        nums = [0, 1, -1, 6, -6, 12, -35, 70, 10**30 + 6, -(2**70)]
+        for den in (1, 2, 6, 35, 3 << 40):
+            for k in (1, -1, 2, 3, 7, 10, -70, 1 << 40):
+                assert cli._ratio_strs(nums, den, k) == [str(Fraction(k * c, den)) for c in nums]
+        assert cli._ratio_strs(iter([4, -3, 0]), 6) == ["2/3", "-1/2", "0"]
+        assert cli._ratio_strs([], 5) == []
 
 
 class TestModuleEntryPoint:

@@ -12,6 +12,7 @@ from unitycert.identities import (
     _report,
     constant_reduce,
     partition_members,
+    partition_values,
     verify_pell,
     verify_simplex_equilibrium,
     verify_simplex_unity,
@@ -25,7 +26,7 @@ from unitycert.measures import (
     functional_for,
     simplex_uniform,
 )
-from unitycert.polycore import MPoly, UPoly
+from unitycert.polycore import MPoly, UPoly, eval_pairs
 
 
 class TestPell:
@@ -192,6 +193,65 @@ class TestPartitionMembers:
             partition_members("simplex", 2, 0)
         with pytest.raises(ValueError):
             partition_members("disc", 2)
+
+
+class TestPartitionValues:
+    """Values from the members' factors equal those of the expanded members."""
+
+    INTERVAL_POINTS = [-1, 1, 0, Fraction(1, 4), Fraction(-1, 3), Fraction(-7, 5), 3, Fraction(22, 7)]
+
+    @staticmethod
+    def check_against_expansions(domain, n, d, points):
+        polys = [generator for _, _, generator in partition_members(domain, n, d)]
+        for point in points:
+            got = partition_values(domain, n, point, d)
+            assert all(den > 0 for _, den in got)
+            assert [Fraction(*pair) for pair in got] == [
+                Fraction(*pair) for pair in eval_pairs(polys, point)]
+
+    @pytest.mark.parametrize("domain", ["interval01", "interval11"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_interval_values_match_expansions(self, domain, n):
+        self.check_against_expansions(domain, n, 2, [[x] for x in self.INTERVAL_POINTS])
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_simplex_values_match_expansions(self, d):
+        # Inside and outside the simplex; the first point's coordinates have
+        # different denominators.
+        points = [
+            [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(1, 13), Fraction(4, 9)][:d],
+            [Fraction(-1, 2), 3, 0, Fraction(-2, 9), 1][:d],
+            [Fraction(1, 8)] * d,
+            [0] * d,
+            [1] + [0] * (d - 1),
+        ]
+        for n in range(1, 9):
+            self.check_against_expansions("simplex", n, d, points)
+
+    def test_interval01_is_the_one_simplex(self):
+        for n in range(1, 9):
+            for x in self.INTERVAL_POINTS:
+                assert partition_values("interval01", n, [x]) == partition_values("simplex", n, [x], 1)
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            partition_values("interval11", 3, [0.5])
+        with pytest.raises(TypeError):
+            partition_values("interval01", 3, [0.5])
+        with pytest.raises(TypeError):
+            partition_values("simplex", 2, [Fraction(1, 4), 0.25], 2)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            partition_values("simplex", 2, [Fraction(1, 4)], 2)
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            partition_values("interval11", 2, [0, 0])
+        with pytest.raises(ValueError):
+            partition_values("interval01", 0, [0])
+        with pytest.raises(ValueError):
+            partition_values("simplex", 2, [], 0)
+        with pytest.raises(ValueError):
+            partition_values("disc", 2, [0])
 
 
 class TestReportMechanics:
