@@ -4,11 +4,12 @@ Subcommands: pell, moments, matrix, christoffel, verify, maxent, partition.
 JSON is the default output (rationals as "p/q" strings, never floats in
 exact reports); moment tables can also be emitted as CSV.  Exit codes:
 0 success (identity holds / solver converged), 1 identity fails or solver
-did not converge, 2 usage error, 3 internal numeric failure or out of
-memory.  The top-level ``--log-level`` flag writes the package's
-``unitycert.*`` log records at or above that level to stderr as JSON lines;
-without it no handler is installed.  In-process callers of ``run`` share
-one parser per process, built on the first call.
+did not converge, 2 usage error (a flag the command does not read is one),
+3 internal numeric failure or out of memory.  The top-level ``--log-level``
+flag writes the package's ``unitycert.*`` log records at or above that
+level to stderr as JSON lines; without it no handler is installed.
+In-process callers of ``run`` share one parser per process, built on the
+first call.
 """
 
 from __future__ import annotations
@@ -74,27 +75,33 @@ def _check_equilibrium_d(d: int) -> None:
         raise ValueError(f"--d must be 2 for simplex-equilibrium, got {d}")
 
 
-def _reject_d(d: Optional[int], what: str) -> None:
-    # --d defaults to None where it can be meaningless, so a given one is seen.
-    if d is not None:
-        raise ValueError(f"--d does not apply to {what}, which is one-dimensional")
+def _reject_flag(flag: str, value: object, what: str) -> None:
+    # Flags that only some commands read default to None, so a given one is seen.
+    if value is not None:
+        raise ValueError(f"{flag} does not apply to {what}")
 
 
 _ONE_DIMENSIONAL = {"arcsine": measures.ARCSINE, "arcsine-g": measures.ARCSINE_G,
                     "lebesgue01": measures.LEBESGUE01}
 
 
-def _measure_from_flags(name: str, d: Optional[int], normalization: str) -> MeasureId:
-    """The measure named by ``--measure``; ``d`` is ``--d``, None if not given."""
+def _measure_from_flags(name: str, d: Optional[int], normalization: Optional[str]) -> MeasureId:
+    """The measure named by ``--measure``.
+
+    ``d`` and ``normalization`` are ``--d`` and ``--normalization``, each
+    None if not given and rejected where the measure does not read it.
+    """
+    if name != "simplex-equilibrium":
+        _reject_flag("--normalization", normalization, name)
     if name in _ONE_DIMENSIONAL:
-        _reject_d(d, name)
+        _reject_flag("--d", d, f"{name}, which is one-dimensional")
         return _ONE_DIMENSIONAL[name]
     d = 2 if d is None else d
     if name == "simplex-uniform":
         return measures.simplex_uniform(d)
     if name == "simplex-equilibrium":
         _check_equilibrium_d(d)
-        return measures.simplex_equilibrium(SimplexNormalization(normalization))
+        return measures.simplex_equilibrium(SimplexNormalization(normalization or "pi-density"))
     raise ValueError(f"unknown measure {name!r}")
 
 
@@ -205,25 +212,32 @@ def _parse_rational(flag: str, text: str) -> Fraction:
 
 def _parse_target(args, default_constant: Fraction) -> UPoly:
     # The solvers check n and then the target degree against it.
-    if getattr(args, "target_coeffs", None):
+    if args.target_coeffs is not None and args.target_constant is not None:
+        raise ValueError("give --target-constant or --target-coeffs, not both")
+    if args.target_coeffs is not None:
         return UPoly.from_coeffs(
             _parse_rational("--target-coeffs", v) for v in args.target_coeffs.split(",")
         )
-    if getattr(args, "target_constant", None) is not None:
+    if args.target_constant is not None:
         return UPoly.constant(_parse_rational("--target-constant", args.target_constant))
     return UPoly.constant(default_constant)
 
 
 def _run_verify(args) -> tuple[dict, int]:
     identity = args.identity
+    what = f"--identity {identity}"
     if not identity.startswith("simplex-"):
-        _reject_d(args.d, f"--identity {identity}")
+        _reject_flag("--d", args.d, f"{what}, which is one-dimensional")
+    if identity != "unity-interval":
+        _reject_flag("--variant", args.variant, what)
+    if identity != "simplex-equilibrium":
+        _reject_flag("--normalization", args.normalization, what)
     d = 2 if args.d is None else args.d
     if identity == "pell":
         report = identities.verify_pell(args.n)
     elif identity == "unity-interval":
         report = identities.verify_unity_interval(
-            args.n, identities.UnityVariant(args.variant)
+            args.n, identities.UnityVariant(args.variant or "unity2")
         )
     elif identity == "unity-01":
         report = identities.verify_unity_01(args.n)
@@ -232,7 +246,7 @@ def _run_verify(args) -> tuple[dict, int]:
     elif identity == "simplex-equilibrium":
         _check_equilibrium_d(d)
         report = identities.verify_simplex_equilibrium(
-            args.n, SimplexNormalization(args.normalization)
+            args.n, SimplexNormalization(args.normalization or "pi-density")
         )
     else:
         raise ValueError(f"unknown identity {identity!r}")
@@ -246,7 +260,7 @@ def _run_maxent(args) -> tuple[dict, int]:
         raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
     mode = args.mode
     if mode != "simplex":
-        _reject_d(args.d, f"maxent {mode}")
+        _reject_flag("--d", args.d, f"maxent {mode}, which is one-dimensional")
     if mode == "handelman":
         default = Fraction((args.n + 1) * (args.n + 2), 2)
         target = _parse_target(args, default)
@@ -259,7 +273,7 @@ def _run_maxent(args) -> tuple[dict, int]:
             args.n, tol=args.tol, max_iter=args.max_iter, target=target
         )
     elif mode == "simplex":
-        if args.target_constant is not None or args.target_coeffs:
+        if args.target_constant is not None or args.target_coeffs is not None:
             raise ValueError("simplex mode has a fixed target; drop the target flags")
         cert, dual, report = maxent.solve_simplex(
             2 if args.d is None else args.d, args.n, tol=args.tol, max_iter=args.max_iter
@@ -340,7 +354,7 @@ def _dispatch(args) -> tuple[object, str, int]:
         if args.domain == "simplex":
             d = 2 if args.d is None else args.d
         else:
-            _reject_d(args.d, f"--domain {args.domain}")
+            _reject_flag("--d", args.d, f"--domain {args.domain}, which is one-dimensional")
             d = 1
         points = _parse_points(args.points, d)
         payload = emit_partition(args.domain, args.n, d=d, points=points)
@@ -370,9 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_format=True):
-        if with_format:
-            p.add_argument("--format", choices=["json", "csv"], default="json")
+    def add_common(p, formats=("json",)):
+        p.add_argument("--format", choices=list(formats), default="json")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("pell", help="verify the Chebyshev Pell identity")
@@ -391,21 +404,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="emit a moment table")
     p.add_argument("--measure", choices=measure_names, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--normalization", choices=norm_names, default="pi-density")
+    p.add_argument("--normalization", choices=norm_names, default=None)
     p.add_argument("--max-degree", type=int, required=True)
-    add_common(p)
+    add_common(p, formats=("json", "csv"))
 
     p = sub.add_parser("matrix", help="emit an exact moment matrix")
     p.add_argument("--measure", choices=measure_names, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--normalization", choices=norm_names, default="pi-density")
+    p.add_argument("--normalization", choices=norm_names, default=None)
     p.add_argument("--n", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("christoffel", help="emit a reciprocal Christoffel function")
     p.add_argument("--measure", choices=measure_names, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--normalization", choices=norm_names, default="pi-density")
+    p.add_argument("--normalization", choices=norm_names, default=None)
     p.add_argument("--n", type=int, required=True)
     add_common(p)
 
@@ -417,8 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--variant", choices=[v.value for v in identities.UnityVariant], default="unity2")
-    p.add_argument("--normalization", choices=norm_names, default="pi-density")
+    p.add_argument("--variant", choices=[v.value for v in identities.UnityVariant], default=None)
+    p.add_argument("--normalization", choices=norm_names, default=None)
     add_common(p)
 
     p = sub.add_parser("maxent", help="solve a max-entropy certificate program")

@@ -3,16 +3,15 @@
 Polynomials store integer numerators over one common denominator: univariate
 ones as dense tuples, multivariate ones as sparse exponent->numerator maps,
 so their products are integer convolutions with one gcd at the end.
-Evaluation and weighted sums run in integers as well: ``eval_pairs`` gives a
-batch of exact values at one point as unreduced (numerator, denominator)
-pairs, its multivariate members sharing one power table per coordinate, and
-``linear_combination`` adds weighted polynomials over one common
-denominator.  All arithmetic here is exact; floating point never enters this
-module.  On top of the generic ring operations it provides the classical
-families used throughout the package: Chebyshev polynomials of both kinds,
-their squared orthonormalizations, the Bernstein basis on [0,1], and power
-products of the affine generators of the canonical simplex, expanded in
-closed form.
+Evaluation and weighted sums run in integers as well: each class evaluates
+itself at a rational point, ``UPoly`` by Horner's scheme and ``MPoly`` from
+one power table per coordinate, and ``linear_combination`` adds weighted
+polynomials over one common denominator.  All arithmetic here is exact;
+floating point never enters this module.  On top of the generic ring
+operations it provides the classical families used throughout the package:
+Chebyshev polynomials of both kinds, their squared orthonormalizations, the
+Bernstein basis on [0,1], and power products of the affine generators of the
+canonical simplex, expanded in closed form.
 """
 
 from __future__ import annotations
@@ -193,8 +192,21 @@ class UPoly:
     def __pow__(self, n: int) -> "UPoly":
         return _power(self, UPoly.constant(1), n)
 
-    def eval(self, point) -> Fraction:
-        return Fraction(*eval_pairs((self,), (point,))[0])
+    def eval(self, x) -> Fraction:
+        """The exact value at a rational x = p/q, by Horner's scheme in integers.
+
+        The value is sum nums[k] p^k q^(deg-k) over den q^deg.
+        """
+        x = _frac(x)
+        if not self.nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        descending = reversed(self.nums)
+        acc, power = next(descending), 1
+        for c in descending:
+            power *= q
+            acc = acc * p + c * power
+        return Fraction(acc, self.den * power)
 
     def __repr__(self) -> str:
         parts = [f"{c}" if k == 0 else f"{c}*x^{k}" for (k,), c in self.terms.items()]
@@ -344,7 +356,29 @@ class MPoly:
         return _power(self, MPoly.constant(self.dimension, 1), n)
 
     def eval(self, point: Sequence) -> Fraction:
-        return Fraction(*eval_pairs((self,), point)[0])
+        """The exact value at a rational point, in integers.
+
+        With x_i = p_i/q_i and D_i the top degree in x_i, one table of
+        p_i^k q_i^(D_i - k) per coordinate gives the value as
+        sum nums[e] * prod table_i[e_i] over den * prod q_i^D_i.
+        """
+        values = [_frac(v) for v in point]
+        if len(values) != self.dimension:
+            raise ValueError("point dimension mismatch")
+        tables, scale = [], self.den
+        for v, top in zip(values, map(max, zip(*self.nums))):
+            p, q = v.numerator, v.denominator
+            p_pows, q_pows = [1], [1]
+            for _ in range(top):
+                p_pows.append(p_pows[-1] * p)
+                q_pows.append(q_pows[-1] * q)
+            tables.append([p_pows[k] * q_pows[top - k] for k in range(top + 1)])
+            scale *= q_pows[top]
+        pick, prod = list.__getitem__, math.prod
+        acc = 0
+        for e, c in self.nums.items():
+            acc += c * prod(map(pick, tables, e))
+        return Fraction(acc, scale)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -373,55 +407,10 @@ def poly_from_sparse_nums(dimension: int, nums: dict[Exponent, int], den: int) -
 
 
 def poly_eval(p: AnyPoly, point: Sequence) -> Fraction:
-    """Exact evaluation of a polynomial at a rational point."""
-    return Fraction(*eval_pairs((p,), point)[0])
-
-
-def eval_pairs(polys: Sequence[AnyPoly], point: Sequence) -> list[tuple[int, int]]:
-    """The exact value of each polynomial at one rational point, unreduced.
-
-    Each value is an integer pair ``(num, den)`` with ``den > 0``; no gcd is
-    taken.  With x_i = p_i/q_i, a ``UPoly`` runs Horner's scheme in integers,
-    and every ``MPoly`` of the batch reads one shared table of
-    p_i^k q_i^(D_i - k) per coordinate, D_i being the top degree in x_i over
-    the batch, summing nums[e] * prod table_i[e_i] over den * prod q_i^D_i.
-    """
-    values = [_frac(v) for v in point]
-    dimension = len(values)
-    if any(p.dimension != dimension for p in polys):
+    """Exact evaluation of a polynomial at a rational point of its dimension."""
+    if len(point) != p.dimension:
         raise ValueError("point dimension mismatch")
-    sparse = [p.nums for p in polys if isinstance(p, MPoly)]
-    if sparse:
-        tables, scale = [], 1
-        for i, v in enumerate(values):
-            top = max((e[i] for nums in sparse for e in nums), default=0)
-            p, q = v.numerator, v.denominator
-            p_pows, q_pows = [1], [1]
-            for _ in range(top):
-                p_pows.append(p_pows[-1] * p)
-                q_pows.append(q_pows[-1] * q)
-            tables.append([p_pows[k] * q_pows[top - k] for k in range(top + 1)])
-            scale *= q_pows[top]
-    pick, prod = list.__getitem__, math.prod
-    out = []
-    for poly in polys:
-        if isinstance(poly, MPoly):
-            acc = 0
-            for e, c in poly.nums.items():
-                acc += c * prod(map(pick, tables, e))
-            out.append((acc, poly.den * scale))
-        elif poly.nums:
-            # Horner on p/q: sum nums[k] p^k q^(deg-k) over den q^deg.
-            p, q = values[0].numerator, values[0].denominator
-            descending = reversed(poly.nums)
-            acc, power = next(descending), 1
-            for c in descending:
-                power *= q
-                acc = acc * p + c * power
-            out.append((acc, poly.den * power))
-        else:
-            out.append((0, 1))
-    return out
+    return p.eval(point[0]) if isinstance(p, UPoly) else p.eval(point)
 
 
 def linear_combination(pairs: Iterable[tuple[object, AnyPoly]]) -> AnyPoly:

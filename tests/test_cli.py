@@ -152,6 +152,80 @@ class TestExitCodeContract:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["christoffel", "--measure", "arcsine", "--n", "1", "--normalization", "probability"],
+             "--normalization does not apply to arcsine"),
+            (["moments", "--measure", "simplex-uniform", "--max-degree", "1",
+              "--normalization", "pi-density"],
+             "--normalization does not apply to simplex-uniform"),
+            (["matrix", "--measure", "lebesgue01", "--n", "1", "--normalization", "probability"],
+             "--normalization does not apply to lebesgue01"),
+            (["verify", "--identity", "unity-01", "--n", "2", "--normalization", "probability"],
+             "--normalization does not apply to --identity unity-01"),
+            (["verify", "--identity", "unity-interval", "--n", "2", "--normalization", "pi-density"],
+             "--normalization does not apply to --identity unity-interval"),
+            (["verify", "--identity", "pell", "--n", "2", "--variant", "unity1"],
+             "--variant does not apply to --identity pell"),
+            (["verify", "--identity", "simplex-equilibrium", "--n", "1", "--variant", "unity2"],
+             "--variant does not apply to --identity simplex-equilibrium"),
+            (["maxent", "handelman", "--n", "2", "--target-constant", "7", "--target-coeffs", "6"],
+             "give --target-constant or --target-coeffs, not both"),
+            (["maxent", "putinar", "--n", "2", "--target-coeffs", "3", "--target-constant", "5"],
+             "give --target-constant or --target-coeffs, not both"),
+            (["maxent", "handelman", "--n", "2", "--target-coeffs", ""],
+             "Invalid literal for Fraction: ''"),
+            (["maxent", "simplex", "--n", "1", "--target-coeffs", ""],
+             "simplex mode has a fixed target; drop the target flags"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_exit_2(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pell", "--n", "2"],
+            ["matrix", "--measure", "arcsine", "--n", "1"],
+            ["christoffel", "--measure", "arcsine", "--n", "1"],
+            ["verify", "--identity", "pell", "--n", "2"],
+            ["maxent", "putinar", "--n", "2"],
+            ["partition", "--domain", "interval01", "--n", "1"],
+        ],
+    )
+    def test_csv_where_there_is_no_csv_form_is_exit_2(self, capsys, argv):
+        code = cli.run(argv)
+        default = capsys.readouterr().out
+        assert cli.run(argv + ["--format", "json"]) == code
+        assert capsys.readouterr().out == default
+        assert cli.run(argv + ["--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "argument --format: invalid choice: 'csv'" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["verify", "--identity", "simplex-equilibrium", "--n", "2"],
+             ["--normalization", "pi-density"]),
+            (["moments", "--measure", "simplex-equilibrium", "--max-degree", "2"],
+             ["--normalization", "pi-density"]),
+            (["christoffel", "--measure", "simplex-equilibrium", "--n", "1"],
+             ["--normalization", "pi-density"]),
+            (["verify", "--identity", "unity-interval", "--n", "3"], ["--variant", "unity2"]),
+        ],
+    )
+    def test_omitted_flag_is_its_documented_default(self, capsys, argv, flags):
+        assert cli.run(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.run(argv + flags) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize(
         "exc, message",
         [
             (MemoryError("Unable to allocate 193. GiB for an array"),

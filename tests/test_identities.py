@@ -26,7 +26,7 @@ from unitycert.measures import (
     functional_for,
     simplex_uniform,
 )
-from unitycert.polycore import MPoly, UPoly, eval_pairs
+from unitycert.polycore import MPoly, UPoly, poly_eval
 
 
 class TestPell:
@@ -206,8 +206,7 @@ class TestPartitionValues:
         for point in points:
             got = partition_values(domain, n, point, d)
             assert all(den > 0 for _, den in got)
-            assert [Fraction(*pair) for pair in got] == [
-                Fraction(*pair) for pair in eval_pairs(polys, point)]
+            assert [Fraction(*pair) for pair in got] == [poly_eval(p, point) for p in polys]
 
     @pytest.mark.parametrize("domain", ["interval01", "interval11"])
     @pytest.mark.parametrize("n", range(1, 9))

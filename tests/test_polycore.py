@@ -14,7 +14,6 @@ from unitycert.polycore import (
     cheb_orthonormal_square,
     cheb_orthonormal_squares,
     cheb_table,
-    eval_pairs,
     linear_combination,
     monomials_of_degree,
     monomials_upto,
@@ -667,75 +666,64 @@ def _points(rng, d):
     ]
 
 
-class TestEvalPairs:
-    """eval_pairs against a Fraction reference computed here."""
+class TestEval:
+    """Each class's eval against a Fraction reference computed here."""
 
-    def test_upoly_batch_matches_reference(self):
+    def test_upoly_matches_reference(self):
         rng = random.Random(41)
-        batch = seeded_upolys(13)
         for point in _points(rng, 1):
-            pairs = eval_pairs(batch, point)
-            assert len(pairs) == len(batch)
-            for p, (num, den) in zip(batch, pairs):
-                assert type(num) is int and type(den) is int and den > 0
-                assert Fraction(num, den) == _upoly_ref_eval(p, point[0])
+            for p in seeded_upolys(13):
+                got = p.eval(point[0])
+                assert type(got) is Fraction and got == _upoly_ref_eval(p, point[0])
 
-    def test_mpoly_batch_of_mixed_degrees_matches_reference(self):
+    def test_mpoly_of_mixed_degrees_matches_reference(self):
         rng = random.Random(43)
         for _ in range(40):
             d = rng.choice([2, 3])
-            # Degrees 0..6 in each variable within one batch, the zero polynomial among them.
+            # Degrees 0..6 in each variable, the zero polynomial among them.
             terms = [TestMPolyIntegerNumerators.rand_terms(rng, d) for _ in range(5)]
             terms.append({tuple(rng.randint(0, 6) for _ in range(d)): Fraction(5, 3)})
             terms.append({})
-            batch = [MPoly.make(d, t) for t in terms]
             for point in _points(rng, d):
-                pairs = eval_pairs(batch, point)
-                assert len(pairs) == len(batch)
-                for t, (num, den) in zip(terms, pairs):
-                    assert den > 0
-                    assert Fraction(num, den) == _mref_eval(t, point)
+                for t in terms:
+                    assert MPoly.make(d, t).eval(point) == _mref_eval(t, point)
 
-    def test_univariate_classes_share_a_batch(self):
+    def test_univariate_classes_agree(self):
         rng = random.Random(47)
-        ups = seeded_upolys(17, count=10)
-        batch = [q for p in ups for q in (p, as_mpoly(p))]
         for point in _points(rng, 1):
-            values = [Fraction(*pair) for pair in eval_pairs(batch, point)]
-            for p, got, got_m in zip(ups, values[::2], values[1::2]):
-                assert got == got_m == _upoly_ref_eval(p, point[0])
+            for p in seeded_upolys(17, count=10):
+                assert p.eval(point[0]) == as_mpoly(p).eval(point) == _upoly_ref_eval(p, point[0])
 
-    def test_single_polynomial_evaluators_agree(self):
+    def test_eval_equals_poly_eval(self):
         rng = random.Random(53)
         for p in seeded_upolys(19, count=10):
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            assert p.eval(x) == poly_eval(p, [x]) == Fraction(*eval_pairs([p], [x])[0])
+            assert p.eval(x) == poly_eval(p, [x]) == _upoly_ref_eval(p, x)
         m = simplex_generator_power(3, (2, 0, 1, 3))
         point = [Fraction(1, 3), Fraction(-1, 2), 2]
-        assert m.eval(point) == poly_eval(m, point) == Fraction(*eval_pairs([m], point)[0])
+        assert m.eval(point) == poly_eval(m, point) == _mref_eval(m.terms, point)
 
-    def test_zero_and_empty(self):
-        for zero, point in ((UPoly.zero(), [Fraction(1, 3)]), (MPoly.zero(2), [2, Fraction(-1, 5)])):
-            ((num, den),) = eval_pairs([zero], point)
-            assert num == 0 and den > 0
-        assert eval_pairs([], [Fraction(1, 2)]) == []
-        assert eval_pairs([], [1, 2, 3]) == []
+    def test_zero_polynomial(self):
+        assert UPoly.zero().eval(Fraction(1, 3)) == poly_eval(UPoly.zero(), [-2]) == 0
+        assert MPoly.zero(2).eval([2, Fraction(-1, 5)]) == poly_eval(MPoly.zero(2), [2, 1]) == 0
+        assert MPoly.zero(1).eval([Fraction(7, 3)]) == 0
 
     def test_rejects_floats_and_wrong_dimensions(self):
-        for batch, point in (([upoly(1, 2)], [0.5]), ([MPoly.constant(2, 1)], [1, 0.25]),
-                             ([], [0.5])):
+        for call in (lambda: upoly(1, 2).eval(0.5),
+                     lambda: poly_eval(upoly(1, 2), [0.5]),
+                     lambda: MPoly.constant(2, 1).eval([1, 0.25]),
+                     lambda: poly_eval(MPoly.constant(2, 1), [1, 0.25]),
+                     lambda: MPoly.zero(2).eval([0.5, 1])):
             with pytest.raises(TypeError):
-                eval_pairs(batch, point)
-        with pytest.raises(TypeError):
-            upoly(1, 2).eval(0.5)
-        with pytest.raises(TypeError):
-            MPoly.constant(2, 1).eval([1, 0.25])
-        for batch, point in (([upoly(1, 2)], [1, 2]), ([MPoly.constant(2, 1)], [1]),
-                             ([upoly(1), MPoly.constant(2, 1)], [1, 2])):
-            with pytest.raises(ValueError):
-                eval_pairs(batch, point)
-        with pytest.raises(ValueError):
-            MPoly.constant(3, 1).eval([1, 2])
+                call()
+        for call in (lambda: poly_eval(upoly(1, 2), [1, 2]),
+                     lambda: poly_eval(upoly(1, 2), []),
+                     lambda: poly_eval(MPoly.constant(2, 1), [1]),
+                     lambda: MPoly.constant(2, 1).eval([1]),
+                     lambda: MPoly.constant(3, 1).eval([1, 2]),
+                     lambda: MPoly.zero(2).eval([1, 2, 3])):
+            with pytest.raises(ValueError, match="point dimension mismatch"):
+                call()
 
 
 class TestLinearCombination:
