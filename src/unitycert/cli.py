@@ -174,8 +174,8 @@ def emit_partition(
     if domain == "simplex":
         report["d"] = d
     evaluations = []
-    for point in points or []:
-        pairs = identities.partition_values(domain, n, [Fraction(v) for v in point], d)
+    exact = [[Fraction(v) for v in point] for point in points or []]
+    for point, pairs in zip(points or [], identities.partition_values(domain, n, exact, d)):
         values = [w.numerator * num / (w.denominator * den)
                   for w, (num, den) in zip(weights, pairs)]
         evaluations.append({"point": list(point), "values": values, "sum": sum(values)})
@@ -208,6 +208,8 @@ def _parse_rational(flag: str, text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"{flag} {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not a rational number") from None
 
 
 def _parse_target(args, default_constant: Fraction) -> UPoly:
@@ -253,6 +255,16 @@ def _run_verify(args) -> tuple[dict, int]:
     return report.to_json(), EXIT_OK if report.holds else EXIT_FAILED
 
 
+def _exact_certificate(mode: str, n: int, cert, dual, target: AnyPoly):
+    """The solver's certificate if it is already exact, else one snapped from its dual."""
+    with contextlib.suppress(TypeError):  # a certificate in doubles
+        if maxent.verify_certificate_exact(cert, target):
+            return cert
+    if mode == "putinar":
+        return maxent.exact_putinar(n, dual, target=target)
+    return maxent.exact_handelman(target, n, dual)
+
+
 def _run_maxent(args) -> tuple[dict, int]:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
@@ -289,10 +301,7 @@ def _run_maxent(args) -> tuple[dict, int]:
     }
     if args.exact:
         try:
-            if mode == "putinar":
-                exact_cert = maxent.exact_putinar(args.n, dual, target=target)
-            else:
-                exact_cert = maxent.exact_handelman(target, args.n, dual)
+            exact_cert = _exact_certificate(mode, args.n, cert, dual, target)
         except ValueError as exc:
             # The solver's own dual has the right length, so this is its snap
             # failing: a fact about the target, not a usage error.
@@ -301,9 +310,7 @@ def _run_maxent(args) -> tuple[dict, int]:
             payload["exact_error"] = str(exc)
         else:
             payload["exact_certificate"] = maxent.certificate_to_json(exact_cert)
-            payload["exact_reconstruction"] = maxent.verify_certificate_exact(
-                exact_cert, target
-            )
+            payload["exact_reconstruction"] = maxent.verify_certificate_exact(exact_cert, target)
     return payload, EXIT_OK if report.converged else EXIT_FAILED
 
 
@@ -443,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-constant", default=None)
     p.add_argument("--target-coeffs", default=None, help="comma-separated rationals, low degree first")
     p.add_argument("--exact", action="store_true",
-                   help="snap the dual in the solver's basis and verify the exact certificate")
+                   help="keep the solver's certificate if exact, else snap its dual; verify it")
     add_common(p)
 
     p = sub.add_parser("partition", help="emit a partition of unity")

@@ -159,45 +159,51 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def partition_values(domain: str, n: int, point: Sequence, d: int = 2) -> list[tuple[int, int]]:
-    """Each ``partition_members`` generator's exact value at one rational point.
+def partition_values(domain: str, n: int, points: Sequence, d: int = 2) -> list[list[tuple[int, int]]]:
+    """Each ``partition_members`` generator's exact value at each rational point.
 
-    Values are unreduced integer pairs ``(num, den)``, ``den > 0``, in member
-    order, computed from the members' factors rather than their expansions.
-    Handelman members (``interval01`` is the d=1 simplex) put the point over
-    one denominator Q, with numerators P_1..P_d and P_{d+1} = Q - sum P_i, and
-    read g^alpha as prod P_i^alpha_i over Q^|alpha| from one power table per
-    generator.  On ``interval11``, x = p/q, the three-term recurrence
-    t_{j+1} = 2p t_j - q^2 t_{j-1} gives T_j and U_j over q^j in integers.
+    One list per point of unreduced integer pairs ``(num, den)``, ``den > 0``,
+    in member order, computed from the members' factors rather than their
+    expansions.  Handelman members (``interval01`` is the d=1 simplex) put a
+    point over one denominator Q, with numerators P_1..P_d and P_{d+1} = Q -
+    sum P_i, and read g^alpha as prod P_i^alpha_i over Q^|alpha| from one power
+    table per generator, the alphas listed once per call.  On ``interval11``,
+    x = p/q, t_{j+1} = 2p t_j - q^2 t_{j-1} gives T_j and U_j over q^j.
     """
-    values = [_frac(v) for v in point]
     dimension = d if domain == "simplex" else 1
     if n < 1 or dimension < 1:
         raise ValueError("n and d must be >= 1")
-    if len(values) != dimension:
+    points = [[_frac(v) for v in point] for point in points]
+    if any(len(values) != dimension for values in points):
         raise ValueError("point dimension mismatch")
+    out = []
     if domain == "interval11":
-        p, q2 = values[0].numerator, values[0].denominator ** 2
-        t, u = [1, p], [1, 2 * p]
-        for row in (t, u):
-            while len(row) <= n:
-                row.append(2 * p * row[-1] - q2 * row[-2])
-        g = 2 * (q2 - p * p)  # 2 (1 - x^2) over q^2
-        return [(1, 1)] + [(2 * t[j] * t[j], q2**j) for j in range(1, n + 1)] + [
-            (g * u[j] * u[j], q2 ** (j + 1)) for j in range(n)]
+        for (x,) in points:
+            p, q2 = x.numerator, x.denominator**2
+            t, u = [1, p], [1, 2 * p]
+            for row in (t, u):
+                while len(row) <= n:
+                    row.append(2 * p * row[-1] - q2 * row[-2])
+            g = 2 * (q2 - p * p)  # 2 (1 - x^2) over q^2
+            out.append([(1, 1)] + [(2 * t[j] * t[j], q2**j) for j in range(1, n + 1)] + [
+                (g * u[j] * u[j], q2 ** (j + 1)) for j in range(n)])
+        return out
     if domain not in ("interval01", "simplex"):
         raise ValueError(f"unknown domain {domain!r}")
-    q = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (q // v.denominator) for v in values]
-    tables = []
-    for g in (*nums, q - sum(nums), q):
-        row = [1]
-        for _ in range(n):
-            row.append(row[-1] * g)
-        tables.append(row)
-    q_pows = tables.pop()
+    alphas = monomials_upto(dimension + 1, n)
     pick, prod = list.__getitem__, math.prod
-    return [(prod(map(pick, tables, a)), q_pows[sum(a)]) for a in monomials_upto(dimension + 1, n)]
+    for values in points:
+        q = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (q // v.denominator) for v in values]
+        tables = []
+        for g in (*nums, q - sum(nums), q):
+            row = [1]
+            for _ in range(n):
+                row.append(row[-1] * g)
+            tables.append(row)
+        q_pows = tables.pop()
+        out.append([(prod(map(pick, tables, a)), q_pows[sum(a)]) for a in alphas])
+    return out
 
 
 def verify_pell(n: int) -> IdentityReport:

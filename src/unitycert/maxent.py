@@ -72,12 +72,12 @@ from .polycore import (
     AnyPoly,
     ChebKind,
     Exponent,
-    MPoly,
     UPoly,
     cheb_table,
     monomials_of_degree,
     monomials_upto,
     multinomial,
+    poly_from_sparse_nums,
     simplex_generator_power,
 )
 
@@ -385,7 +385,7 @@ class _GeneratorTable:
         self.basis = monomials_upto(d, n)
         rows, pairs = [], []
         for alpha in self.alphas:
-            nums = simplex_generator_power(d, alpha).nums
+            nums = simplex_generator_power(d, alpha).sparse_nums
             rows.append([nums.get(e, 0) for e in self.basis])
             pairs.append(tuple(nums.items()))
         self.rows, self.pairs = _object_matrix(rows), tuple(pairs)
@@ -545,7 +545,7 @@ def solve_simplex(d: int, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    target = MPoly.constant(d, math.comb(d + 1 + n, n))
+    target = poly_from_sparse_nums(d, {(0,) * d: math.comb(d + 1 + n, n)}, 1)
     return _solve_handelman_family("simplex", d, n, target, initial, tol, max_iter)
 
 

@@ -5,20 +5,20 @@ Exact monomial moments, in closed form, for:
 * ``Arcsine`` -- dx/(pi sqrt(1-x^2)) on [-1,1], the equilibrium measure of
   the interval; even moments are central binomials C(k, k/2)/2^k.
 * ``ArcsineG`` -- (1-x^2) times Arcsine.
-* ``Lebesgue01`` -- Lebesgue measure on [0,1].
 * ``dirichlet(kappa, mass)`` -- ``mass`` times the Dirichlet(kappa)
   probability measure on the d-simplex, d = len(kappa) - 1, with moments
   mass * prod (kappa_i)_{a_i} / (|kappa|)_{|a|} (Dunkl and Xu, *Orthogonal
   Polynomials of Several Variables*, 2nd ed., 2014, section 5.3).  The
-  paper's two simplex measures are constructors over it:
-  ``simplex_uniform(d)``, the uniform probability measure, is
-  Dirichlet(1, ..., 1); ``simplex_equilibrium`` is Dirichlet(1/2, 1/2, 1/2)
-  on the triangle, dx dy/(pi sqrt(x y (1-x-y))) with its raw total mass 2
-  (``PI_DENSITY``) or rescaled to a probability measure (``PROBABILITY``).
+  paper's measures on [0,1], the 1-simplex, and on the simplex are
+  constructors over it: ``LEBESGUE01`` and ``simplex_uniform(d)``, the
+  uniform probability measure, are Dirichlet(1, ..., 1);
+  ``simplex_equilibrium`` is Dirichlet(1/2, 1/2, 1/2) on the triangle,
+  dx dy/(pi sqrt(x y (1-x-y))) with its raw total mass 2 (``PI_DENSITY``)
+  or rescaled to a probability measure (``PROBABILITY``).
 
-Floating-point quadrature oracles (Gauss-Chebyshev, Gauss-Legendre, and
-fixed-seed Monte Carlo on the simplex) are provided as independent
-cross-checks of the closed forms.
+Floating-point quadrature oracles (Gauss-Chebyshev, Gauss-Legendre for
+Dirichlet(1, 1), and fixed-seed Monte Carlo on the simplex) are provided as
+independent cross-checks of the closed forms.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class SimplexNormalization(Enum):
 class _Kind(Enum):
     ARCSINE = "arcsine"
     ARCSINE_G = "arcsine-g"
-    LEBESGUE01 = "lebesgue01"
     DIRICHLET = "dirichlet"
 
 
@@ -70,7 +69,6 @@ class MeasureId:
 
 ARCSINE = MeasureId(_Kind.ARCSINE)
 ARCSINE_G = MeasureId(_Kind.ARCSINE_G)
-LEBESGUE01 = MeasureId(_Kind.LEBESGUE01)
 
 
 def dirichlet(kappa: Sequence, mass=1, name: str = "") -> MeasureId:
@@ -87,6 +85,9 @@ def dirichlet(kappa: Sequence, mass=1, name: str = "") -> MeasureId:
         raise ValueError("Dirichlet parameters and mass must be positive")
     name = name or f"dirichlet(kappa=({', '.join(map(str, kappa))}), mass={mass})"
     return MeasureId(_Kind.DIRICHLET, kappa, mass, name)
+
+
+LEBESGUE01 = dirichlet((1, 1), name="lebesgue01")
 
 
 def simplex_uniform(d: int) -> MeasureId:
@@ -107,14 +108,6 @@ def beta_integral(i: int, j: int) -> Fraction:
     return Fraction(math.factorial(i) * math.factorial(j), math.factorial(i + j + 1))
 
 
-def rising_factorial(a: Fraction, k: int) -> Fraction:
-    """The rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
-    value = Fraction(1)
-    for i in range(k):
-        value *= a + i
-    return value
-
-
 def _barycentric_subset(shift: AnyPoly, d: int) -> Optional[tuple[int, ...]]:
     """The 0-based S with ``shift == prod_{i in S} x_i``, or None.
 
@@ -131,7 +124,7 @@ def _barycentric_subset(shift: AnyPoly, d: int) -> Optional[tuple[int, ...]]:
         return None
     e = lowest[0]
     for last in (0, 1):
-        if nums == simplex_generator_power(d, e + (last,)).nums:
+        if nums == simplex_generator_power(d, e + (last,)).sparse_nums:
             return tuple(i for i, v in enumerate(e) if v) + ((d,) if last else ())
     return None
 
@@ -157,7 +150,8 @@ def dirichlet_parameters(
     subset = _barycentric_subset(shift, measure.dimension)
     if subset is None:
         return None
-    mass *= math.prod(kappa[i] for i in subset) / rising_factorial(sum(kappa), len(subset))
+    total = sum(kappa)  # (|kappa|)_|S| is prod_{j < |S|} (|kappa| + j)
+    mass *= math.prod(kappa[i] for i in subset) / math.prod(total + j for j in range(len(subset)))
     kappa = tuple(k + 1 if i in subset else k for i, k in enumerate(kappa))
     return kappa, mass
 
@@ -186,8 +180,6 @@ def _closed_form_moment(measure: MeasureId, alpha: Exponent) -> Fraction:
         return _arcsine_moment(alpha[0])
     if measure.kind is _Kind.ARCSINE_G:
         return _arcsine_moment(alpha[0]) - _arcsine_moment(alpha[0] + 2)
-    if measure.kind is _Kind.LEBESGUE01:
-        return Fraction(1, alpha[0] + 1)
     # mass * prod (kappa_i)_{a_i} / (|kappa|)_{|a|}; x_{d+1} has exponent 0.
     # Over a common denominator, kappa_i = p_i / q and (p / q)_a is
     # prod (p + j q) / q^a, so the powers of q cancel: one Fraction at the end.
@@ -286,9 +278,9 @@ def quadrature_oracle(measure: MeasureId, p: AnyPoly, nodes: int) -> float:
     """Floating-point estimate of the integral of p against the measure.
 
     Gauss-Chebyshev nodes cos((2k-1)pi/2N) for the arcsine measures,
-    Gauss-Legendre on [0,1] for Lebesgue (both exact to rounding once
-    2*nodes exceeds the degree), and fixed-seed Dirichlet Monte Carlo with
-    ``nodes`` samples for the Dirichlet measures.
+    Gauss-Legendre on [0,1] for multiples of Dirichlet(1, 1), Lebesgue (both
+    exact to rounding once 2*nodes exceeds the degree), and fixed-seed
+    Dirichlet Monte Carlo with ``nodes`` samples for the other ones.
     """
     import numpy as np  # the exact functions here never need it
 
@@ -301,10 +293,10 @@ def quadrature_oracle(measure: MeasureId, p: AnyPoly, nodes: int) -> float:
         if measure.kind is _Kind.ARCSINE_G:
             values = values * (1.0 - x**2)
         return float(values.mean())
-    if measure.kind is _Kind.LEBESGUE01:
+    if measure.kappa == (1, 1):
         t, w = np.polynomial.legendre.leggauss(nodes)
         x = (t + 1.0) / 2.0
-        return float(0.5 * np.dot(w, _eval_float(p, x[:, None])))
+        return float(measure.mass / 2 * np.dot(w, _eval_float(p, x[:, None])))
     rng = np.random.default_rng(_MC_SEED)
     kappa = [float(k) for k in measure.kappa]
     samples = rng.dirichlet(kappa, size=nodes)[:, : measure.dimension]

@@ -17,14 +17,14 @@ no ``Fraction``.  The leading principal minor of order ``k+1`` is
 ``h_0 ... h_k``, which doubles as the positive definiteness check.
 
 ``christoffel_form`` builds the forms of the Dirichlet measures
-(``measures.dirichlet``, in any dimension, the uniform and equilibrium
-simplex measures among them) without any matrix: they and their
-localizations by a product ``x_S`` of barycentric coordinates
-(``measures.dirichlet_parameters``) have an explicit orthogonal basis
-(Dunkl and Xu, *Orthogonal Polynomials of Several Variables*, 2nd ed.,
-2014, section 5.3): products of univariate Beta orthogonal polynomials,
-which come from the same Chebyshev algorithm, with closed-form norms, also
-kept as integer pairs.
+(``measures.dirichlet``, in any dimension: ``LEBESGUE01`` on [0,1] and the
+uniform and equilibrium simplex measures among them) without any matrix:
+they and their localizations by a product ``x_S`` of barycentric
+coordinates (``measures.dirichlet_parameters``) have an explicit orthogonal
+basis (Dunkl and Xu, *Orthogonal Polynomials of Several Variables*, 2nd
+ed., 2014, section 5.3): products of univariate Beta orthogonal
+polynomials, which come from the same Chebyshev algorithm, with
+closed-form norms, also kept as integer pairs.
 
 Any other multivariate matrix -- a built ``MomentMatrix``, or a shift that
 is not some ``x_S`` -- is inverted by fraction-free Bareiss elimination on

@@ -217,6 +217,7 @@ class UPoly:
 class MPoly:
     """Sparse multivariate polynomial with integer numerators over one denominator.
 
+    The dimension is at least 2; a polynomial in one variable is a ``UPoly``.
     ``nums`` maps exponent tuples of length ``dimension`` to nonzero integer
     numerators; the coefficient of x^e is ``nums[e] / den``.  The form is
     canonical: no stored numerator is zero, ``den > 0`` and
@@ -246,8 +247,8 @@ class MPoly:
 
     @staticmethod
     def make(dimension: int, terms: Mapping[Exponent, object]) -> "MPoly":
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
+        if dimension < 2:
+            raise ValueError(f"an MPoly has dimension >= 2, got {dimension}; use UPoly")
         clean: dict[Exponent, Fraction] = {}
         for exponent, value in terms.items():
             exponent = tuple(map(operator.index, exponent))
@@ -417,9 +418,7 @@ def linear_combination(pairs: Iterable[tuple[object, AnyPoly]]) -> AnyPoly:
     """The sum of weight * poly over a nonempty list of ``(weight, poly)`` pairs.
 
     Every term is scaled to one common denominator and added in integers:
-    densely by degree in dimension 1, by exponent otherwise.  The result is
-    the class ``poly_from_sparse_nums`` picks, a ``UPoly`` in dimension 1
-    whichever class the terms have.
+    densely by degree for ``UPoly`` terms, by exponent for ``MPoly`` ones.
     """
     pairs = list(pairs)
     if not pairs:
@@ -434,12 +433,8 @@ def linear_combination(pairs: Iterable[tuple[object, AnyPoly]]) -> AnyPoly:
     if dimension == 1:
         dense = [0] * (max(p.degree for _, p in pairs) + 1)
         for f, (_, p) in zip(factors, pairs):
-            if isinstance(p, UPoly):
-                for k, c in enumerate(p.nums):
-                    dense[k] += f * c
-            else:
-                for (k,), c in p.nums.items():
-                    dense[k] += f * c
+            for k, c in enumerate(p.nums):
+                dense[k] += f * c
         return UPoly._canonical(dense, den)
     nums: dict[Exponent, int] = {}
     get = nums.get
@@ -552,23 +547,22 @@ def _orthonormal_square(kind: ChebKind, j: int, base: UPoly) -> UPoly:
 
 
 def bernstein(n: int, j: int) -> UPoly:
-    """Bernstein basis polynomial C(n,j) x^j (1-x)^(n-j), expanded."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    """Bernstein basis polynomial C(n,j) x^j (1-x)^(n-j), expanded: C(n,j) times
+    a generator power of [0,1], the 1-simplex."""
     if not 0 <= j <= n:
         raise ValueError(f"index j={j} out of range for degree {n}")
-    one_minus_x = UPoly.from_coeffs([1, -1])
-    return math.comb(n, j) * (UPoly.x() ** j) * (one_minus_x ** (n - j))
+    return math.comb(n, j) * simplex_generator_power(1, (j, n - j))
 
 
-def simplex_generator_power(d: int, alpha: Sequence[int]) -> MPoly:
+def simplex_generator_power(d: int, alpha: Sequence[int]) -> AnyPoly:
     """Power product g_1^a1 ... g_{d+1}^a_{d+1} of the simplex generators.
 
     The generators are g_j = x_j for j <= d and g_{d+1} = 1 - sum(x_j).  With
     beta = (a_1..a_d) and m = a_{d+1}, the multinomial theorem gives the
     expansion x^beta (1 - sum x)^m = sum over |gamma| <= m of
     (-1)^|gamma| m! / ((m - |gamma|)! gamma!) x^(beta + gamma), written
-    directly as integer coefficients in the monomial basis of dimension d.
+    directly as integer coefficients in the monomial basis of dimension d:
+    a ``UPoly`` on [0,1], the 1-simplex, and an ``MPoly`` for d >= 2.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
@@ -585,4 +579,4 @@ def simplex_generator_power(d: int, alpha: Sequence[int]) -> MPoly:
         head = -math.perm(m, k) if k & 1 else math.perm(m, k)
         for gamma in monomials_of_degree(d, k):
             nums[tuple(map(add, beta, gamma))] = head // prod(map(factorial, gamma))
-    return MPoly(d, nums)
+    return MPoly(d, nums) if d > 1 else poly_from_sparse_nums(1, nums, 1)

@@ -174,9 +174,15 @@ class TestExitCodeContract:
             (["maxent", "putinar", "--n", "2", "--target-coeffs", "3", "--target-constant", "5"],
              "give --target-constant or --target-coeffs, not both"),
             (["maxent", "handelman", "--n", "2", "--target-coeffs", ""],
-             "Invalid literal for Fraction: ''"),
+             "--target-coeffs '' is not a rational number"),
             (["maxent", "simplex", "--n", "1", "--target-coeffs", ""],
              "simplex mode has a fixed target; drop the target flags"),
+            (["maxent", "handelman", "--n", "2", "--target-coeffs", "abc"],
+             "--target-coeffs 'abc' is not a rational number"),
+            (["maxent", "putinar", "--n", "2", "--target-coeffs", "1,,2"],
+             "--target-coeffs '' is not a rational number"),
+            (["maxent", "putinar", "--n", "2", "--target-constant", "1.5e"],
+             "--target-constant '1.5e' is not a rational number"),
         ],
     )
     def test_flag_the_command_does_not_read_is_exit_2(self, capsys, argv, message):
@@ -396,6 +402,18 @@ class TestMaxentCommand:
         assert payload["exact_reconstruction"] is True
         assert payload["exact_certificate"] == payload["certificate"]
 
+    def test_exact_flag_ships_an_exact_solver_certificate(self, capsys):
+        # The solve rounds its certificate to rational weights with residual 0,
+        # while its double dual does not snap.
+        argv = ["maxent", "handelman", "--n", "8", "--target-coeffs", "2,1,-1"]
+        code, payload = run_json(capsys, [*argv, "--exact"])
+        assert code == 0
+        assert payload["report"]["residual"] == 0
+        assert "exact_error" not in payload
+        assert payload["exact_reconstruction"] is True
+        assert payload["exact_certificate"] == payload["certificate"]
+        assert all(isinstance(w["value"], str) for w in payload["certificate"]["weights"])
+
     @pytest.mark.parametrize("argv, error", [
         (["handelman", "--n", "12", "--target-coeffs", "2,1,-1"],
          "dual does not snap to a strictly feasible point"),
@@ -424,6 +442,13 @@ class TestPartition:
         ev = payload["evaluations"][0]
         assert ev["values"] == pytest.approx([1 / 3, 1 / 6, 1 / 2], abs=1e-12)
         assert ev["sum"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_simplex_members_are_those_of_interval01(self, capsys):
+        _, simplex = run_json(capsys, ["partition", "--domain", "simplex", "--d", "1", "--n", "3"])
+        _, interval = run_json(capsys, ["partition", "--domain", "interval01", "--n", "3"])
+        assert [m["polynomial"] for m in simplex["members"]] == [
+            m["polynomial"] for m in interval["members"]]
+        assert set(simplex["members"][-1]["polynomial"]) == {"coefficients"}
 
     def test_interval11_example(self, capsys):
         code, payload = run_json(

@@ -23,6 +23,7 @@ from unitycert.measures import (
     ARCSINE,
     LEBESGUE01,
     SimplexNormalization,
+    dirichlet,
     functional_for,
     simplex_uniform,
 )
@@ -122,7 +123,7 @@ class TestConstantReduce:
 
 
 def seeded_pairs(seed, count=40):
-    """(UPoly, the same polynomial as MPoly.make(1, ...)), zero and constants included."""
+    """(p(x) as a UPoly, p(x_1) as a two-variable MPoly), zero and constants included."""
     rng = random.Random(seed)
     coeff_lists = [[], [Fraction(5, 2)], [0, 0, 3]]
     for _ in range(count):
@@ -131,19 +132,24 @@ def seeded_pairs(seed, count=40):
             for _ in range(rng.randint(1, 9))
         ])
     return [
-        (UPoly.from_coeffs(cs), MPoly.make(1, {(k,): c for k, c in enumerate(cs)}))
+        (UPoly.from_coeffs(cs), MPoly.make(2, {(k, 0): c for k, c in enumerate(cs)}))
         for cs in coeff_lists
     ]
 
 
 class TestSharedInterfaceCallers:
-    """Callers give a UPoly and the equal 1-dimensional MPoly the same answer."""
+    """Callers give a UPoly p(x) and the MPoly p(x_1) the same answer."""
 
     def test_poly_moment(self):
+        # x_1 is Beta(1, 1), Lebesgue on [0,1], under Dirichlet(1, 1/2, 1/2).
+        marginal = functional_for(dirichlet((1, Fraction(1, 2), Fraction(1, 2))))
         for measure in (LEBESGUE01, ARCSINE):
             f = functional_for(measure)
             for u, m in seeded_pairs(21):
-                assert f.poly_moment(u) == f.poly_moment(m)
+                want = sum((c * f.moment(e) for e, c in u.terms.items()), Fraction(0))
+                assert f.poly_moment(u) == want
+                if measure is LEBESGUE01:
+                    assert marginal.poly_moment(m) == want
 
     def test_poly_moment_rejects_a_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -203,8 +209,7 @@ class TestPartitionValues:
     @staticmethod
     def check_against_expansions(domain, n, d, points):
         polys = [generator for _, _, generator in partition_members(domain, n, d)]
-        for point in points:
-            got = partition_values(domain, n, point, d)
+        for point, got in zip(points, partition_values(domain, n, points, d), strict=True):
             assert all(den > 0 for _, den in got)
             assert [Fraction(*pair) for pair in got] == [poly_eval(p, point) for p in polys]
 
@@ -230,27 +235,28 @@ class TestPartitionValues:
     def test_interval01_is_the_one_simplex(self):
         for n in range(1, 9):
             for x in self.INTERVAL_POINTS:
-                assert partition_values("interval01", n, [x]) == partition_values("simplex", n, [x], 1)
+                assert partition_values("interval01", n, [[x]]) == partition_values("simplex", n, [[x]], 1)
 
     def test_floats_are_rejected(self):
         with pytest.raises(TypeError):
-            partition_values("interval11", 3, [0.5])
+            partition_values("interval11", 3, [[0.5]])
         with pytest.raises(TypeError):
-            partition_values("interval01", 3, [0.5])
+            partition_values("interval01", 3, [[0], [0.5]])
         with pytest.raises(TypeError):
-            partition_values("simplex", 2, [Fraction(1, 4), 0.25], 2)
+            partition_values("simplex", 2, [[Fraction(1, 4), 0.25]], 2)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="point dimension mismatch"):
-            partition_values("simplex", 2, [Fraction(1, 4)], 2)
+            partition_values("simplex", 2, [[Fraction(1, 4)]], 2)
         with pytest.raises(ValueError, match="point dimension mismatch"):
-            partition_values("interval11", 2, [0, 0])
+            partition_values("interval11", 2, [[0], [0, 0]])
         with pytest.raises(ValueError):
-            partition_values("interval01", 0, [0])
+            partition_values("interval01", 0, [[0]])
         with pytest.raises(ValueError):
-            partition_values("simplex", 2, [], 0)
+            partition_values("simplex", 2, [[]], 0)
         with pytest.raises(ValueError):
-            partition_values("disc", 2, [0])
+            partition_values("disc", 2, [[0]])
+        assert partition_values("simplex", 2, [], 3) == []
 
 
 class TestReportMechanics:

@@ -44,6 +44,13 @@ class TestClosedForms:
         assert f.moment((3,)) == Fraction(1, 4)
         assert f.moment((0,)) == 1
 
+    def test_lebesgue_is_the_one_simplex(self):
+        assert simplex_uniform(1) == LEBESGUE01 == dirichlet((1, 1))
+        assert (LEBESGUE01.label(), LEBESGUE01.dimension) == ("lebesgue01", 1)
+        assert functional_for(simplex_uniform(1)) is functional_for(LEBESGUE01)
+        assert [functional_for(LEBESGUE01).moment(k) for k in range(40)] == [
+            Fraction(1, k + 1) for k in range(40)]
+
     def test_simplex_uniform(self):
         f = functional_for(simplex_uniform(2))
         assert f.moment((0, 0)) == 1
@@ -221,6 +228,9 @@ class TestQuadratureOracle:
         assert abs(quadrature_oracle(ARCSINE, x4, 3) - 0.375) <= 1e-12
         assert abs(quadrature_oracle(LEBESGUE01, UPoly.x(), 2) - 0.5) <= 1e-12
         assert abs(quadrature_oracle(ARCSINE, UPoly.x(), 1)) <= 1e-12
+        # Gauss-Legendre for every multiple of Lebesgue measure on [0,1].
+        x3 = UPoly.from_coeffs([0, 0, 0, 1])
+        assert abs(quadrature_oracle(dirichlet((1, 1), 3), x3, 2) - 0.75) <= 1e-12
 
     def test_interval_equivalence_moderate_degree(self):
         for measure in (ARCSINE, ARCSINE_G, LEBESGUE01):

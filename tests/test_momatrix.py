@@ -644,6 +644,30 @@ class TestDirichletForm:
                    if r.name == "unitycert.momatrix"]
         assert methods == ["method=dirichlet"]
 
+    @pytest.mark.parametrize("n", [0, 1, 8, 16, 24])
+    def test_lebesgue01_matches_its_hankel_matrix(self, caplog, n):
+        # [0,1] is the 1-simplex: LEBESGUE01 and its localization by x(1-x)
+        # take the Dirichlet path, and the filled Hankel matrix is the oracle.
+        for shift in (None, UPoly.from_coeffs([0, 1, -1])):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+                form = christoffel_form(LEBESGUE01, n, shift)
+            assert [r.getMessage().split()[2] for r in caplog.records
+                    if r.name == "unitycert.momatrix"] == ["method=dirichlet"]
+            want = christoffel_form_of_matrix(moment_matrix(LEBESGUE01, n, shift))
+            assert (form.inverse_upper, form.inverse_den) == (want.inverse_upper, want.inverse_den)
+            assert form.quadratic_form_poly == want.quadratic_form_poly
+
+    def test_one_simplex_equilibrium_sum(self):
+        # K_n + x(1-x) K_{n-1}^{x(1-x) mu} = C(2n+1, 1) for mu = Dirichlet(1/2, 1/2),
+        # the arcsine law on [0,1]: the d=1 case of the simplex equilibrium sum.
+        mu = dirichlet((Fraction(1, 2), Fraction(1, 2)))
+        g = simplex_generator_power(1, (1, 1))
+        for n in range(1, 9):
+            localized = christoffel_form(mu, n - 1, shift=g).quadratic_form_poly
+            total = christoffel_form(mu, n).quadratic_form_poly + g * localized
+            assert total == UPoly.constant(2 * n + 1)
+
     @pytest.mark.parametrize(
         "measure, n",
         [(simplex_uniform(2), 3), (simplex_uniform(3), 2)] + [(m, 3) for m in EQUILIBRIA],
@@ -662,7 +686,8 @@ class TestDirichletForm:
         assert dirichlet_parameters(simplex_equilibrium()) == ((half, half, half), 2)
         prob = simplex_equilibrium(SimplexNormalization.PROBABILITY)
         assert dirichlet_parameters(prob) == ((half, half, half), 1)
-        for measure in (ARCSINE, ARCSINE_G, LEBESGUE01):
+        assert dirichlet_parameters(LEBESGUE01) == ((1, 1), 1)
+        for measure in (ARCSINE, ARCSINE_G):
             assert dirichlet_parameters(measure) is None
         # The mass of x_S times the measure is its integral.
         for measure in [simplex_uniform(2), simplex_uniform(3)] + EQUILIBRIA:

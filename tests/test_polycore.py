@@ -134,7 +134,9 @@ class TestSimplexGeneratorPower:
     def test_expansion(self):
         expected = MPoly.make(2, {(1, 0): 1, (2, 0): -1, (1, 1): -1})
         assert simplex_generator_power(2, (1, 0, 1)) == expected
-        assert simplex_generator_power(1, (1, 1)) == MPoly.make(1, {(1,): 1, (2,): -1})
+        # [0,1] is the 1-simplex, and its generator powers are UPolys.
+        assert simplex_generator_power(1, (1, 1)) == upoly(0, 1, -1)
+        assert simplex_generator_power(1, (0, 0)) == upoly(1)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -196,6 +198,16 @@ class TestRepresentation:
         assert z.coeffs == ()
         assert upoly(0, 0) == z
         assert MPoly.make(2, {(1, 1): 0}) == MPoly.zero(2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: MPoly.make(1, {(1,): 1}), lambda: MPoly.make(0, {}), lambda: MPoly.zero(1),
+         lambda: MPoly.constant(1, 3), lambda: MPoly.variable(1, 0)],
+        ids=["make", "make-0", "zero", "constant", "variable"],
+    )
+    def test_mpoly_has_at_least_two_variables(self, build):
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            build()
 
     def test_trailing_zeros_trimmed(self):
         assert upoly(1, 2, 0, 0).coeffs == (Fraction(1), Fraction(2))
@@ -514,11 +526,14 @@ class TestMPolyIntegerNumerators:
 class TestClosedFormGeneratorPower:
     def test_matches_repeated_multiplication(self):
         for d in range(1, 5):
-            variables = [MPoly.variable(d, i) for i in range(d)]
-            last = MPoly.constant(d, 1)
+            if d == 1:
+                variables, one = [UPoly.x()], UPoly.constant(1)
+            else:
+                variables, one = [MPoly.variable(d, i) for i in range(d)], MPoly.constant(d, 1)
+            last = one
             for v in variables:
                 last = last - v
-            last_powers = [MPoly.constant(d, 1)]
+            last_powers = [one]
             for _ in range(6):
                 last_powers.append(last_powers[-1] * last)
             for alpha in monomials_upto(d + 1, 6):
@@ -527,9 +542,9 @@ class TestClosedFormGeneratorPower:
                     for _ in range(a):
                         want = want * v
                 got = simplex_generator_power(d, alpha)
-                assert got == want
+                assert type(got) is type(want) and got == want
                 assert got.den == 1
-                _assert_mcanonical(got)
+                (_assert_canonical if d == 1 else _assert_mcanonical)(got)
 
     def test_large_coefficients(self):
         for alpha, beta in (((0, 0, 0, 12), (0, 0, 0)), ((2, 0, 1, 12), (2, 0, 1))):
@@ -608,20 +623,24 @@ def seeded_upolys(seed, count=40):
 
 
 def as_mpoly(p):
-    """The same polynomial as a 1-dimensional MPoly, built from the coefficients."""
-    return MPoly.make(1, {(k,): c for k, c in enumerate(p.coeffs)})
+    """p(x_1) as a two-variable MPoly, built from the coefficients."""
+    return MPoly.make(2, {(k, 0): c for k, c in enumerate(p.coeffs)})
+
+
+def _first_exponents(terms):
+    return {e[:1]: c for e, c in terms.items()}
 
 
 class TestSharedReadInterface:
-    """UPoly reads like the 1-dimensional MPoly of the same polynomial."""
+    """UPoly p(x) reads like the two-variable MPoly p(x_1)."""
 
     def test_dimension_terms_and_sparse_view(self):
         for p in seeded_upolys(11):
             m = as_mpoly(p)
-            assert p.dimension == m.dimension == 1
-            assert p.terms == m.terms
+            assert (p.dimension, m.dimension) == (1, 2)
+            assert p.terms == _first_exponents(m.terms)
             assert all(c != 0 for c in p.terms.values())
-            assert p.sparse_nums == m.sparse_nums
+            assert p.sparse_nums == _first_exponents(m.sparse_nums)
             assert all(type(c) is int and c != 0 for c in p.sparse_nums.values())
             assert p.den == m.den
             assert p.degree == m.degree
@@ -636,9 +655,6 @@ class TestSharedReadInterface:
     def test_from_sparse_nums_round_trip(self):
         for p in seeded_upolys(12):
             q = poly_from_sparse_nums(1, p.sparse_nums, p.den)
-            assert type(q) is UPoly and q == p
-            m = as_mpoly(p)
-            q = poly_from_sparse_nums(1, m.sparse_nums, m.den)
             assert type(q) is UPoly and q == p
         m = MPoly.make(2, {(1, 0): Fraction(1, 2), (0, 3): 5})
         q = poly_from_sparse_nums(2, dict(m.sparse_nums), m.den)
@@ -692,7 +708,8 @@ class TestEval:
         rng = random.Random(47)
         for point in _points(rng, 1):
             for p in seeded_upolys(17, count=10):
-                assert p.eval(point[0]) == as_mpoly(p).eval(point) == _upoly_ref_eval(p, point[0])
+                want = _upoly_ref_eval(p, point[0])
+                assert p.eval(point[0]) == as_mpoly(p).eval(point + [Fraction(5, 7)]) == want
 
     def test_eval_equals_poly_eval(self):
         rng = random.Random(53)
@@ -706,7 +723,6 @@ class TestEval:
     def test_zero_polynomial(self):
         assert UPoly.zero().eval(Fraction(1, 3)) == poly_eval(UPoly.zero(), [-2]) == 0
         assert MPoly.zero(2).eval([2, Fraction(-1, 5)]) == poly_eval(MPoly.zero(2), [2, 1]) == 0
-        assert MPoly.zero(1).eval([Fraction(7, 3)]) == 0
 
     def test_rejects_floats_and_wrong_dimensions(self):
         for call in (lambda: upoly(1, 2).eval(0.5),
@@ -757,18 +773,16 @@ class TestLinearCombination:
             _assert_mcanonical(got)
 
     def test_dimension_one_gives_a_upoly(self):
-        # The d=1 simplex generators are 1-dimensional MPolys.
+        # The d=1 simplex generators are UPolys, and so is their sum.
         pairs = [(Fraction(3, k + 1), simplex_generator_power(1, a))
                  for k, a in enumerate(monomials_upto(2, 4))]
-        total = self.sequential(pairs)
-        assert type(total) is MPoly
+        assert all(type(p) is UPoly for _, p in pairs)
         got = linear_combination(pairs)
-        assert type(got) is UPoly
-        assert got == poly_from_sparse_nums(1, total.sparse_nums, total.den)
+        assert type(got) is UPoly and got == self.sequential(pairs)
+        _assert_canonical(got)
         ups = seeded_upolys(29, count=8)
         dense = [(Fraction(1, 3), p) for p in ups] + [(Fraction(-2, 5), p) for p in ups]
-        mixed = [(Fraction(1, 3), p) for p in ups] + [(Fraction(-2, 5), as_mpoly(p)) for p in ups]
-        got = linear_combination(mixed)
+        got = linear_combination(dense)
         assert type(got) is UPoly and got == self.sequential(dense)
 
     def test_cancellation_and_bad_input(self):
