@@ -206,6 +206,18 @@ def partition_values(domain: str, n: int, points: Sequence, d: int = 2) -> list[
     return out
 
 
+def christoffel_sum(measure: measures.MeasureId, n: int, multipliers: Sequence[AnyPoly]) -> AnyPoly:
+    """``K_n^mu + sum_g g K_{n-1}^{g mu}`` for ``mu = measure``, exactly.
+
+    ``K`` is the reciprocal Christoffel function (``christoffel_form``) and
+    each multiplier g localizes the measure once, at degree n - 1.
+    """
+    expression = christoffel_form(measure, n).quadratic_form_poly
+    for g in multipliers:
+        expression = expression + g * christoffel_form(measure, n - 1, shift=g).quadratic_form_poly
+    return expression
+
+
 def verify_pell(n: int) -> IdentityReport:
     """Check T_n^2 + (1-x^2) U_{n-1}^2 = 1 exactly."""
     if n < 1:
@@ -238,9 +250,7 @@ def verify_unity_interval(n: int, variant: UnityVariant) -> IdentityReport:
         expression = linear_combination((w, g) for _, w, g in partition_members("interval11", n))
         expected = Fraction(2 * n + 1)
     else:
-        first = christoffel_form(measures.ARCSINE, n).quadratic_form_poly
-        second = christoffel_form(measures.ARCSINE, n - 1, shift=_G_INTERVAL).quadratic_form_poly
-        expression = first + _G_INTERVAL * second
+        expression = christoffel_sum(measures.ARCSINE, n, [_G_INTERVAL])
         expected = Fraction(2 * n + 1)
     return _report(
         "unity-interval", {"n": n, "variant": variant.value}, expression, expected
@@ -288,12 +298,8 @@ def verify_simplex_equilibrium(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    measure = simplex_equilibrium(normalization)
-    expression = christoffel_form(measure, n).quadratic_form_poly
-    for pair in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
-        g = simplex_generator_power(2, pair)
-        localized = christoffel_form(measure, n - 1, shift=g).quadratic_form_poly
-        expression = expression + g * localized
+    edges = [simplex_generator_power(2, pair) for pair in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+    expression = christoffel_sum(simplex_equilibrium(normalization), n, edges)
     expected = Fraction((n + 1) ** 2)  # s(n) + s(n-1)
     return _report(
         "simplex-equilibrium",

@@ -527,6 +527,8 @@ def solve_handelman(p: UPoly, n: int, tol: float = DEFAULT_TOL, max_iter: int = 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if p.dimension != 1:
+        raise ValueError(f"target must be univariate, got dimension {p.dimension}")
     if p.degree > n:
         raise ValueError(f"target degree {p.degree} exceeds n = {n}")
     return _solve_handelman_family("handelman", 1, n, p, initial, tol, max_iter)
@@ -765,6 +767,12 @@ def _handelman_reconstruction(weights: Iterable[int], rows: Iterable) -> dict[Ex
 
 
 def _gram_entries(cert: PutinarCertificate) -> list:
+    """The entries of A, then of B, row by row; ValueError unless A is
+    (n+1) x (n+1) and B is n x n."""
+    n = cert.degree
+    for name, gram, size in (("gram_a", cert.gram_a, n + 1), ("gram_b", cert.gram_b, n)):
+        if len(gram) != size or any(len(row) != size for row in gram):
+            raise ValueError(f"{name} of a degree-{n} Putinar certificate must be {size}x{size}")
     return [v for gram in (cert.gram_a, cert.gram_b) for row in gram for v in row]
 
 

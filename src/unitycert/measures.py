@@ -175,6 +175,15 @@ def _normalize_alpha(measure: MeasureId, alpha) -> Exponent:
     return alpha
 
 
+def _rising(p: int, q: int, a: int) -> int:
+    """``prod_{j < a} (p + j q)``, the product split into balanced halves so
+    that long runs multiply operands of similar size."""
+    if a <= 64:
+        return math.prod(range(p, p + a * q, q))
+    h = a // 2
+    return _rising(p, q, h) * _rising(p + h * q, q, a - h)
+
+
 def _closed_form_moment(measure: MeasureId, alpha: Exponent) -> Fraction:
     if measure.kind is _Kind.ARCSINE:
         return _arcsine_moment(alpha[0])
@@ -185,8 +194,8 @@ def _closed_form_moment(measure: MeasureId, alpha: Exponent) -> Fraction:
     # prod (p + j q) / q^a, so the powers of q cancel: one Fraction at the end.
     q = math.lcm(*(k.denominator for k in measure.kappa))
     p = [k.numerator * (q // k.denominator) for k in measure.kappa]
-    num = math.prod(math.prod(range(pi, pi + a * q, q)) for pi, a in zip(p, alpha))
-    den = math.prod(range(sum(p), sum(p) + sum(alpha) * q, q))
+    num = math.prod(_rising(pi, q, a) for pi, a in zip(p, alpha))
+    den = _rising(sum(p), q, sum(alpha))
     return Fraction(measure.mass.numerator * num, measure.mass.denominator * den)
 
 

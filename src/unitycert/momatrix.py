@@ -1,42 +1,41 @@
 """Moment and localizing matrices with exact rational inversion.
 
 Matrices are indexed by the graded lexicographic monomial basis of degree
-<= n, and every inverse is summed from an orthogonal basis as
-``M^{-1} = sum_k c_k c_k^T / h_k``, with ``c_k`` the monomial coefficients
-of the k-th orthogonal polynomial and ``h_k = L(g P_k^2)`` its norm, in
-integers over one denominator.
+<= n.  ``christoffel_form`` picks one of three inversions, once per input:
 
-A univariate matrix is Hankel in the moments ``mu_k = L(g x^k)`` of the
-(possibly shifted) measure, and is inverted from that sequence: the
-Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, 2004, section 2.1.7) gives the recurrence coefficients and
-the norms of the monic orthogonal polynomials ``p_k``, and the three-term
-recurrence builds the ``p_k``.  The recurrence coefficients and norms are
-reduced integer ``(numerator, denominator)`` pairs, so the algorithm builds
-no ``Fraction``.  The leading principal minor of order ``k+1`` is
-``h_0 ... h_k``, which doubles as the positive definiteness check.
+* A Dirichlet measure (``measures.dirichlet``, in any dimension:
+  ``LEBESGUE01`` on [0,1] and the uniform and equilibrium simplex measures
+  among them), or its localization by a product ``x_S`` of barycentric
+  coordinates (``measures.dirichlet_parameters``), goes to its explicit
+  orthogonal basis (Dunkl and Xu, *Orthogonal Polynomials of Several
+  Variables*, 2nd ed., 2014, section 5.3): products of univariate Beta
+  orthogonal polynomials with closed-form norms.
+* Any other univariate measure or shift goes to the recurrence on its 2n+1
+  moments ``mu_k = L(g x^k)``, and no matrix is built: the Chebyshev
+  algorithm (Gautschi, *Orthogonal Polynomials: Computation and
+  Approximation*, 2004, section 2.1.7) gives the recurrence coefficients and
+  the norms of the monic orthogonal polynomials ``p_k``, and the three-term
+  recurrence builds the ``p_k``.  The coefficients and norms are reduced
+  integer ``(numerator, denominator)`` pairs, so the algorithm builds no
+  ``Fraction``; the leading principal minor of order ``k+1`` is
+  ``h_0 ... h_k``, which doubles as the positive definiteness check.  The
+  Beta polynomials of the first route come from the same algorithm.
+* Anything else -- and every built ``MomentMatrix``, of any dimension, given
+  to ``invert_exact`` or ``christoffel_form_of_matrix`` -- goes to
+  fraction-free Bareiss elimination on an integer-scaled copy (Bareiss,
+  Math. Comp. 1968), then back-substitution to ``det * A^{-1}``, which is an
+  integer matrix; every division is checked exact.  The Bareiss pivots are
+  the leading principal minors; the tests use this route as the oracle for
+  the other two.
 
-``christoffel_form`` builds the forms of the Dirichlet measures
-(``measures.dirichlet``, in any dimension: ``LEBESGUE01`` on [0,1] and the
-uniform and equilibrium simplex measures among them) without any matrix:
-they and their localizations by a product ``x_S`` of barycentric
-coordinates (``measures.dirichlet_parameters``) have an explicit orthogonal
-basis (Dunkl and Xu, *Orthogonal Polynomials of Several Variables*, 2nd
-ed., 2014, section 5.3): products of univariate Beta orthogonal
-polynomials, which come from the same Chebyshev algorithm, with
-closed-form norms, also kept as integer pairs.
-
-Any other multivariate matrix -- a built ``MomentMatrix``, or a shift that
-is not some ``x_S`` -- is inverted by fraction-free Bareiss elimination on
-an integer-scaled copy (Bareiss, Math. Comp. 1968), then back-substitution
-to ``det * A^{-1}``, which is an integer matrix; every division is checked
-exact.  The Bareiss pivots are the leading principal minors; the tests use
-this path as the oracle for the other two.  All three paths hand back the
-upper triangle of ``L * M^{-1}`` in integers over one denominator ``L``
-(``det`` for Bareiss).  A ``ChristoffelForm`` keeps that triangle in lowest
-terms and sums the quadratic form from it -- the reciprocal Christoffel
-function as an explicit polynomial -- and builds the ``Fraction`` matrix
-``inverse`` only when it is read; the identity verifiers never read it.
+The first two routes sum ``M^{-1} = sum_k c_k c_k^T / h_k``, with ``c_k``
+the monomial coefficients of the k-th orthogonal polynomial and
+``h_k = L(g P_k^2)`` its norm.  All three hand back the upper triangle of
+``L * M^{-1}`` in integers over one denominator ``L`` (``det`` for Bareiss).
+A ``ChristoffelForm`` keeps that triangle in lowest terms and sums the
+quadratic form from it -- the reciprocal Christoffel function as an
+explicit polynomial -- and builds the ``Fraction`` matrix ``inverse`` only
+when it is read; the identity verifiers never read it.
 
 With ``logging`` at DEBUG, each inversion logs one record with its
 dimension and method: for Bareiss the bit lengths of ``det`` and of the
@@ -64,11 +63,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .measures import MeasureId, dirichlet_parameters, functional_for
+from .measures import MeasureId, MomentFunctional, dirichlet_parameters, functional_for
 from .polycore import AnyPoly, Exponent, monomials_upto, poly_eval, poly_from_sparse_nums
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 Ratio = tuple[int, int]  # (numerator, denominator), denominator > 0
+ShiftTerms = Optional[list[tuple[Exponent, Fraction]]]  # None for no shift
 
 logger = logging.getLogger(__name__)
 
@@ -122,12 +122,21 @@ class ChristoffelForm:
         return _fractions_of_upper(self.inverse_upper, self.inverse_den)
 
 
-def _shift_terms(shift: Optional[AnyPoly], dimension: int) -> list[tuple[Exponent, Fraction]]:
+def _shift_terms(shift: Optional[AnyPoly], dimension: int) -> ShiftTerms:
+    """The shift's ``(exponent, coefficient)`` pairs, or None for no shift."""
     if shift is None:
-        return [((0,) * dimension, Fraction(1))]
+        return None
     if shift.dimension != dimension:
         raise ValueError("shift polynomial dimension does not match the measure")
     return list(shift.terms.items())
+
+
+def _shifted_moment(functional: MomentFunctional, terms: ShiftTerms, e: Exponent) -> Fraction:
+    """``L(g x^e)`` for the shift g given by its ``_shift_terms``."""
+    if terms is None:
+        return functional.moment(e)
+    return sum((c * functional.moment(tuple(map(operator.add, e, gamma))) for gamma, c in terms),
+               Fraction(0))
 
 
 def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> MomentMatrix:
@@ -141,14 +150,6 @@ def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -
     dim = measure.dimension
     basis = monomials_upto(dim, n)
     terms = _shift_terms(shift, dim)
-    if dim == 1:
-        # Hankel: row i is mu_i .. mu_{i+n} of the 2n+1 shifted moments.
-        moments = [
-            sum((c * functional.moment((k + gamma[0],)) for gamma, c in terms), Fraction(0))
-            for k in range(2 * n + 1)
-        ]
-        entries = tuple(tuple(moments[i : i + n + 1]) for i in range(n + 1))
-        return MomentMatrix(measure=measure, degree=n, basis=basis, entries=entries, shift=shift)
     # One moment sum per distinct exponent a+b, shared by every entry that has it.
     add = operator.add
     values: dict[Exponent, Fraction] = {}
@@ -160,10 +161,7 @@ def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -
             total = tuple(map(add, a, basis[j]))
             value = values.get(total)
             if value is None:
-                value = values[total] = sum(
-                    (c * functional.moment(tuple(map(add, total, gamma))) for gamma, c in terms),
-                    Fraction(0),
-                )
+                value = values[total] = _shifted_moment(functional, terms, total)
             row[j] = rows[j][i] = value
     entries = tuple(tuple(row) for row in rows)
     return MomentMatrix(measure=measure, degree=n, basis=basis, entries=entries, shift=shift)
@@ -264,19 +262,6 @@ def _bareiss_inverse_nums(entries: Sequence[Sequence[Fraction]]) -> tuple[list[l
             max(value.bit_length() for row in y for value in row),
         )
     return [row[i:] for i, row in enumerate(y)], det
-
-
-def _hankel_moments(entries: RationalMatrix) -> list[Fraction]:
-    """mu_0 .. mu_{2n} of a Hankel matrix: its first row, then its last column."""
-    m = len(entries)
-    moments = list(entries[0]) + [entries[i][m - 1] for i in range(1, m)]
-    for i, row in enumerate(entries):
-        if len(row) != m:
-            raise ValueError("matrix must be square")
-        for value, moment in zip(row, moments[i:]):
-            if value is not moment and value != moment:
-                raise ValueError("univariate moment matrix must be Hankel")
-    return moments
 
 
 def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -529,20 +514,10 @@ def _fractions_of_upper(y: Sequence[Sequence[int]], den: int) -> RationalMatrix:
     return tuple(tuple(row) for row in inverse)
 
 
-def _matrix_inverse_nums(matrix: MomentMatrix) -> tuple[list[list[int]], int]:
-    """``(Y, L)`` with ``M^{-1} = Y / L``, upper triangle only.
-
-    Univariate (Hankel) matrices are inverted from their moment sequence by
-    the recurrence, multivariate ones by Bareiss elimination.
-    """
-    if matrix.measure.dimension == 1:
-        return _hankel_inverse_nums(_hankel_moments(matrix.entries))
-    return _bareiss_inverse_nums(matrix.entries)
-
-
 def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
-    """Exact inverse of a moment matrix; M * M^{-1} is the identity exactly."""
-    return _fractions_of_upper(*_matrix_inverse_nums(matrix))
+    """Exact inverse of a built moment matrix, of any dimension, by Bareiss
+    elimination; M * M^{-1} is the identity exactly."""
+    return invert_symmetric_rational(matrix.entries)
 
 
 def _form_poly(basis: tuple[Exponent, ...], y: Sequence[Sequence[int]], den: int, dim: int) -> AnyPoly:
@@ -579,24 +554,32 @@ def _form_poly(basis: tuple[Exponent, ...], y: Sequence[Sequence[int]], den: int
 
 
 def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
-    """Reciprocal Christoffel function v_n(x)^T M^{-1} v_n(x) of a built matrix."""
+    """Reciprocal Christoffel function v_n(x)^T M^{-1} v_n(x) of a built
+    matrix, inverted by Bareiss elimination."""
     return _christoffel_form(matrix.measure, matrix.degree, matrix.shift,
-                             *_matrix_inverse_nums(matrix))
+                             *_bareiss_inverse_nums(matrix.entries))
 
 
 def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> ChristoffelForm:
     """Reciprocal Christoffel function of degree n of ``shift * measure``.
 
-    A Dirichlet measure (``measures.dirichlet_parameters``) is summed from
-    its orthogonal basis; every other input is filled by
-    ``moment_matrix`` and inverted by ``christoffel_form_of_matrix``.
+    The one place that picks an inversion: a Dirichlet measure or ``x_S``
+    shift (``measures.dirichlet_parameters``) is summed from its orthogonal
+    basis; any other univariate input runs the Chebyshev algorithm on its
+    2n+1 shifted moments ``L(shift x^k)`` and builds no matrix; anything
+    else is filled by ``moment_matrix`` and inverted by Bareiss elimination.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     parameters = dirichlet_parameters(measure, shift)
-    if parameters is None:
-        return christoffel_form_of_matrix(moment_matrix(measure, n, shift))
-    return _dirichlet_form(measure, n, shift, *parameters)
+    if parameters is not None:
+        return _dirichlet_form(measure, n, shift, *parameters)
+    if measure.dimension == 1:
+        functional = functional_for(measure)
+        terms = _shift_terms(shift, 1)
+        moments = [_shifted_moment(functional, terms, (k,)) for k in range(2 * n + 1)]
+        return _christoffel_form(measure, n, shift, *_hankel_inverse_nums(moments))
+    return christoffel_form_of_matrix(moment_matrix(measure, n, shift))
 
 
 def christoffel_eval(form: ChristoffelForm, point: Sequence) -> Fraction:

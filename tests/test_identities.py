@@ -10,6 +10,7 @@ from unitycert.identities import (
     UnityVariant,
     _nonconstant_terms,
     _report,
+    christoffel_sum,
     constant_reduce,
     partition_members,
     partition_values,
@@ -25,9 +26,11 @@ from unitycert.measures import (
     SimplexNormalization,
     dirichlet,
     functional_for,
+    simplex_equilibrium,
     simplex_uniform,
 )
-from unitycert.polycore import MPoly, UPoly, poly_eval
+from unitycert.momatrix import christoffel_form
+from unitycert.polycore import MPoly, UPoly, poly_eval, simplex_generator_power
 
 
 class TestPell:
@@ -105,6 +108,20 @@ class TestSimplexEquilibrium:
         assert raw.constant == self.RAW_DENSITY_CONSTANTS[n]
         assert prob.constant == 2 * raw.constant
         assert raw.expected_constant == (n + 1) ** 2
+
+    def test_christoffel_sum_is_the_one_sum(self):
+        # Both Christoffel verifiers report the helper's sum: CHEBY2 over
+        # the arcsine measure and 1 - x^2, the triangle over its edges.
+        g = UPoly.from_coeffs([1, 0, -1])
+        for n in (1, 4):
+            assert christoffel_sum(ARCSINE, n, [g]) == UPoly.constant(2 * n + 1)
+            alone = christoffel_form(ARCSINE, n).quadratic_form_poly
+            assert christoffel_sum(ARCSINE, n, []) == alone
+        edges = [simplex_generator_power(2, e) for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+        for normalization in SimplexNormalization:
+            total = christoffel_sum(simplex_equilibrium(normalization), 3, edges)
+            report = verify_simplex_equilibrium(3, normalization)
+            assert total == MPoly.constant(2, report.constant)
 
     def test_mismatch_is_logged_not_failed(self, caplog):
         with caplog.at_level(logging.WARNING, logger="unitycert.identities"):

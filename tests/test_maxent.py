@@ -128,6 +128,14 @@ class TestSolveHandelman:
         with pytest.raises(ValueError):
             solve_handelman(const(3), 1, initial=[1.0, 2.0])  # <lam, 1-x> < 0
 
+    def test_multivariate_target_rejected_before_solving(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(maxent, "_solve_handelman_family", boom)
+        with pytest.raises(ValueError, match="univariate"):
+            solve_handelman(MPoly.constant(2, 6), 12)
+
     def test_near_boundary_interior_target_still_converges(self):
         # Interior but barely: the dual grows large yet bounded, and must not
         # trip the divergence diagnostic.
@@ -497,6 +505,26 @@ class TestVerifyCertificate:
         for cert, target in ((handelman, const(Fraction(3, 10))), (putinar, const(9))):
             assert verify_certificate(cert, target) == float(maxent._exact_residual(cert, target))
         assert verify_certificate(handelman, const(Fraction(3, 10))) > 0
+
+    @pytest.mark.parametrize(
+        "gram_a, gram_b",
+        [
+            (((1, 0), (0,)), ((1,),)),  # ragged A
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,),)),  # A of degree 2
+            (((1, 0), (0, 1)), ((1, 0), (0, 1))),  # B of degree 2
+            (((1, 0), (0, 1)), ()),  # no B
+        ],
+        ids=["ragged-a", "a-3x3", "b-2x2", "b-empty"],
+    )
+    def test_malformed_gram_shapes_rejected(self, gram_a, gram_b):
+        # A is (n+1) x (n+1) and B is n x n, or the flattened entries misread.
+        cert = PutinarCertificate(1, gram_a, gram_b)
+        from_json = certificate_from_json({"type": "putinar", "n": 1, "gramA": gram_a,
+                                           "gramB": gram_b})
+        for check in (verify_certificate, verify_certificate_exact):
+            for c in (cert, from_json):
+                with pytest.raises(ValueError, match="Putinar certificate must be"):
+                    check(c, const(3))
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entries_rejected(self, bad):

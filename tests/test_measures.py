@@ -159,6 +159,21 @@ class TestDirichletMoments:
         for k in range(12):
             assert f.moment((k,)) == beta_integral(k + 2, 1) / beta_integral(2, 1)
 
+    @pytest.mark.parametrize(
+        "kappa, alpha",
+        [((1, 1), (2000,)), ((Fraction(1, 2), Fraction(3, 2)), (64,)),
+         ((Fraction(1, 2), Fraction(3, 2)), (65,)), ((Fraction(2, 3), 1, Fraction(5, 4)), (300, 129))],
+    )
+    def test_long_runs_match_the_direct_product(self, kappa, alpha):
+        # Rising factorials past the direct-product length are split into
+        # halves; the value is that of the one left-to-right product.
+        measure = dirichlet(kappa, Fraction(3, 7))
+        q = math.lcm(*(k.denominator for k in measure.kappa))
+        p = [k.numerator * (q // k.denominator) for k in measure.kappa]
+        num = math.prod(math.prod(range(pi, pi + a * q, q)) for pi, a in zip(p, alpha))
+        den = math.prod(range(sum(p), sum(p) + sum(alpha) * q, q))
+        assert MomentFunctional(measure).moment(alpha) == Fraction(3 * num, 7 * den)
+
     def test_names_do_not_split_the_memo(self):
         assert simplex_uniform(1) == dirichlet((1, 1))
         assert hash(simplex_uniform(1)) == hash(dirichlet((1, 1)))

@@ -407,6 +407,8 @@ SHIFTS = {
     "1-x": UPoly.from_coeffs([1, -1]),
     "x(1-x)": UPoly.from_coeffs([0, 1, -1]),
     "3": UPoly.from_coeffs([3]),
+    "x-1/2": UPoly.from_coeffs([Fraction(-1, 2), 1]),
+    "zero": UPoly.zero(),
 }
 
 
@@ -418,25 +420,39 @@ def bareiss_outcome(matrix):
         return exc.order, exc.minor
 
 
+def shifted_moments(measure, n, shift):
+    """L(shift x^k) for k = 0..2n, one ``poly_moment`` each."""
+    f = functional_for(measure)
+    g = UPoly.constant(1) if shift is None else shift
+    return [f.poly_moment(g * UPoly((0,) * k + (1,))) for k in range(2 * n + 1)]
+
+
 class TestRecurrenceInverse:
-    """The univariate path (Chebyshev algorithm) against Bareiss as the oracle."""
+    """The univariate route (Chebyshev algorithm) against Bareiss as the oracle."""
 
     @pytest.mark.parametrize("shift", list(SHIFTS), ids=list(SHIFTS))
     @pytest.mark.parametrize("measure", [ARCSINE, ARCSINE_G, LEBESGUE01], ids=lambda m: m.label())
     def test_matches_bareiss(self, measure, shift):
+        # christoffel_form takes the recurrence for every input here but
+        # LEBESGUE01 with an x_S shift (none, 1-x, x(1-x)), which takes the
+        # Dirichlet basis; invert_hankel runs the recurrence on all of them.
+        shift = SHIFTS[shift]
         for n in range(21):
-            matrix = moment_matrix(measure, n, SHIFTS[shift])
+            matrix = moment_matrix(measure, n, shift)
             want = bareiss_outcome(matrix)
+            moments = shifted_moments(measure, n, shift)
             if isinstance(want[0], int):
-                # x(1-x) is negative on most of [-1,1]; both paths must agree on why.
-                with pytest.raises(NotPositiveDefiniteError) as exc:
-                    invert_exact(matrix)
-                assert (exc.value.order, exc.value.minor) == want
+                # x(1-x) is negative on most of [-1,1]; every route must agree on why.
+                for route in (lambda: christoffel_form(measure, n, shift),
+                              lambda: invert_hankel(moments)):
+                    with pytest.raises(NotPositiveDefiniteError) as exc:
+                        route()
+                    assert (exc.value.order, exc.value.minor) == want
                 continue
-            inverse = invert_exact(matrix)
-            assert inverse == want
-            form = christoffel_form_of_matrix(matrix).quadratic_form_poly
-            assert form == fraction_quadratic_form(matrix.basis, want, 1)
+            assert invert_hankel(moments) == want
+            form = christoffel_form(measure, n, shift)
+            assert form.inverse == want
+            assert form.quadratic_form_poly == fraction_quadratic_form(matrix.basis, want, 1)
 
     @pytest.mark.parametrize(
         "measure, shift, order, minor",
@@ -453,7 +469,7 @@ class TestRecurrenceInverse:
             matrix = moment_matrix(measure, n, shift)
             assert bareiss_outcome(matrix) == (order, minor)
             with pytest.raises(NotPositiveDefiniteError) as exc:
-                invert_exact(matrix)
+                christoffel_form(measure, n, shift)
             assert (exc.value.order, exc.value.minor) == (order, minor)
             assert f"order {order} is {minor}" in str(exc.value)
 
@@ -496,13 +512,24 @@ class TestRecurrenceInverse:
         with pytest.raises(ValueError, match="odd"):
             invert_hankel([Fraction(1), Fraction(0)])
 
-    def test_non_hankel_entries_rejected(self):
+    def test_shift_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            christoffel_form(ARCSINE, 2, MPoly.make(2, {(1, 1): 1}))
+
+    def test_non_hankel_matrix_inverted_exactly(self):
+        # A built matrix goes to Bareiss whatever its dimension, so a
+        # symmetric univariate matrix that is not Hankel is inverted too.
         base = moment_matrix(ARCSINE, 2)
         rows = [list(row) for row in base.entries]
-        rows[0][2] += 1
-        broken = dataclasses.replace(base, entries=tuple(tuple(row) for row in rows))
-        with pytest.raises(ValueError, match="Hankel"):
-            invert_exact(broken)
+        rows[0][2] = rows[2][0] = Fraction(1, 4)  # mu_2 = 1/2 stays at (1, 1)
+        edited = dataclasses.replace(base, entries=tuple(tuple(row) for row in rows))
+        inverse = invert_exact(edited)
+        oracle = sympy_matrix(edited.entries).inv()
+        assert inverse == tuple(tuple(Fraction(int(v.p), int(v.q)) for v in oracle.row(i))
+                                for i in range(3))
+        form = christoffel_form_of_matrix(edited)
+        assert form.inverse == inverse
+        assert form.quadratic_form_poly == fraction_quadratic_form(base.basis, inverse, 1)
 
 
 class TestInversionLog:
@@ -520,6 +547,31 @@ class TestInversionLog:
         messages = self.records(caplog, lambda: christoffel_form(ARCSINE, 4, shift=G))
         assert len(messages) == 1
         assert messages[0].startswith("inverted dim=5 method=recurrence den_bits=")
+
+    @pytest.mark.parametrize(
+        "measure, shift",
+        [(ARCSINE, None), (ARCSINE, G), (ARCSINE_G, None), (LEBESGUE01, UPoly.from_coeffs([3])),
+         (LEBESGUE01, G)],
+        ids=["arcsine", "arcsine-1-x^2", "arcsine-g", "lebesgue01-3", "lebesgue01-1-x^2"],
+    )
+    def test_univariate_builds_no_matrix(self, caplog, monkeypatch, measure, shift):
+        # Any univariate input that is not Dirichlet goes to the recurrence
+        # straight from its shifted moments.
+        def boom(*args, **kwargs):
+            raise AssertionError("moment_matrix was called")
+
+        monkeypatch.setattr(momatrix, "moment_matrix", boom)
+        messages = self.records(caplog, lambda: christoffel_form(measure, 4, shift))
+        assert len(messages) == 1
+        assert messages[0].startswith("inverted dim=5 method=recurrence den_bits=")
+
+    def test_built_univariate_matrix_logs_bareiss(self, caplog):
+        matrix = moment_matrix(ARCSINE, 2)
+        for invert in (invert_exact, christoffel_form_of_matrix):
+            caplog.clear()
+            messages = self.records(caplog, lambda: invert(matrix))
+            assert len(messages) == 1
+            assert messages[0].startswith("inverted dim=3 method=bareiss det_bits=")
 
     @pytest.mark.parametrize("measure", [simplex_uniform(2), simplex_equilibrium()],
                              ids=lambda m: m.label())
