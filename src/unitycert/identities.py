@@ -30,6 +30,7 @@ from .polycore import (
     cheb,
     cheb_orthonormal_squares,
     cheb_table,
+    generator_powers,
     linear_combination,
     monomials_upto,
     multinomial,
@@ -129,34 +130,31 @@ def partition_members(domain: str, n: int, d: int = 2) -> list[tuple[dict, Fract
     measure is the Dirichlet(1, ..., 1) moment d! prod alpha_i! / (d+|alpha|)!,
     so the weight is the multinomial (d+|alpha|)! / (d! prod alpha_i!):
 
-    * ``interval01``: x^i (1-x)^j over i+j <= n in ``monomials_upto(2, n)``
-      order; phi is Lebesgue measure on [0,1], the 1-simplex.
+    * ``interval01``: x^i (1-x)^j over i+j <= n, the ``simplex`` members for
+      d = 1 labelled ``{"i", "j"}``; phi is Lebesgue measure on [0,1].
     * ``interval11``: the squared orthonormal Chebyshev polynomials of the
       first kind, j <= n, then 1-x^2 times those of the second kind, j < n;
       phi is the arcsine measure, against which each integrates to 1.
-    * ``simplex``: the generator powers g^alpha over
-      ``monomials_upto(d + 1, n)``; phi is the uniform probability measure.
+    * ``simplex``: the generator powers g^alpha of ``generator_powers(d, n)``,
+      in its order; phi is the uniform probability measure.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if domain == "interval01":
-        # x^i (1-x)^j is i zeros, then the signed binomial row (-1)^k C(j, k).
-        rows = [tuple([-math.comb(j, k) if k & 1 else math.comb(j, k) for k in range(j + 1)])
-                for j in range(n + 1)]
-        return [({"i": i, "j": j}, Fraction(multinomial((1, i, j))), UPoly((0,) * i + rows[j]))
-                for i, j in monomials_upto(2, n)]
     if domain == "interval11":
         first = cheb_orthonormal_squares(ChebKind.FIRST, n)
         second = [_G_INTERVAL * g for g in cheb_orthonormal_squares(ChebKind.SECOND, n - 1)]
         return [({"kind": "first", "j": j}, Fraction(1), g) for j, g in enumerate(first)] + [
             ({"kind": "second", "j": j}, Fraction(1), g) for j, g in enumerate(second)
         ]
-    if domain == "simplex":
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        return [({"alpha": list(a)}, Fraction(multinomial((d, *a))), simplex_generator_power(d, a))
-                for a in monomials_upto(d + 1, n)]
-    raise ValueError(f"unknown domain {domain!r}")
+    if domain not in ("interval01", "simplex"):
+        raise ValueError(f"unknown domain {domain!r}")
+    interval = domain == "interval01"
+    if interval:
+        d = 1
+    elif d < 1:
+        raise ValueError("d must be >= 1")
+    return [({"i": a[0], "j": a[1]} if interval else {"alpha": list(a)},
+             Fraction(multinomial((d,) + a)), g) for a, g in generator_powers(d, n).items()]
 
 
 def partition_values(domain: str, n: int, points: Sequence, d: int = 2) -> list[list[tuple[int, int]]]:
@@ -238,12 +236,8 @@ def verify_unity_interval(n: int, variant: UnityVariant) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     if variant is UnityVariant.UNITY1:
-        total = UPoly.zero()
-        for tj in cheb_table(ChebKind.FIRST, n):
-            total = total + tj * tj
-        second = UPoly.zero()
-        for ui in cheb_table(ChebKind.SECOND, n - 1):
-            second = second + ui * ui
+        total = linear_combination((1, tj * tj) for tj in cheb_table(ChebKind.FIRST, n))
+        second = linear_combination((1, ui * ui) for ui in cheb_table(ChebKind.SECOND, n - 1))
         expression = (total + _G_INTERVAL * second) * Fraction(1, n + 1)
         expected = Fraction(1)
     elif variant is UnityVariant.UNITY2:

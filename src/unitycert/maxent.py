@@ -74,11 +74,11 @@ from .polycore import (
     Exponent,
     UPoly,
     cheb_table,
+    generator_powers,
     monomials_of_degree,
     monomials_upto,
     multinomial,
     poly_from_sparse_nums,
-    simplex_generator_power,
 )
 
 
@@ -381,11 +381,11 @@ class _GeneratorTable:
 
     def __init__(self, d: int, n: int) -> None:
         self.d, self.n = d, n
-        self.alphas = monomials_upto(d + 1, n)
+        powers = generator_powers(d, n)
+        self.alphas = tuple(powers)
         self.basis = monomials_upto(d, n)
         rows, pairs = [], []
-        for alpha in self.alphas:
-            nums = simplex_generator_power(d, alpha).sparse_nums
+        for nums in (g.sparse_nums for g in powers.values()):
             rows.append([nums.get(e, 0) for e in self.basis])
             pairs.append(tuple(nums.items()))
         self.rows, self.pairs = _object_matrix(rows), tuple(pairs)
@@ -872,6 +872,8 @@ def exact_putinar(n: int, dual: DualFunctional,
     localizing matrices.  A rational dual whose matrices are not positive
     definite raises ``NotPositiveDefiniteError``; a double one, ValueError
     (a double flagship dual outgrows the snap from n = 32)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     lam = dual.values
     if len(lam) != 2 * n + 1:
         raise ValueError("dual vector length does not match the working degree")
@@ -910,12 +912,16 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: Mapping):
-    if obj["type"] == "handelman":
-        weights = {tuple(entry["alpha"]): _value_from_json(entry["value"])
-                   for entry in obj["weights"]}
-        return HandelmanCertificate(dimension=int(obj["d"]), degree=int(obj["n"]), weights=weights)
-    if obj["type"] == "putinar":
-        gram_a, gram_b = (tuple(tuple(map(_value_from_json, row)) for row in obj[key])
-                          for key in ("gramA", "gramB"))
-        return PutinarCertificate(degree=int(obj["n"]), gram_a=gram_a, gram_b=gram_b)
-    raise ValueError(f"unknown certificate type {obj.get('type')!r}")
+    """The certificate a ``certificate_to_json`` payload describes; ValueError if malformed."""
+    try:
+        if obj["type"] == "handelman":
+            weights = {tuple(entry["alpha"]): _value_from_json(entry["value"])
+                       for entry in obj["weights"]}
+            return HandelmanCertificate(int(obj["d"]), int(obj["n"]), weights)
+        if obj["type"] == "putinar":
+            gram_a, gram_b = (tuple(tuple(map(_value_from_json, row)) for row in obj[key])
+                              for key in ("gramA", "gramB"))
+            return PutinarCertificate(degree=int(obj["n"]), gram_a=gram_a, gram_b=gram_b)
+    except KeyError as missing:
+        raise ValueError(f"certificate JSON has no {missing.args[0]!r} field") from None
+    raise ValueError(f"unknown certificate type {obj['type']!r}")

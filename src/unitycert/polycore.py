@@ -10,8 +10,8 @@ polynomials over one common denominator.  All arithmetic here is exact;
 floating point never enters this module.  On top of the generic ring
 operations it provides the classical families used throughout the package:
 Chebyshev polynomials of both kinds, their squared orthonormalizations, the
-Bernstein basis on [0,1], and power products of the affine generators of the
-canonical simplex, expanded in closed form.
+Bernstein basis on [0,1], and the simplex generator powers, singly or as the
+table of degree <= n, shifts of one closed-form expansion of (1 - sum x)^m.
 """
 
 from __future__ import annotations
@@ -475,8 +475,12 @@ def monomials_upto(dimension: int, degree: int) -> tuple[Exponent, ...]:
 
 
 def multinomial(parts: Sequence[int]) -> int:
-    """The multinomial coefficient (sum parts)! / prod(part!)."""
-    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+    """The multinomial coefficient (sum parts)! / prod(part!), as a product of binomials."""
+    out, total = 1, 0
+    for p in parts:
+        total += p
+        out *= math.comb(total, p)
+    return out
 
 
 def cheb_table(kind: ChebKind, n: int) -> list[UPoly]:
@@ -558,10 +562,8 @@ def simplex_generator_power(d: int, alpha: Sequence[int]) -> AnyPoly:
     """Power product g_1^a1 ... g_{d+1}^a_{d+1} of the simplex generators.
 
     The generators are g_j = x_j for j <= d and g_{d+1} = 1 - sum(x_j).  With
-    beta = (a_1..a_d) and m = a_{d+1}, the multinomial theorem gives the
-    expansion x^beta (1 - sum x)^m = sum over |gamma| <= m of
-    (-1)^|gamma| m! / ((m - |gamma|)! gamma!) x^(beta + gamma), written
-    directly as integer coefficients in the monomial basis of dimension d:
+    beta = (a_1..a_d) and m = a_{d+1}, g^alpha = x^beta (1 - sum x)^m in integer
+    coefficients over the monomial basis of dimension d (``_complement_power``):
     a ``UPoly`` on [0,1], the 1-simplex, and an ``MPoly`` for d >= 2.
     """
     if d < 1:
@@ -571,12 +573,33 @@ def simplex_generator_power(d: int, alpha: Sequence[int]) -> AnyPoly:
         raise ValueError(f"alpha has length {len(alpha)}, expected {d + 1}")
     if any(a < 0 for a in alpha):
         raise ValueError("alpha entries must be nonnegative")
-    beta, m = alpha[:d], alpha[d]
-    add, prod, factorial = operator.add, math.prod, math.factorial
-    nums: dict[Exponent, int] = {}
-    for k in range(m + 1):
-        # (-1)^k m!/(m-k)!, divided exactly by gamma! below.
-        head = -math.perm(m, k) if k & 1 else math.perm(m, k)
-        for gamma in monomials_of_degree(d, k):
-            nums[tuple(map(add, beta, gamma))] = head // prod(map(factorial, gamma))
-    return MPoly(d, nums) if d > 1 else poly_from_sparse_nums(1, nums, 1)
+    return _shifted_powers(d, [alpha], {alpha[d]: _complement_power(d, alpha[d])})[alpha]
+
+
+def generator_powers(d: int, n: int) -> dict[Exponent, AnyPoly]:
+    """``simplex_generator_power(d, alpha)`` keyed by alpha, for every alpha in
+    ``monomials_upto(d + 1, n)`` in that order, each (1 - sum x)^m expanded once."""
+    if d < 1 or n < 0:
+        raise ValueError("dimension must be positive and degree nonnegative")
+    expansions = [_complement_power(d, m) for m in range(n + 1)]
+    return _shifted_powers(d, monomials_upto(d + 1, n), expansions)
+
+
+def _complement_power(d: int, m: int):
+    """(1 - x_1 - ... - x_d)^m by the multinomial theorem, x^gamma having (-1)^|gamma|
+    m! / ((m - |gamma|)! gamma!): a dense row for d = 1, else (gamma, coefficient) pairs."""
+    if d == 1:
+        return tuple([-math.comb(m, k) if k & 1 else math.comb(m, k) for k in range(m + 1)])
+    return [(gamma, (-1) ** k * math.perm(m, k) // math.prod(map(math.factorial, gamma)))
+            for k in range(m + 1) for gamma in monomials_of_degree(d, k)]
+
+
+def _shifted_powers(d: int, alphas: Sequence[Exponent], expansions) -> dict[Exponent, AnyPoly]:
+    """x^beta (1 - sum x)^m keyed by alpha = (beta, m), from ``expansions[m]``;
+    all coefficients are nonzero integers, so each product is canonical."""
+    if d == 1:
+        return {alpha: UPoly((0,) * alpha[0] + expansions[alpha[1]]) for alpha in alphas}
+    # map stops at gamma's length d, so it adds beta, not m.
+    add = operator.add
+    return {alpha: MPoly(d, {tuple(map(add, alpha, gamma)): c for gamma, c in expansions[alpha[d]]})
+            for alpha in alphas}

@@ -200,6 +200,14 @@ class TestPartitionMembers:
                 assert type(generator) is UPoly
                 assert (generator.nums, generator.den) == (want.nums, want.den)
 
+    def test_interval01_is_the_one_simplex(self):
+        for n in range(1, 9):
+            interval = partition_members("interval01", n)
+            simplex = partition_members("simplex", n, 1)
+            assert [(w, g) for _, w, g in interval] == [(w, g) for _, w, g in simplex]
+            assert [(label["i"], label["j"]) for label, _, _ in interval] == [
+                tuple(label["alpha"]) for label, _, _ in simplex]
+
     def test_order_and_labels(self):
         assert [label for label, _, _ in partition_members("interval01", 2)] == [
             {"i": i, "j": j} for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))

@@ -618,6 +618,12 @@ class TestRationalization:
         with pytest.raises(ValueError):
             exact_putinar(2, DualFunctional((1.0, 0.0, 0.5)))
 
+    def test_degree_zero_rejected_like_the_solver(self):
+        for call in (lambda: exact_putinar(0, DualFunctional((Fraction(1),))),
+                     lambda: solve_putinar(0)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                call()
+
     def test_infeasible_rationalized_dual(self):
         with pytest.raises(ValueError):
             exact_handelman(const(3), 1, DualFunctional((1.0, 2.0)))  # <lam, 1-x> < 0
@@ -656,6 +662,24 @@ class TestSerialization:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             certificate_from_json({"type": "mystery"})
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n": 1}, "type"),
+            ({"type": "putinar", "n": 1}, "gramA"),
+            ({"type": "putinar", "n": 1, "gramA": [[1]]}, "gramB"),
+            ({"type": "putinar", "gramA": [[1]], "gramB": []}, "n"),
+            ({"type": "handelman", "d": 1, "n": 1}, "weights"),
+            ({"type": "handelman", "n": 1, "weights": []}, "d"),
+            ({"type": "handelman", "d": 1, "n": 1, "weights": [{"value": "1"}]}, "alpha"),
+            ({"type": "handelman", "d": 1, "n": 1, "weights": [{"alpha": [0, 0]}]}, "value"),
+        ],
+        ids=["type", "gramA", "gramB", "putinar-n", "weights", "d", "alpha", "value"],
+    )
+    def test_missing_field_rejected(self, payload, field):
+        with pytest.raises(ValueError, match=f"no '{field}' field"):
+            certificate_from_json(payload)
 
 
 class TestTargetRange:

@@ -14,9 +14,11 @@ from unitycert.polycore import (
     cheb_orthonormal_square,
     cheb_orthonormal_squares,
     cheb_table,
+    generator_powers,
     linear_combination,
     monomials_of_degree,
     monomials_upto,
+    multinomial,
     poly_eval,
     poly_from_sparse_nums,
     simplex_generator_power,
@@ -569,6 +571,27 @@ class TestClosedFormGeneratorPower:
         assert simplex_generator_power(2, (np.int64(1), False, True)) == simplex_generator_power(
             2, (1, 0, 1)
         )
+
+
+class TestGeneratorPowers:
+    def test_matches_one_power_at_a_time(self):
+        for d in range(1, 6):
+            for n in range(9):
+                alphas = monomials_upto(d + 1, n)
+                powers = generator_powers(d, n)
+                assert list(powers.items()) == [(a, simplex_generator_power(d, a)) for a in alphas]
+                assert all(type(g) is (UPoly if d == 1 else MPoly) for g in powers.values())
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            generator_powers(0, 2)
+        with pytest.raises(ValueError):
+            generator_powers(2, -1)
+
+    def test_multinomial_is_the_factorial_quotient(self):
+        for parts in [(), (0,), (5,), (1, 0, 3), *monomials_upto(4, 7)]:
+            want = math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+            assert multinomial(parts) == want
 
 
 class TestMonomialOrder:
