@@ -22,13 +22,13 @@ Putinar, against 3.7e10 and 2.7e16 at n=12 in monomial moments):
   z_gamma = <y, b_gamma>, b_gamma = multinom(n; gamma) x^gamma in barycentric
   coordinates; g^alpha pairs with z through the nonnegative
   multinom(n-|alpha|; gamma-alpha) / multinom(n; gamma).
-* Putinar runs in the Chebyshev moments z_k = <y, T_k>: the moment matrix is
-  M_T[i][j] = (z_{i+j} + z_{|i-j|}) / 2, the localizing matrix has the same
-  form over s_k = z_k/2 - (z_{k+2} + z_{|k-2|})/4, and for the linear map
-  A: z -> vec(M_T) and W = M_T^{-1} the gradient of -log det M_T is
-  -A' vec(W) and its Hessian has entries tr(W E_k W E_l), E_k = dM_T/dz_k,
-  from the batched products W E_k W, without forming the (n+1)^2 x (n+1)^2
-  matrix W kron W.
+* Putinar runs in the Chebyshev moments z_k = <y, T_k>.  The entries
+  <y, T_i T_j> of M_T(z) and <y, (1-x^2) T_i T_j> of L_T(z) have degree <= 2n,
+  so node weights P'z, P mapping values at the 2n+1 Chebyshev nodes to T_0..T_2n
+  coefficients, integrate them exactly.  The gradient of -log det M_T - log det
+  L_T is -P times the Christoffel sum K_A(x,x) + (1-x^2) K_B(x,x) at the nodes
+  (2n+1 at the arcsine optimum, CHEBY2), the Hessian P (K_A*K_A + K_B*K_B) P'
+  over the node kernels: O(n^2) tables and O(n^3) work per Newton step.
 
 Starts and targets cross into these bases exactly and are rounded once.
 A double certificate soon misses the tolerance by its own rounding (the
@@ -322,7 +322,7 @@ def _recover(z: Iterable[Number]) -> Optional[list[Fraction]]:
 
 def _exact_step(double, target: AnyPoly, tol: float, stop: str, z: np.ndarray, table,
                 build: Callable, round_: Callable):
-    """The certificate that ships, its exact residual and the dual in monomial moments.
+    """``(certificate, exact residual, dual in monomial moments, dual as z or its snap)``, as shipped.
 
     Unless the double certificate meets ``tol`` or the iterates diverged, the
     first of ``build(_recover(z))`` and, after a ``tol`` or ``plateau`` stop,
@@ -343,11 +343,11 @@ def _exact_step(double, target: AnyPoly, tol: float, stop: str, z: np.ndarray, t
         point = _recover(z)
         snapped = None if point is None else exact(lambda: build(point))
         if snapped is not None:
-            return snapped, Fraction(0), DualFunctional(tuple(table.monomial_moments(point)))
+            return snapped, Fraction(0), DualFunctional(tuple(table.monomial_moments(point))), point
         rounded = exact(round_) if stop in ("tol", "plateau") else None
         if rounded is not None:
             double, residual = rounded, Fraction(0)
-    return double, residual, DualFunctional(tuple(map(float, table.monomial_moments(z))))
+    return double, residual, DualFunctional(tuple(map(float, table.monomial_moments(z)))), z
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +508,7 @@ def _solve_handelman_family(family: str, d: int, n: int, target_poly: AnyPoly,
     z, stop = newton[0], newton[-1]
     double = HandelmanCertificate(d, n, dict(zip(table.alphas, (1.0 / pairings(z)).tolist())),
                                   target_poly)
-    certificate, residual, dual = _exact_step(
+    certificate, residual, dual, _ = _exact_step(
         double, target_poly, tol, stop, z, table,
         lambda point: _handelman_from_bernstein(table, point, target_poly),
         lambda: _round_handelman(double, target_poly, table))
@@ -555,26 +555,15 @@ def solve_simplex(d: int, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFA
 # Putinar Gram pair on [-1,1]
 
 
-def _cheb_hankel(seq: np.ndarray, size: int) -> np.ndarray:
-    """M[i][j] = (seq[i+j] + seq[|i-j|]) / 2 = <y, T_i T_j> for the Chebyshev moments seq of y."""
-    i = np.arange(size)
-    return (seq[i[:, None] + i] + seq[np.abs(i[:, None] - i)]) / 2
-
-
-def _cheb_localized(z: np.ndarray) -> np.ndarray:
-    """s_k = <y, (1 - x^2) T_k> = z_k/2 - (z_{k+2} + z_{|k-2|})/4, from x^2 = (T_0 + T_2)/2."""
-    k = np.arange(len(z) - 2)
-    return z[k] / 2 - (z[k + 2] + z[np.abs(k - 2)]) / 4
-
-
 class _ChebyshevTable:
-    """The Chebyshev basis up to degree 2n and the linear maps of the Putinar barrier.
+    """The Chebyshev basis up to degree 2n and the node tables of the Putinar barrier.
 
-    ``cheb[k, l]`` is the integer coefficient of x^l in T_k, so the Chebyshev
-    moments are z = cheb @ y; ``monomial[l, k] / 4^n`` is the nonnegative
-    coefficient of T_k in x^l, so y = monomial @ z / 4^n.  ``maps`` are the
-    matrices of z -> vec(M_T) (size n+1) and z -> vec(L_T) (size n), and
-    ``derivatives`` their columns as square matrices, dM_T/dz_k and dL_T/dz_k.
+    ``cheb[k, l]`` is the integer coefficient of x^l in T_k, so z = cheb @ y;
+    ``monomial[l, k] / 4^n`` is the nonnegative coefficient of T_k in x^l, so
+    y = monomial @ z / 4^n.  Row m of ``values`` holds T_j(x_m), j <= n, then
+    sin(theta_m) T_j(x_m), j < n, at the nodes x_m = cos(theta_m), theta_m =
+    (2m+1) pi / (2(2n+1)); ``transform`` maps node values to the T_0..T_2n
+    coefficients of their interpolant, exact up to degree 2n.
     """
 
     def __init__(self, n: int) -> None:
@@ -589,14 +578,20 @@ class _ChebyshevTable:
             for i in range(l // 2 + 1):
                 monomial[l][l - 2 * i] = math.comb(l, i) << (2 * n - l + (2 * i < l))
         self.monomial = _object_matrix(monomial)
-        unit = np.eye(size)
-        self.maps = (
-            np.stack([_cheb_hankel(e, n + 1).ravel() for e in unit], axis=1),
-            np.stack([_cheb_hankel(_cheb_localized(e), n).ravel() for e in unit], axis=1),
-        )
-        self.derivatives = tuple(m.T.reshape(size, s, s) for m, s in zip(self.maps, (n + 1, n)))
-        for matrix in self.maps + self.derivatives:
-            matrix.setflags(write=False)
+        # T_k(x_m) = cos(k theta_m), the angle k (2m+1) reduced mod 4(2n+1) in integers first.
+        angles = np.outer(2 * np.arange(size) + 1, np.arange(size)) % (4 * size) * (np.pi / (2 * size))
+        cosines, sines = np.cos(angles), np.sin(angles[:, 1:2])
+        self.values = np.hstack([cosines[:, : n + 1], sines * cosines[:, :n]])
+        # Discrete orthogonality: sum_m T_k(x_m) T_j(x_m) = (2n+1)/2 [k == j > 0], 2n+1 at 0.
+        self.transform = np.r_[1, np.full(2 * n, 2)][:, None] * cosines.T / size
+        self.values.setflags(write=False)
+        self.transform.setflags(write=False)
+
+    def gram(self, z: np.ndarray) -> np.ndarray:
+        """M_T(z) (+) L_T(z) as values' diag(transform' z) values, off-diagonal blocks zeroed."""
+        gram = self.values.T @ (self.values * (z @ self.transform)[:, None])
+        gram[: self.n + 1, self.n + 1 :] = gram[self.n + 1 :, : self.n + 1] = 0.0
+        return gram
 
     def chebyshev_moments(self, y: Sequence[Number]) -> list[Fraction]:
         return _exact_matvec(self.cheb, y)
@@ -616,35 +611,40 @@ _chebyshev_table = functools.lru_cache(maxsize=16)(_ChebyshevTable)
 def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
     """``(value, newton_system, inverses)`` of <t, z> - log det M_T(z) - log det L_T(z).
 
-    ``inverses(z)`` is [M_T^{-1}, L_T^{-1}], or None outside the domain.
+    One Cholesky factor C of ``table.gram(z)`` and F = C^{-1} serve both blocks.
+    R = F values' has the Christoffel sums K_A(x,x) + (1 - x^2) K_B(x,x) at the
+    nodes as its squared column norms, so the gradient is t minus their
+    transform, and the Hessian is transform (K_A*K_A + K_B*K_B) transform' over
+    the node kernels K = R' R of each block of rows.  ``inverses(z)`` is
+    [M_T^{-1}, L_T^{-1}], the diagonal blocks of F'F, or None outside the domain.
     """
-    shapes = ((table.n + 1, table.n + 1), (table.n, table.n))
+    n, values, transform = table.n, table.values, table.transform
 
     @_newest
-    def factors(z):
+    def factor(z):
         try:
-            return [np.linalg.cholesky((m @ z).reshape(s)) for m, s in zip(table.maps, shapes)]
+            return np.linalg.cholesky(table.gram(z))
         except np.linalg.LinAlgError:
             return None
 
     def value(z):  # None outside the domain
-        chols = factors(z)
-        if chols is not None:
-            return t @ z - 2.0 * sum(np.log(np.diag(c)).sum() for c in chols)
+        chol = factor(z)
+        if chol is not None:
+            return t @ z - 2.0 * np.log(np.diag(chol)).sum()
 
     @_newest
     def inverses(z):
-        chols = factors(z)
-        return None if chols is None else [inv.T @ inv for inv in map(np.linalg.inv, chols)]
+        chol = factor(z)
+        if chol is not None:
+            inv = np.linalg.inv(chol)
+            return [f.T @ f for f in (inv[: n + 1, : n + 1], inv[n + 1 :, n + 1 :])]
 
-    def newton_system(z):
-        grams = inverses(z)
-        if grams is None:
-            return None
-        grad = t - sum(m.T @ w.ravel() for m, w in zip(table.maps, grams))
-        # H_kl = tr(W E_k W E_l) = vec(W E_k W) . vec(E_l), summed over both maps.
-        return grad, lambda: sum((w @ e @ w).reshape(len(e), -1) @ m
-                                 for m, e, w in zip(table.maps, table.derivatives, grams))
+    def newton_system(z):  # None outside the domain
+        chol = factor(z)
+        if chol is not None:
+            r = np.linalg.inv(chol) @ values.T
+            return t - transform @ (r * r).sum(axis=0), lambda: transform @ sum(
+                (block.T @ block) ** 2 for block in (r[: n + 1], r[n + 1 :])) @ transform.T
 
     return value, newton_system, inverses
 
@@ -652,20 +652,19 @@ def _putinar_barrier(table: _ChebyshevTable, t: np.ndarray):
 def _round_putinar(inverses: Sequence[np.ndarray], target: UPoly,
                    table: _ChebyshevTable) -> Optional[PutinarCertificate]:
     """The double Chebyshev Gram pair (A, B), read exactly with upper triangles
-    mirrored, with its exact residual c in T_0..T_2n moved into A.
-
-    By T_i T_j = (T_{i+j} + T_{|i-j|})/2, from the top down: 2 c_2n into
-    A[n][n] (lowering c_0), c_k, n < k < 2n, into A[k-n][n] and A[n][k-n]
-    (lowering c_{2n-k}), c_k/2, 0 < k <= n, into A[0][k] and A[k][0], and c_0
-    into A[0][0].  None unless A and B are positive definite; else Q' A Q and
-    Q' B Q over the T_j coefficients Q.
-    """
-    n = table.n
+    mirrored, with the exact residual of Q' A Q and Q' B Q over the T_j
+    coefficients Q, as c in T_0..T_2n, moved into A.  By T_i T_j = (T_{i+j} +
+    T_{|i-j|})/2, from the top down: 2 c_2n into A[n][n] (lowering c_0), c_k,
+    n < k < 2n, into A[k-n][n] and A[n][k-n] (lowering c_{2n-k}), c_k/2,
+    0 < k <= n, into A[0][k] and A[k][0], and c_0 into A[0][0].  None unless
+    A and B are positive definite; else Q' A Q and Q' B Q."""
+    n, q = table.n, table.cheb
     a, b = (np.array([[Fraction(w[min(i, j), max(i, j)]) for j in range(len(w))]
                       for i in range(len(w))], dtype=object) for w in inverses)
-    maps = (8 * np.vstack(table.maps)).astype(int).astype(object)  # entries in (1/8) Z
-    recon = _exact_matvec(maps.T, [*a.ravel(), *b.ravel()])
-    c = [t - r / 8 for t, r in zip(table.chebyshev_coefficients(target), recon)]
+    gram_b = _congruence(q[:n, :n], b)
+    residual, scale = _residual_numerators(
+        PutinarCertificate(n, _congruence(q[: n + 1, : n + 1], a), gram_b), target)
+    c = table.chebyshev_coefficients(poly_from_sparse_nums(1, residual, scale))
     a[n, n] += 2 * c[2 * n]
     c[0] -= c[2 * n]
     for k in range(2 * n - 1, n, -1):
@@ -678,8 +677,7 @@ def _round_putinar(inverses: Sequence[np.ndarray], target: UPoly,
     a[0, 0] += c[0]
     if not (is_positive_definite(a) and is_positive_definite(b)):
         return None
-    return PutinarCertificate(n, _congruence(table.cheb[: n + 1, : n + 1], a),
-                              _congruence(table.cheb[:n, :n], b), target)
+    return PutinarCertificate(n, _congruence(q[: n + 1, : n + 1], a), gram_b, target)
 
 
 def _congruence(q: np.ndarray, gram: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:
@@ -713,18 +711,20 @@ def solve_putinar(n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     z0 = _doubles_of(table.chebyshev_moments, initial, _START_FORM)
     newton = _damped_newton(z0, value, newton_system, tol, max_iter)
     z, stop = newton[0], newton[-1]
-    # The driver keeps z where both Cholesky factors exist, so the inverses do.
+    # The driver keeps z where the Cholesky factor exists, so the inverses do.
     # v' Q' W Q v returns them to the monomial basis through the T_j coefficients Q.
     q = table.cheb[: n + 1, : n + 1].astype(float)
     chebyshev_grams = inverses(z)
-    grams = [b.T @ w @ b for b, w in zip((q, q[:n, :n]), chebyshev_grams)]
-    double = PutinarCertificate(n, *(tuple(map(tuple, g.tolist())) for g in grams), target)
-    certificate, residual, dual = _exact_step(
+    double = PutinarCertificate(n, *(tuple(map(tuple, (b.T @ w @ b).tolist()))
+                                     for b, w in zip((q, q[:n, :n]), chebyshev_grams)), target)
+    certificate, residual, dual, point = _exact_step(
         double, target, tol, stop, z, table,
         lambda point: _hankel_inverse_pair(n, table.monomial_moments(point), target),
         lambda: _round_putinar(chebyshev_grams, target, table))
-    objective = sum(np.linalg.slogdet(np.array(g, dtype=float))[1]
-                    for g in (certificate.gram_a, certificate.gram_b))  # log det A + log det B
+    # log det A + log det B of the dual's pair: log det M_T^{-1} from the Cholesky factor,
+    # and log det Q^2 = (n(n-1) + (n-1)(n-2)) log 2 exactly, as the T_j lead with 2^(j-1).
+    chol = np.linalg.cholesky(table.gram(np.array(point, dtype=float)))
+    objective = 2 * (n - 1) ** 2 * math.log(2) - 2 * np.log(np.diag(chol)).sum()
     return certificate, dual, _report("putinar", n, tol, newton, residual, objective)
 
 

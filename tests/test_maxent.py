@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +297,46 @@ class TestSolvePutinar:
         for row1, row2 in zip(cert1.gram_a, cert2.gram_a):
             for a, b in zip(row1, row2):
                 assert abs(a - b) <= 100 * tol
+
+
+class TestPutinarAtLargeN:
+    """Flagships past the timed sizes, on the O(n^2) node tables."""
+
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_flagship_is_the_arcsine_inverse_pair(self, n):
+        target = const(2 * n + 1)
+        cert, _, report = solve_putinar(n)
+        assert report.stop == "tol" and report.residual == 0
+        assert cert == maxent._hankel_inverse_pair(n, _arcsine_moments(n), target)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 24, 48, 96, 160])
+    def test_gradient_vanishes_at_the_arcsine_point(self, n):
+        # z = e_0 is the flagship optimum: K_A + (1 - x^2) K_B = 2n+1 (CHEBY2).
+        table = maxent._chebyshev_table(n)
+        unit = np.eye(2 * n + 1)[0]
+        _, newton_system, inverses = maxent._putinar_barrier(table, (2 * n + 1) * unit)
+        grad, _ = newton_system(unit)
+        assert np.all(np.abs(grad) <= _node_bounds(table, inverses(unit))[1])
+
+    @pytest.mark.parametrize("n", [4, 12, 24, 48])
+    def test_objective_is_the_exact_log_det(self, n):
+        # det M_n = 2^(-n^2) for the arcsine moments, and likewise for the
+        # localizing matrix: log det A + log det B = 2 n^2 log 2.
+        _, _, report = solve_putinar(n)
+        assert math.isclose(report.objective, 2 * n * n * math.log(2), rel_tol=1e-14)
+
+    def test_node_tables_stay_small(self):
+        n = 96
+        tracemalloc.start()
+        try:
+            table = maxent._ChebyshevTable(n)
+            _, newton_system, _ = maxent._putinar_barrier(table, np.zeros(2 * n + 1))
+            _, hessian = newton_system(np.eye(2 * n + 1)[0])
+            hessian()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSolveSimplex:
@@ -776,14 +817,12 @@ class TestBasisMaps:
         hankel = np.array([[y[i + j] for j in range(n + 1)] for i in range(n + 1)])
         localizing = np.array([[y[i + j] - y[i + j + 2] for j in range(n)] for i in range(n)])
         q_n = q[: n + 1, : n + 1]
-        assert (maxent._cheb_hankel(z, n + 1) == q_n @ hankel @ q_n.T).all()
-        m_l = maxent._cheb_hankel(maxent._cheb_localized(z), n)
-        assert (m_l == q[:n, :n] @ localizing @ q[:n, :n].T).all()
-        # The solver's double maps are the same linear maps.
+        m_t, l_t = _chebyshev_pair(z, n)
+        assert (m_t == q_n @ hankel @ q_n.T).all()
+        assert (l_t == q[:n, :n] @ localizing @ q[:n, :n].T).all()
+        # The solver's node Gram holds the same pair in its diagonal blocks.
         z_double = np.array([float(v) for v in z])
-        for matrix, exact in zip(table.maps, (maxent._cheb_hankel(z, n + 1), m_l)):
-            want = exact.ravel().astype(float)
-            assert np.allclose(matrix @ z_double, want, rtol=1e-14, atol=1e-14)
+        _assert_gram_matches(table, z_double, m_t, l_t)
 
     def test_initial_converts_exactly(self):
         rng = random.Random(1200)
@@ -819,6 +858,27 @@ def _finite_differences(function, x, h):
         step[l] = h
         columns.append((np.asarray(function(x + step)) - np.asarray(function(x - step))) / (2 * h))
     return np.array(columns).T
+
+
+def _chebyshev_pair(z, n):
+    """M_T(z) and L_T(z) entry by entry: (z_{i+j} + z_{|i-j|}) / 2 = <y, T_i T_j>, and
+    the same over s_k = <y, (1 - x^2) T_k> = z_k/2 - (z_{k+2} + z_{|k-2|})/4."""
+    s = [z[k] / 2 - (z[k + 2] + z[abs(k - 2)]) / 4 for k in range(2 * n - 1)]
+    return tuple(np.array([[(seq[i + j] + seq[abs(i - j)]) / 2 for j in range(size)]
+                           for i in range(size)]) for seq, size in ((z, n + 1), (s, n)))
+
+
+def _assert_gram_matches(table, z, m_t, l_t):
+    """``table.gram(z)`` is M_T and L_T within (4n+4) eps |V|' diag(|P|'|z|) |V|,
+    for the node values V and transform P, and exactly zero off its diagonal blocks."""
+    n = table.n
+    gram = table.gram(z)
+    values = np.abs(table.values)
+    bound = (4 * n + 4) * np.finfo(float).eps * (
+        values.T @ (values * (np.abs(z) @ np.abs(table.transform))[:, None]))
+    assert not gram[: n + 1, n + 1 :].any() and not gram[n + 1 :, : n + 1].any()
+    for exact, rows in ((m_t, slice(0, n + 1)), (l_t, slice(n + 1, None))):
+        assert np.all(np.abs(gram[rows, rows] - exact.astype(float)) <= bound[rows, rows])
 
 
 class TestBarriers:
@@ -894,8 +954,22 @@ def _loop_logdet_hessian(grams, derivatives):
     ])
 
 
+def _node_bounds(table, grams):
+    """First-order rounding bounds of the node products, for the node values V,
+    the transform P and the block-diagonal pair W of inverse Grams:
+    5(n+1) eps |P| (|V||W||V|')^2 |P|' for the Hessian and
+    5(n+1) eps |P| diag(|V||W||V|') for the gradient."""
+    n = table.n
+    w = np.zeros((2 * n + 1, 2 * n + 1))
+    w[: n + 1, : n + 1], w[n + 1 :, n + 1 :] = np.abs(grams[0]), np.abs(grams[1])
+    values, transform = np.abs(table.values), np.abs(table.transform)
+    kernel = values @ w @ values.T
+    scale = 5 * (n + 1) * np.finfo(float).eps
+    return scale * transform @ kernel**2 @ transform.T, scale * transform @ np.diag(kernel)
+
+
 class TestKernels:
-    """The Putinar barrier's Chebyshev maps and log-det derivatives."""
+    """The Putinar barrier's node kernels against the loop and kron log-det derivatives."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_logdet_hessian_matches_loop(self, n):
@@ -906,10 +980,7 @@ class TestKernels:
         grams = inverses(z)
         derivatives = _loop_cheb_derivatives(n)
         want = _loop_logdet_hessian(grams, derivatives)
-        # Both sum the same (n+1)^4 products per entry, in different orders.
-        bound = 4 * (n + 1) ** 2 * np.finfo(float).eps * _loop_logdet_hessian(
-            [np.abs(w) for w in grams], [np.abs(e) for e in derivatives])
-        assert np.all(np.abs(newton_system(z)[1]() - want) <= bound)
+        assert np.all(np.abs(newton_system(z)[1]() - want) <= _node_bounds(table, grams)[0])
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_logdet_hessian_is_the_antidiagonal_kron_product(self, n):
@@ -921,8 +992,6 @@ class TestKernels:
         table = maxent._chebyshev_table(n)
         _, newton_system, inverses = maxent._putinar_barrier(table, t)
         maps = [e.reshape(2 * n + 1, -1).T for e in _loop_cheb_derivatives(n)]
-        for matrix, want in zip(table.maps, maps):
-            assert np.array_equal(matrix, want)
         grams = inverses(z)
         grad, hessian = newton_system(z)
         want_grad = t - sum(a.T @ w.ravel() for a, w in zip(maps, grams))
@@ -956,21 +1025,17 @@ class TestKernels:
         grams = inverses(z)
         derivatives = _loop_cheb_derivatives(n)
         want = _loop_logdet_gradient(grams, derivatives)
-        bound = 2 * (n + 1) ** 2 * np.finfo(float).eps * -_loop_logdet_gradient(
-            [np.abs(w) for w in grams], [np.abs(e) for e in derivatives])
-        assert np.all(np.abs(newton_system(z)[0] - want) <= bound)
+        assert np.all(np.abs(newton_system(z)[0] - want) <= _node_bounds(table, grams)[1])
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_localizing_assembly_matches_loop(self, n):
-        # Integer z: every entry is a small dyadic rational, so all exact.
         rng = np.random.default_rng(500 + n)
         z = rng.integers(-99, 99, 2 * n + 1).astype(float)
         s = [z[k] / 2 - (z[k + 2] + z[abs(k - 2)]) / 4 for k in range(2 * n - 1)]
-        assert np.array_equal(maxent._cheb_localized(z), s)
-        want = [[(s[i + j] + s[abs(i - j)]) / 2 for j in range(n)] for i in range(n)]
-        localizing = maxent._cheb_hankel(maxent._cheb_localized(z), n)
-        assert np.array_equal(localizing, want)
-        assert np.array_equal(maxent._chebyshev_table(n).maps[1] @ z, localizing.ravel())
+        want = np.array([[(s[i + j] + s[abs(i - j)]) / 2 for j in range(n)] for i in range(n)])
+        moment = np.array([[(z[i + j] + z[abs(i - j)]) / 2 for j in range(n + 1)]
+                           for i in range(n + 1)])
+        _assert_gram_matches(maxent._chebyshev_table(n), z, moment, want)
 
 
 class TestIntegerExactSide:
