@@ -2,7 +2,8 @@
 
 Subcommands: pell, moments, matrix, christoffel, verify, maxent, partition.
 JSON is the default output (rationals as "p/q" strings, never floats in
-exact reports); moment tables can also be emitted as CSV.  Exit codes:
+exact reports), written by one direct writer with the bytes of
+``json.dumps(payload, indent=2)``; moment tables can also be emitted as CSV.  Exit codes:
 0 success (identity holds / solver converged), 1 identity fails or solver
 did not converge, 2 usage error (a flag the command does not read is one),
 3 internal numeric failure or out of memory.  One table, ``_COMMANDS``,
@@ -127,9 +128,26 @@ _COMMANDS = {
 }
 
 
+# command: (its size flag, the least value a run takes)
+_SIZE_FLAGS = {
+    "pell": ("--n", 1),
+    "moments": ("--max-degree", 0),
+    "matrix": ("--n", 0),
+    "christoffel": ("--n", 0),
+    "verify": ("--n", 1),
+    "maxent": ("--n", 1),
+    "partition": ("--n", 1),
+}
+
+
 def _check_flags(args) -> None:
-    """Before any work, reject a given flag the run does not read, give an
-    omitted flag it reads its default, and check a read ``--d``."""
+    """Before any work, check the size flag, reject a given flag the run does
+    not read, give an omitted flag it reads its default, and check a read
+    ``--d``; each error names its flag."""
+    flag, least = _SIZE_FLAGS[args.command]
+    size = getattr(args, flag[2:].replace("-", "_"))
+    if size < least:
+        raise ValueError(f"{flag} must be >= {least}, got {size}")
     if args.command not in _COMMANDS:  # pell, which has no optional flag
         return
     selector, runs, prefix = _COMMANDS[args.command]
@@ -339,8 +357,6 @@ def _dispatch(args) -> tuple[object, str, int]:
         return emit_partition(args.domain, args.n, d=d, points=points), "json", EXIT_OK
     measure = _MEASURES[args.measure].call(args)
     if args.command == "moments":
-        if args.max_degree < 0:
-            raise ValueError(f"--max-degree must be >= 0, got {args.max_degree}")
         rows = _moments_payload(measure, args.max_degree)
         if args.format == "csv":
             return _moments_csv(rows), "text", EXIT_OK
@@ -390,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(command, help_text, size="--n", formats=("json",)):
+    def add(command, help_text, formats=("json",)):
         p = sub.add_parser(command, help=help_text)
         if command in _COMMANDS:
             selector, runs, _ = _COMMANDS[command]
@@ -400,13 +416,13 @@ def _build_parser() -> argparse.ArgumentParser:
             for flag, (keywords, _) in _OPTIONAL_FLAGS.items():
                 if flag in offered:
                     p.add_argument(flag, default=None, **keywords)
-        p.add_argument(size, type=int, required=True)
+        p.add_argument(_SIZE_FLAGS[command][0], type=int, required=True)
         p.add_argument("--format", choices=list(formats), default="json")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         return p
 
     add("pell", "verify the Chebyshev Pell identity").set_defaults(identity="pell")
-    add("moments", "emit a moment table", size="--max-degree", formats=("json", "csv"))
+    add("moments", "emit a moment table", formats=("json", "csv"))
     add("matrix", "emit an exact moment matrix")
     add("christoffel", "emit a reciprocal Christoffel function")
     add("verify", "verify a partition identity exactly")
@@ -421,9 +437,121 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity or -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The JSON text of a scalar, by its exact type.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _subclass_text(value) -> Optional[Callable]:
+    """The text function of a str, int or float subclass, tested in json's
+    order; None for a value that is no scalar."""
+    if isinstance(value, str):
+        return _encode_str
+    if isinstance(value, int):
+        return int.__repr__
+    if isinstance(value, float):
+        return _float_text
+    return None
+
+
+def _key_str(key) -> str:
+    """json's string for a dict key that is not an exact ``str``."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _SCALAR_TEXT[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(obj, out: list[str], newline: str) -> None:
+    """Append to ``out`` the text ``json.dumps(indent=2)`` gives ``obj`` at the
+    nesting level whose line break and indent is ``newline``.
+
+    An item of an exact scalar type is written in place, without a call, and
+    a list whose items share one such type is one join.  Module-level and
+    closure-free, so a call leaves no reference cycle behind.
+    """
+    kind = type(obj)
+    if kind is not dict and kind is not list:
+        text = _SCALAR_TEXT.get(kind) or _subclass_text(obj)
+        if text is not None:
+            out.append(text(obj))
+            return
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        kinds = set(map(type, obj))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
+            out.append("[" + inner + separator.join(map(text, obj)) + newline + "]")
+            return
+        before = "[" + inner
+        for item in obj:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is not None:
+                out.append(before + text(item))
+            else:
+                out.append(before)
+                _write_json(item, out, inner)
+            before = separator
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        before = "{" + inner
+        for key, value in obj.items():
+            key = _encode_str(key if type(key) is str else _key_str(key))
+            text = _SCALAR_TEXT.get(type(value))
+            if text is not None:
+                out.append(before + key + ": " + text(value))
+            else:
+                out.append(before + key + ": ")
+                _write_json(value, out, inner)
+            before = separator
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2)``, byte for byte."""
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    return "".join(out)
+
+
 def _write_output(payload: object, kind: str, output: Optional[str]) -> None:
     if kind == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = payload if isinstance(payload, str) else str(payload)
         if not text.endswith("\n"):

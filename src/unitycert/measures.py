@@ -199,6 +199,9 @@ def _closed_form_moment(measure: MeasureId, alpha: Exponent) -> Fraction:
     return Fraction(measure.mass.numerator * num, measure.mass.denominator * den)
 
 
+_ONLY_INTS = frozenset((int,)).issuperset
+
+
 class MomentFunctional:
     """A measure together with a memo table of its exact monomial moments.
 
@@ -211,6 +214,12 @@ class MomentFunctional:
         self._memo: dict[Exponent, Fraction] = {}
 
     def moment(self, alpha) -> Fraction:
+        # Every key was validated on insertion, so a tuple of exact ints that
+        # is found is valid; only exact ints, since 1.0 and True hash as 1.
+        if type(alpha) is tuple and _ONLY_INTS(map(type, alpha)):
+            value = self._memo.get(alpha)
+            if value is not None:
+                return value
         alpha = _normalize_alpha(self.measure, alpha)
         value = self._memo.get(alpha)
         if value is None:

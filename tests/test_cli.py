@@ -1,5 +1,8 @@
+import enum
+import gc
 import json
 import logging
+import math
 import os
 import random
 import shlex
@@ -76,6 +79,8 @@ class TestExitCodeContract:
             ["moments", "--measure", "arcsine", "--max-degree", "2", "--format", "csv",
              "--output", "/nonexistent/p.csv"],
             ["maxent", "handelman", "--n", "12", "--output", "/nonexistent/p.json"],
+            ["maxent", "simplex", "--n", "0"],
+            ["christoffel", "--measure", "arcsine", "--n", "-1"],
         ],
     )
     def test_out_of_range_flag_is_exit_2(self, capsys, argv):
@@ -337,6 +342,24 @@ class TestFlagContract:
         assert captured.out == ""
         assert captured.err == f"error: --d must be >= 1, got {d}\n"
 
+    # Each command's size flag and the least value it takes.
+    SIZES = [(["pell"], "--n", 1), (["moments", "--measure", "arcsine"], "--max-degree", 0),
+             (["matrix", "--measure", "simplex-uniform"], "--n", 0),
+             (["christoffel", "--measure", "arcsine"], "--n", 0),
+             (["verify", "--identity", "simplex-unity"], "--n", 1),
+             (["maxent", "simplex"], "--n", 1), (["maxent", "putinar"], "--n", 1),
+             (["partition", "--domain", "interval11"], "--n", 1)]
+
+    @pytest.mark.parametrize("argv, flag, least", SIZES, ids=[" ".join(a) for a, *_ in SIZES])
+    def test_size_below_its_least_value_names_the_flag(self, capsys, argv, flag, least):
+        assert cli.run(argv + [flag, str(least)]) == 0
+        capsys.readouterr()
+        for size in (least - 1, -5):
+            assert cli.run(argv + [flag, str(size)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} must be >= {least}, got {size}\n"
+
 
 class TestLibraryLookup:
     def test_cli_calls_the_library_through_its_modules(self, capsys, monkeypatch):
@@ -508,7 +531,7 @@ class TestMaxentCommand:
         assert cli.run(["maxent", mode, "--n", "-3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: n must be >= 1\n"
+        assert captured.err == "error: --n must be >= 1, got -3\n"
 
     def test_handelman_exact_flag(self, capsys):
         code, payload = run_json(
@@ -912,3 +935,121 @@ class TestParserReuse:
             assert (code, captured.out, captured.err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr)
         assert code == 0
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Name(str, enum.Enum):
+    QUOTED = 'say "hi"'
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# What json.dumps(indent=2) must agree with the CLI's writer on: non-finite
+# and signed-zero floats, empty and nested-empty containers, escapes,
+# tuples, bools and None in leaf lists, subclasses and non-str keys.
+JSON_CORPUS = [
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1],
+    [1, 2.5, -0.0, 3, math.nan],
+    {"nan": math.nan, "inf": [math.inf], "-inf": -math.inf, "zero": -0.0},
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [[]]}, ()], ((),),
+    "h\u00e9llo \u2603 \U0001f600", 'q"uote', "back\\slash", "\x00\x1f\n\t\r\x7f\u2028",
+    {"h\u00e9": 1, 'q"': 2, "b\\": 3, "\x00\n": 4, "\U0001f600": "\U0001f600"},
+    (1, 2), [(1, "a"), (None, True)], [True, False, None], [None, None], [True, True],
+    [(), (1,), ("x", 2.5)], {"t": (True, None, 0)},
+    [_Level.LOW, _Level.LOW], [_Level.LOW, 2], {"level": _Level.LOW}, _Level.LOW,
+    [_Name.QUOTED], _Name.QUOTED, {"name": _Name.QUOTED},
+    _Float(2.5), [_Float(1.5), _Float(math.nan)], [_Float(-math.inf), 1.0],
+    _Str("s"), [_Str("x"), "y"], [_Str("x"), _Str("y")],
+    _List([1, 2]), _List(), [_List([_List()])], _Dict(a=1), _Dict(), {"d": _Dict(b=[1])},
+    {1: "a", 2.5: "b", None: "e", -7: "f"}, {True: "c", False: "d"}, {_Level.LOW: "x"},
+    {math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4, _Float(0.5): 5},
+    {_Name.QUOTED: 1, _Str("k"): 2},
+    1, -7, 10**40, -(10**40), 0, "x", "", None, True, False, 1.5, math.nan,
+    {"members": [{"label": "g", "alpha": [0, 1, 2], "value": "1/3"}], "sum": 1.0},
+]
+
+# Values and keys json cannot encode; each must raise json's TypeError.
+JSON_UNENCODABLE = [
+    object(), {"a": {1, 2}}, [1, b"x"], Fraction(1, 3), [[1, 2], [3, 1j]],
+    {(1, 2): 3}, {"a": 1, frozenset(): 2}, {b"k": 1}, [None, {"x": object()}],
+]
+
+
+def json_cli_runs():
+    """The argv of every successful JSON run of the flag contract and README."""
+    runs = [argv for argv, reads, _ in TestFlagContract.CASES if reads]
+    runs += [shlex.split(line)[1:] for line in readme_cli_lines() if "--format csv" not in line]
+    return runs
+
+
+class TestJsonWriter:
+    RUNS = json_cli_runs()
+
+    @pytest.mark.parametrize("argv", RUNS, ids=[" ".join(argv) for argv in RUNS])
+    def test_stdout_is_indent_2_json(self, capsys, argv):
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", JSON_CORPUS, ids=range(len(JSON_CORPUS)))
+    def test_text_is_that_of_json_dumps(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", JSON_UNENCODABLE, ids=range(len(JSON_UNENCODABLE)))
+    def test_unencodable_raises_json_type_error(self, obj):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(obj)
+        assert str(got.value) == str(expected.value)
+
+    def test_large_partition_is_byte_identical(self):
+        payload = cli.emit_partition("simplex", 5, d=3, points=[[0.125, 0.25, 0.5], [0.3, 0.3, 0.3]])
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+class TestNoCyclicGarbage:
+    # One run of each kind that prints JSON; with automatic collection off,
+    # repeated runs must leave nothing that only the cycle collector frees.
+    COMMANDS = [
+        ["verify", "--identity", "pell", "--n", "8"],
+        ["partition", "--domain", "simplex", "--d", "2", "--n", "3", "--points", "0.25,0.5"],
+        ["maxent", "handelman", "--n", "2", "--target-constant", "6", "--exact"],
+        ["christoffel", "--measure", "arcsine", "--n", "4"],
+        ["moments", "--measure", "simplex-uniform", "--max-degree", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+    def test_runs_leave_no_cyclic_garbage(self, capsys, argv):
+        assert cli.run(argv) == 0  # builds the parser and fills the memo tables
+        capsys.readouterr()
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert cli.run(argv) == 0
+                capsys.readouterr()
+            garbage = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage == 0

@@ -301,6 +301,26 @@ class TestMemoization:
     def test_shared_functional(self):
         assert functional_for(ARCSINE) is functional_for(ARCSINE)
 
+    def test_a_memo_hit_validates_as_a_miss_does(self):
+        # 1.0 and True hash and compare as 1, so a memoized (1, 0) must not
+        # let (1.0, 0) through; the others must not reach a stored key either.
+        f = MomentFunctional(simplex_uniform(2))
+        value = f.moment((1, 0))
+        assert f.memo_size() == 1
+        with pytest.raises(TypeError):
+            f.moment((1.0, 0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            f.moment((-1, 0))
+        with pytest.raises(ValueError, match="dimension 3"):
+            f.moment((1, 0, 0))
+        with pytest.raises(ValueError, match="dimension 1"):
+            f.moment((1,))
+        assert f.moment([1, 0]) == value
+        assert f.moment((True, 0)) == value
+        assert f.moment((np.int64(1), 0)) == value
+        assert f.moment((1, 0)) is value
+        assert f.memo_size() == 1
+
 
 class TestMasses:
     def test_total_masses(self):
