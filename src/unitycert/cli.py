@@ -13,7 +13,11 @@ exit-2 checks both read it.  The top-level ``--log-level`` flag writes the
 package's ``unitycert.*`` log records at or above that level to stderr as
 JSON lines; without it no handler is installed.
 In-process callers of ``run`` share one parser per process, built on the
-first call.
+first call.  The library modules are read through their module objects when
+a run needs them, so a run loads only what it uses: building the parser
+reads the ``--variant`` and ``--normalization`` choices from ``identities``
+and ``measures``, and only a ``maxent`` run reads the solver module, its
+``--tol`` and ``--max-iter`` defaults included.
 """
 
 from __future__ import annotations
@@ -29,13 +33,13 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from . import identities, maxent, measures, momatrix
-from .measures import MeasureId, SimplexNormalization, functional_for
-from .momatrix import NotPositiveDefiniteError
-from .polycore import AnyPoly, UPoly, monomials_upto
+from . import identities, maxent, measures, momatrix, polycore
 
 if TYPE_CHECKING:
     import argparse
+
+    from .measures import MeasureId
+    from .polycore import AnyPoly, UPoly
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -85,11 +89,12 @@ class _Run(NamedTuple):
 
 # Each optional flag once: its argparse keywords, and the default a run that
 # reads it takes when it is omitted.  The parser leaves them None, so a given
-# flag is told from an omitted one.
+# flag is told from an omitted one.  A flag's ``choices`` are the values of an
+# enum, which the parser reads when it is built.
 _OPTIONAL_FLAGS = {
     "--d": ({"type": int}, 2),
-    "--normalization": ({"choices": [v.value for v in SimplexNormalization]}, "pi-density"),
-    "--variant": ({"choices": [v.value for v in identities.UnityVariant]}, "unity2"),
+    "--normalization": ({"choices": lambda: measures.SimplexNormalization}, "pi-density"),
+    "--variant": ({"choices": lambda: identities.UnityVariant}, "unity2"),
     "--target-constant": ({}, None),
     "--target-coeffs": ({"help": "comma-separated rationals, low degree first"}, None),
 }
@@ -100,7 +105,7 @@ _MEASURES = {
     "lebesgue01": _Run(call=lambda args: measures.LEBESGUE01),
     "simplex-uniform": _Run(("--d",), lambda args: measures.simplex_uniform(args.d)),
     "simplex-equilibrium": _Run(("--d", "--normalization"), lambda args: (
-        measures.simplex_equilibrium(SimplexNormalization(args.normalization)))),
+        measures.simplex_equilibrium(measures.SimplexNormalization(args.normalization)))),
 }
 
 _IDENTITIES = {
@@ -110,7 +115,8 @@ _IDENTITIES = {
     "unity-01": _Run(call=lambda args: identities.verify_unity_01(args.n)),
     "simplex-unity": _Run(("--d",), lambda args: identities.verify_simplex_unity(args.d, args.n)),
     "simplex-equilibrium": _Run(("--d", "--normalization"), lambda args: (
-        identities.verify_simplex_equilibrium(args.n, SimplexNormalization(args.normalization)))),
+        identities.verify_simplex_equilibrium(
+            args.n, measures.SimplexNormalization(args.normalization)))),
 }
 
 _TARGET_FLAGS = ("--target-constant", "--target-coeffs")
@@ -188,7 +194,7 @@ def _ratio_strs(nums: Iterable[int], den: int, k: int = 1) -> list[str]:
 def _poly_to_json(p: AnyPoly, scale: Fraction = Fraction(1)) -> dict:
     """The JSON form of ``scale * p``, each coefficient reduced on its own."""
     k, den = scale.numerator, scale.denominator * p.den
-    if isinstance(p, UPoly):
+    if isinstance(p, polycore.UPoly):
         return {"coefficients": _ratio_strs(p.nums, den, k)}
     items = sorted(p.sparse_nums.items())
     values = _ratio_strs((c for _, c in items), den, k)
@@ -252,10 +258,10 @@ def emit_partition(
 
 
 def _moments_payload(measure: MeasureId, max_degree: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    functional = functional_for(measure)
+    functional = measures.functional_for(measure)
     return [
         (alpha, functional.moment(alpha))
-        for alpha in monomials_upto(measure.dimension, max_degree)
+        for alpha in polycore.monomials_upto(measure.dimension, max_degree)
     ]
 
 
@@ -283,13 +289,14 @@ def _parse_target(args, default_constant: Fraction) -> UPoly:
     # The solvers check n and then the target degree against it.
     if args.target_coeffs is not None and args.target_constant is not None:
         raise ValueError("give --target-constant or --target-coeffs, not both")
+    upoly = polycore.UPoly
     if args.target_coeffs is not None:
-        return UPoly.from_coeffs(
+        return upoly.from_coeffs(
             _parse_rational("--target-coeffs", v) for v in args.target_coeffs.split(",")
         )
     if args.target_constant is not None:
-        return UPoly.constant(_parse_rational("--target-constant", args.target_constant))
-    return UPoly.constant(default_constant)
+        return upoly.constant(_parse_rational("--target-constant", args.target_constant))
+    return upoly.constant(default_constant)
 
 
 def _exact_certificate(mode: str, n: int, cert, dual, target: AnyPoly):
@@ -303,24 +310,29 @@ def _exact_certificate(mode: str, n: int, cert, dual, target: AnyPoly):
 
 
 def _run_maxent(args) -> tuple[dict, int]:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    if args.max_iter < 0:
-        raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
+    """The solve's payload and exit code; a solve that does not converge is
+    the solver's error and report, exit 1."""
+    tol = maxent.DEFAULT_TOL if args.tol is None else args.tol
+    max_iter = maxent.DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"--max-iter must be >= 0, got {max_iter}")
     mode = args.mode
-    if mode == "handelman":
-        target = _parse_target(args, Fraction((args.n + 1) * (args.n + 2), 2))
-        cert, dual, report = maxent.solve_handelman(
-            target, args.n, tol=args.tol, max_iter=args.max_iter
-        )
-    elif mode == "putinar":
-        target = _parse_target(args, Fraction(2 * args.n + 1))
-        cert, dual, report = maxent.solve_putinar(
-            args.n, tol=args.tol, max_iter=args.max_iter, target=target
-        )
-    else:
-        cert, dual, report = maxent.solve_simplex(args.d, args.n, tol=args.tol, max_iter=args.max_iter)
-        target = cert.target
+    try:
+        if mode == "handelman":
+            target = _parse_target(args, Fraction((args.n + 1) * (args.n + 2), 2))
+            cert, dual, report = maxent.solve_handelman(target, args.n, tol=tol, max_iter=max_iter)
+        elif mode == "putinar":
+            target = _parse_target(args, Fraction(2 * args.n + 1))
+            cert, dual, report = maxent.solve_putinar(
+                args.n, tol=tol, max_iter=max_iter, target=target
+            )
+        else:
+            cert, dual, report = maxent.solve_simplex(args.d, args.n, tol=tol, max_iter=max_iter)
+            target = cert.target
+    except maxent.NoInteriorCertificateError as exc:
+        return {"error": str(exc), "report": exc.report.to_json()}, EXIT_FAILED
     payload = {
         "certificate": maxent.certificate_to_json(cert),
         "dual": [float(v) for v in dual.values],
@@ -377,7 +389,7 @@ def _dispatch(args) -> tuple[object, str, int]:
     payload = {
         "measure": measure.label(),
         "degree": form.degree,
-        "basis": [list(e) for e in monomials_upto(measure.dimension, args.n)],
+        "basis": [list(e) for e in polycore.monomials_upto(measure.dimension, args.n)],
         "inverse": [[upper[min(i, j)][abs(j - i)] for j in range(size)] for i in range(size)],
         "polynomial": _poly_to_json(form.quadratic_form_poly),
     }
@@ -415,6 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
             offered = {flag for run in runs.values() for flag in run.reads}
             for flag, (keywords, _) in _OPTIONAL_FLAGS.items():
                 if flag in offered:
+                    if "choices" in keywords:
+                        keywords = {**keywords, "choices": [v.value for v in keywords["choices"]()]}
                     p.add_argument(flag, default=None, **keywords)
         p.add_argument(_SIZE_FLAGS[command][0], type=int, required=True)
         p.add_argument("--format", choices=list(formats), default="json")
@@ -427,8 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("christoffel", "emit a reciprocal Christoffel function")
     add("verify", "verify a partition identity exactly")
     p = add("maxent", "solve a max-entropy certificate program")
-    p.add_argument("--tol", type=float, default=maxent.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=maxent.DEFAULT_MAX_ITER)
+    # None: the solver's defaults, read when a solve runs.
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--exact", action="store_true",
                    help="keep the solver's certificate if exact, else snap its dual; verify it")
     p = add("partition", "emit a partition of unity")
@@ -595,21 +610,21 @@ def run(argv: Sequence[str]) -> int:
     except OSError as exc:
         return _output_error(args.output, exc)
     with _json_log_lines(args.log_level):
+        # A clause's class is looked up only when an exception reaches it, so
+        # the one naming a library module comes last: a usage error never
+        # loads momatrix, and only work that ran momatrix can raise its error.
         try:
             payload, kind, code = _dispatch(args)
-        except maxent.NoInteriorCertificateError as exc:
-            payload, kind = {"error": str(exc), "report": exc.report.to_json()}, "json"
-            code = EXIT_FAILED
-        except NotPositiveDefiniteError as exc:
+        except (ValueError, TypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+            return EXIT_USAGE
         except MemoryError as exc:
             print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
                   file=sys.stderr)
             return EXIT_NUMERIC
-        except (ValueError, TypeError) as exc:
+        except momatrix.NotPositiveDefiniteError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return EXIT_NUMERIC
         try:
             _write_output(payload, kind, args.output)
         except OSError as exc:

@@ -19,9 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from . import measures
-from .measures import SimplexNormalization, simplex_equilibrium
-from .momatrix import christoffel_form
+from . import measures, momatrix
 from .polycore import (
     AnyPoly,
     ChebKind,
@@ -210,9 +208,10 @@ def christoffel_sum(measure: measures.MeasureId, n: int, multipliers: Sequence[A
     ``K`` is the reciprocal Christoffel function (``christoffel_form``) and
     each multiplier g localizes the measure once, at degree n - 1.
     """
-    expression = christoffel_form(measure, n).quadratic_form_poly
+    form = momatrix.christoffel_form
+    expression = form(measure, n).quadratic_form_poly
     for g in multipliers:
-        expression = expression + g * christoffel_form(measure, n - 1, shift=g).quadratic_form_poly
+        expression = expression + g * form(measure, n - 1, shift=g).quadratic_form_poly
     return expression
 
 
@@ -278,7 +277,7 @@ def verify_simplex_unity(d: int, n: int) -> IdentityReport:
 
 
 def verify_simplex_equilibrium(
-    n: int, normalization: SimplexNormalization
+    n: int, normalization: measures.SimplexNormalization
 ) -> IdentityReport:
     """Check whether the triangle's Christoffel-function combination is constant.
 
@@ -293,7 +292,7 @@ def verify_simplex_equilibrium(
     if n < 1:
         raise ValueError("n must be >= 1")
     edges = [simplex_generator_power(2, pair) for pair in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
-    expression = christoffel_sum(simplex_equilibrium(normalization), n, edges)
+    expression = christoffel_sum(measures.simplex_equilibrium(normalization), n, edges)
     expected = Fraction((n + 1) ** 2)  # s(n) + s(n-1)
     return _report(
         "simplex-equilibrium",

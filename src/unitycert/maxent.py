@@ -57,7 +57,6 @@ count, stop reason and residual.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import logging
 import math
 import operator
@@ -66,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from . import _lazy_import
 from .measures import dirichlet, functional_for
 from .momatrix import NotPositiveDefiniteError, invert_hankel, is_positive_definite
 from .polycore import (
@@ -80,21 +80,6 @@ from .polycore import (
     multinomial,
     poly_from_sparse_nums,
 )
-
-
-def _lazy_import(name: str):
-    """The module ``name``, its body run on first attribute access (the
-    ``importlib.util.LazyLoader`` recipe); ModuleNotFoundError now if absent."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 # Only the float solves need numpy; exact callers never pay for its import.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from unitycert import cli, identities, measures, momatrix
+from unitycert import cli, identities, maxent, measures, momatrix
 from unitycert.measures import LEBESGUE01, simplex_equilibrium, simplex_uniform
 from unitycert.momatrix import NotPositiveDefiniteError, rational_matrix_from_json
 from unitycert.polycore import MPoly, UPoly, poly_eval
@@ -526,6 +526,15 @@ class TestMaxentCommand:
         assert got == code
         assert payload["report"]["stop_reason"] == stop
 
+    def test_omitted_max_iter_is_read_when_the_solve_runs(self, capsys, monkeypatch):
+        # The parser reads no solver constant, so a parser built before the
+        # default changed still gives the solve the default it has now.
+        cli._build_parser()
+        monkeypatch.setattr(maxent, "DEFAULT_MAX_ITER", 0)
+        got, payload = run_json(capsys, ["maxent", "handelman", "--n", "4"])
+        assert got == 1
+        assert payload["report"]["stop_reason"] == "budget"
+
     @pytest.mark.parametrize("mode", ["handelman", "putinar"])
     def test_negative_n_reports_n(self, capsys, mode):
         assert cli.run(["maxent", mode, "--n", "-3"]) == 2
@@ -690,8 +699,8 @@ class TestPolyToJson:
 
 
 class TestModuleEntryPoint:
-    """Fresh interpreters: ``python -m unitycert`` runs the command line, and
-    exact work never imports numpy."""
+    """Fresh interpreters: ``python -m unitycert`` runs the command line, exact
+    work never imports numpy, and each submodule runs when first used."""
 
     @staticmethod
     def run_python(*argv):
@@ -701,34 +710,48 @@ class TestModuleEntryPoint:
         return subprocess.run([sys.executable, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
 
-    # Exact library work in a fresh interpreter, then the first cli.run, then
-    # the package's first float solve.
+    # Exact library work in a fresh interpreter, then the first cli.run and a
+    # usage error, then the package's first float solve.  A submodule has run
+    # once it is a plain module: reading any attribute of a lazy one, its
+    # __dict__ included, runs it.
     COLD_START = """
-import contextlib, io, sys
+import contextlib, io, sys, types
 import unitycert as uc
 from unitycert import cli
 def loaded():
     return [m for m in ("argparse", "csv") if m in sys.modules], cli._build_parser.cache_info().currsize
+def ran():
+    return [m for m in ("cli", "identities", "maxent", "measures", "momatrix", "polycore")
+            if type(sys.modules.get("unitycert." + m)) is types.ModuleType]
+print(ran())
 assert uc.verify_pell(8).holds
-uc.christoffel_form(uc.ARCSINE, 4)
+print(ran())
 cli.emit_partition("interval01", 2, points=[[0.25]])
 print(*loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["partition", "--domain", "interval01", "--n", "2", "--points", "0.25"]) == 0
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.run(["verify", "--identity", "pell", "--n", "0"]) == 2
 print(*loaded())
+print(ran())
+uc.christoffel_form(uc.ARCSINE, 4)
 print(sorted(m for m in sys.modules if m.startswith("numpy.")))
 cert, dual, report = uc.solve_handelman(uc.UPoly.constant(3), 1)
 print(report.converged, [float(v) for v in dual.values])
+print(ran())
 """
 
     def test_exact_work_never_imports_numpy(self):
         # pytest has imported numpy, argparse and csv already, so this needs
         # its own process.  Neither module loads, and no parser is built,
-        # before the first cli.run.
+        # before the first cli.run.  No exact call runs the solver module; the
+        # parser reads its choices from identities and measures.
         done = self.run_python("-c", self.COLD_START)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
-            "[] 0", "['argparse'] 1", "[]", "True [1.0, 0.5]"]
+            "[]", "['identities', 'polycore']", "[] 0", "['argparse'] 1",
+            "['cli', 'identities', 'measures', 'polycore']", "[]", "True [1.0, 0.5]",
+            "['cli', 'identities', 'maxent', 'measures', 'momatrix', 'polycore']"]
 
     def test_success_is_exit_0(self):
         done = self.run_python("-m", "unitycert", "verify", "--identity", "pell", "--n", "3")
