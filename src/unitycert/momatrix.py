@@ -9,7 +9,8 @@ Matrices are indexed by the graded lexicographic monomial basis of degree
   coordinates (``measures.dirichlet_parameters``), goes to its explicit
   orthogonal basis (Dunkl and Xu, *Orthogonal Polynomials of Several
   Variables*, 2nd ed., 2014, section 5.3): products of univariate Beta
-  orthogonal polynomials with closed-form norms.
+  orthogonal polynomials with closed-form norms.  For d = 1 that basis is
+  the monic Beta polynomials themselves.
 * Any other univariate measure or shift goes to the recurrence on its 2n+1
   moments ``mu_k = L(g x^k)``, and no matrix is built: the Chebyshev
   algorithm (Gautschi, *Orthogonal Polynomials: Computation and
@@ -28,9 +29,23 @@ Matrices are indexed by the graded lexicographic monomial basis of degree
   the leading principal minors; the tests use this route as the oracle for
   the other two.
 
-The first two routes sum ``M^{-1} = sum_k c_k c_k^T / h_k``, with ``c_k``
-the monomial coefficients of the k-th orthogonal polynomial and
-``h_k = L(g P_k^2)`` its norm.  All three hand back the upper triangle of
+With ``h_k = L(g p_k^2)`` the norm of the orthogonal ``p_k``, ``M^{-1}`` is
+the coefficient matrix of the kernel ``K_n(x, y) = sum_k p_k(x) p_k(y) / h_k``.
+Every univariate input (the second route, and the first for d = 1) builds
+it by the Christoffel-Darboux formula (Szego, *Orthogonal Polynomials*,
+1939, Theorem 3.2.2): with ``p~ = x p_n - beta_n p_{n-1}`` and
+``beta_n = h_n / h_{n-1}``,
+
+    (x - y) K_n(x, y) = (p~(x) p_n(y) - p_n(x) p~(y)) / h_n.
+
+The recurrence coefficient ``alpha_n`` of ``p_{n+1}`` cancels, so no moment
+past ``mu_2n`` is needed, and matching the coefficients of ``x^i y^j``
+gives each row of the kernel from the row before, from ``p_n`` and
+``p_{n-1}`` alone: about ``m^2`` integer products for dimension m.  The
+product basis of the first route in d >= 2 has no three-term recurrence,
+so ``M^{-1} = sum_k c_k c_k^T / h_k`` is summed from it, with ``c_k`` the
+monomial coefficients of the k-th basis polynomial: about ``m^3 / 6``
+integer products.  All three routes hand back the upper triangle of
 ``L * M^{-1}`` in integers over one denominator ``L`` (``det`` for Bareiss).
 A ``ChristoffelForm`` keeps that triangle in lowest terms and sums the
 quadratic form from it -- the reciprocal Christoffel function as an
@@ -41,15 +56,14 @@ With ``logging`` at DEBUG, each inversion logs one record with its
 dimension and method: for Bareiss the bit lengths of ``det`` and of the
 largest entry of ``det * A^{-1}``, for ``recurrence`` and ``dirichlet``
 those of the common denominator ``L`` and of the largest entry of
-``L * M^{-1}``.  Bareiss time grows with its intermediates, roughly
-cubically in the matrix dimension times their bit length: arcsine n=48
-logs ``det_bits=2303 entry_bits_max=2419``.  The orthogonal-basis sums make
-about ``m^3 / 6`` integer products for a matrix of dimension m or fewer;
-at arcsine n=48 and 96, arcsine-g n=20 and lebesgue01 n=24 their
-denominator is 1 and their widest integer is the widest inverse entry (117
-bits at arcsine n=48).  Simplex-uniform d=2 n=8 logs ``den_bits=1
-num_bits_max=48`` on the Dirichlet path and ``det_bits=395
-entry_bits_max=442`` through Bareiss.
+``L * M^{-1}`` (in lowest terms on the Christoffel-Darboux route).
+Bareiss time grows with its intermediates, roughly cubically in the matrix
+dimension times their bit length: arcsine n=48 logs ``det_bits=2303
+entry_bits_max=2419``.  At arcsine n=48 and 96, arcsine-g n=20 and
+lebesgue01 n=24 the orthogonal route's denominator is 1 and its widest
+integer is the widest inverse entry (117 bits at arcsine n=48).
+Simplex-uniform d=2 n=8 logs ``den_bits=1 num_bits_max=48`` on the
+Dirichlet path and ``det_bits=395 entry_bits_max=442`` through Bareiss.
 """
 
 from __future__ import annotations
@@ -171,8 +185,8 @@ def invert_symmetric_rational(entries: Sequence[Sequence[Fraction]]) -> Rational
     """Exact inverse of a symmetric positive definite rational matrix.
 
     Entries are ``int`` or ``Fraction`` (any value with integer ``numerator``
-    and ``denominator``); a non-square or non-symmetric matrix raises
-    ``ValueError``.  Scales to integers, runs Bareiss fraction-free
+    and ``denominator``); a float or string raises ``TypeError``, a
+    non-square or non-symmetric matrix ``ValueError``.  Scales to integers, runs Bareiss fraction-free
     elimination on the augmented system ``[A_int | scale*I]`` (each division
     checked exact) and verifies that every pivot -- a leading principal
     minor -- is positive, raising ``NotPositiveDefiniteError`` otherwise.
@@ -194,8 +208,8 @@ def _bareiss_upper(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int
     m = len(entries)
     if any(len(row) != m for row in entries):
         raise ValueError("matrix must be square")
-    scale = math.lcm(*(value.denominator for row in entries for value in row))
-    a = [[value.numerator * (scale // value.denominator) for value in row] for row in entries]
+    flat, scale = _scaled([value for row in entries for value in row])
+    a = [flat[i : i + m] for i in range(0, m * m, m)]
     if any(a[i][j] != a[j][i] for i in range(m) for j in range(i)):
         raise ValueError("matrix must be symmetric")
     # The trailing block stays symmetric, so only entries on and above the
@@ -264,6 +278,23 @@ def _bareiss_inverse_nums(entries: Sequence[Sequence[Fraction]]) -> tuple[list[l
     return [row[i:] for i, row in enumerate(y)], det
 
 
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of exact rationals over the lcm of their denominators.
+
+    Each value is an ``int`` or ``Fraction`` (any value with integer
+    ``numerator`` and ``denominator``); a float, a string or any other value
+    raises the exact layer's ``TypeError``.
+    """
+    try:
+        scale = math.lcm(*(value.denominator for value in values))
+        return [value.numerator * (scale // value.denominator) for value in values], scale
+    except AttributeError:
+        bad = next(value for value in values if not hasattr(value, "denominator"))
+    if isinstance(bad, float):
+        raise TypeError("exact layer does not accept floats")
+    raise TypeError(f"exact layer does not accept {type(bad).__name__} values")
+
+
 def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     """``nums / den`` with the common factor removed by one gcd."""
     g = math.gcd(den, *nums)
@@ -303,10 +334,12 @@ def invert_hankel(moments: Sequence[Fraction]) -> RationalMatrix:
     over one denominator, and the norms ``h_k = sigma_{k,k}`` and recurrence
     coefficients ``alpha_k``, ``beta_k = h_k / h_{k-1}`` are read off it.  The
     monic orthogonal ``p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}`` are
-    stored the same way, and ``Y = L * sum_k p_k p_k^T / h_k``, with ``L``
-    the lcm of the weight denominators, is summed in integers, upper
-    triangle only; each entry becomes one ``Fraction(Y_ij, L)``.  The
-    leading principal minor of order ``k+1`` is ``h_0 ... h_k``;
+    stored the same way, and ``Y = L * sum_k p_k p_k^T / h_k``, upper
+    triangle only over its lowest denominator ``L``, is built from ``p_n``
+    and ``p_{n-1}`` by the Christoffel-Darboux formula (``_kernel_nums``);
+    each entry becomes one ``Fraction(Y_ij, L)``.  Entries are ``int`` or
+    ``Fraction``; a float or string raises ``TypeError``.  The leading
+    principal minor of order ``k+1`` is ``h_0 ... h_k``;
     ``NotPositiveDefiniteError`` names the first one that is not positive.
     """
     return _fractions_of_upper(*_hankel_inverse_nums(moments))
@@ -320,7 +353,7 @@ def _hankel_inverse_nums(moments: Sequence[Fraction]) -> tuple[list[list[int]], 
     if len(moments) % 2 == 0:
         raise ValueError("a Hankel matrix needs an odd number of moments")
     polys, norms = _chebyshev_algorithm(moments)
-    return _inverse_nums(polys, norms, len(polys), "recurrence")
+    return _kernel_nums(polys, norms, "recurrence")
 
 
 def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[int], int]], list[Ratio]]:
@@ -333,10 +366,9 @@ def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[i
     positive.
     """
     n = len(moments) // 2
-    mu_den = math.lcm(*(mu.denominator for mu in moments))
     # sigma_k (s over s_den) and sigma_{k-1}, starting from sigma_{-1} = 0;
     # p_k (p over p_den) and p_{k-1}, starting from p_{-1} = 0.
-    s, s_den = _lowest([mu.numerator * (mu_den // mu.denominator) for mu in moments], mu_den)
+    s, s_den = _lowest(*_scaled(moments))
     s_prev, s_prev_den = [0] * len(s), 1
     p, p_den = [1], 1
     p_prev, p_prev_den = [0], 1
@@ -367,14 +399,84 @@ def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[i
     return polys, norms
 
 
-def _inverse_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio], m: int,
-                  method: str) -> tuple[list[list[int]], int]:
+def _kernel_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio],
+                 method: str) -> tuple[list[list[int]], int]:
+    """``(Y, L)`` with ``Y / L = sum_k p_k p_k^T / h_k``, upper triangle only,
+    in lowest terms, by the Christoffel-Darboux formula.
+
+    ``polys`` are monic orthogonal ``p_0 .. p_n`` as ``(nums, den)`` pairs
+    and ``norms`` their norms ``h_k > 0``; only the last two of each are
+    read.  With ``p~ = x p_n - beta_n p_{n-1}`` and ``beta_n = h_n / h_{n-1}``
+    (Szego, *Orthogonal Polynomials*, 1939, Theorem 3.2.2),
+
+        (x - y) K_n(x, y) = (p~(x) p_n(y) - p_n(x) p~(y)) / h_n,
+
+    so ``alpha_n`` cancels and no moment past ``mu_2n`` is needed.  In
+    integers ``N = a b^T - b a^T``, for the numerators ``a`` of ``p~``
+    and ``b`` of ``p_n``, and matching coefficients gives
+    ``K[i][j] = N[i+1][j] + K[i+1][j-1]``: row 0 is column 0, ``N[j+1][0]``,
+    and the upper part of row i+1 is that of row i shifted left by one, less
+    ``N[i+1]``.  Each entry costs two products, ``m^2 / 2`` entries in all.
+    Logs one DEBUG record naming ``method``.
+    """
+    b, b_den = polys[-1]
+    n = len(b) - 1
+    hn, hd = norms[-1]
+    if n:
+        c, c_den = polys[-2]
+        gn, gd = norms[-2]
+        beta = _reduced(hn * gd, hd * gn)
+    else:
+        c, c_den, beta = [0], 1, (0, 1)
+    # New lists throughout: ``polys`` may be a shared ``_beta_recurrence`` table.
+    b = b + [0]  # p_n to degree n+1, as p~
+    # p~ = x p_n - 0 * p_n - beta_n p_{n-1}
+    a, a_den = _three_term([0] + b, b, b_den, (0, 1), c + [0, 0], c_den, beta)
+    # K = N hd / (a_den b_den hn): cancel hd against the denominator first,
+    # so that the products stay as narrow as the result.
+    den = a_den * b_den * hn
+    g = math.gcd(hd, den)
+    if hd != g:
+        a = [hd // g * v for v in a]
+    den //= g
+    a0, b0 = a[0], b[0]
+    row = [ai * b0 - bi * a0 for ai, bi in zip(a[1:], b[1:])]
+    y = [row]
+    for i in range(1, n + 1):
+        ai, bi = a[i], b[i]
+        row = [r - ai * bj + bi * aj for r, aj, bj in zip(row[2:] + [0], a[i + 1 :], b[i + 1 :])]
+        y.append(row)
+    g = math.gcd(den, *itertools.chain.from_iterable(y))
+    if g != 1:
+        y = [[v // g for v in row] for row in y]
+        den //= g
+    _log_inverse(n + 1, method, y, den)
+    return y, den
+
+
+def _log_inverse(m: int, method: str, y: list[list[int]], den: int) -> None:
+    """The DEBUG record of an orthogonal-basis inversion ``y / den``."""
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "inverted dim=%d method=%s den_bits=%d num_bits_max=%d",
+            m,
+            method,
+            den.bit_length(),
+            max(value.bit_length() for row in y for value in row),
+        )
+
+
+def _inverse_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio],
+                  m: int) -> tuple[list[list[int]], int]:
     """``(Y, L)`` with ``Y / L = sum_k c_k c_k^T / h_k``, upper triangle only.
 
     ``c_k`` is ``polys[k] = (nums, e)``, integer numerators over ``e`` of the
     first ``len(nums)`` of the ``m`` basis monomials, and ``h_k > 0`` is
     ``norms[k]``; ``L`` is the lcm of the weights ``1 / (h_k e^2)`` in lowest
-    terms.  Logs one DEBUG record naming ``method``.
+    terms.  About ``m^3 / 6`` integer products: this is for the product
+    basis of ``_dirichlet_basis`` in d >= 2, which has no three-term
+    recurrence; univariate inputs take ``_kernel_nums``.  Logs one DEBUG
+    record, ``method=dirichlet``.
     """
     # c_k = nums / e, so nums nums^T enters with weight 1 / (h_k * e^2).
     weights = [_reduced(hd, hn * e * e) for (hn, hd), (_, e) in zip(norms, polys)]
@@ -388,14 +490,7 @@ def _inverse_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio]
             if ci:
                 row = y[i]
                 row[: top - i] = [a + ci * b for a, b in zip(row, nums[i:])]
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "inverted dim=%d method=%s den_bits=%d num_bits_max=%d",
-            m,
-            method,
-            den.bit_length(),
-            max(value.bit_length() for row in y for value in row),
-        )
+    _log_inverse(m, "dirichlet", y, den)
     return y, den
 
 
@@ -472,7 +567,13 @@ def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exp
 
 def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
                     kappa: tuple[Fraction, ...], mass: Fraction) -> ChristoffelForm:
-    """The Christoffel form of ``mass * Dirichlet(kappa)`` from ``_dirichlet_basis``."""
+    """The Christoffel form of ``mass * Dirichlet(kappa)``: for d = 1 from the
+    Beta recurrence by ``_kernel_nums``, else from ``_dirichlet_basis``."""
+    if len(kappa) == 2:
+        polys, norms = _beta_recurrence(kappa[0], kappa[1], n)
+        norms = [(hn * mass.numerator, hd * mass.denominator) for hn, hd in norms[-2:]]
+        y, den = _kernel_nums(polys, norms, "dirichlet")
+        return _christoffel_form(measure, n, shift, y, den)
     basis = monomials_upto(measure.dimension, n)
     index = {e: i for i, e in enumerate(basis)}
     polys, norms = [], []
@@ -482,7 +583,7 @@ def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
             dense[index[e]] = c
         polys.append((dense, den))
         norms.append((hn * mass.numerator, hd * mass.denominator))
-    y, den = _inverse_nums(polys, norms, len(basis), "dirichlet")
+    y, den = _inverse_nums(polys, norms, len(basis))
     return _christoffel_form(measure, n, shift, y, den)
 
 
@@ -564,10 +665,12 @@ def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None
     """Reciprocal Christoffel function of degree n of ``shift * measure``.
 
     The one place that picks an inversion: a Dirichlet measure or ``x_S``
-    shift (``measures.dirichlet_parameters``) is summed from its orthogonal
-    basis; any other univariate input runs the Chebyshev algorithm on its
-    2n+1 shifted moments ``L(shift x^k)`` and builds no matrix; anything
-    else is filled by ``moment_matrix`` and inverted by Bareiss elimination.
+    shift (``measures.dirichlet_parameters``) goes to its orthogonal basis
+    (for d = 1 the Beta recurrence); any other univariate input runs the
+    Chebyshev algorithm on its 2n+1 shifted moments ``L(shift x^k)`` and
+    builds no matrix; every univariate kernel is assembled by
+    Christoffel-Darboux.  Anything else is filled by ``moment_matrix`` and
+    inverted by Bareiss elimination.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

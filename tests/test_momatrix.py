@@ -3,7 +3,7 @@ import itertools
 import logging
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 import sympy
@@ -277,6 +277,20 @@ class TestIntegerBackSubstitution:
         assert inv == frac_rows([[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]])
         assert all(isinstance(v, Fraction) for row in inv for v in row)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[1.0, 0.5], [0.5, 0.3]], "exact layer does not accept floats"),
+            ([[Fraction(1), 0.5], [0.5, 1]], "exact layer does not accept floats"),
+            ([["1", "1/2"], ["1/2", "1/3"]], "exact layer does not accept str values"),
+        ],
+        ids=["floats", "one-float", "strings"],
+    )
+    def test_inexact_entries_rejected(self, entries, message):
+        for check in (invert_symmetric_rational, is_positive_definite):
+            with pytest.raises(TypeError, match=message):
+                check(entries)
+
     def test_debug_record_reports_sizes(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
             invert_symmetric_rational([[2, 1], [1, 2]])
@@ -435,7 +449,7 @@ class TestRecurrenceInverse:
     def test_matches_bareiss(self, measure, shift):
         # christoffel_form takes the recurrence for every input here but
         # LEBESGUE01 with an x_S shift (none, 1-x, x(1-x)), which takes the
-        # Dirichlet basis; invert_hankel runs the recurrence on all of them.
+        # Dirichlet route; invert_hankel runs the recurrence on all of them.
         shift = SHIFTS[shift]
         for n in range(21):
             matrix = moment_matrix(measure, n, shift)
@@ -512,6 +526,22 @@ class TestRecurrenceInverse:
         with pytest.raises(ValueError, match="odd"):
             invert_hankel([Fraction(1), Fraction(0)])
 
+    @pytest.mark.parametrize(
+        "moments, message",
+        [
+            ([1.0, 0.5, 0.3], "exact layer does not accept floats"),
+            ([Fraction(1), 0, 0.5], "exact layer does not accept floats"),
+            (["1", "1/2", "1/3"], "exact layer does not accept str values"),
+        ],
+        ids=["floats", "one-float", "strings"],
+    )
+    def test_inexact_moments_rejected(self, moments, message):
+        with pytest.raises(TypeError, match=message):
+            invert_hankel(moments)
+
+    def test_int_moments(self):
+        assert invert_hankel([1, 0, 1]) == frac_rows([[1, 0], [0, 1]])
+
     def test_shift_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             christoffel_form(ARCSINE, 2, MPoly.make(2, {(1, 1): 1}))
@@ -530,6 +560,102 @@ class TestRecurrenceInverse:
         form = christoffel_form_of_matrix(edited)
         assert form.inverse == inverse
         assert form.quadratic_form_poly == fraction_quadratic_form(base.basis, inverse, 1)
+
+
+def lowest_upper(y, den):
+    """An upper-triangle inverse ``y / den`` over its lowest denominator."""
+    g = gcd(den, *itertools.chain.from_iterable(y))
+    return [[v // g for v in row] for row in y], den // g
+
+
+def random_rational(rng, top=9):
+    return Fraction(rng.randint(1, top), rng.randint(1, top))
+
+
+def atom_moments(atoms, n):
+    """mu_0 .. mu_2n of the discrete measure with ``(weight, point)`` atoms."""
+    return [sum(w * x**k for w, x in atoms) for k in range(2 * n + 1)]
+
+
+def random_atoms(rng, count):
+    """``count`` atoms at distinct rational points with positive rational weights."""
+    points = set()
+    while len(points) < count:
+        points.add(Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
+    return [(random_rational(rng), x) for x in sorted(points)]
+
+
+class TestChristoffelDarboux:
+    """``_kernel_nums`` (Christoffel-Darboux, O(m^2)) against the sum of outer
+    products ``_inverse_nums`` and against Bareiss."""
+
+    @pytest.mark.parametrize("shift", [None, G], ids=["plain", "1-x^2"])
+    @pytest.mark.parametrize("measure", [ARCSINE, ARCSINE_G, LEBESGUE01], ids=lambda m: m.label())
+    def test_matches_sum_of_outer_products(self, measure, shift):
+        f = functional_for(measure)
+        g = UPoly.constant(1) if shift is None else shift
+        moments = [f.poly_moment(g * UPoly((0,) * k + (1,))) for k in range(2 * 96 + 1)]
+        for n in range(97):
+            polys, norms = momatrix._chebyshev_algorithm(moments[: 2 * n + 1])
+            y, den = momatrix._kernel_nums(polys, norms, "recurrence")
+            assert (y, den) == lowest_upper(*momatrix._inverse_nums(polys, norms, n + 1))
+
+    def test_discrete_measures_match_bareiss(self):
+        rng = random.Random(2028)
+        for n in range(11):
+            for _ in range(4):
+                moments = atom_moments(random_atoms(rng, n + 1 + rng.randint(0, 3)), n)
+                want = invert_symmetric_rational([moments[i : i + n + 1] for i in range(n + 1)])
+                assert invert_hankel(moments) == want
+
+    def test_too_few_atoms_fail_like_bareiss(self):
+        rng = random.Random(2029)
+        for n in range(1, 11):
+            atoms = random_atoms(rng, rng.randint(1, n))
+            moments = atom_moments(atoms, n)
+            with pytest.raises(NotPositiveDefiniteError) as want:
+                invert_symmetric_rational([moments[i : i + n + 1] for i in range(n + 1)])
+            # The minors are positive up to order len(atoms) and 0 after it.
+            assert (want.value.order, want.value.minor) == (len(atoms) + 1, 0)
+            with pytest.raises(NotPositiveDefiniteError) as got:
+                invert_hankel(moments)
+            assert (got.value.order, got.value.minor) == (want.value.order, want.value.minor)
+
+    def test_beta_measures_match_bareiss(self):
+        rng = random.Random(2030)
+        shifts = [None, UPoly.x(), UPoly.from_coeffs([1, -1]), UPoly.from_coeffs([0, 1, -1])]
+        for _ in range(6):
+            measure = dirichlet((random_rational(rng), random_rational(rng)), random_rational(rng))
+            for n in range(7):
+                for shift in shifts:
+                    assert_matches_bareiss(measure, n, shift)
+
+    @pytest.mark.parametrize(
+        "measure, shift",
+        [(ARCSINE, None), (ARCSINE, G), (ARCSINE_G, None), (LEBESGUE01, None),
+         (LEBESGUE01, UPoly.from_coeffs([0, 1, -1])), (LEBESGUE01, G),
+         (dirichlet((Fraction(1, 3), 2), Fraction(5, 7)), UPoly.x())],
+        ids=["arcsine", "arcsine-1-x^2", "arcsine-g", "lebesgue01", "lebesgue01-x(1-x)",
+             "lebesgue01-1-x^2", "beta-x"],
+    )
+    def test_univariate_sums_no_outer_products(self, monkeypatch, measure, shift):
+        def boom(*args, **kwargs):
+            raise AssertionError("_inverse_nums was called")
+
+        monkeypatch.setattr(momatrix, "_inverse_nums", boom)
+        for n in range(6):
+            christoffel_form(measure, n, shift)
+        assert verify_unity_interval(8, UnityVariant.CHEBY2).holds
+        with pytest.raises(AssertionError, match="_inverse_nums"):
+            christoffel_form(simplex_uniform(2), 2)
+
+    def test_shared_beta_tables_unchanged(self):
+        polys, norms = momatrix._beta_recurrence(Fraction(1), Fraction(1), 6)
+        before = [(list(p), d) for p, d in polys], list(norms)
+        christoffel_form(LEBESGUE01, 6, UPoly.from_coeffs([Fraction(2, 3)]))
+        christoffel_form(LEBESGUE01, 6)
+        assert momatrix._beta_recurrence(Fraction(1), Fraction(1), 6) == (polys, norms)
+        assert ([(list(p), d) for p, d in polys], list(norms)) == before
 
 
 class TestInversionLog:
