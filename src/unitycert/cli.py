@@ -15,8 +15,7 @@ JSON lines; without it no handler is installed.
 In-process callers of ``run`` share one parser per process, built on the
 first call.  The library modules are read through their module objects when
 a run needs them, so a run loads only what it uses: building the parser
-reads the ``--variant`` and ``--normalization`` choices from ``identities``
-and ``measures``, and only a ``maxent`` run reads the solver module, its
+reads none of them, and only a ``maxent`` run reads the solver module, its
 ``--tol`` and ``--max-iter`` defaults included.
 """
 
@@ -89,12 +88,13 @@ class _Run(NamedTuple):
 
 # Each optional flag once: its argparse keywords, and the default a run that
 # reads it takes when it is omitted.  The parser leaves them None, so a given
-# flag is told from an omitted one.  A flag's ``choices`` are the values of an
-# enum, which the parser reads when it is built.
+# flag is told from an omitted one.  A flag's ``choices`` are the values of
+# its enum (``measures.SimplexNormalization``, ``identities.UnityVariant``),
+# written out so that building the parser runs neither module.
 _OPTIONAL_FLAGS = {
     "--d": ({"type": int}, 2),
-    "--normalization": ({"choices": lambda: measures.SimplexNormalization}, "pi-density"),
-    "--variant": ({"choices": lambda: identities.UnityVariant}, "unity2"),
+    "--normalization": ({"choices": ("pi-density", "probability")}, "pi-density"),
+    "--variant": ({"choices": ("unity1", "unity2", "cheby2")}, "unity2"),
     "--target-constant": ({}, None),
     "--target-coeffs": ({"help": "comma-separated rationals, low degree first"}, None),
 }
@@ -427,8 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
             offered = {flag for run in runs.values() for flag in run.reads}
             for flag, (keywords, _) in _OPTIONAL_FLAGS.items():
                 if flag in offered:
-                    if "choices" in keywords:
-                        keywords = {**keywords, "choices": [v.value for v in keywords["choices"]()]}
                     p.add_argument(flag, default=None, **keywords)
         p.add_argument(_SIZE_FLAGS[command][0], type=int, required=True)
         p.add_argument("--format", choices=list(formats), default="json")
@@ -476,46 +474,20 @@ _SCALAR_TEXT = {
 }
 
 
-def _subclass_text(value) -> Optional[Callable]:
-    """The text function of a str, int or float subclass, tested in json's
-    order; None for a value that is no scalar."""
-    if isinstance(value, str):
-        return _encode_str
-    if isinstance(value, int):
-        return int.__repr__
-    if isinstance(value, float):
-        return _float_text
-    return None
-
-
-def _key_str(key) -> str:
-    """json's string for a dict key that is not an exact ``str``."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _SCALAR_TEXT[type(key)](key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _write_json(obj, out: list[str], newline: str) -> None:
     """Append to ``out`` the text ``json.dumps(indent=2)`` gives ``obj`` at the
     nesting level whose line break and indent is ``newline``.
 
-    An item of an exact scalar type is written in place, without a call, and
-    a list whose items share one such type is one join.  Module-level and
-    closure-free, so a call leaves no reference cycle behind.
+    Takes only the types the CLI's payloads hold: an exact ``list``, an exact
+    ``dict`` with exact ``str`` keys, and the exact scalar types of
+    ``_SCALAR_TEXT``.  Any other key raises ``TypeError``, and any other
+    value json's own ``TypeError``, so a new payload type fails loudly and is
+    never written wrong.  An item of a scalar type is written in place,
+    without a call, and a list whose items share one such type is one join.
+    Module-level and closure-free, so a call leaves no reference cycle behind.
     """
     kind = type(obj)
-    if kind is not dict and kind is not list:
-        text = _SCALAR_TEXT.get(kind) or _subclass_text(obj)
-        if text is not None:
-            out.append(text(obj))
-            return
-    if isinstance(obj, (list, tuple)):
+    if kind is list:
         if not obj:
             out.append("[]")
             return
@@ -536,7 +508,7 @@ def _write_json(obj, out: list[str], newline: str) -> None:
                 _write_json(item, out, inner)
             before = separator
         out.append(newline + "]")
-    elif isinstance(obj, dict):
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
@@ -544,7 +516,9 @@ def _write_json(obj, out: list[str], newline: str) -> None:
         separator = "," + inner
         before = "{" + inner
         for key, value in obj.items():
-            key = _encode_str(key if type(key) is str else _key_str(key))
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            key = _encode_str(key)
             text = _SCALAR_TEXT.get(type(value))
             if text is not None:
                 out.append(before + key + ": " + text(value))
@@ -554,23 +528,23 @@ def _write_json(obj, out: list[str], newline: str) -> None:
             before = separator
         out.append(newline + "}")
     else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        text = _SCALAR_TEXT.get(kind)
+        if text is None:
+            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        out.append(text(obj))
 
 
 def _json_text(payload) -> str:
-    """The text of ``json.dumps(payload, indent=2)``, byte for byte."""
+    """The text of ``json.dumps(payload, indent=2)``, byte for byte, for a
+    payload of the types ``_write_json`` takes."""
     out: list[str] = []
     _write_json(payload, out, "\n")
     return "".join(out)
 
 
 def _write_output(payload: object, kind: str, output: Optional[str]) -> None:
-    if kind == "json":
-        text = _json_text(payload) + "\n"
-    else:
-        text = payload if isinstance(payload, str) else str(payload)
-        if not text.endswith("\n"):
-            text += "\n"
+    # A text payload is the moments CSV, whose rows end in "\r\n".
+    text = _json_text(payload) + "\n" if kind == "json" else payload
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -308,6 +308,12 @@ def flag_contract_cases():
 class TestFlagContract:
     CASES = flag_contract_cases()
 
+    def test_choices_are_the_enum_values(self):
+        keywords = {flag: kw for flag, (kw, _) in cli._OPTIONAL_FLAGS.items()}
+        assert list(keywords["--normalization"]["choices"]) == [
+            v.value for v in measures.SimplexNormalization]
+        assert list(keywords["--variant"]["choices"]) == [v.value for v in identities.UnityVariant]
+
     def test_every_offered_flag_is_enumerated(self):
         assert len(self.CASES) == 57
         assert sum(reads for _, reads, _ in self.CASES) == 19
@@ -744,13 +750,14 @@ print(ran())
     def test_exact_work_never_imports_numpy(self):
         # pytest has imported numpy, argparse and csv already, so this needs
         # its own process.  Neither module loads, and no parser is built,
-        # before the first cli.run.  No exact call runs the solver module; the
-        # parser reads its choices from identities and measures.
+        # before the first cli.run.  No exact call runs the solver module, and
+        # building the parser runs no library module: a partition and a usage
+        # error leave measures unrun.
         done = self.run_python("-c", self.COLD_START)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
             "[]", "['identities', 'polycore']", "[] 0", "['argparse'] 1",
-            "['cli', 'identities', 'measures', 'polycore']", "[]", "True [1.0, 0.5]",
+            "['cli', 'identities', 'polycore']", "[]", "True [1.0, 0.5]",
             "['cli', 'identities', 'maxent', 'measures', 'momatrix', 'polycore']"]
 
     def test_success_is_exit_0(self):
@@ -986,33 +993,51 @@ class _Dict(dict):
 
 
 # What json.dumps(indent=2) must agree with the CLI's writer on: non-finite
-# and signed-zero floats, empty and nested-empty containers, escapes,
-# tuples, bools and None in leaf lists, subclasses and non-str keys.
+# and signed-zero floats, empty and nested-empty containers, escapes, and
+# bools and None in leaf lists.
 JSON_CORPUS = [
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1],
     [1, 2.5, -0.0, 3, math.nan],
     {"nan": math.nan, "inf": [math.inf], "-inf": -math.inf, "zero": -0.0},
-    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [[]]}, ()], ((),),
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [[]]}],
     "h\u00e9llo \u2603 \U0001f600", 'q"uote', "back\\slash", "\x00\x1f\n\t\r\x7f\u2028",
     {"h\u00e9": 1, 'q"': 2, "b\\": 3, "\x00\n": 4, "\U0001f600": "\U0001f600"},
-    (1, 2), [(1, "a"), (None, True)], [True, False, None], [None, None], [True, True],
-    [(), (1,), ("x", 2.5)], {"t": (True, None, 0)},
-    [_Level.LOW, _Level.LOW], [_Level.LOW, 2], {"level": _Level.LOW}, _Level.LOW,
-    [_Name.QUOTED], _Name.QUOTED, {"name": _Name.QUOTED},
-    _Float(2.5), [_Float(1.5), _Float(math.nan)], [_Float(-math.inf), 1.0],
-    _Str("s"), [_Str("x"), "y"], [_Str("x"), _Str("y")],
-    _List([1, 2]), _List(), [_List([_List()])], _Dict(a=1), _Dict(), {"d": _Dict(b=[1])},
-    {1: "a", 2.5: "b", None: "e", -7: "f"}, {True: "c", False: "d"}, {_Level.LOW: "x"},
-    {math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4, _Float(0.5): 5},
-    {_Name.QUOTED: 1, _Str("k"): 2},
+    [True, False, None], [None, None], [True, True],
     1, -7, 10**40, -(10**40), 0, "x", "", None, True, False, 1.5, math.nan,
     {"members": [{"label": "g", "alpha": [0, 1, 2], "value": "1/3"}], "sum": 1.0},
 ]
 
-# Values and keys json cannot encode; each must raise json's TypeError.
+# Values json encodes but the writer rejects, as no payload holds them:
+# tuples and subclasses of str, int, float, list and dict (enums among
+# them), each with the type of the first one the writer meets.
+JSON_REJECTED = [
+    ((1, 2), tuple), (((),), tuple), ([[[], {}], {"b": [[]]}, ()], tuple),
+    ([(1, "a"), (None, True)], tuple), ([(), (1,), ("x", 2.5)], tuple),
+    ({"t": (True, None, 0)}, tuple),
+    ([_Level.LOW, _Level.LOW], _Level), ([_Level.LOW, 2], _Level),
+    ({"level": _Level.LOW}, _Level), (_Level.LOW, _Level),
+    ([_Name.QUOTED], _Name), (_Name.QUOTED, _Name), ({"name": _Name.QUOTED}, _Name),
+    (_Float(2.5), _Float), ([_Float(1.5), _Float(math.nan)], _Float),
+    ([_Float(-math.inf), 1.0], _Float),
+    (_Str("s"), _Str), ([_Str("x"), "y"], _Str), ([_Str("x"), _Str("y")], _Str),
+    (_List([1, 2]), _List), (_List(), _List), ([_List([_List()])], _List),
+    (_Dict(a=1), _Dict), (_Dict(), _Dict), ({"d": _Dict(b=[1])}, _Dict),
+]
+
+# Dicts with a key that is not an exact str, json-encodable or not, each with
+# the type of the first such key.
+JSON_REJECTED_KEYS = [
+    ({1: "a", 2.5: "b", None: "e", -7: "f"}, int), ({True: "c", False: "d"}, bool),
+    ({_Level.LOW: "x"}, _Level),
+    ({math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4, _Float(0.5): 5}, float),
+    ({_Name.QUOTED: 1, _Str("k"): 2}, _Name), ({"a": {_Str("k"): 2}}, _Str),
+    ({(1, 2): 3}, tuple), ({"a": 1, frozenset(): 2}, frozenset), ({b"k": 1}, bytes),
+]
+
+# Values json cannot encode; each must raise json's TypeError.
 JSON_UNENCODABLE = [
     object(), {"a": {1, 2}}, [1, b"x"], Fraction(1, 3), [[1, 2], [3, 1j]],
-    {(1, 2): 3}, {"a": 1, frozenset(): 2}, {b"k": 1}, [None, {"x": object()}],
+    [None, {"x": object()}],
 ]
 
 
@@ -1023,18 +1048,60 @@ def json_cli_runs():
     return runs
 
 
+def run_payload(capsys, monkeypatch, argv):
+    """The exit code, the payload the run built, and its stdout."""
+    dispatch, built = cli._dispatch, []
+
+    def spy(args):
+        built.append(dispatch(args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_dispatch", spy)
+    code = cli.run(argv)
+    [(payload, kind, _)] = built
+    assert kind == "json"
+    return code, payload, capsys.readouterr().out
+
+
 class TestJsonWriter:
     RUNS = json_cli_runs()
 
     @pytest.mark.parametrize("argv", RUNS, ids=[" ".join(argv) for argv in RUNS])
-    def test_stdout_is_indent_2_json(self, capsys, argv):
-        assert cli.run(argv) == 0
-        out = capsys.readouterr().out
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    def test_stdout_is_indent_2_json(self, capsys, monkeypatch, argv):
+        code, payload, out = run_payload(capsys, monkeypatch, argv)
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    # Runs that do not succeed still write their payload.
+    FAILED_RUNS = [
+        (["maxent", "handelman", "--n", "3", "--target-coeffs", "0,1"], 1, "error"),
+        (["maxent", "handelman", "--n", "12", "--target-coeffs", "2,1,-1", "--exact"], 0,
+         "exact_error"),
+    ]
+
+    @pytest.mark.parametrize("argv, exit_code, key", FAILED_RUNS,
+                             ids=[" ".join(argv) for argv, *_ in FAILED_RUNS])
+    def test_failure_payload_is_indent_2_json(self, capsys, monkeypatch, argv, exit_code, key):
+        code, payload, out = run_payload(capsys, monkeypatch, argv)
+        assert code == exit_code
+        assert key in payload
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("obj", JSON_CORPUS, ids=range(len(JSON_CORPUS)))
     def test_text_is_that_of_json_dumps(self, obj):
         assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj, kind", JSON_REJECTED, ids=range(len(JSON_REJECTED)))
+    def test_other_types_raise_json_type_error(self, obj, kind):
+        with pytest.raises(TypeError) as got:
+            cli._json_text(obj)
+        assert str(got.value) == f"Object of type {kind.__name__} is not JSON serializable"
+
+    @pytest.mark.parametrize("obj, kind", JSON_REJECTED_KEYS, ids=range(len(JSON_REJECTED_KEYS)))
+    def test_non_str_keys_raise_type_error(self, obj, kind):
+        with pytest.raises(TypeError) as got:
+            cli._json_text(obj)
+        assert str(got.value) == f"keys must be str, not {kind.__name__}"
 
     @pytest.mark.parametrize("obj", JSON_UNENCODABLE, ids=range(len(JSON_UNENCODABLE)))
     def test_unencodable_raises_json_type_error(self, obj):
