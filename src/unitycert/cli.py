@@ -6,10 +6,10 @@ exact reports), written by one direct writer with the bytes of
 ``json.dumps(payload, indent=2)``; moment tables can also be emitted as CSV.  Exit codes:
 0 success (identity holds / solver converged), 1 identity fails or solver
 did not converge, 2 usage error (a flag the command does not read is one),
-3 internal numeric failure or out of memory.  One table, ``_COMMANDS``,
-names for each selector value the optional flags its run reads and, for
-measures and identities, the library call it makes; the parser and the
-exit-2 checks both read it.  The top-level ``--log-level`` flag writes the
+3 internal numeric failure (any ``ArithmeticError``) or out of memory.  One
+table, ``_COMMANDS``, names for each selector value the optional flags its
+run reads and, for measures and identities, the library call it makes; the
+parser and the exit-2 checks both read it.  The top-level ``--log-level`` flag writes the
 package's ``unitycert.*`` log records at or above that level to stderr as
 JSON lines; without it no handler is installed.
 In-process callers of ``run`` share one parser per process, built on the
@@ -350,7 +350,9 @@ def _run_maxent(args) -> tuple[dict, int]:
             payload["exact_error"] = str(exc)
         else:
             payload["exact_certificate"] = maxent.certificate_to_json(exact_cert)
-            payload["exact_reconstruction"] = maxent.verify_certificate_exact(exact_cert, target)
+            # The solver's own certificate comes back only once it has verified.
+            payload["exact_reconstruction"] = (
+                exact_cert is cert or maxent.verify_certificate_exact(exact_cert, target))
     return payload, EXIT_OK if report.converged else EXIT_FAILED
 
 
@@ -584,9 +586,6 @@ def run(argv: Sequence[str]) -> int:
     except OSError as exc:
         return _output_error(args.output, exc)
     with _json_log_lines(args.log_level):
-        # A clause's class is looked up only when an exception reaches it, so
-        # the one naming a library module comes last: a usage error never
-        # loads momatrix, and only work that ran momatrix can raise its error.
         try:
             payload, kind, code = _dispatch(args)
         except (ValueError, TypeError) as exc:
@@ -596,7 +595,7 @@ def run(argv: Sequence[str]) -> int:
             print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
                   file=sys.stderr)
             return EXIT_NUMERIC
-        except momatrix.NotPositiveDefiniteError as exc:
+        except ArithmeticError as exc:  # NotPositiveDefiniteError, OverflowError
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         try:

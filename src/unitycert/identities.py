@@ -202,16 +202,18 @@ def partition_values(domain: str, n: int, points: Sequence, d: int = 2) -> list[
     return out
 
 
-def christoffel_sum(measure: measures.MeasureId, n: int, multipliers: Sequence[AnyPoly]) -> AnyPoly:
+def christoffel_sum(measure: measures.MeasureId, n: int,
+                    localizations: Sequence[tuple[AnyPoly, measures.MeasureId]]) -> AnyPoly:
     """``K_n^mu + sum_g g K_{n-1}^{g mu}`` for ``mu = measure``, exactly.
 
-    ``K`` is the reciprocal Christoffel function (``christoffel_form``) and
-    each multiplier g localizes the measure once, at degree n - 1.
+    ``K`` is the reciprocal Christoffel function (``christoffel_form``).
+    Each localization is a pair ``(g, g mu)``: the multiplier and the
+    measure it localizes ``mu`` to, whose form is taken at degree n - 1.
     """
     form = momatrix.christoffel_form
     expression = form(measure, n).quadratic_form_poly
-    for g in multipliers:
-        expression = expression + g * form(measure, n - 1, shift=g).quadratic_form_poly
+    for g, localized in localizations:
+        expression = expression + g * form(localized, n - 1).quadratic_form_poly
     return expression
 
 
@@ -243,7 +245,7 @@ def verify_unity_interval(n: int, variant: UnityVariant) -> IdentityReport:
         expression = linear_combination((w, g) for _, w, g in partition_members("interval11", n))
         expected = Fraction(2 * n + 1)
     else:
-        expression = christoffel_sum(measures.ARCSINE, n, [_G_INTERVAL])
+        expression = christoffel_sum(measures.ARCSINE, n, [(_G_INTERVAL, measures.ARCSINE_G)])
         expected = Fraction(2 * n + 1)
     return _report(
         "unity-interval", {"n": n, "variant": variant.value}, expression, expected
@@ -284,15 +286,18 @@ def verify_simplex_equilibrium(
     Computes the reciprocal Christoffel function of the equilibrium measure at
     degree n plus the sum over the three edge products g = x_i x_j of
     barycentric coordinates (``simplex_generator_power`` of (1,1,0), (1,0,1)
-    and (0,1,1)) of g times the degree-(n-1) localized form, all exactly.
+    and (0,1,1)) of g times the degree-(n-1) form of ``measures.localized``
+    by the same exponents, all exactly.
     The predicted constant s(n)+s(n-1) = (n+1)^2 is recorded; the computed
     constant depends on the measure normalization and is reported as found
     (a mismatch is a logged warning).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    edges = [simplex_generator_power(2, pair) for pair in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
-    expression = christoffel_sum(measures.simplex_equilibrium(normalization), n, edges)
+    mu = measures.simplex_equilibrium(normalization)
+    edges = [(simplex_generator_power(2, pair), measures.localized(mu, pair))
+             for pair in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+    expression = christoffel_sum(mu, n, edges)
     expected = Fraction((n + 1) ** 2)  # s(n) + s(n-1)
     return _report(
         "simplex-equilibrium",

@@ -16,6 +16,11 @@ Exact monomial moments, in closed form, for:
   dx dy/(pi sqrt(x y (1-x-y))) with its raw total mass 2 (``PI_DENSITY``)
   or rescaled to a probability measure (``PROBABILITY``).
 
+A Dirichlet measure localized by a generator power g^alpha = prod x_i^alpha_i
+of the barycentric coordinates is Dirichlet again: ``localized(measure,
+alpha)`` is ``mass E[g^alpha] * Dirichlet(kappa + alpha)``, built from
+alpha rather than recognized in an expanded polynomial.
+
 Floating-point quadrature oracles (Gauss-Chebyshev, Gauss-Legendre for
 Dirichlet(1, 1), and fixed-seed Monte Carlo on the simplex) are provided as
 independent cross-checks of the closed forms.
@@ -28,9 +33,9 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .polycore import AnyPoly, Exponent, simplex_generator_power
+from .polycore import AnyPoly, Exponent
 
 _MC_SEED = 20260809  # fixed seed: the simplex oracles must be deterministic
 
@@ -108,54 +113,6 @@ def beta_integral(i: int, j: int) -> Fraction:
     return Fraction(math.factorial(i) * math.factorial(j), math.factorial(i + j + 1))
 
 
-def _barycentric_subset(shift: AnyPoly, d: int) -> Optional[tuple[int, ...]]:
-    """The 0-based S with ``shift == prod_{i in S} x_i``, or None.
-
-    Coordinates are barycentric: x_1 .. x_d and x_{d+1} = 1 - sum x_i (index
-    d).  The lowest-degree part of such a product is the monomial x_{S - {d}}
-    with coefficient 1, which leaves two candidates to compare in full.
-    """
-    nums = shift.sparse_nums
-    if shift.den != 1 or not nums:
-        return None
-    low = min(map(sum, nums))
-    lowest = [e for e in nums if sum(e) == low]
-    if len(lowest) != 1 or nums[lowest[0]] != 1 or max(lowest[0]) > 1:
-        return None
-    e = lowest[0]
-    for last in (0, 1):
-        if nums == simplex_generator_power(d, e + (last,)).sparse_nums:
-            return tuple(i for i, v in enumerate(e) if v) + ((d,) if last else ())
-    return None
-
-
-def dirichlet_parameters(
-    measure: MeasureId, shift: Optional[AnyPoly] = None
-) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
-    """``(kappa, mass)`` with ``shift * measure = mass * Dirichlet(kappa)`` on T^d.
-
-    A Dirichlet measure (``dirichlet``) gives its own fields.  A shift equal
-    to the product x_S of barycentric coordinates over a subset S raises
-    kappa by one on S and multiplies the mass by
-    prod_{i in S} kappa_i / (|kappa|)_|S|.  Any other measure or shift gives
-    None.
-    """
-    if measure.kind is not _Kind.DIRICHLET:
-        return None
-    kappa, mass = measure.kappa, measure.mass
-    if shift is None:
-        return kappa, mass
-    if shift.dimension != measure.dimension:
-        return None
-    subset = _barycentric_subset(shift, measure.dimension)
-    if subset is None:
-        return None
-    total = sum(kappa)  # (|kappa|)_|S| is prod_{j < |S|} (|kappa| + j)
-    mass *= math.prod(kappa[i] for i in subset) / math.prod(total + j for j in range(len(subset)))
-    kappa = tuple(k + 1 if i in subset else k for i, k in enumerate(kappa))
-    return kappa, mass
-
-
 def _arcsine_moment(k: int) -> Fraction:
     if k % 2:
         return Fraction(0)
@@ -189,7 +146,8 @@ def _closed_form_moment(measure: MeasureId, alpha: Exponent) -> Fraction:
         return _arcsine_moment(alpha[0])
     if measure.kind is _Kind.ARCSINE_G:
         return _arcsine_moment(alpha[0]) - _arcsine_moment(alpha[0] + 2)
-    # mass * prod (kappa_i)_{a_i} / (|kappa|)_{|a|}; x_{d+1} has exponent 0.
+    # mass * prod (kappa_i)_{a_i} / (|kappa|)_{|a|} over the entries of alpha:
+    # a monomial's d, x_{d+1} at exponent 0, or all d+1 from ``localized``.
     # Over a common denominator, kappa_i = p_i / q and (p / q)_a is
     # prod (p + j q) / q^a, so the powers of q cancel: one Fraction at the end.
     q = math.lcm(*(k.denominator for k in measure.kappa))
@@ -197,6 +155,25 @@ def _closed_form_moment(measure: MeasureId, alpha: Exponent) -> Fraction:
     num = math.prod(_rising(pi, q, a) for pi, a in zip(p, alpha))
     den = _rising(sum(p), q, sum(alpha))
     return Fraction(measure.mass.numerator * num, measure.mass.denominator * den)
+
+
+def localized(measure: MeasureId, alpha: Sequence[int]) -> MeasureId:
+    """``g^alpha * measure`` for a Dirichlet measure, itself a Dirichlet measure.
+
+    ``alpha`` has one nonnegative exponent per barycentric coordinate x_1 ..
+    x_d, x_{d+1} = 1 - sum x_i, and g^alpha = prod x_i^alpha_i.  Then
+    g^alpha * mass * Dirichlet(kappa) is mass E[g^alpha] * Dirichlet(kappa +
+    alpha): the density gains the factor g^alpha, and its total is the
+    moment of alpha.  Any other measure, or a wrong length or negative entry
+    of alpha, raises ``ValueError``.
+    """
+    if measure.kind is not _Kind.DIRICHLET:
+        raise ValueError(f"only a Dirichlet measure localizes to one, not {measure.label()}")
+    alpha = tuple(map(operator.index, alpha))
+    if len(alpha) != len(measure.kappa) or min(alpha) < 0:
+        raise ValueError(f"alpha needs {len(measure.kappa)} nonnegative exponents, got {alpha}")
+    kappa = [k + a for k, a in zip(measure.kappa, alpha)]
+    return dirichlet(kappa, _closed_form_moment(measure, alpha))
 
 
 _ONLY_INTS = frozenset((int,)).issuperset

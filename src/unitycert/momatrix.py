@@ -3,24 +3,26 @@
 Matrices are indexed by the graded lexicographic monomial basis of degree
 <= n.  ``christoffel_form`` picks one of three inversions, once per input:
 
-* A Dirichlet measure (``measures.dirichlet``, in any dimension:
-  ``LEBESGUE01`` on [0,1] and the uniform and equilibrium simplex measures
-  among them), or its localization by a product ``x_S`` of barycentric
-  coordinates (``measures.dirichlet_parameters``), goes to its explicit
-  orthogonal basis (Dunkl and Xu, *Orthogonal Polynomials of Several
-  Variables*, 2nd ed., 2014, section 5.3): products of univariate Beta
-  orthogonal polynomials with closed-form norms.  For d = 1 that basis is
-  the monic Beta polynomials themselves.
-* Any other univariate measure or shift goes to the recurrence on its 2n+1
-  moments ``mu_k = L(g x^k)``, and no matrix is built: the Chebyshev
-  algorithm (Gautschi, *Orthogonal Polynomials: Computation and
-  Approximation*, 2004, section 2.1.7) gives the recurrence coefficients and
-  the norms of the monic orthogonal polynomials ``p_k``, and the three-term
-  recurrence builds the ``p_k``.  The coefficients and norms are reduced
-  integer ``(numerator, denominator)`` pairs, so the algorithm builds no
-  ``Fraction``; the leading principal minor of order ``k+1`` is
-  ``h_0 ... h_k``, which doubles as the positive definiteness check.  The
-  Beta polynomials of the first route come from the same algorithm.
+* A Dirichlet measure with no shift (``measures.dirichlet``, in any
+  dimension: ``LEBESGUE01`` on [0,1], the uniform and equilibrium simplex
+  measures, and their localizations ``measures.localized`` by generator
+  powers g^alpha among them) goes to its explicit orthogonal basis (Dunkl
+  and Xu, *Orthogonal Polynomials of Several Variables*, 2nd ed., 2014,
+  section 5.3): products of univariate Beta orthogonal polynomials with
+  closed-form norms.  For d = 1 that basis is the monic Beta polynomials
+  themselves.  The route reads the measure alone: a localization spelled
+  as a polynomial ``shift`` takes one of the other two.
+* Any other univariate input, a polynomial shift included, goes to the
+  recurrence on its 2n+1 moments ``mu_k = L(g x^k)``, and no matrix is
+  built: the Chebyshev algorithm (Gautschi, *Orthogonal Polynomials:
+  Computation and Approximation*, 2004, section 2.1.7) gives the recurrence
+  coefficients and the norms of the monic orthogonal polynomials ``p_k``,
+  and the three-term recurrence builds the ``p_k``.  The coefficients and
+  norms are reduced integer ``(numerator, denominator)`` pairs, so the
+  algorithm builds no ``Fraction``; the leading principal minor of order
+  ``k+1`` is ``h_0 ... h_k``, which doubles as the positive definiteness
+  check.  The Beta polynomials of the first route come from the same
+  algorithm.
 * Anything else -- and every built ``MomentMatrix``, of any dimension, given
   to ``invert_exact`` or ``christoffel_form_of_matrix`` -- goes to
   fraction-free Bareiss elimination on an integer-scaled copy (Bareiss,
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .measures import MeasureId, MomentFunctional, dirichlet_parameters, functional_for
+from .measures import MeasureId, MomentFunctional, functional_for
 from .polycore import AnyPoly, Exponent, monomials_upto, poly_eval, poly_from_sparse_nums
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
@@ -565,15 +567,15 @@ def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exp
     return out
 
 
-def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
-                    kappa: tuple[Fraction, ...], mass: Fraction) -> ChristoffelForm:
+def _dirichlet_form(measure: MeasureId, n: int) -> ChristoffelForm:
     """The Christoffel form of ``mass * Dirichlet(kappa)``: for d = 1 from the
     Beta recurrence by ``_kernel_nums``, else from ``_dirichlet_basis``."""
+    kappa, mass = measure.kappa, measure.mass
     if len(kappa) == 2:
         polys, norms = _beta_recurrence(kappa[0], kappa[1], n)
         norms = [(hn * mass.numerator, hd * mass.denominator) for hn, hd in norms[-2:]]
         y, den = _kernel_nums(polys, norms, "dirichlet")
-        return _christoffel_form(measure, n, shift, y, den)
+        return _christoffel_form(measure, n, None, y, den)
     basis = monomials_upto(measure.dimension, n)
     index = {e: i for i, e in enumerate(basis)}
     polys, norms = [], []
@@ -584,7 +586,7 @@ def _dirichlet_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
         polys.append((dense, den))
         norms.append((hn * mass.numerator, hd * mass.denominator))
     y, den = _inverse_nums(polys, norms, len(basis))
-    return _christoffel_form(measure, n, shift, y, den)
+    return _christoffel_form(measure, n, None, y, den)
 
 
 def _christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
@@ -664,9 +666,10 @@ def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
 def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> ChristoffelForm:
     """Reciprocal Christoffel function of degree n of ``shift * measure``.
 
-    The one place that picks an inversion: a Dirichlet measure or ``x_S``
-    shift (``measures.dirichlet_parameters``) goes to its orthogonal basis
-    (for d = 1 the Beta recurrence); any other univariate input runs the
+    The one place that picks an inversion, from the measure and whether
+    there is a shift: a Dirichlet measure with none (``measures.localized``
+    builds one for a generator power) goes to its orthogonal basis (for
+    d = 1 the Beta recurrence); any other univariate input runs the
     Chebyshev algorithm on its 2n+1 shifted moments ``L(shift x^k)`` and
     builds no matrix; every univariate kernel is assembled by
     Christoffel-Darboux.  Anything else is filled by ``moment_matrix`` and
@@ -674,9 +677,8 @@ def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    parameters = dirichlet_parameters(measure, shift)
-    if parameters is not None:
-        return _dirichlet_form(measure, n, shift, *parameters)
+    if shift is None and measure.kappa:  # a Dirichlet measure
+        return _dirichlet_form(measure, n)
     if measure.dimension == 1:
         functional = functional_for(measure)
         terms = _shift_terms(shift, 1)

@@ -132,7 +132,25 @@ class TestExitCodeContract:
 
         monkeypatch.setattr("unitycert.cli.momatrix.moment_matrix", boom)
         assert cli.run(["matrix", "--measure", "arcsine", "--n", "1"]) == 3
-        assert "not positive definite" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {NotPositiveDefiniteError(1, Fraction(-1))}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Each raises before it allocates anything.
+            ["pell", "--n", "10000000000000000000"],
+            ["maxent", "simplex", "--d", "100000000000000000000", "--n", "2"],
+            ["partition", "--domain", "interval01", "--n", "12", "--points", "1e300"],
+        ],
+        ids=["pell", "maxent-simplex", "partition"],
+    )
+    def test_overflow_is_exit_3(self, capsys, argv):
+        assert cli.run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -575,6 +593,24 @@ class TestMaxentCommand:
         assert payload["exact_reconstruction"] is True
         assert payload["exact_certificate"] == payload["certificate"]
         assert all(isinstance(w["value"], str) for w in payload["certificate"]["weights"])
+
+    @pytest.mark.parametrize("argv", [
+        ["putinar", "--n", "4"],
+        ["handelman", "--n", "8", "--target-coeffs", "2,1,-1"],
+        ["handelman", "--n", "12", "--target-coeffs", "2,1,-1"],
+    ])
+    def test_exact_flag_checks_each_certificate_once(self, capsys, monkeypatch, argv):
+        checked = []
+        verify = maxent.verify_certificate_exact
+
+        def counted(cert, target):
+            checked.append(id(cert))
+            return verify(cert, target)
+
+        monkeypatch.setattr(maxent, "verify_certificate_exact", counted)
+        cli.run(["maxent", *argv, "--exact"])
+        capsys.readouterr()
+        assert checked and len(checked) == len(set(checked))
 
     @pytest.mark.parametrize("argv, error", [
         (["handelman", "--n", "12", "--target-coeffs", "2,1,-1"],

@@ -22,10 +22,12 @@ from unitycert.identities import (
 )
 from unitycert.measures import (
     ARCSINE,
+    ARCSINE_G,
     LEBESGUE01,
     SimplexNormalization,
     dirichlet,
     functional_for,
+    localized,
     simplex_equilibrium,
     simplex_uniform,
 )
@@ -111,17 +113,29 @@ class TestSimplexEquilibrium:
 
     def test_christoffel_sum_is_the_one_sum(self):
         # Both Christoffel verifiers report the helper's sum: CHEBY2 over
-        # the arcsine measure and 1 - x^2, the triangle over its edges.
+        # the arcsine measure and (1 - x^2, ARCSINE_G), the triangle over its
+        # edges and their localized measures.  Spelling each localization as
+        # a polynomial shift, which takes another inversion route, gives the
+        # same sum.
+        form = christoffel_form
         g = UPoly.from_coeffs([1, 0, -1])
         for n in (1, 4):
-            assert christoffel_sum(ARCSINE, n, [g]) == UPoly.constant(2 * n + 1)
-            alone = christoffel_form(ARCSINE, n).quadratic_form_poly
+            assert christoffel_sum(ARCSINE, n, [(g, ARCSINE_G)]) == UPoly.constant(2 * n + 1)
+            alone = form(ARCSINE, n).quadratic_form_poly
             assert christoffel_sum(ARCSINE, n, []) == alone
-        edges = [simplex_generator_power(2, e) for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+            shifted = alone + g * form(ARCSINE, n - 1, shift=g).quadratic_form_poly
+            assert shifted == UPoly.constant(2 * n + 1)
         for normalization in SimplexNormalization:
-            total = christoffel_sum(simplex_equilibrium(normalization), 3, edges)
+            mu = simplex_equilibrium(normalization)
+            edges = [(simplex_generator_power(2, e), localized(mu, e))
+                     for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+            total = christoffel_sum(mu, 3, edges)
             report = verify_simplex_equilibrium(3, normalization)
             assert total == MPoly.constant(2, report.constant)
+            shifted = form(mu, 3).quadratic_form_poly
+            for g, _ in edges:
+                shifted = shifted + g * form(mu, 2, shift=g).quadratic_form_poly
+            assert shifted == total
 
     def test_mismatch_is_logged_not_failed(self, caplog):
         with caplog.at_level(logging.WARNING, logger="unitycert.identities"):

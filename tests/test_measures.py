@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from unitycert.measures import (
     beta_integral,
     dirichlet,
     functional_for,
+    localized,
     quadrature_oracle,
     simplex_equilibrium,
     simplex_uniform,
@@ -27,6 +29,7 @@ from unitycert.polycore import (
     cheb,
     cheb_orthonormal_square,
     monomials_upto,
+    simplex_generator_power,
 )
 
 
@@ -328,3 +331,41 @@ class TestMasses:
         assert functional_for(simplex_equilibrium()).moment((0, 0)) == 2
         prob = simplex_equilibrium(SimplexNormalization.PROBABILITY)
         assert functional_for(prob).moment((0, 0)) == 1
+
+
+class TestLocalized:
+    """``localized(mu, alpha)`` is g^alpha * mu as a Dirichlet measure."""
+
+    MEASURES = [simplex_uniform(2), simplex_uniform(3)] + [
+        simplex_equilibrium(norm) for norm in SimplexNormalization]
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.label())
+    def test_mass_is_the_moment_and_kappa_rises(self, measure):
+        d = measure.dimension
+        alphas = list(itertools.product((0, 1), repeat=d + 1)) + [(2,) + (0,) * (d - 1) + (1,)]
+        f = functional_for(measure)
+        for alpha in alphas:
+            local = localized(measure, alpha)
+            assert local.mass == f.poly_moment(simplex_generator_power(d, alpha))
+            assert [k - b for k, b in zip(local.kappa, measure.kappa)] == list(alpha)
+
+    def test_moments_are_those_of_the_product(self):
+        # E_local[x^beta] = E_mu[g^alpha x^beta] for a few monomials.
+        measure = simplex_equilibrium()
+        alpha = (1, 0, 2)
+        g = simplex_generator_power(2, alpha)
+        local = functional_for(localized(measure, alpha))
+        for beta in monomials_upto(2, 3):
+            x_beta = MPoly.make(2, {beta: 1})
+            assert local.moment(beta) == functional_for(measure).poly_moment(g * x_beta)
+
+    @pytest.mark.parametrize(
+        "measure, alpha",
+        [(ARCSINE, (1,)), (ARCSINE_G, (0, 1)), (simplex_uniform(2), (1, 1)),
+         (simplex_uniform(2), (1, 0, 0, 1)), (simplex_equilibrium(), (1, -1, 0)),
+         (LEBESGUE01, (-1, 2))],
+        ids=["arcsine", "arcsine-g", "short", "long", "negative", "negative-1-simplex"],
+    )
+    def test_rejects(self, measure, alpha):
+        with pytest.raises(ValueError):
+            localized(measure, alpha)

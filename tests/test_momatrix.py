@@ -14,8 +14,8 @@ from unitycert.measures import (
     LEBESGUE01,
     SimplexNormalization,
     dirichlet,
-    dirichlet_parameters,
     functional_for,
+    localized,
     simplex_equilibrium,
     simplex_uniform,
 )
@@ -448,8 +448,8 @@ class TestRecurrenceInverse:
     @pytest.mark.parametrize("measure", [ARCSINE, ARCSINE_G, LEBESGUE01], ids=lambda m: m.label())
     def test_matches_bareiss(self, measure, shift):
         # christoffel_form takes the recurrence for every input here but
-        # LEBESGUE01 with an x_S shift (none, 1-x, x(1-x)), which takes the
-        # Dirichlet route; invert_hankel runs the recurrence on all of them.
+        # LEBESGUE01 with no shift, which takes the Dirichlet route;
+        # invert_hankel runs the recurrence on all of them.
         shift = SHIFTS[shift]
         for n in range(21):
             matrix = moment_matrix(measure, n, shift)
@@ -545,6 +545,14 @@ class TestRecurrenceInverse:
     def test_shift_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             christoffel_form(ARCSINE, 2, MPoly.make(2, {(1, 1): 1}))
+
+    def test_arcsine_g_is_the_localized_arcsine(self):
+        # CHEBY2 reads ARCSINE_G's own moments in place of L((1 - x^2) x^k).
+        for n in range(17):
+            form = christoffel_form(ARCSINE_G, n)
+            want = christoffel_form(ARCSINE, n, shift=G)
+            assert (form.inverse_upper, form.inverse_den) == (want.inverse_upper, want.inverse_den)
+            assert form.quadratic_form_poly == want.quadratic_form_poly
 
     def test_non_hankel_matrix_inverted_exactly(self):
         # A built matrix goes to Bareiss whatever its dimension, so a
@@ -714,10 +722,18 @@ class TestInversionLog:
         assert messages == ["inverted dim=3 method=dirichlet den_bits=1 num_bits_max=5"]
 
     def test_localized_simplex_logs_dirichlet(self, caplog):
+        edge = localized(simplex_equilibrium(), (1, 1, 0))  # x y times the measure
+        messages = self.records(caplog, lambda: christoffel_form(edge, 2))
+        assert len(messages) == 1
+        assert messages[0].startswith("inverted dim=6 method=dirichlet den_bits=")
+
+    def test_polynomial_shift_on_the_simplex_logs_bareiss(self, caplog):
+        # The route reads the measure alone: x y spelled as a shift is
+        # inverted like any other multivariate shift.
         xy = MPoly.make(2, {(1, 1): 1})
         messages = self.records(caplog, lambda: christoffel_form(simplex_equilibrium(), 2, xy))
         assert len(messages) == 1
-        assert messages[0].startswith("inverted dim=6 method=dirichlet den_bits=")
+        assert messages[0].startswith("inverted dim=6 method=bareiss det_bits=")
 
 
 class TestLazyInverse:
@@ -770,11 +786,12 @@ class TestLazyInverse:
 EQUILIBRIA = [simplex_equilibrium(norm) for norm in SimplexNormalization]
 
 
-def barycentric_products(d):
-    """(S, x_S) for every nonempty S of {0..d}; index d is x_{d+1} = 1 - sum x."""
+def barycentric_subsets(d):
+    """The exponent alpha of x_S for every nonempty S of {0..d}, one 0/1
+    entry per barycentric coordinate; index d is x_{d+1} = 1 - sum x."""
     for r in range(1, d + 2):
         for subset in itertools.combinations(range(d + 1), r):
-            yield subset, simplex_generator_power(d, [int(i in subset) for i in range(d + 1)])
+            yield tuple(int(i in subset) for i in range(d + 1))
 
 
 def case_id(value):
@@ -787,6 +804,25 @@ def assert_matches_bareiss(measure, n, shift=None):
     assert form.inverse == want.inverse
     assert form.quadratic_form_poly == want.quadratic_form_poly
     assert (form.measure, form.degree, form.shift) == (measure, n, shift)
+
+
+def assert_localized_matches_bareiss(measure, n, alpha):
+    """The form of ``localized(measure, alpha)`` against Bareiss on the
+    localizing matrix of g^alpha, which never reads ``localized``."""
+    form = christoffel_form(localized(measure, alpha), n)
+    shift = simplex_generator_power(measure.dimension, alpha)
+    want = christoffel_form_of_matrix(moment_matrix(measure, n, shift))
+    assert (form.inverse_upper, form.inverse_den) == (want.inverse_upper, want.inverse_den)
+    assert form.quadratic_form_poly == want.quadratic_form_poly
+    return form
+
+
+def logged_methods(caplog, build):
+    """The method word of each inversion record ``build`` logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+        build()
+    return [r.getMessage().split()[2] for r in caplog.records if r.name == "unitycert.momatrix"]
 
 
 class TestDirichletForm:
@@ -810,31 +846,24 @@ class TestDirichletForm:
     )
     def test_one_dimensional_matches_hankel(self, caplog, measure):
         # Beta(a, b) on [0,1], and its localizations by x, 1 - x and x(1 - x),
-        # take the Dirichlet path too; the Hankel recurrence is the oracle.
-        shifts = [None, UPoly.x(), UPoly.from_coeffs([1, -1]), UPoly.from_coeffs([0, 1, -1])]
+        # take the Dirichlet path; Bareiss on the localizing matrix is the oracle.
+        alphas = [(0, 0), (1, 0), (0, 1), (1, 1)]
         for n in range(6):
-            for shift in shifts:
-                assert_matches_bareiss(measure, n, shift)
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
-            christoffel_form(measure, 3, shifts[-1])
-        methods = [r.getMessage().split()[2] for r in caplog.records
-                   if r.name == "unitycert.momatrix"]
-        assert methods == ["method=dirichlet"]
+            assert_matches_bareiss(measure, n)
+            for alpha in alphas:
+                assert_localized_matches_bareiss(measure, n, alpha)
+        edge = localized(measure, alphas[-1])
+        assert logged_methods(caplog, lambda: christoffel_form(edge, 3)) == ["method=dirichlet"]
 
     @pytest.mark.parametrize("n", [0, 1, 8, 16, 24])
     def test_lebesgue01_matches_its_hankel_matrix(self, caplog, n):
         # [0,1] is the 1-simplex: LEBESGUE01 and its localization by x(1-x)
         # take the Dirichlet path, and the filled Hankel matrix is the oracle.
-        for shift in (None, UPoly.from_coeffs([0, 1, -1])):
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
-                form = christoffel_form(LEBESGUE01, n, shift)
-            assert [r.getMessage().split()[2] for r in caplog.records
-                    if r.name == "unitycert.momatrix"] == ["method=dirichlet"]
-            want = christoffel_form_of_matrix(moment_matrix(LEBESGUE01, n, shift))
-            assert (form.inverse_upper, form.inverse_den) == (want.inverse_upper, want.inverse_den)
-            assert form.quadratic_form_poly == want.quadratic_form_poly
+        for alpha in ((0, 0), (1, 1)):
+            assert logged_methods(
+                caplog, lambda: christoffel_form(localized(LEBESGUE01, alpha), n)
+            ) == ["method=dirichlet"]
+            assert_localized_matches_bareiss(LEBESGUE01, n, alpha)
 
     def test_one_simplex_equilibrium_sum(self):
         # K_n + x(1-x) K_{n-1}^{x(1-x) mu} = C(2n+1, 1) for mu = Dirichlet(1/2, 1/2),
@@ -852,26 +881,17 @@ class TestDirichletForm:
         ids=case_id,
     )
     def test_every_barycentric_shift(self, measure, n):
-        for subset, shift in barycentric_products(measure.dimension):
-            kappa, _ = dirichlet_parameters(measure, shift)
-            base, _ = dirichlet_parameters(measure)
-            assert [k - b for k, b in zip(kappa, base)] == [int(i in subset) for i in range(len(base))]
-            assert_matches_bareiss(measure, n, shift)
+        for alpha in barycentric_subsets(measure.dimension):
+            form = assert_localized_matches_bareiss(measure, n, alpha)
+            assert [k - b for k, b in zip(form.measure.kappa, measure.kappa)] == list(alpha)
 
     def test_parameters(self):
         half = Fraction(1, 2)
-        assert dirichlet_parameters(simplex_uniform(3)) == ((1, 1, 1, 1), 1)
-        assert dirichlet_parameters(simplex_equilibrium()) == ((half, half, half), 2)
+        assert (simplex_uniform(3).kappa, simplex_uniform(3).mass) == ((1, 1, 1, 1), 1)
+        assert (simplex_equilibrium().kappa, simplex_equilibrium().mass) == ((half,) * 3, 2)
         prob = simplex_equilibrium(SimplexNormalization.PROBABILITY)
-        assert dirichlet_parameters(prob) == ((half, half, half), 1)
-        assert dirichlet_parameters(LEBESGUE01) == ((1, 1), 1)
-        for measure in (ARCSINE, ARCSINE_G):
-            assert dirichlet_parameters(measure) is None
-        # The mass of x_S times the measure is its integral.
-        for measure in [simplex_uniform(2), simplex_uniform(3)] + EQUILIBRIA:
-            for _, shift in barycentric_products(measure.dimension):
-                _, mass = dirichlet_parameters(measure, shift)
-                assert mass == functional_for(measure).poly_moment(shift)
+        assert (prob.kappa, prob.mass) == ((half,) * 3, 1)
+        assert (LEBESGUE01.kappa, LEBESGUE01.mass) == ((1, 1), 1)
 
     @pytest.mark.parametrize(
         "shift",
@@ -886,27 +906,25 @@ class TestDirichletForm:
     )
     def test_other_shift_falls_back(self, caplog, shift):
         for measure in [simplex_uniform(2), simplex_equilibrium()]:
-            assert dirichlet_parameters(measure, shift) is None
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
-                christoffel_form(measure, 2, shift)
-            methods = [r.getMessage().split()[2] for r in caplog.records
-                       if r.name == "unitycert.momatrix"]
+            methods = logged_methods(caplog, lambda: christoffel_form(measure, 2, shift))
             assert methods == ["method=bareiss"]
             assert_matches_bareiss(measure, 2, shift)
 
     @pytest.mark.parametrize(
-        "measure, shift",
+        "measure, alpha",
         [
-            (simplex_equilibrium(SimplexNormalization.PROBABILITY), None),
-            (simplex_equilibrium(SimplexNormalization.PROBABILITY), MPoly.make(2, {(1, 0): 1, (2, 0): -1, (1, 1): -1})),
-            (simplex_uniform(3), MPoly.make(3, {(0, 1, 1): 1})),
+            (simplex_equilibrium(SimplexNormalization.PROBABILITY), (0, 0, 0)),
+            (simplex_equilibrium(SimplexNormalization.PROBABILITY), (1, 0, 1)),
+            (simplex_uniform(3), (0, 1, 1, 0)),
         ],
         ids=["kappa=(1/2,1/2,1/2)", "kappa=(3/2,1/2,3/2)", "kappa=(1,2,2,1)"],
     )
-    def test_basis_orthogonal(self, measure, shift):
-        kappa, mass = dirichlet_parameters(measure, shift)
-        g = shift if shift is not None else MPoly.constant(measure.dimension, 1)
+    def test_basis_orthogonal(self, measure, alpha):
+        # Orthogonal under g^alpha times the measure, read through the
+        # measure's own moments; only kappa and the mass come from ``localized``.
+        local = localized(measure, alpha)
+        kappa, mass = local.kappa, local.mass
+        g = simplex_generator_power(measure.dimension, alpha)
         f = functional_for(measure)
         n = 3
         basis = _dirichlet_basis(kappa, n)

@@ -3,6 +3,7 @@ object its submodule defines, whether read as an attribute, listed by
 ``dir`` or bound by a star import."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +60,24 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(uc, "no_such_name")
     with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
         exec("from unitycert import no_such_name", {})
+
+
+def readme_python_blocks():
+    """The source of each ``python`` block of the README."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks, block = [], None
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            if block is not None:
+                blocks.append("\n".join(block))
+            block = [] if line == "```python" else None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def test_readme_quick_tour_runs():
+    blocks = readme_python_blocks()
+    assert blocks and "christoffel_form" in blocks[0]
+    for source in blocks:
+        exec(compile(source, "README.md", "exec"), {})
