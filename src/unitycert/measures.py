@@ -3,8 +3,12 @@
 Exact monomial moments, in closed form, for:
 
 * ``Arcsine`` -- dx/(pi sqrt(1-x^2)) on [-1,1], the equilibrium measure of
-  the interval; even moments are central binomials C(k, k/2)/2^k.
-* ``ArcsineG`` -- (1-x^2) times Arcsine.
+  the interval; even moments are central binomials C(k, k/2)/2^k.  Its
+  monic orthogonal polynomials are p_0 = 1 and p_k = T_k / 2^(k-1), with
+  norms h_0 = 1 and h_k = 2^(1-2k).
+* ``ArcsineG`` -- (1-x^2) times Arcsine.  Its monic orthogonal polynomials
+  are p_k = U_k / 2^k, with norms h_k = 2^(-2k-1).  ``momatrix`` inverts
+  both measures from these closed forms, not from their moments.
 * ``dirichlet(kappa, mass)`` -- ``mass`` times the Dirichlet(kappa)
   probability measure on the d-simplex, d = len(kappa) - 1, with moments
   mass * prod (kappa_i)_{a_i} / (|kappa|)_{|a|} (Dunkl and Xu, *Orthogonal

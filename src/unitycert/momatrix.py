@@ -3,16 +3,21 @@
 Matrices are indexed by the graded lexicographic monomial basis of degree
 <= n.  ``christoffel_form`` picks one of three inversions, once per input:
 
-* A Dirichlet measure with no shift (``measures.dirichlet``, in any
-  dimension: ``LEBESGUE01`` on [0,1], the uniform and equilibrium simplex
-  measures, and their localizations ``measures.localized`` by generator
-  powers g^alpha among them) goes to its explicit orthogonal basis (Dunkl
-  and Xu, *Orthogonal Polynomials of Several Variables*, 2nd ed., 2014,
-  section 5.3): products of univariate Beta orthogonal polynomials with
-  closed-form norms.  For d = 1 that basis is the monic Beta polynomials
-  themselves.  The route reads the measure alone: a localization spelled
-  as a polynomial ``shift`` takes one of the other two.
-* Any other univariate input, a polynomial shift included, goes to the
+* A measure with no shift whose orthogonal polynomials are explicit goes
+  to them, and no moment is computed.  A Dirichlet measure
+  (``measures.dirichlet``, in any dimension: ``LEBESGUE01`` on [0,1], the
+  uniform and equilibrium simplex measures, and their localizations
+  ``measures.localized`` by generator powers g^alpha among them) has an
+  explicit orthogonal basis (Dunkl and Xu, *Orthogonal Polynomials of
+  Several Variables*, 2nd ed., 2014, section 5.3): products of univariate
+  Beta orthogonal polynomials with closed-form norms.  For d = 1 that basis
+  is the monic Beta polynomials themselves.  ``ARCSINE`` and ``ARCSINE_G``
+  have the Chebyshev polynomials: the monic ``p_k = T_k / 2^(k-1)`` (k >= 1,
+  ``p_0 = 1``) with norms ``h_k = 2^(1-2k)`` (``h_0 = 1``), and ``p_k = U_k
+  / 2^k`` with ``h_k = 2^(-2k-1)``, each written from ``polycore.cheb``'s
+  integer coefficients.  The route reads the measure alone: a localization
+  spelled as a polynomial ``shift`` takes one of the other two.
+* Any other univariate input -- one with a polynomial shift -- goes to the
   recurrence on its 2n+1 moments ``mu_k = L(g x^k)``, and no matrix is
   built: the Chebyshev algorithm (Gautschi, *Orthogonal Polynomials:
   Computation and Approximation*, 2004, section 2.1.7) gives the recurrence
@@ -21,8 +26,8 @@ Matrices are indexed by the graded lexicographic monomial basis of degree
   norms are reduced integer ``(numerator, denominator)`` pairs, so the
   algorithm builds no ``Fraction``; the leading principal minor of order
   ``k+1`` is ``h_0 ... h_k``, which doubles as the positive definiteness
-  check.  The Beta polynomials of the first route come from the same
-  algorithm.
+  check.  Besides this route the algorithm serves only ``invert_hankel``
+  and the cached Beta tables of the first route.
 * Anything else -- and every built ``MomentMatrix``, of any dimension, given
   to ``invert_exact`` or ``christoffel_form_of_matrix`` -- goes to
   fraction-free Bareiss elimination on an integer-scaled copy (Bareiss,
@@ -56,9 +61,11 @@ when it is read; the identity verifiers never read it.
 
 With ``logging`` at DEBUG, each inversion logs one record with its
 dimension and method: for Bareiss the bit lengths of ``det`` and of the
-largest entry of ``det * A^{-1}``, for ``recurrence`` and ``dirichlet``
-those of the common denominator ``L`` and of the largest entry of
-``L * M^{-1}`` (in lowest terms on the Christoffel-Darboux route).
+largest entry of ``det * A^{-1}``, for ``recurrence`` (every univariate
+kernel not of a Dirichlet measure, the closed-form Chebyshev ones among
+them) and ``dirichlet`` those of the common denominator ``L`` and of the
+largest entry of ``L * M^{-1}`` (in lowest terms on the Christoffel-Darboux
+route).
 Bareiss time grows with its intermediates, roughly cubically in the matrix
 dimension times their bit length: arcsine n=48 logs ``det_bits=2303
 entry_bits_max=2419``.  At arcsine n=48 and 96, arcsine-g n=20 and
@@ -79,8 +86,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .measures import MeasureId, MomentFunctional, functional_for
-from .polycore import AnyPoly, Exponent, monomials_upto, poly_eval, poly_from_sparse_nums
+from .measures import ARCSINE, ARCSINE_G, MeasureId, MomentFunctional, functional_for
+from .polycore import (AnyPoly, ChebKind, Exponent, cheb, monomials_upto, poly_eval,
+                       poly_from_sparse_nums)
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 Ratio = tuple[int, int]  # (numerator, denominator), denominator > 0
@@ -567,6 +575,30 @@ def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exp
     return out
 
 
+_CHEBYSHEV_KINDS = {ARCSINE: ChebKind.FIRST, ARCSINE_G: ChebKind.SECOND}
+
+
+def _chebyshev_pair(kind: ChebKind, n: int) -> tuple[list[tuple[list[int], int]], list[Ratio]]:
+    """Monic orthogonal ``p_{n-1}, p_n`` (only ``p_0`` for n = 0) and their
+    norms for the measure whose orthogonal polynomials are ``cheb(kind, k)``.
+
+    ``T_k`` (k >= 1) and ``U_k`` lead with ``2^s``, s = k - 1 and k, so
+    ``p_k = P_k / 2^s`` with numerators ``P_k`` over ``2^s``.  Each ``P_k``
+    has the squared norm 1/2 (``T_0 = p_0`` has 1): ``h_k = 2^(-2s-1)``, that
+    is ``2^(1-2k)`` for ``ARCSINE`` and ``2^(-2k-1)`` for ``ARCSINE_G``.
+    """
+    polys, norms = [], []
+    for k in range(max(n - 1, 0), n + 1):
+        s = k - 1 if kind is ChebKind.FIRST else k
+        if s < 0:  # T_0
+            polys.append(([1], 1))
+            norms.append((1, 1))
+        else:
+            polys.append((list(cheb(kind, k).nums), 1 << s))
+            norms.append((1, 1 << (2 * s + 1)))
+    return polys, norms
+
+
 def _dirichlet_form(measure: MeasureId, n: int) -> ChristoffelForm:
     """The Christoffel form of ``mass * Dirichlet(kappa)``: for d = 1 from the
     Beta recurrence by ``_kernel_nums``, else from ``_dirichlet_basis``."""
@@ -667,18 +699,23 @@ def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None
     """Reciprocal Christoffel function of degree n of ``shift * measure``.
 
     The one place that picks an inversion, from the measure and whether
-    there is a shift: a Dirichlet measure with none (``measures.localized``
+    there is a shift.  With none, a Dirichlet measure (``measures.localized``
     builds one for a generator power) goes to its orthogonal basis (for
-    d = 1 the Beta recurrence); any other univariate input runs the
-    Chebyshev algorithm on its 2n+1 shifted moments ``L(shift x^k)`` and
+    d = 1 the Beta recurrence), and ``ARCSINE`` and ``ARCSINE_G`` to their
+    closed-form monic Chebyshev polynomials ``T_k / 2^(k-1)`` and ``U_k /
+    2^k``, with no moment computed.  Any univariate input with a shift runs
+    the Chebyshev algorithm on its 2n+1 shifted moments ``L(shift x^k)`` and
     builds no matrix; every univariate kernel is assembled by
     Christoffel-Darboux.  Anything else is filled by ``moment_matrix`` and
     inverted by Bareiss elimination.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if shift is None and measure.kappa:  # a Dirichlet measure
-        return _dirichlet_form(measure, n)
+    if shift is None:
+        if measure.kappa:  # a Dirichlet measure
+            return _dirichlet_form(measure, n)
+        y, den = _kernel_nums(*_chebyshev_pair(_CHEBYSHEV_KINDS[measure], n), "recurrence")
+        return _christoffel_form(measure, n, None, y, den)
     if measure.dimension == 1:
         functional = functional_for(measure)
         terms = _shift_terms(shift, 1)

@@ -143,8 +143,13 @@ class TestExitCodeContract:
             ["pell", "--n", "10000000000000000000"],
             ["maxent", "simplex", "--d", "100000000000000000000", "--n", "2"],
             ["partition", "--domain", "interval01", "--n", "12", "--points", "1e300"],
+            ["christoffel", "--measure", "arcsine", "--n", "10000000000000000000"],
+            ["christoffel", "--measure", "arcsine-g", "--n", "10000000000000000000"],
+            ["verify", "--identity", "unity-interval", "--variant", "cheby2",
+             "--n", "10000000000000000000"],
         ],
-        ids=["pell", "maxent-simplex", "partition"],
+        ids=["pell", "maxent-simplex", "partition", "christoffel-arcsine",
+             "christoffel-arcsine-g", "verify-cheby2"],
     )
     def test_overflow_is_exit_3(self, capsys, argv):
         assert cli.run(argv) == 3

@@ -39,6 +39,7 @@ from unitycert.polycore import (
     ChebKind,
     MPoly,
     UPoly,
+    cheb,
     cheb_orthonormal_square,
     monomials_upto,
     simplex_generator_power,
@@ -447,9 +448,10 @@ class TestRecurrenceInverse:
     @pytest.mark.parametrize("shift", list(SHIFTS), ids=list(SHIFTS))
     @pytest.mark.parametrize("measure", [ARCSINE, ARCSINE_G, LEBESGUE01], ids=lambda m: m.label())
     def test_matches_bareiss(self, measure, shift):
-        # christoffel_form takes the recurrence for every input here but
-        # LEBESGUE01 with no shift, which takes the Dirichlet route;
-        # invert_hankel runs the recurrence on all of them.
+        # christoffel_form runs the Chebyshev algorithm on every shifted
+        # input here; with no shift ARCSINE and ARCSINE_G take their closed
+        # forms and LEBESGUE01 the Dirichlet route.  invert_hankel runs the
+        # algorithm on all of them.
         shift = SHIFTS[shift]
         for n in range(21):
             matrix = moment_matrix(measure, n, shift)
@@ -568,6 +570,66 @@ class TestRecurrenceInverse:
         form = christoffel_form_of_matrix(edited)
         assert form.inverse == inverse
         assert form.quadratic_form_poly == fraction_quadratic_form(base.basis, inverse, 1)
+
+
+class TestChebyshevForms:
+    """ARCSINE and ARCSINE_G with no shift: closed-form Chebyshev polynomials
+    in place of the Chebyshev algorithm on their moments."""
+
+    @pytest.mark.parametrize("measure", [ARCSINE, ARCSINE_G], ids=lambda m: m.label())
+    def test_matches_the_moment_route(self, caplog, measure):
+        f = functional_for(measure)
+        for n in range(65):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+                form = christoffel_form(measure, n)
+                moments = [f.moment((k,)) for k in range(2 * n + 1)]
+                want = momatrix._christoffel_form(measure, n, None,
+                                                  *momatrix._hankel_inverse_nums(moments))
+            # The same DEBUG record from both routes.
+            records = [r.getMessage() for r in caplog.records if r.name == "unitycert.momatrix"]
+            assert len(records) == 2 and records[0] == records[1]
+            assert form.inverse_upper == want.inverse_upper
+            assert form.inverse_den == want.inverse_den
+            assert form.quadratic_form_poly == want.quadratic_form_poly
+            if n <= 8:
+                bareiss = christoffel_form_of_matrix(moment_matrix(measure, n))
+                assert (form.inverse_upper, form.inverse_den) == (bareiss.inverse_upper,
+                                                                  bareiss.inverse_den)
+                assert form.quadratic_form_poly == bareiss.quadratic_form_poly
+
+    def test_runs_no_chebyshev_algorithm(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("_chebyshev_algorithm was called")
+
+        monkeypatch.setattr(momatrix, "_chebyshev_algorithm", boom)
+        for n in range(9):
+            christoffel_form(ARCSINE, n)
+            christoffel_form(ARCSINE_G, n)
+        assert verify_unity_interval(8, UnityVariant.CHEBY2).holds
+        with pytest.raises(AssertionError, match="_chebyshev_algorithm"):
+            christoffel_form(ARCSINE, 2, G)
+
+    @pytest.mark.parametrize("measure, kind", [(ARCSINE, ChebKind.FIRST), (ARCSINE_G, ChebKind.SECOND)],
+                             ids=["arcsine", "arcsine-g"])
+    def test_constants_are_the_chebyshev_algorithm(self, measure, kind):
+        # The documented p_k and h_k, from the Chebyshev algorithm on the moments.
+        f = functional_for(measure)
+        polys, norms = momatrix._chebyshev_algorithm([f.moment((k,)) for k in range(129)])
+        for k in range(65):
+            coeffs = cheb(kind, k).coeffs
+            if kind is ChebKind.FIRST:  # T_k / 2^(k-1), h_k = 2^(1-2k); p_0 = 1, h_0 = 1
+                want = ([1], Fraction(1)) if k == 0 else (
+                    [c / 2 ** (k - 1) for c in coeffs], Fraction(1, 2 ** (2 * k - 1)))
+            else:  # U_k / 2^k, h_k = 2^(-2k-1)
+                want = [c / 2**k for c in coeffs], Fraction(1, 2 ** (2 * k + 1))
+            nums, den = polys[k]
+            assert ([Fraction(v, den) for v in nums], Fraction(*norms[k])) == want
+            closed_polys, closed_norms = momatrix._chebyshev_pair(kind, k)
+            nums, den = closed_polys[-1]
+            assert ([Fraction(v, den) for v in nums], Fraction(*closed_norms[-1])) == want
+            if k:
+                assert closed_polys[0] == momatrix._chebyshev_pair(kind, k - 1)[0][-1]
 
 
 def lowest_upper(y, den):
@@ -689,8 +751,9 @@ class TestInversionLog:
         ids=["arcsine", "arcsine-1-x^2", "arcsine-g", "lebesgue01-3", "lebesgue01-1-x^2"],
     )
     def test_univariate_builds_no_matrix(self, caplog, monkeypatch, measure, shift):
-        # Any univariate input that is not Dirichlet goes to the recurrence
-        # straight from its shifted moments.
+        # Any univariate input that is not Dirichlet goes to the
+        # Christoffel-Darboux kernel with no matrix: from the closed-form
+        # Chebyshev polynomials with no shift, else from its shifted moments.
         def boom(*args, **kwargs):
             raise AssertionError("moment_matrix was called")
 
