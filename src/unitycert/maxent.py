@@ -47,11 +47,11 @@ the first certificate with exact residual 0 of two routes, else the double:
 
 ``exact_handelman`` and ``exact_putinar`` snap a double monomial dual the
 same way in the solver's basis.  Every certificate is checked by one exact
-residual, ``_exact_residual``; a solve converges when that of the *returned*
-certificate is within the tolerance.  Non-convergence is a diagnostic, not a
-proof: a target on the cone boundary (or outside) makes the dual unbounded.
-With ``logging`` at DEBUG, each solve logs its family, degree, iteration
-count, stop reason and residual.
+residual, ``_exact_residual`` (Handelman weights in Bernstein coordinates); a
+solve converges when that of the *returned* certificate is within the
+tolerance.  Non-convergence is a diagnostic, not a proof: a target on the cone
+boundary (or outside) makes the dual unbounded.  With ``logging`` at DEBUG,
+each solve logs its family, degree, iteration count, stop reason and residual.
 """
 
 from __future__ import annotations
@@ -74,11 +74,11 @@ from .polycore import (
     Exponent,
     UPoly,
     cheb_table,
-    generator_powers,
     monomials_of_degree,
     monomials_upto,
     multinomial,
     poly_from_sparse_nums,
+    simplex_generator_power,
 )
 
 
@@ -352,44 +352,53 @@ def _exact_matvec(matrix: np.ndarray, values: Sequence[Number]) -> list[Fraction
     return [Fraction(v, den) for v in matrix @ np.array(nums, dtype=object)]
 
 
-class _GeneratorTable:
-    """The generator powers of degree <= n on the d-simplex, and their Bernstein forms.
+def _sparse_sum(terms: Iterable[tuple[Number, Iterable[tuple[int, Number]]]], width: int) -> list:
+    """sum_i k_i row_i over pairs (k_i, row_i) of sparse (column, value) rows, as a dense list."""
+    out = [0] * width
+    for k, row in terms:
+        for j, c in row:
+            out[j] += k * c
+    return out
 
-    ``rows[a]`` holds the integer monomial coefficients of g^alphas[a] over
-    ``basis`` and ``pairs[a]`` its nonzero (exponent, coefficient) pairs.  The
-    Bernstein index gamma runs over ``tops``, the alphas of degree n (g^gamma
-    is x^gamma).  ``lift[a, g]`` is the integer multinom(n-|alpha|; gamma-alpha),
-    the coefficient of x^gamma in g^alpha homogenized to degree n, so
-    <y, g^alpha> = sum_g lift[a, g] z_g / multinom(n; gamma) (``pairing`` in
-    doubles); ``homog`` holds the rows of the x^beta, beta in ``basis``.
+
+class _GeneratorTable:
+    """The generator powers of degree <= n on the d-simplex, in Bernstein coordinates.
+
+    Gamma runs over ``tops``, the alphas of degree n (g^gamma is x^gamma).  Homogenized,
+    g^alpha = x^alpha (x_1 + ... + x_{d+1})^(n-|alpha|) is sum_g lift[a, g] x^gamma with
+    lift[a, g] = multinom(n-|alpha|; gamma-alpha) > 0 once for each gamma above alpha.
+    ``lift[a]`` holds those (g, integer) pairs, ``pairing`` the doubles lift[a, g] /
+    multinom(n; gamma) that pair g^alpha with z, and ``homog`` the dense rows of the
+    x^beta = g^(beta, 0), beta in ``basis``.  The monomials of the x^gamma invert it:
+    ``top_terms`` in (basis index, integer) pairs, ``bernstein`` times ``multinom``.
     """
 
     def __init__(self, d: int, n: int) -> None:
+        if d < 1 or n < 0:
+            raise ValueError("dimension must be positive and degree nonnegative")
         self.d, self.n = d, n
-        powers = generator_powers(d, n)
-        self.alphas = tuple(powers)
+        self.alphas = monomials_upto(d + 1, n)
         self.basis = monomials_upto(d, n)
-        rows, pairs = [], []
-        for nums in (g.sparse_nums for g in powers.values()):
-            rows.append([nums.get(e, 0) for e in self.basis])
-            pairs.append(tuple(nums.items()))
-        self.rows, self.pairs = _object_matrix(rows), tuple(pairs)
         self.position = {alpha: i for i, alpha in enumerate(self.alphas)}
         top_start = len(self.alphas) - len(self.basis)
         self.tops = self.alphas[top_start:]
         self.multinom = [multinomial(gamma) for gamma in self.tops]
-        self.bernstein = _object_matrix(
-            self.rows[top_start:] * np.array(self.multinom, dtype=object)[:, None])
-        lift = [[0] * len(self.tops) for _ in self.alphas]
-        for i, alpha in enumerate(self.alphas):
-            # g^alpha = x^alpha (x_1 + ... + x_{d+1})^(n-|alpha|): each gamma above alpha once
-            for delta in monomials_of_degree(d + 1, n - sum(alpha)):
-                g = self.position[tuple(map(operator.add, alpha, delta))] - top_start
-                lift[i][g] = multinomial(delta)
-        self.lift = _object_matrix(lift)
-        self.pairing = (self.lift / np.array(self.multinom, dtype=object)).astype(float)
+        deltas = [[(delta, multinomial(delta)) for delta in monomials_of_degree(d + 1, k)]
+                  for k in range(n + 1)]
+        self.lift = tuple(
+            tuple((self.position[tuple(map(operator.add, alpha, delta))] - top_start, c)
+                  for delta, c in deltas[n - sum(alpha)]) for alpha in self.alphas)
+        self.pairing = np.array([_sparse_sum([(1, [(g, c / self.multinom[g]) for g, c in row])],
+                                             len(self.tops)) for row in self.lift], dtype=float)
         self.pairing.setflags(write=False)
-        self.homog = _object_matrix(self.lift[[self.position[beta + (0,)] for beta in self.basis]])
+        self.homog = _object_matrix([_sparse_sum([(1, self.lift[self.position[beta + (0,)]])],
+                                                 len(self.tops)) for beta in self.basis])
+        index = {beta: i for i, beta in enumerate(self.basis)}
+        self.top_terms = tuple(
+            tuple((index[e], c) for e, c in simplex_generator_power(d, gamma).sparse_nums.items())
+            for gamma in self.tops)
+        self.bernstein = _object_matrix([_sparse_sum([(m, row)], len(self.basis))
+                                         for m, row in zip(self.multinom, self.top_terms)])
 
     def bernstein_moments(self, y: Sequence[Number]) -> list[Fraction]:
         """z_gamma = multinom(n; gamma) <y, g^gamma>, exactly."""
@@ -417,7 +426,8 @@ def _handelman_from_bernstein(table: _GeneratorTable, z: Sequence[Fraction],
     # Pairings in integers over one denominator of the <y, x^gamma> = z_gamma / multinom(n; gamma)
     nums, den = _common_numerators([v / m for v, m in zip(z, table.multinom)])
     weights: dict[Exponent, Fraction] = {}
-    for alpha, pairing in zip(table.alphas, table.lift @ np.array(nums, dtype=object)):
+    for alpha, row in zip(table.alphas, table.lift):
+        pairing = sum([c * nums[g] for g, c in row])
         if pairing <= 0:
             return None
         weights[alpha] = Fraction(den, pairing)
@@ -428,16 +438,14 @@ def _round_handelman(cert: HandelmanCertificate, target: AnyPoly,
                      table: _GeneratorTable) -> Optional[HandelmanCertificate]:
     """The certificate with its exact residual moved into the top-degree weights.
 
-    The residual r = target - sum_a w_a g^alpha, homogenized to degree n, is
-    sum_gamma (sum_beta r_beta homog[beta, gamma]) x^gamma, and x^gamma is
-    g^gamma for |gamma| = n: adding those integer combinations to the
-    top-degree weights gives rational weights with zero residual.  None if a
-    weight would not stay positive.
+    The residual, homogenized to degree n, is sum_gamma R_gamma x^gamma
+    (``_bernstein_residual``), and x^gamma is g^gamma for |gamma| = n: adding
+    R_gamma to the top-degree weights gives rational weights with zero
+    residual.  None if a weight would not stay positive.
     """
-    residual, scale = _residual_numerators(cert, target)
-    corrections = table.homog.T @ np.array([residual.get(b, 0) for b in table.basis], dtype=object)
+    _, residual, _, scale = _bernstein_residual(cert, target)
     weights = {alpha: Fraction(w) for alpha, w in cert.weights.items()}
-    for gamma, correction in zip(table.tops, corrections):
+    for gamma, correction in zip(table.tops, residual):
         weights[gamma] += Fraction(correction, scale)
     if min(weights.values()) <= 0:
         return None
@@ -647,7 +655,7 @@ def _round_putinar(inverses: Sequence[np.ndarray], target: UPoly,
     a, b = (np.array([[Fraction(w[min(i, j), max(i, j)]) for j in range(len(w))]
                       for i in range(len(w))], dtype=object) for w in inverses)
     gram_b = _congruence(q[:n, :n], b)
-    residual, scale = _residual_numerators(
+    residual, scale = _putinar_residual(
         PutinarCertificate(n, _congruence(q[: n + 1, : n + 1], a), gram_b), target)
     c = table.chebyshev_coefficients(poly_from_sparse_nums(1, residual, scale))
     a[n, n] += 2 * c[2 * n]
@@ -732,81 +740,68 @@ def _common_numerators(values: Sequence[Number]) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def _generator_pairs(cert: HandelmanCertificate):
-    """The (exponent, integer coefficient) pairs of each g^alpha, in weight order."""
-    table = _generator_table(cert.dimension, cert.degree)
-    try:
-        return [table.pairs[table.position[alpha]] for alpha in cert.weights]
-    except KeyError:
-        raise ValueError("a weight exponent is not in the certificate's generators") from None
-
-
-def _handelman_reconstruction(weights: Iterable[int], rows: Iterable) -> dict[Exponent, int]:
-    """Integer coefficients of sum_a w_a g^alpha by exponent, for integer weight
-    numerators and the (exponent, coefficient) pairs of each g^alpha in that order."""
-    terms: dict[Exponent, int] = {}
-    for w, row in zip(weights, rows):
-        for e, c in row:
-            terms[e] = terms.get(e, 0) + w * c
-    return terms
-
-
 def _gram_entries(cert: PutinarCertificate) -> list:
-    """The entries of A, then of B, row by row; ValueError unless A is
-    (n+1) x (n+1) and B is n x n."""
+    """The entries of A, then of B, row by row; ValueError unless n >= 0, A
+    is (n+1) x (n+1) and B is n x n."""
     n = cert.degree
+    if n < 0:
+        raise ValueError(f"a Putinar certificate's degree must be >= 0, got {n}")
     for name, gram, size in (("gram_a", cert.gram_a, n + 1), ("gram_b", cert.gram_b, n)):
         if len(gram) != size or any(len(row) != size for row in gram):
             raise ValueError(f"{name} of a degree-{n} Putinar certificate must be {size}x{size}")
     return [v for gram in (cert.gram_a, cert.gram_b) for row in gram for v in row]
 
 
-def _putinar_reconstruction(entries: Iterable[int], n: int) -> dict[Exponent, int]:
-    """Integer coefficients of v_n' A v_n + (1-x^2) v_{n-1}' B v_{n-1} by exponent,
-    for the integer numerators of A, then of B, row by row."""
-    values = iter(entries)
-    coeffs = [0] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            coeffs[i + j] += next(values)
-    sigma1 = [0] * (2 * n - 1)
-    for i in range(n):
-        for j in range(n):
-            sigma1[i + j] += next(values)
-    for k, v in enumerate(sigma1):
-        coeffs[k] += v  # g = 1 - x^2 contributes sigma1 shifted by 0 and -x^2
-        coeffs[k + 2] -= v
-    return {(k,): c for k, c in enumerate(coeffs)}
-
-
-def _residual_numerators(cert: Certificate, target: AnyPoly) -> tuple[dict, int]:
-    """Integer numerators of target minus reconstruction by exponent, over one scale.
-
-    The weights or Gram entries (rational, or dyadic doubles) become integer
-    numerators over the lcm of their denominators, the reconstruction runs in
-    integers, and the target joins it over one common denominator.
-    """
-    if isinstance(cert, HandelmanCertificate):
-        dimension = cert.dimension
-        nums, den = _common_numerators(list(cert.weights.values()))
-        recon = _handelman_reconstruction(nums, _generator_pairs(cert))
-    else:
-        dimension = 1
-        nums, den = _common_numerators(_gram_entries(cert))
-        recon = _putinar_reconstruction(nums, cert.degree)
-    if target.dimension != dimension:
+def _bernstein_residual(cert: HandelmanCertificate, target: AnyPoly):
+    """``(table, R, above, scale)``: target - sum_a w_a g^alpha in integers over one
+    scale of the weights (rational, or dyadic doubles) and the target.  Homogenized
+    to degree n it is sum_gamma R_gamma x^gamma, R = homog' t - lift' w, as a target
+    term x^beta is g^(beta, 0); ``above`` holds its terms of degree above n."""
+    nums, den = _common_numerators(list(cert.weights.values()))
+    table = _generator_table(cert.dimension, cert.degree)
+    if not cert.weights.keys() <= table.position.keys():
+        raise ValueError("a weight exponent is not in the certificate's generators")
+    if target.dimension != cert.dimension:
         raise ValueError("target dimension does not match the certificate")
     scale = math.lcm(den, target.den)
     factor, target_factor = scale // den, scale // target.den
-    want = target.sparse_nums
-    return {e: want.get(e, 0) * target_factor - recon.get(e, 0) * factor
-            for e in recon.keys() | want.keys()}, scale
+    terms = [(-w * factor, table.lift[table.position[alpha]])
+             for alpha, w in zip(cert.weights, nums)]
+    terms += [(c * target_factor, table.lift[table.position[beta + (0,)]])
+              for beta, c in target.sparse_nums.items() if sum(beta) <= table.n]
+    above = [c * target_factor for beta, c in target.sparse_nums.items() if sum(beta) > table.n]
+    return table, _sparse_sum(terms, len(table.tops)), above, scale
+
+
+def _putinar_residual(cert: PutinarCertificate, target: UPoly) -> tuple[dict, int]:
+    """Integer numerators of target - v_n' A v_n - (1-x^2) v_{n-1}' B v_{n-1} by exponent
+    over one scale of the entries of A, then of B (rational, or dyadic doubles), and the target."""
+    nums, den = _common_numerators(_gram_entries(cert))
+    if target.dimension != 1:
+        raise ValueError("target dimension does not match the certificate")
+    n, values, scale = cert.degree, iter(nums), math.lcm(den, target.den)
+    sigma0, sigma1 = [0] * (2 * n + 1), [0] * (2 * n + 1)
+    for size, sigma in ((n + 1, sigma0), (n, sigma1)):
+        for i in range(size):
+            for j in range(size):
+                sigma[i + j] += next(values)
+    # g = 1 - x^2 contributes sigma1 shifted by 0 and -x^2
+    residual = {(k,): (lowered - c - v) * (scale // den)
+                for k, (c, v, lowered) in enumerate(zip(sigma0, sigma1, [0, 0] + sigma1))}
+    for e, c in target.sparse_nums.items():
+        residual[e] = residual.get(e, 0) + c * (scale // target.den)
+    return residual, scale
 
 
 def _exact_residual(cert: Certificate, target: AnyPoly) -> Fraction:
     """Exact sup norm of the coefficient residual between reconstruction and target."""
-    residual, scale = _residual_numerators(cert, target)
-    return Fraction(max(map(abs, residual.values()), default=0), scale)
+    if isinstance(cert, PutinarCertificate):
+        residual, scale = _putinar_residual(cert, target)
+        return Fraction(max(map(abs, residual.values()), default=0), scale)
+    table, residual, terms, scale = _bernstein_residual(cert, target)
+    if any(residual):
+        terms += _sparse_sum(zip(residual, table.top_terms), len(table.basis))
+    return Fraction(max(map(abs, terms), default=0), scale)
 
 
 def verify_certificate(cert: Certificate, target: AnyPoly) -> float:
@@ -900,8 +895,12 @@ def certificate_from_json(obj: Mapping):
     """The certificate a ``certificate_to_json`` payload describes; ValueError if malformed."""
     try:
         if obj["type"] == "handelman":
-            weights = {tuple(entry["alpha"]): _value_from_json(entry["value"])
-                       for entry in obj["weights"]}
+            weights = {}
+            for entry in obj["weights"]:
+                alpha = tuple(entry["alpha"])
+                if alpha in weights:
+                    raise ValueError(f"certificate JSON lists alpha {list(alpha)} twice")
+                weights[alpha] = _value_from_json(entry["value"])
             return HandelmanCertificate(int(obj["d"]), int(obj["n"]), weights)
         if obj["type"] == "putinar":
             gram_a, gram_b = (tuple(tuple(map(_value_from_json, row)) for row in obj[key])

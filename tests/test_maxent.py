@@ -31,7 +31,13 @@ from unitycert.momatrix import (
     moment_matrix,
 )
 from unitycert.measures import ARCSINE, functional_for, simplex_uniform
-from unitycert.polycore import MPoly, UPoly, monomials_upto, simplex_generator_power
+from unitycert.polycore import (
+    MPoly,
+    UPoly,
+    monomials_upto,
+    multinomial,
+    simplex_generator_power,
+)
 
 def const(v):
     return UPoly.constant(v)
@@ -51,6 +57,25 @@ def _hankel_pair(lam, n):
 def _uniform_simplex_moments(d, basis):
     return [Fraction(math.factorial(d) * math.prod(map(math.factorial, beta)),
                      math.factorial(d + sum(beta))) for beta in basis]
+
+
+def _power_rows(d, alphas, basis):
+    """The coefficients of each g^alpha over basis, from polycore's closed form."""
+    rows = []
+    for alpha in alphas:
+        g = simplex_generator_power(d, alpha)
+        assert g.den == 1
+        rows.append([g.sparse_nums.get(e, 0) for e in basis])
+    return rows
+
+
+def _dense(rows, width):
+    """A table's sparse (column, integer) rows as a dense matrix of Python ints."""
+    out = np.zeros((len(rows), width), dtype=object)
+    for values, row in zip(out, rows):
+        for j, c in row:
+            values[j] = c
+    return out
 
 
 class TestSolveHandelman:
@@ -106,7 +131,7 @@ class TestSolveHandelman:
         for n in (2, 4, 6):
             s = (n + 1) * (n + 2) // 2
             cert, dual, _ = solve_handelman(const(s), n, tol=tol)
-            rows = maxent._generator_table(1, n).rows
+            rows = _power_rows(1, cert.weights, monomials_upto(1, n))
             for (alpha, w), row in zip(cert.weights.items(), rows):
                 pairing = sum(float(c) * dual.values[k] for k, c in enumerate(row))
                 assert abs(w * pairing - 1.0) <= 10 * tol
@@ -567,6 +592,13 @@ class TestVerifyCertificate:
                 with pytest.raises(ValueError, match="Putinar certificate must be"):
                     check(c, const(3))
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_putinar_degree_rejected(self, n):
+        cert = certificate_from_json({"type": "putinar", "n": n, "gramA": [], "gramB": []})
+        for check in (verify_certificate, verify_certificate_exact):
+            with pytest.raises(ValueError, match=f"degree must be >= 0, got {n}$"):
+                check(cert, const(3))
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entries_rejected(self, bad):
         handelman = certificate_from_json(json.loads(
@@ -722,6 +754,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"no '{field}' field"):
             certificate_from_json(payload)
 
+    def test_repeated_alpha_rejected(self):
+        # Read as a dict, the second weight would silently replace the first.
+        payload = {"type": "handelman", "d": 1, "n": 1, "weights": [
+            {"alpha": [0, 0], "value": "1"}, {"alpha": [1, 0], "value": "1"},
+            {"alpha": [0, 0], "value": "2"}]}
+        with pytest.raises(ValueError, match=r"alpha \[0, 0\] twice"):
+            certificate_from_json(payload)
+
 
 class TestTargetRange:
     HUGE = 10**400  # finite as a rational, past the largest double
@@ -791,9 +831,10 @@ class TestBasisMaps:
         # their coefficient rows.
         table = maxent._generator_table(d, n)
         size = len(table.basis)
-        assert (table.homog @ table.rows[-size:] == np.eye(size, dtype=int)).all()
+        assert (table.homog @ _dense(table.top_terms, size) == np.eye(size, dtype=int)).all()
         uniform = _uniform_simplex_moments(d, table.basis)
-        exact = [sum(c * y for c, y in zip(row, uniform)) for row in table.rows]
+        rows = _power_rows(d, table.alphas, table.basis)
+        exact = [sum(c * y for c, y in zip(row, uniform)) for row in rows]
         z = np.array([float(v) for v in table.bernstein_moments(uniform)])
         assert np.allclose(table.pairing @ z, [float(v) for v in exact], rtol=1e-15, atol=0)
         assert (table.pairing >= 0).all()
@@ -1041,17 +1082,22 @@ class TestKernels:
 class TestIntegerExactSide:
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 4), (3, 3)])
     def test_generator_rows_are_integer_coefficients(self, d, n):
+        # The top block holds the coefficients of x^gamma, and lift writes
+        # every g^alpha in the x^gamma: together they give its coefficients.
         table = maxent._generator_table(d, n)
-        for alpha, row in zip(table.alphas, table.rows):
-            g = simplex_generator_power(d, alpha)
-            assert all(type(c) is int for c in row)
-            assert [Fraction(c) for c in row] == [g.terms.get(e, 0) for e in table.basis]
+        assert all(type(c) is int for rows in (table.top_terms, table.lift)
+                   for row in rows for _, c in row)
+        block = _dense(table.top_terms, len(table.basis))
+        assert block.tolist() == _power_rows(d, table.tops, table.basis)
+        lift = _dense(table.lift, len(table.tops))
+        assert (lift @ block).tolist() == _power_rows(d, table.alphas, table.basis)
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 3)])
     def test_exact_sup_residual_matches_fractions(self, d, n):
         rng = random.Random(800 + d)
         table = maxent._generator_table(d, n)
-        alphas, basis, rows = table.alphas, table.basis, table.rows
+        alphas, basis = table.alphas, table.basis
+        rows = _power_rows(d, alphas, basis)
         weights = [rng.uniform(0.1, 50.0) for _ in rows]
         target = [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in basis]
         recon = [Fraction(0)] * len(basis)
@@ -1083,14 +1129,85 @@ class TestIntegerExactSide:
         )
         target = MPoly.constant(d, 1) if d > 1 else const(1)
         cert = exact_handelman(target, n, DualFunctional(lam))  # rational: kept as is
-        table = maxent._generator_table(d, n)
-        alphas, rows = table.alphas, table.rows
+        alphas = monomials_upto(d + 1, n)
+        rows = _power_rows(d, alphas, basis)
         want = {
             alpha: 1 / sum((l * c for l, c in zip(lam, row)), Fraction(0))
             for alpha, row in zip(alphas, rows)
         }
         assert cert.weights == want
         assert all(type(w) is Fraction for w in cert.weights.values())
+
+    @pytest.mark.parametrize(
+        "d, alpha",
+        [(1, (0, 0, 0)), (2, (1, 0)), (1, (2, 1)), (2, (0, 0, 3)), (1, (-1, 1)), (2, (2, -1, 0))],
+        ids=["long", "short", "above-n", "above-n-d2", "negative", "negative-d2"],
+    )
+    def test_weight_exponent_outside_the_table(self, d, alpha):
+        one = MPoly.constant(d, 1) if d > 1 else const(1)
+        zero = (0,) * (d + 1)
+        cert = HandelmanCertificate(d, 2, {zero: Fraction(1, 2), alpha: 1})
+        for check in (verify_certificate, verify_certificate_exact, maxent._exact_residual):
+            with pytest.raises(ValueError, match="a weight exponent is not in the certificate's"):
+                check(cert, one)
+
+    @pytest.mark.parametrize(
+        "cert, target, want",
+        [
+            (HandelmanCertificate(1, 1, {(0, 0): 1}), UPoly.from_coeffs([0, 0, 0, 1]), 1.0),
+            # 1 against 1 + 3 x_1 x_2: only the term of degree 2 > n is left.
+            (HandelmanCertificate(2, 1, {(0, 0, 0): 1}),
+             MPoly.make(2, {(0, 0): 1, (1, 1): 3}), 3.0),
+            # x_1 + x_2 + (1 - x_1 - x_2) = 1 against 1 - x_1^2 x_2 / 2.
+            (HandelmanCertificate(2, 1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
+             MPoly.make(2, {(0, 0): 1, (2, 1): Fraction(-1, 2)}), 0.5),
+        ],
+        ids=["d1", "d2", "d2-exact-below"],
+    )
+    def test_target_above_the_degree_keeps_its_residual(self, cert, target, want):
+        assert verify_certificate(cert, target) == want
+        assert maxent._exact_residual(cert, target) == Fraction(want)
+        assert not verify_certificate_exact(cert, target)
+
+    @pytest.mark.parametrize(
+        "cert, target, want",
+        [
+            # 2x + 2(1 - x) = 2
+            (HandelmanCertificate(1, 2, {(1, 0): 2, (0, 1): 2}), const(2), 0),
+            # x^2 against 1
+            (HandelmanCertificate(1, 2, {(2, 0): 1}), const(1), 1),
+            # x_1 + x_2 + (1 - x_1 - x_2) = 1, at degree 3
+            (HandelmanCertificate(2, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
+             MPoly.constant(2, 1), 0),
+            # x_1 x_2 / 4 against 1: -1 on 1 and 1/4 on x_1 x_2
+            (HandelmanCertificate(2, 3, {(1, 1, 0): Fraction(1, 4)}), MPoly.constant(2, 1), 1),
+        ],
+        ids=["d1-exact", "d1-off", "d2-exact", "d2-off"],
+    )
+    def test_weights_naming_some_alphas(self, cert, target, want):
+        assert maxent._exact_residual(cert, target) == want
+        assert verify_certificate_exact(cert, target) is (want == 0)
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (1, 20), (2, 8), (3, 6), (4, 5)])
+    def test_partition_of_unity_reconstructs(self, d, n):
+        # sum_alpha multinom(d; alpha) g^alpha = C(d+1+n, n), Handelman's
+        # certificate that 1 is positive.
+        weights = {alpha: multinomial((d,) + alpha) for alpha in monomials_upto(d + 1, n)}
+        constant = math.comb(d + 1 + n, n)
+        target = MPoly.constant(d, constant) if d > 1 else const(constant)
+        assert verify_certificate_exact(HandelmanCertificate(d, n, weights), target)
+        weights[(n,) + (0,) * d] += Fraction(1, 3)  # one third of x_1^n more
+        assert maxent._exact_residual(HandelmanCertificate(d, n, weights), target) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (1, 20), (2, 8), (3, 6), (4, 5)])
+    def test_partition_of_unity_in_bernstein_coordinates(self, d, n):
+        # sum_alpha multinom(d; alpha) lift[alpha, gamma] = C(d+1+n, n) multinom(n; gamma)
+        table = maxent._generator_table(d, n)
+        sums = [0] * len(table.tops)
+        for alpha, row in zip(table.alphas, table.lift):
+            for g, c in row:
+                sums[g] += multinomial((d,) + alpha) * c
+        assert sums == [math.comb(d + 1 + n, n) * multinomial(gamma) for gamma in table.tops]
 
     def test_rounding_absorbs_the_residual(self):
         n, flagship = 12, const(91)

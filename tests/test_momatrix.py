@@ -665,7 +665,12 @@ class TestChristoffelDarboux:
         f = functional_for(measure)
         g = UPoly.constant(1) if shift is None else shift
         moments = [f.poly_moment(g * UPoly((0,) * k + (1,))) for k in range(2 * 96 + 1)]
-        for n in range(97):
+        sizes = range(97)
+        if measure is LEBESGUE01 and shift is G:
+            # The reference sums outer products of integers of thousands of
+            # bits here: every n <= 24 and two larger sizes keep it under a second.
+            sizes = [*range(25), 48, 96]
+        for n in sizes:
             polys, norms = momatrix._chebyshev_algorithm(moments[: 2 * n + 1])
             y, den = momatrix._kernel_nums(polys, norms, "recurrence")
             assert (y, den) == lowest_upper(*momatrix._inverse_nums(polys, norms, n + 1))
