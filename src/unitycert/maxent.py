@@ -367,10 +367,10 @@ class _GeneratorTable:
     Gamma runs over ``tops``, the alphas of degree n (g^gamma is x^gamma).  Homogenized,
     g^alpha = x^alpha (x_1 + ... + x_{d+1})^(n-|alpha|) is sum_g lift[a, g] x^gamma with
     lift[a, g] = multinom(n-|alpha|; gamma-alpha) > 0 once for each gamma above alpha.
-    ``lift[a]`` holds those (g, integer) pairs, ``pairing`` the doubles lift[a, g] /
-    multinom(n; gamma) that pair g^alpha with z, and ``homog`` the dense rows of the
-    x^beta = g^(beta, 0), beta in ``basis``.  The monomials of the x^gamma invert it:
-    ``top_terms`` in (basis index, integer) pairs, ``bernstein`` times ``multinom``.
+    ``lift[a]`` holds those (g, integer) pairs and ``pairing`` the doubles lift[a, g] /
+    multinom(n; gamma) that pair g^alpha with z.  A monomial x^beta, beta in ``basis``,
+    is g^(beta, 0), so its row of ``lift`` homogenizes it; ``top_terms`` inverts that
+    map, the monomials of each x^gamma in (basis index, integer) pairs.
     """
 
     def __init__(self, d: int, n: int) -> None:
@@ -391,28 +391,33 @@ class _GeneratorTable:
         self.pairing = np.array([_sparse_sum([(1, [(g, c / self.multinom[g]) for g, c in row])],
                                              len(self.tops)) for row in self.lift], dtype=float)
         self.pairing.setflags(write=False)
-        self.homog = _object_matrix([_sparse_sum([(1, self.lift[self.position[beta + (0,)]])],
-                                                 len(self.tops)) for beta in self.basis])
         index = {beta: i for i, beta in enumerate(self.basis)}
         self.top_terms = tuple(
             tuple((index[e], c) for e, c in simplex_generator_power(d, gamma).sparse_nums.items())
             for gamma in self.tops)
-        self.bernstein = _object_matrix([_sparse_sum([(m, row)], len(self.basis))
-                                         for m, row in zip(self.multinom, self.top_terms)])
+
+    def homogenized(self, beta: Exponent) -> tuple[tuple[int, int], ...]:
+        """x^beta as sum_g lift[(beta, 0), g] x^gamma, in (g, integer) pairs."""
+        return self.lift[self.position[beta + (0,)]]
 
     def bernstein_moments(self, y: Sequence[Number]) -> list[Fraction]:
         """z_gamma = multinom(n; gamma) <y, g^gamma>, exactly."""
-        return _exact_matvec(self.bernstein, y)
+        nums, den = _common_numerators([v if _is_rational(v) else float(v) for v in y])
+        return [Fraction(m * sum([c * nums[i] for i, c in row]), den)
+                for m, row in zip(self.multinom, self.top_terms)]
 
     def monomial_moments(self, z: Sequence[Number]) -> list[Fraction]:
-        """y_beta = sum_gamma homog[beta, gamma] z_gamma / multinom(n; gamma), exactly."""
-        return _exact_matvec(self.homog, [Fraction(v) / m for v, m in zip(z, self.multinom)])
+        """y_beta = sum_g lift[(beta, 0), g] z_gamma / multinom(n; gamma), exactly."""
+        nums, den = _common_numerators([Fraction(v) / m for v, m in zip(z, self.multinom)])
+        return [Fraction(sum([c * nums[g] for g, c in self.homogenized(beta)]), den)
+                for beta in self.basis]
 
     def bernstein_coefficients(self, p: AnyPoly) -> list[Fraction]:
-        """The coefficients of p in the degree-n Bernstein basis, exactly."""
-        terms = p.terms
-        lifted = _exact_matvec(self.homog.T, [terms.get(beta, 0) for beta in self.basis])
-        return [v / m for v, m in zip(lifted, self.multinom)]
+        """The coefficients of p in the degree-n Bernstein basis, exactly; terms of
+        degree above n are dropped."""
+        lifted = _sparse_sum([(c, self.homogenized(beta)) for beta, c in p.sparse_nums.items()
+                              if sum(beta) <= self.n], len(self.tops))
+        return [Fraction(v, p.den * m) for v, m in zip(lifted, self.multinom)]
 
 
 # One table per (d, n), shared by the solve, the exact certificate and the checks.
@@ -756,7 +761,8 @@ def _bernstein_residual(cert: HandelmanCertificate, target: AnyPoly):
     """``(table, R, above, scale)``: target - sum_a w_a g^alpha in integers over one
     scale of the weights (rational, or dyadic doubles) and the target.  Homogenized
     to degree n it is sum_gamma R_gamma x^gamma, R = homog' t - lift' w, as a target
-    term x^beta is g^(beta, 0); ``above`` holds its terms of degree above n."""
+    term x^beta is g^(beta, 0) (``homogenized``); ``above`` holds its terms of degree
+    above n."""
     nums, den = _common_numerators(list(cert.weights.values()))
     table = _generator_table(cert.dimension, cert.degree)
     if not cert.weights.keys() <= table.position.keys():
@@ -767,7 +773,7 @@ def _bernstein_residual(cert: HandelmanCertificate, target: AnyPoly):
     factor, target_factor = scale // den, scale // target.den
     terms = [(-w * factor, table.lift[table.position[alpha]])
              for alpha, w in zip(cert.weights, nums)]
-    terms += [(c * target_factor, table.lift[table.position[beta + (0,)]])
+    terms += [(c * target_factor, table.homogenized(beta))
               for beta, c in target.sparse_nums.items() if sum(beta) <= table.n]
     above = [c * target_factor for beta, c in target.sparse_nums.items() if sum(beta) > table.n]
     return table, _sparse_sum(terms, len(table.tops)), above, scale

@@ -1,47 +1,47 @@
 """Moment and localizing matrices with exact rational inversion.
 
 Matrices are indexed by the graded lexicographic monomial basis of degree
-<= n.  ``christoffel_form`` picks one of three inversions, once per input:
+<= n.  A form comes from its measure; a built matrix goes to Bareiss.
 
-* A measure with no shift whose orthogonal polynomials are explicit goes
-  to them, and no moment is computed.  A Dirichlet measure
-  (``measures.dirichlet``, in any dimension: ``LEBESGUE01`` on [0,1], the
-  uniform and equilibrium simplex measures, and their localizations
-  ``measures.localized`` by generator powers g^alpha among them) has an
-  explicit orthogonal basis (Dunkl and Xu, *Orthogonal Polynomials of
-  Several Variables*, 2nd ed., 2014, section 5.3): products of univariate
-  Beta orthogonal polynomials with closed-form norms.  For d = 1 that basis
-  is the monic Beta polynomials themselves.  ``ARCSINE`` and ``ARCSINE_G``
-  have the Chebyshev polynomials: the monic ``p_k = T_k / 2^(k-1)`` (k >= 1,
-  ``p_0 = 1``) with norms ``h_k = 2^(1-2k)`` (``h_0 = 1``), and ``p_k = U_k
-  / 2^k`` with ``h_k = 2^(-2k-1)``, each written from ``polycore.cheb``'s
-  integer coefficients.  The route reads the measure alone: a localization
-  spelled as a polynomial ``shift`` takes one of the other two.
-* Any other univariate input -- one with a polynomial shift -- goes to the
-  recurrence on its 2n+1 moments ``mu_k = L(g x^k)``, and no matrix is
-  built: the Chebyshev algorithm (Gautschi, *Orthogonal Polynomials:
-  Computation and Approximation*, 2004, section 2.1.7) gives the recurrence
-  coefficients and the norms of the monic orthogonal polynomials ``p_k``,
-  and the three-term recurrence builds the ``p_k``.  The coefficients and
-  norms are reduced integer ``(numerator, denominator)`` pairs, so the
-  algorithm builds no ``Fraction``; the leading principal minor of order
-  ``k+1`` is ``h_0 ... h_k``, which doubles as the positive definiteness
-  check.  Besides this route the algorithm serves only ``invert_hankel``
-  and the cached Beta tables of the first route.
-* Anything else -- and every built ``MomentMatrix``, of any dimension, given
-  to ``invert_exact`` or ``christoffel_form_of_matrix`` -- goes to
-  fraction-free Bareiss elimination on an integer-scaled copy (Bareiss,
-  Math. Comp. 1968), then back-substitution to ``det * A^{-1}``, which is an
-  integer matrix; every division is checked exact.  The Bareiss pivots are
-  the leading principal minors; the tests use this route as the oracle for
-  the other two.
+* ``christoffel_form`` reads the measure alone: every measure it takes has
+  explicit orthogonal polynomials, and no moment is computed.  A Dirichlet
+  measure (``measures.dirichlet``, in any dimension: ``LEBESGUE01`` on
+  [0,1], the uniform and equilibrium simplex measures, and their
+  localizations ``measures.localized`` by generator powers g^alpha among
+  them) has an explicit orthogonal basis (Dunkl and Xu, *Orthogonal
+  Polynomials of Several Variables*, 2nd ed., 2014, section 5.3): products
+  of univariate Beta orthogonal polynomials with closed-form norms.  For
+  d = 1 that basis is the monic Beta polynomials themselves.  ``ARCSINE``
+  and ``ARCSINE_G`` have the Chebyshev polynomials: the monic ``p_k = T_k /
+  2^(k-1)`` (k >= 1, ``p_0 = 1``) with norms ``h_k = 2^(1-2k)`` (``h_0 =
+  1``), and ``p_k = U_k / 2^k`` with ``h_k = 2^(-2k-1)``, each written from
+  ``polycore.cheb``'s integer coefficients.
+* Every built ``MomentMatrix``, of any dimension -- a localizing matrix
+  ``moment_matrix(mu, n, g)`` for any polynomial g among them -- given to
+  ``invert_exact`` or ``christoffel_form_of_matrix`` goes to fraction-free
+  Bareiss elimination on an integer-scaled copy (Bareiss, Math. Comp.
+  1968), then back-substitution to ``det * A^{-1}``, which is an integer
+  matrix; every division is checked exact.  The Bareiss pivots are the
+  leading principal minors; the tests use this route as the oracle for the
+  orthogonal polynomials.
 
-With ``h_k = L(g p_k^2)`` the norm of the orthogonal ``p_k``, ``M^{-1}`` is
+``invert_hankel`` inverts a Hankel matrix from its moment sequence
+``mu_0 .. mu_2n`` with no matrix built: the Chebyshev algorithm (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, 2004, section
+2.1.7) gives the recurrence coefficients and the norms of the monic
+orthogonal polynomials ``p_k``, and the three-term recurrence builds the
+``p_k``.  The coefficients and norms are reduced integer ``(numerator,
+denominator)`` pairs, so the algorithm builds no ``Fraction``; the leading
+principal minor of order ``k+1`` is ``h_0 ... h_k``, which doubles as the
+positive definiteness check.  The algorithm serves only ``invert_hankel``
+and the cached Beta tables of the Dirichlet forms.
+
+With ``h_k = L(p_k^2)`` the norm of the orthogonal ``p_k``, ``M^{-1}`` is
 the coefficient matrix of the kernel ``K_n(x, y) = sum_k p_k(x) p_k(y) / h_k``.
-Every univariate input (the second route, and the first for d = 1) builds
-it by the Christoffel-Darboux formula (Szego, *Orthogonal Polynomials*,
-1939, Theorem 3.2.2): with ``p~ = x p_n - beta_n p_{n-1}`` and
-``beta_n = h_n / h_{n-1}``,
+Every univariate kernel (``invert_hankel``, the arcsine forms, and the
+Dirichlet forms for d = 1) is built by the Christoffel-Darboux formula
+(Szego, *Orthogonal Polynomials*, 1939, Theorem 3.2.2): with
+``p~ = x p_n - beta_n p_{n-1}`` and ``beta_n = h_n / h_{n-1}``,
 
     (x - y) K_n(x, y) = (p~(x) p_n(y) - p_n(x) p~(y)) / h_n.
 
@@ -49,23 +49,22 @@ The recurrence coefficient ``alpha_n`` of ``p_{n+1}`` cancels, so no moment
 past ``mu_2n`` is needed, and matching the coefficients of ``x^i y^j``
 gives each row of the kernel from the row before, from ``p_n`` and
 ``p_{n-1}`` alone: about ``m^2`` integer products for dimension m.  The
-product basis of the first route in d >= 2 has no three-term recurrence,
-so ``M^{-1} = sum_k c_k c_k^T / h_k`` is summed from it, with ``c_k`` the
-monomial coefficients of the k-th basis polynomial: about ``m^3 / 6``
-integer products.  All three routes hand back the upper triangle of
-``L * M^{-1}`` in integers over one denominator ``L`` (``det`` for Bareiss).
-A ``ChristoffelForm`` keeps that triangle in lowest terms and sums the
-quadratic form from it -- the reciprocal Christoffel function as an
-explicit polynomial -- and builds the ``Fraction`` matrix ``inverse`` only
-when it is read; the identity verifiers never read it.
+product basis of the Dirichlet forms in d >= 2 has no three-term
+recurrence, so ``M^{-1} = sum_k c_k c_k^T / h_k`` is summed from it, with
+``c_k`` the monomial coefficients of the k-th basis polynomial: about
+``m^3 / 6`` integer products.  Every inversion hands back the upper
+triangle of ``L * M^{-1}`` in integers over one denominator ``L`` (``det``
+for Bareiss).  A ``ChristoffelForm`` keeps that triangle in lowest terms
+and sums the quadratic form from it -- the reciprocal Christoffel function
+as an explicit polynomial -- and builds the ``Fraction`` matrix ``inverse``
+only when it is read; the identity verifiers never read it.
 
 With ``logging`` at DEBUG, each inversion logs one record with its
 dimension and method: for Bareiss the bit lengths of ``det`` and of the
-largest entry of ``det * A^{-1}``, for ``recurrence`` (every univariate
-kernel not of a Dirichlet measure, the closed-form Chebyshev ones among
-them) and ``dirichlet`` those of the common denominator ``L`` and of the
-largest entry of ``L * M^{-1}`` (in lowest terms on the Christoffel-Darboux
-route).
+largest entry of ``det * A^{-1}``, for ``recurrence`` (``invert_hankel`` and
+the closed-form Chebyshev forms) and ``dirichlet`` those of the common
+denominator ``L`` and of the largest entry of ``L * M^{-1}`` (in lowest terms
+on the Christoffel-Darboux route).
 Bareiss time grows with its intermediates, roughly cubically in the matrix
 dimension times their bit length: arcsine n=48 logs ``det_bits=2303
 entry_bits_max=2419``.  At arcsine n=48 and 96, arcsine-g n=20 and
@@ -86,13 +85,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .measures import ARCSINE, ARCSINE_G, MeasureId, MomentFunctional, functional_for
+from .measures import ARCSINE, ARCSINE_G, MeasureId, functional_for
 from .polycore import (AnyPoly, ChebKind, Exponent, cheb, monomials_upto, poly_eval,
                        poly_from_sparse_nums)
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 Ratio = tuple[int, int]  # (numerator, denominator), denominator > 0
-ShiftTerms = Optional[list[tuple[Exponent, Fraction]]]  # None for no shift
 
 logger = logging.getLogger(__name__)
 
@@ -146,23 +144,6 @@ class ChristoffelForm:
         return _fractions_of_upper(self.inverse_upper, self.inverse_den)
 
 
-def _shift_terms(shift: Optional[AnyPoly], dimension: int) -> ShiftTerms:
-    """The shift's ``(exponent, coefficient)`` pairs, or None for no shift."""
-    if shift is None:
-        return None
-    if shift.dimension != dimension:
-        raise ValueError("shift polynomial dimension does not match the measure")
-    return list(shift.terms.items())
-
-
-def _shifted_moment(functional: MomentFunctional, terms: ShiftTerms, e: Exponent) -> Fraction:
-    """``L(g x^e)`` for the shift g given by its ``_shift_terms``."""
-    if terms is None:
-        return functional.moment(e)
-    return sum((c * functional.moment(tuple(map(operator.add, e, gamma))) for gamma, c in terms),
-               Fraction(0))
-
-
 def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> MomentMatrix:
     """Moment matrix of degree n; with a shift g it is the localizing matrix.
 
@@ -173,9 +154,18 @@ def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -
     functional = functional_for(measure)
     dim = measure.dimension
     basis = monomials_upto(dim, n)
-    terms = _shift_terms(shift, dim)
-    # One moment sum per distinct exponent a+b, shared by every entry that has it.
     add = operator.add
+    moment = functional.moment
+    if shift is not None:
+        if shift.dimension != dim:
+            raise ValueError("shift polynomial dimension does not match the measure")
+        terms = list(shift.terms.items())
+
+        def moment(e: Exponent) -> Fraction:
+            return sum((c * functional.moment(tuple(map(add, e, gamma))) for gamma, c in terms),
+                       Fraction(0))
+
+    # One moment sum per distinct exponent a+b, shared by every entry that has it.
     values: dict[Exponent, Fraction] = {}
     size = len(basis)
     rows: list[list] = [[None] * size for _ in range(size)]
@@ -185,7 +175,7 @@ def moment_matrix(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -
             total = tuple(map(add, a, basis[j]))
             value = values.get(total)
             if value is None:
-                value = values[total] = _shifted_moment(functional, terms, total)
+                value = values[total] = moment(total)
             row[j] = rows[j][i] = value
     entries = tuple(tuple(row) for row in rows)
     return MomentMatrix(measure=measure, degree=n, basis=basis, entries=entries, shift=shift)
@@ -695,33 +685,24 @@ def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
                              *_bareiss_inverse_nums(matrix.entries))
 
 
-def christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly] = None) -> ChristoffelForm:
-    """Reciprocal Christoffel function of degree n of ``shift * measure``.
+def christoffel_form(measure: MeasureId, n: int) -> ChristoffelForm:
+    """Reciprocal Christoffel function of degree n of a measure, from its
+    orthogonal polynomials.
 
-    The one place that picks an inversion, from the measure and whether
-    there is a shift.  With none, a Dirichlet measure (``measures.localized``
-    builds one for a generator power) goes to its orthogonal basis (for
-    d = 1 the Beta recurrence), and ``ARCSINE`` and ``ARCSINE_G`` to their
-    closed-form monic Chebyshev polynomials ``T_k / 2^(k-1)`` and ``U_k /
-    2^k``, with no moment computed.  Any univariate input with a shift runs
-    the Chebyshev algorithm on its 2n+1 shifted moments ``L(shift x^k)`` and
-    builds no matrix; every univariate kernel is assembled by
-    Christoffel-Darboux.  Anything else is filled by ``moment_matrix`` and
-    inverted by Bareiss elimination.
+    The route reads the measure alone, and no moment is computed: a
+    Dirichlet measure (``measures.localized`` builds one for a generator
+    power) goes to its orthogonal basis (for d = 1 the Beta recurrence), and
+    ``ARCSINE`` and ``ARCSINE_G`` to their closed-form monic Chebyshev
+    polynomials ``T_k / 2^(k-1)`` and ``U_k / 2^k``.  Every univariate kernel
+    is assembled by Christoffel-Darboux.  The form of any other localization
+    ``g * mu`` is ``christoffel_form_of_matrix(moment_matrix(mu, n, g))``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if shift is None:
-        if measure.kappa:  # a Dirichlet measure
-            return _dirichlet_form(measure, n)
-        y, den = _kernel_nums(*_chebyshev_pair(_CHEBYSHEV_KINDS[measure], n), "recurrence")
-        return _christoffel_form(measure, n, None, y, den)
-    if measure.dimension == 1:
-        functional = functional_for(measure)
-        terms = _shift_terms(shift, 1)
-        moments = [_shifted_moment(functional, terms, (k,)) for k in range(2 * n + 1)]
-        return _christoffel_form(measure, n, shift, *_hankel_inverse_nums(moments))
-    return christoffel_form_of_matrix(moment_matrix(measure, n, shift))
+    if measure.kappa:  # a Dirichlet measure
+        return _dirichlet_form(measure, n)
+    y, den = _kernel_nums(*_chebyshev_pair(_CHEBYSHEV_KINDS[measure], n), "recurrence")
+    return _christoffel_form(measure, n, None, y, den)
 
 
 def christoffel_eval(form: ChristoffelForm, point: Sequence) -> Fraction:

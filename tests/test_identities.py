@@ -31,7 +31,7 @@ from unitycert.measures import (
     simplex_equilibrium,
     simplex_uniform,
 )
-from unitycert.momatrix import christoffel_form
+from unitycert.momatrix import christoffel_form, christoffel_form_of_matrix, moment_matrix
 from unitycert.polycore import MPoly, UPoly, poly_eval, simplex_generator_power
 
 
@@ -114,16 +114,19 @@ class TestSimplexEquilibrium:
     def test_christoffel_sum_is_the_one_sum(self):
         # Both Christoffel verifiers report the helper's sum: CHEBY2 over
         # the arcsine measure and (1 - x^2, ARCSINE_G), the triangle over its
-        # edges and their localized measures.  Spelling each localization as
-        # a polynomial shift, which takes another inversion route, gives the
-        # same sum.
+        # edges and their localized measures.  Bareiss on each localizing
+        # matrix, which never reads the localized measure, gives the same sum.
         form = christoffel_form
+
+        def bareiss(mu, n, g):
+            return christoffel_form_of_matrix(moment_matrix(mu, n, g)).quadratic_form_poly
+
         g = UPoly.from_coeffs([1, 0, -1])
         for n in (1, 4):
             assert christoffel_sum(ARCSINE, n, [(g, ARCSINE_G)]) == UPoly.constant(2 * n + 1)
             alone = form(ARCSINE, n).quadratic_form_poly
             assert christoffel_sum(ARCSINE, n, []) == alone
-            shifted = alone + g * form(ARCSINE, n - 1, shift=g).quadratic_form_poly
+            shifted = alone + g * bareiss(ARCSINE, n - 1, g)
             assert shifted == UPoly.constant(2 * n + 1)
         for normalization in SimplexNormalization:
             mu = simplex_equilibrium(normalization)
@@ -134,7 +137,7 @@ class TestSimplexEquilibrium:
             assert total == MPoly.constant(2, report.constant)
             shifted = form(mu, 3).quadratic_form_poly
             for g, _ in edges:
-                shifted = shifted + g * form(mu, 2, shift=g).quadratic_form_poly
+                shifted = shifted + g * bareiss(mu, 2, g)
             assert shifted == total
 
     def test_mismatch_is_logged_not_failed(self, caplog):

@@ -827,11 +827,12 @@ class TestBasisMaps:
 
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 3), (3, 2)])
     def test_pairing_is_the_generator_pairing(self, d, n):
-        # homog writes x^beta in the top-degree generators: the inverse of
-        # their coefficient rows.
+        # The lift rows of the x^beta write them in the top-degree generators:
+        # the inverse of their coefficient rows.
         table = maxent._generator_table(d, n)
         size = len(table.basis)
-        assert (table.homog @ _dense(table.top_terms, size) == np.eye(size, dtype=int)).all()
+        homog = _dense([table.homogenized(beta) for beta in table.basis], size)
+        assert (homog @ _dense(table.top_terms, size) == np.eye(size, dtype=int)).all()
         uniform = _uniform_simplex_moments(d, table.basis)
         rows = _power_rows(d, table.alphas, table.basis)
         exact = [sum(c * y for c, y in zip(row, uniform)) for row in rows]

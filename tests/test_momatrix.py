@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import logging
 import random
@@ -86,8 +87,12 @@ class TestMomentMatrix:
                 assert m.entry(i, j) == f.moment((i + j + 1,)) - f.moment((i + j + 2,))
 
     def test_shift_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension"):
             moment_matrix(simplex_uniform(2), 1, shift=G)
+        with pytest.raises(ValueError, match="dimension"):
+            moment_matrix(ARCSINE, 2, MPoly.make(2, {(1, 1): 1}))
+        with pytest.raises(ValueError, match="dimension"):
+            moment_matrix(simplex_equilibrium(), 2, MPoly.make(3, {(1, 1, 0): 1}))
 
     @pytest.mark.parametrize(
         "measure, n, shift",
@@ -311,8 +316,24 @@ class TestChristoffelForm:
         assert form.quadratic_form_poly == UPoly.from_coeffs([1, 0, 2])
 
     def test_localized_constant(self):
-        form = christoffel_form(ARCSINE, 0, shift=G)
+        form = christoffel_form_of_matrix(moment_matrix(ARCSINE, 0, G))
         assert form.quadratic_form_poly == UPoly.from_coeffs([2])
+
+    def test_reads_the_measure_alone(self, monkeypatch):
+        # Every measure has its orthogonal polynomials: no moment functional,
+        # no filled matrix and no Bareiss elimination.
+        assert list(inspect.signature(christoffel_form).parameters) == ["measure", "n"]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("christoffel_form built a matrix")
+
+        for name in ("functional_for", "moment_matrix", "_bareiss_upper", "_bareiss_inverse_nums"):
+            monkeypatch.setattr(momatrix, name, boom)
+        measures = [ARCSINE, ARCSINE_G, LEBESGUE01, dirichlet((Fraction(1, 3), 2), Fraction(5, 7)),
+                    simplex_uniform(3), localized(simplex_equilibrium(), (1, 1, 0))]
+        for measure in measures:
+            for n in range(4):
+                christoffel_form(measure, n)
 
     def test_lebesgue_constant(self):
         form = christoffel_form(LEBESGUE01, 0)
@@ -340,7 +361,7 @@ class TestChristoffelForm:
                 total = total + cheb_orthonormal_square(ChebKind.FIRST, j)
             assert form.quadratic_form_poly == total
         for n in range(16):
-            form = christoffel_form(ARCSINE, n, shift=G)
+            form = christoffel_form_of_matrix(moment_matrix(ARCSINE, n, G))
             total = UPoly.zero()
             for j in range(n + 1):
                 total = total + cheb_orthonormal_square(ChebKind.SECOND, j)
@@ -442,31 +463,35 @@ def shifted_moments(measure, n, shift):
     return [f.poly_moment(g * UPoly((0,) * k + (1,))) for k in range(2 * n + 1)]
 
 
+def hankel_form(measure, n, shift):
+    """The form of ``shift * measure`` from the Chebyshev algorithm on its
+    shifted moments, the integer core of ``invert_hankel``."""
+    moments = shifted_moments(measure, n, shift)
+    return momatrix._christoffel_form(measure, n, shift, *momatrix._hankel_inverse_nums(moments))
+
+
 class TestRecurrenceInverse:
-    """The univariate route (Chebyshev algorithm) against Bareiss as the oracle."""
+    """The univariate recurrence (Chebyshev algorithm) against Bareiss as the oracle."""
 
     @pytest.mark.parametrize("shift", list(SHIFTS), ids=list(SHIFTS))
     @pytest.mark.parametrize("measure", [ARCSINE, ARCSINE_G, LEBESGUE01], ids=lambda m: m.label())
     def test_matches_bareiss(self, measure, shift):
-        # christoffel_form runs the Chebyshev algorithm on every shifted
-        # input here; with no shift ARCSINE and ARCSINE_G take their closed
-        # forms and LEBESGUE01 the Dirichlet route.  invert_hankel runs the
-        # algorithm on all of them.
+        # invert_hankel runs the Chebyshev algorithm on every input here.
+        # With no shift christoffel_form is checked too: ARCSINE and
+        # ARCSINE_G take their closed forms and LEBESGUE01 the Dirichlet route.
         shift = SHIFTS[shift]
         for n in range(21):
             matrix = moment_matrix(measure, n, shift)
             want = bareiss_outcome(matrix)
             moments = shifted_moments(measure, n, shift)
             if isinstance(want[0], int):
-                # x(1-x) is negative on most of [-1,1]; every route must agree on why.
-                for route in (lambda: christoffel_form(measure, n, shift),
-                              lambda: invert_hankel(moments)):
-                    with pytest.raises(NotPositiveDefiniteError) as exc:
-                        route()
-                    assert (exc.value.order, exc.value.minor) == want
+                # x(1-x) is negative on most of [-1,1]; both must agree on why.
+                with pytest.raises(NotPositiveDefiniteError) as exc:
+                    invert_hankel(moments)
+                assert (exc.value.order, exc.value.minor) == want
                 continue
             assert invert_hankel(moments) == want
-            form = christoffel_form(measure, n, shift)
+            form = christoffel_form(measure, n) if shift is None else hankel_form(measure, n, shift)
             assert form.inverse == want
             assert form.quadratic_form_poly == fraction_quadratic_form(matrix.basis, want, 1)
 
@@ -485,7 +510,7 @@ class TestRecurrenceInverse:
             matrix = moment_matrix(measure, n, shift)
             assert bareiss_outcome(matrix) == (order, minor)
             with pytest.raises(NotPositiveDefiniteError) as exc:
-                christoffel_form(measure, n, shift)
+                invert_hankel(shifted_moments(measure, n, shift))
             assert (exc.value.order, exc.value.minor) == (order, minor)
             assert f"order {order} is {minor}" in str(exc.value)
 
@@ -544,15 +569,12 @@ class TestRecurrenceInverse:
     def test_int_moments(self):
         assert invert_hankel([1, 0, 1]) == frac_rows([[1, 0], [0, 1]])
 
-    def test_shift_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            christoffel_form(ARCSINE, 2, MPoly.make(2, {(1, 1): 1}))
-
     def test_arcsine_g_is_the_localized_arcsine(self):
-        # CHEBY2 reads ARCSINE_G's own moments in place of L((1 - x^2) x^k).
+        # CHEBY2 reads ARCSINE_G's own polynomials in place of the Chebyshev
+        # algorithm on L((1 - x^2) x^k).
         for n in range(17):
             form = christoffel_form(ARCSINE_G, n)
-            want = christoffel_form(ARCSINE, n, shift=G)
+            want = hankel_form(ARCSINE, n, G)
             assert (form.inverse_upper, form.inverse_den) == (want.inverse_upper, want.inverse_den)
             assert form.quadratic_form_poly == want.quadratic_form_poly
 
@@ -608,7 +630,7 @@ class TestChebyshevForms:
             christoffel_form(ARCSINE_G, n)
         assert verify_unity_interval(8, UnityVariant.CHEBY2).holds
         with pytest.raises(AssertionError, match="_chebyshev_algorithm"):
-            christoffel_form(ARCSINE, 2, G)
+            invert_hankel(shifted_moments(ARCSINE, 2, G))
 
     @pytest.mark.parametrize("measure, kind", [(ARCSINE, ChebKind.FIRST), (ARCSINE_G, ChebKind.SECOND)],
                              ids=["arcsine", "arcsine-g"])
@@ -719,7 +741,10 @@ class TestChristoffelDarboux:
 
         monkeypatch.setattr(momatrix, "_inverse_nums", boom)
         for n in range(6):
-            christoffel_form(measure, n, shift)
+            if shift is None:
+                christoffel_form(measure, n)
+            else:
+                invert_hankel(shifted_moments(measure, n, shift))
         assert verify_unity_interval(8, UnityVariant.CHEBY2).holds
         with pytest.raises(AssertionError, match="_inverse_nums"):
             christoffel_form(simplex_uniform(2), 2)
@@ -727,7 +752,8 @@ class TestChristoffelDarboux:
     def test_shared_beta_tables_unchanged(self):
         polys, norms = momatrix._beta_recurrence(Fraction(1), Fraction(1), 6)
         before = [(list(p), d) for p, d in polys], list(norms)
-        christoffel_form(LEBESGUE01, 6, UPoly.from_coeffs([Fraction(2, 3)]))
+        # 2/3 LEBESGUE01 scales the norms of the same table by its mass.
+        christoffel_form(dirichlet((1, 1), Fraction(2, 3)), 6)
         christoffel_form(LEBESGUE01, 6)
         assert momatrix._beta_recurrence(Fraction(1), Fraction(1), 6) == (polys, norms)
         assert ([(list(p), d) for p, d in polys], list(norms)) == before
@@ -745,7 +771,7 @@ class TestInversionLog:
         assert messages == ["inverted dim=2 method=recurrence den_bits=1 num_bits_max=2"]
 
     def test_localized_logs_recurrence(self, caplog):
-        messages = self.records(caplog, lambda: christoffel_form(ARCSINE, 4, shift=G))
+        messages = self.records(caplog, lambda: invert_hankel(shifted_moments(ARCSINE, 4, G)))
         assert len(messages) == 1
         assert messages[0].startswith("inverted dim=5 method=recurrence den_bits=")
 
@@ -756,14 +782,21 @@ class TestInversionLog:
         ids=["arcsine", "arcsine-1-x^2", "arcsine-g", "lebesgue01-3", "lebesgue01-1-x^2"],
     )
     def test_univariate_builds_no_matrix(self, caplog, monkeypatch, measure, shift):
-        # Any univariate input that is not Dirichlet goes to the
-        # Christoffel-Darboux kernel with no matrix: from the closed-form
-        # Chebyshev polynomials with no shift, else from its shifted moments.
+        # Both univariate kernels that are not Dirichlet are built by
+        # Christoffel-Darboux with no matrix: christoffel_form's from the
+        # closed-form Chebyshev polynomials, invert_hankel's from the moments.
         def boom(*args, **kwargs):
             raise AssertionError("moment_matrix was called")
 
         monkeypatch.setattr(momatrix, "moment_matrix", boom)
-        messages = self.records(caplog, lambda: christoffel_form(measure, 4, shift))
+
+        def build():
+            if shift is None:
+                christoffel_form(measure, 4)
+            else:
+                invert_hankel(shifted_moments(measure, 4, shift))
+
+        messages = self.records(caplog, build)
         assert len(messages) == 1
         assert messages[0].startswith("inverted dim=5 method=recurrence den_bits=")
 
@@ -795,14 +828,6 @@ class TestInversionLog:
         assert len(messages) == 1
         assert messages[0].startswith("inverted dim=6 method=dirichlet den_bits=")
 
-    def test_polynomial_shift_on_the_simplex_logs_bareiss(self, caplog):
-        # The route reads the measure alone: x y spelled as a shift is
-        # inverted like any other multivariate shift.
-        xy = MPoly.make(2, {(1, 1): 1})
-        messages = self.records(caplog, lambda: christoffel_form(simplex_equilibrium(), 2, xy))
-        assert len(messages) == 1
-        assert messages[0].startswith("inverted dim=6 method=bareiss det_bits=")
-
 
 class TestLazyInverse:
     """``ChristoffelForm`` keeps its inverse in integers and builds the
@@ -819,9 +844,10 @@ class TestLazyInverse:
         ids=["arcsine", "lebesgue01", "simplex-uniform", "equilibrium-x1x2"],
     )
     def test_inverse_is_bareiss_of_the_built_matrix(self, measure, n, shift):
-        form = christoffel_form(measure, n, shift)
+        matrix = moment_matrix(measure, n, shift)
+        form = christoffel_form(measure, n) if shift is None else christoffel_form_of_matrix(matrix)
         assert "inverse" not in vars(form)
-        want = invert_symmetric_rational(moment_matrix(measure, n, shift).entries)
+        want = invert_symmetric_rational(matrix.entries)
         assert form.inverse == want
         assert form.inverse is form.inverse
         assert form.inverse_den == lcm(*(v.denominator for row in want for v in row))
@@ -833,7 +859,7 @@ class TestLazyInverse:
         form = christoffel_form(measure, 3)
         assert form == christoffel_form_of_matrix(moment_matrix(measure, 3))
         assert form != christoffel_form(measure, 2)
-        assert form != christoffel_form(measure, 3, MPoly.make(2, {(1, 0): 1}))
+        assert form != christoffel_form_of_matrix(moment_matrix(measure, 3, MPoly.make(2, {(1, 0): 1})))
 
     def test_identity_verifiers_build_no_inverse(self, monkeypatch):
         calls = []
@@ -867,7 +893,10 @@ def case_id(value):
 
 
 def assert_matches_bareiss(measure, n, shift=None):
-    form = christoffel_form(measure, n, shift)
+    """``christoffel_form`` of the measure, or with a univariate shift the
+    Chebyshev algorithm on its shifted moments, against Bareiss on the built
+    (localizing) matrix."""
+    form = christoffel_form(measure, n) if shift is None else hankel_form(measure, n, shift)
     want = christoffel_form_of_matrix(moment_matrix(measure, n, shift))
     assert form.inverse == want.inverse
     assert form.quadratic_form_poly == want.quadratic_form_poly
@@ -938,9 +967,10 @@ class TestDirichletForm:
         # the arcsine law on [0,1]: the d=1 case of the simplex equilibrium sum.
         mu = dirichlet((Fraction(1, 2), Fraction(1, 2)))
         g = simplex_generator_power(1, (1, 1))
+        edge = localized(mu, (1, 1))
         for n in range(1, 9):
-            localized = christoffel_form(mu, n - 1, shift=g).quadratic_form_poly
-            total = christoffel_form(mu, n).quadratic_form_poly + g * localized
+            total = (christoffel_form(mu, n).quadratic_form_poly
+                     + g * christoffel_form(edge, n - 1).quadratic_form_poly)
             assert total == UPoly.constant(2 * n + 1)
 
     @pytest.mark.parametrize(
@@ -960,23 +990,6 @@ class TestDirichletForm:
         prob = simplex_equilibrium(SimplexNormalization.PROBABILITY)
         assert (prob.kappa, prob.mass) == ((half,) * 3, 1)
         assert (LEBESGUE01.kappa, LEBESGUE01.mass) == ((1, 1), 1)
-
-    @pytest.mark.parametrize(
-        "shift",
-        [
-            MPoly.make(2, {(0, 0): 1, (1, 0): 1}),  # 1 + x_1
-            MPoly.make(2, {(1, 1): 2}),  # 2 x y
-            MPoly.make(2, {(2, 0): 1}),  # x^2
-            MPoly.make(2, {(0, 0): 1, (1, 1): 1}),  # 1 + x y
-            MPoly.make(2, {(1, 0): 1, (1, 1): -1}),  # x (1 - y)
-        ],
-        ids=["1+x", "2xy", "x^2", "1+xy", "x(1-y)"],
-    )
-    def test_other_shift_falls_back(self, caplog, shift):
-        for measure in [simplex_uniform(2), simplex_equilibrium()]:
-            methods = logged_methods(caplog, lambda: christoffel_form(measure, 2, shift))
-            assert methods == ["method=bareiss"]
-            assert_matches_bareiss(measure, 2, shift)
 
     @pytest.mark.parametrize(
         "measure, alpha",
@@ -1009,12 +1022,6 @@ class TestDirichletForm:
         for measure in [simplex_uniform(2)] + EQUILIBRIA:
             with pytest.raises(ValueError):
                 christoffel_form(measure, -1)
-            with pytest.raises(ValueError):
-                christoffel_form(measure, -1, MPoly.make(2, {(1, 1): 1}))
-            with pytest.raises(ValueError):
-                christoffel_form(measure, 2, shift=G)
-            with pytest.raises(ValueError):
-                christoffel_form(measure, 2, shift=MPoly.make(3, {(1, 1, 0): 1}))
 
     def test_uniform_degree_14(self):
         form = christoffel_form(simplex_uniform(2), 14)
