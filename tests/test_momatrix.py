@@ -90,8 +90,6 @@ class TestMomentMatrix:
         with pytest.raises(ValueError, match="dimension"):
             moment_matrix(simplex_uniform(2), 1, shift=G)
         with pytest.raises(ValueError, match="dimension"):
-            moment_matrix(ARCSINE, 2, MPoly.make(2, {(1, 1): 1}))
-        with pytest.raises(ValueError, match="dimension"):
             moment_matrix(simplex_equilibrium(), 2, MPoly.make(3, {(1, 1, 0): 1}))
 
     @pytest.mark.parametrize(
@@ -569,6 +567,11 @@ class TestRecurrenceInverse:
     def test_int_moments(self):
         assert invert_hankel([1, 0, 1]) == frac_rows([[1, 0], [0, 1]])
 
+    def test_shift_dimension_mismatch(self):
+        # A univariate localizing matrix takes a univariate shift only.
+        with pytest.raises(ValueError, match="dimension"):
+            moment_matrix(ARCSINE, 2, MPoly.make(2, {(1, 1): 1}))
+
     def test_arcsine_g_is_the_localized_arcsine(self):
         # CHEBY2 reads ARCSINE_G's own polynomials in place of the Chebyshev
         # algorithm on L((1 - x^2) x^k).
@@ -828,6 +831,19 @@ class TestInversionLog:
         assert len(messages) == 1
         assert messages[0].startswith("inverted dim=6 method=dirichlet den_bits=")
 
+    def test_polynomial_shift_on_the_simplex_logs_bareiss(self, caplog):
+        # x y spelled as a polynomial shift builds its localizing matrix and
+        # inverts it by Bareiss, to the form of the localized measure.
+        mu = simplex_equilibrium()
+        matrix = moment_matrix(mu, 2, MPoly.make(2, {(1, 1): 1}))
+        forms = []
+        messages = self.records(caplog, lambda: forms.append(christoffel_form_of_matrix(matrix)))
+        assert len(messages) == 1
+        assert messages[0].startswith("inverted dim=6 method=bareiss det_bits=")
+        want = christoffel_form(localized(mu, (1, 1, 0)), 2)
+        assert forms[0].inverse == want.inverse
+        assert forms[0].quadratic_form_poly == want.quadratic_form_poly
+
 
 class TestLazyInverse:
     """``ChristoffelForm`` keeps its inverse in integers and builds the
@@ -990,6 +1006,32 @@ class TestDirichletForm:
         prob = simplex_equilibrium(SimplexNormalization.PROBABILITY)
         assert (prob.kappa, prob.mass) == ((half,) * 3, 1)
         assert (LEBESGUE01.kappa, LEBESGUE01.mass) == ((1, 1), 1)
+
+    @pytest.mark.parametrize(
+        "shift, alpha, scale",
+        [
+            (MPoly.make(2, {(0, 0): 1, (1, 0): 1}), None, None),  # 1 + x_1
+            (MPoly.make(2, {(1, 1): 2}), (1, 1, 0), 2),  # 2 x y
+            (MPoly.make(2, {(2, 0): 1}), (2, 0, 0), 1),  # x^2
+            (MPoly.make(2, {(0, 0): 1, (1, 1): 1}), None, None),  # 1 + x y
+            (MPoly.make(2, {(1, 0): 1, (1, 1): -1}), None, None),  # x (1 - y)
+        ],
+        ids=["1+x", "2xy", "x^2", "1+xy", "x(1-y)"],
+    )
+    def test_other_shift_falls_back(self, caplog, shift, alpha, scale):
+        # Any polynomial shift of a simplex measure has its form from Bareiss
+        # on the built localizing matrix.  Where the shift is scale * x_S, the
+        # form is 1/scale times the Dirichlet form of the localized measure.
+        for measure in [simplex_uniform(2), simplex_equilibrium()]:
+            matrix = moment_matrix(measure, 2, shift)
+            forms = []
+            methods = logged_methods(caplog, lambda: forms.append(christoffel_form_of_matrix(matrix)))
+            assert methods == ["method=bareiss"]
+            form = forms[0]
+            assert form.inverse == invert_symmetric_rational(matrix.entries)
+            if alpha is not None:
+                local = christoffel_form(localized(measure, alpha), 2).quadratic_form_poly
+                assert scale * form.quadratic_form_poly == local
 
     @pytest.mark.parametrize(
         "measure, alpha",
