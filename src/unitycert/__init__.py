@@ -11,7 +11,8 @@ module whose body runs when an attribute is first read.  A name of
 ``__all__`` runs the module that defines it.  So no exact verifier runs the
 solver module (``maxent``), and Pell's identity and the partitions of unity
 run neither ``measures`` nor ``momatrix``; only the CHEBY2 variant and the
-simplex equilibrium, which invert moment matrices, run those two.
+simplex equilibrium, which sum reciprocal Christoffel functions, run those
+two.
 """
 
 import importlib.util
@@ -39,7 +40,7 @@ _EXPORTS = {
     ),
     "momatrix": (
         "ChristoffelForm", "MomentMatrix", "NotPositiveDefiniteError", "christoffel_eval",
-        "christoffel_form", "invert_exact", "moment_matrix",
+        "christoffel_form", "christoffel_polynomial", "invert_exact", "moment_matrix",
     ),
     "polycore": (
         "ChebKind", "MPoly", "Rational", "UPoly", "bernstein", "cheb",

@@ -206,14 +206,16 @@ def christoffel_sum(measure: measures.MeasureId, n: int,
                     localizations: Sequence[tuple[AnyPoly, measures.MeasureId]]) -> AnyPoly:
     """``K_n^mu + sum_g g K_{n-1}^{g mu}`` for ``mu = measure``, exactly.
 
-    ``K`` is the reciprocal Christoffel function (``christoffel_form``).
-    Each localization is a pair ``(g, g mu)``: the multiplier and the
-    measure it localizes ``mu`` to, whose form is taken at degree n - 1.
+    ``K`` is the reciprocal Christoffel function, summed from the orthogonal
+    polynomials with no inverse moment matrix built
+    (``momatrix.christoffel_polynomial``).  Each localization is a pair
+    ``(g, g mu)``: the multiplier and the measure it localizes ``mu`` to,
+    whose polynomial is taken at degree n - 1.
     """
-    form = momatrix.christoffel_form
-    expression = form(measure, n).quadratic_form_poly
+    polynomial = momatrix.christoffel_polynomial
+    expression = polynomial(measure, n)
     for g, localized in localizations:
-        expression = expression + g * form(localized, n - 1).quadratic_form_poly
+        expression = expression + g * polynomial(localized, n - 1)
     return expression
 
 
@@ -232,7 +234,9 @@ def verify_unity_interval(n: int, variant: UnityVariant) -> IdentityReport:
 
     UNITY1 averages the raw squares (constant 1), UNITY2 sums the squared
     orthonormal families (constant 2n+1), and CHEBY2 rebuilds the same sums
-    as quadratic forms in the exact inverse moment and localizing matrices.
+    as the reciprocal Christoffel functions of the arcsine measure and of its
+    localization by 1 - x^2 -- the quadratic forms of the exact inverse moment
+    and localizing matrices, summed with no inverse built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -56,15 +56,38 @@ recurrence, so ``M^{-1} = sum_k c_k c_k^T / h_k`` is summed from it, with
 triangle of ``L * M^{-1}`` in integers over one denominator ``L`` (``det``
 for Bareiss).  A ``ChristoffelForm`` keeps that triangle in lowest terms
 and sums the quadratic form from it -- the reciprocal Christoffel function
-as an explicit polynomial -- and builds the ``Fraction`` matrix ``inverse``
-only when it is read; the identity verifiers never read it.
+as an explicit polynomial, for d = 1 the anti-diagonal sums of the
+triangle -- and builds the ``Fraction`` matrix ``inverse`` only when it is
+read.
+
+``christoffel_polynomial`` gives the same polynomial with no inverse built,
+and the identity verifiers take it: they never build an inverse moment
+matrix.  A univariate measure sums the anti-diagonals of its
+Christoffel-Darboux kernel.  For ``mass * Dirichlet(kappa)`` with ``kappa =
+(a, kappa')``, ``b = |kappa'|``, ``x = (x_1, x')`` and ``u = x' / (1 -
+x_1)``, the product basis (Dunkl and Xu 2014, section 5.3) gives
+
+    K_n^kappa(x) = (1/mass) sum_{m=0..n} [(a+b)_2m / (b)_2m]
+                   D_{n-m}^{(a, b+2m)}(x_1) (1 - x_1)^2m Pi_m^{kappa'}(u),
+
+with ``D_N^{(a,b)}`` the degree-N Christoffel polynomial of Beta(a, b),
+from its Christoffel-Darboux kernel, and ``Pi_m^{kappa'} = K_m^{kappa'} -
+K_{m-1}^{kappa'}`` the exact-degree-m piece, by the same sum with the
+squares ``p_j^2 / h_j`` of the Beta polynomials in place of ``D`` (for a
+2-entry ``kappa'`` just ``p_m(u)^2 / h_m``).  ``(1 - x_1)^2m Pi_m(u)`` is a
+polynomial, and ``D (1 - x_1)^(2m-s)`` is built one factor ``1 - x_1`` at a
+time: about ``n^3`` integer products for d = 2, against ``m^3 / 6`` with
+``m = C(n+2, 2)`` for the inverse.
 
 With ``logging`` at DEBUG, each inversion logs one record with its
 dimension and method: for Bareiss the bit lengths of ``det`` and of the
 largest entry of ``det * A^{-1}``, for ``recurrence`` (``invert_hankel`` and
 the closed-form Chebyshev forms) and ``dirichlet`` those of the common
 denominator ``L`` and of the largest entry of ``L * M^{-1}`` (in lowest terms
-on the Christoffel-Darboux route).
+on the Christoffel-Darboux route).  Each ``christoffel_polynomial`` logs one
+record, ``christoffel polynomial``, with the dimension, the method
+(``product`` or ``recurrence``) and the bit lengths of the polynomial's
+denominator and largest numerator; the kernels it sums log none.
 Bareiss time grows with its intermediates, roughly cubically in the matrix
 dimension times their bit length: arcsine n=48 logs ``det_bits=2303
 entry_bits_max=2419``.  At arcsine n=48 and 96, arcsine-g n=20 and
@@ -352,8 +375,9 @@ def _hankel_inverse_nums(moments: Sequence[Fraction]) -> tuple[list[list[int]], 
     """
     if len(moments) % 2 == 0:
         raise ValueError("a Hankel matrix needs an odd number of moments")
-    polys, norms = _chebyshev_algorithm(moments)
-    return _kernel_nums(polys, norms, "recurrence")
+    y, den = _kernel_nums(*_chebyshev_algorithm(moments))
+    _log_inverse(len(y), "recurrence", y, den)
+    return y, den
 
 
 def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[int], int]], list[Ratio]]:
@@ -399,8 +423,8 @@ def _chebyshev_algorithm(moments: Sequence[Fraction]) -> tuple[list[tuple[list[i
     return polys, norms
 
 
-def _kernel_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio],
-                 method: str) -> tuple[list[list[int]], int]:
+def _kernel_nums(polys: Sequence[tuple[list[int], int]],
+                 norms: Sequence[Ratio]) -> tuple[list[list[int]], int]:
     """``(Y, L)`` with ``Y / L = sum_k p_k p_k^T / h_k``, upper triangle only,
     in lowest terms, by the Christoffel-Darboux formula.
 
@@ -417,7 +441,8 @@ def _kernel_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio],
     ``K[i][j] = N[i+1][j] + K[i+1][j-1]``: row 0 is column 0, ``N[j+1][0]``,
     and the upper part of row i+1 is that of row i shifted left by one, less
     ``N[i+1]``.  Each entry costs two products, ``m^2 / 2`` entries in all.
-    Logs one DEBUG record naming ``method``.
+    Logs nothing: an inversion logs its own record, and the kernel factors of
+    ``christoffel_polynomial`` none.
     """
     b, b_den = polys[-1]
     n = len(b) - 1
@@ -450,8 +475,27 @@ def _kernel_nums(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio],
     if g != 1:
         y = [[v // g for v in row] for row in y]
         den //= g
-    _log_inverse(n + 1, method, y, den)
     return y, den
+
+
+def _antidiagonal_sums(y: Sequence[Sequence[int]]) -> list[int]:
+    """The numerators of ``sum_ij Y_ij x^(i+j)`` for the upper triangle
+    ``y[i][j - i]`` of a symmetric ``Y``: the coefficient of ``x^k`` is the
+    sum along the k-th anti-diagonal, each off-diagonal entry twice."""
+    m = len(y)
+    sums = [0] * (2 * m - 1)
+    for i, row in enumerate(y):
+        # Row i holds Y[i][i..m-1], which lands on x^(2i) .. x^(m-1+i).
+        sums[2 * i : m + i] = map(operator.add, sums[2 * i : m + i], row)
+    nums = [v + v for v in sums]
+    for i, row in enumerate(y):
+        nums[2 * i] -= row[0]
+    return nums
+
+
+def _univariate_poly(y: Sequence[Sequence[int]], den: int) -> AnyPoly:
+    """The polynomial ``sum_ij (Y_ij / den) x^(i+j)`` of an upper triangle."""
+    return poly_from_sparse_nums(1, {(k,): v for k, v in enumerate(_antidiagonal_sums(y))}, den)
 
 
 def _log_inverse(m: int, method: str, y: list[list[int]], den: int) -> None:
@@ -499,12 +543,27 @@ def _beta_recurrence(a: Fraction, b: Fraction, n: int) -> tuple[list[tuple[list[
     """``_chebyshev_algorithm`` of the Beta(a, b) probability measure on [0, 1].
 
     Its moments are ``(a)_k / (a+b)_k``.  The tables are shared between
-    calls and must not be mutated.
+    calls and must not be mutated.  The moment list is sized first, so an n
+    past any list raises ``OverflowError`` before the loop.
     """
-    moments = [Fraction(1)]
+    moments = [Fraction(1)] * (2 * n + 1)
     for k in range(2 * n):
-        moments.append(moments[-1] * (a + k) / (a + b + k))
+        moments[k + 1] = moments[k] * (a + k) / (a + b + k)
     return _chebyshev_algorithm(moments)
+
+
+def _rising_ratios(a: Fraction, b: Fraction, n: int) -> list[Ratio]:
+    """``(a+b)_2m / (b)_2m`` for m = 0 .. n, in lowest terms: with b = bn / bd
+    and a+b = cn / cd, step m multiplies in ``(a+b+i) / (b+i)`` for i = 2m-2
+    and 2m-1, each ``(cn + i cd) bd / ((bn + i bd) cd)``."""
+    bn, bd = b.numerator, b.denominator
+    cn, cd = (a + b).numerator, (a + b).denominator
+    ratios = [(1, 1)]
+    for i in range(0, 2 * n, 2):
+        rn, rd = ratios[-1]
+        ratios.append(_reduced(rn * (cn + i * cd) * (cn + (i + 1) * cd) * bd * bd,
+                               rd * (bn + i * bd) * (bn + (i + 1) * bd) * cd * cd))
+    return ratios
 
 
 def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exponent, int], int, int, Ratio]]:
@@ -528,17 +587,13 @@ def _dirichlet_basis(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exp
         return [({(): 1}, 1, 0, (1, 1))]
     a, rest = kappa[0], kappa[1:]
     b = sum(rest)
-    bn, bd = b.numerator, b.denominator
-    cn, cd = (a + b).numerator, (a + b).denominator
+    ratios = _rising_ratios(a, b, n)
     out = []
     by_degree: dict[int, tuple] = {}
     for q, q_den, m, q_norm in _dirichlet_basis(rest, n):
         if m not in by_degree:
             polys, norms = _beta_recurrence(a, b + 2 * m, n - m)
-            # (b)_2m / (a+b)_2m, each rising factorial one integer product.
-            rn = math.prod(bn + i * bd for i in range(2 * m)) * cd ** (2 * m)
-            rd = math.prod(cn + i * cd for i in range(2 * m)) * bd ** (2 * m)
-            rn, rd = _reduced(rn, rd)
+            rd, rn = ratios[m]  # (b)_2m / (a+b)_2m
             # shifted[j][s]: numerators of p_j(t) (1 - t)^s over p_j's denominator.
             shifted = []
             for nums, _ in polys:
@@ -589,19 +644,26 @@ def _chebyshev_pair(kind: ChebKind, n: int) -> tuple[list[tuple[list[int], int]]
     return polys, norms
 
 
+def _univariate_pair(measure: MeasureId, n: int) -> tuple[list[tuple[list[int], int]], list[Ratio]]:
+    """The monic orthogonal ``p_{n-1}, p_n`` (only ``p_0`` for n = 0) and
+    their norms under a univariate measure, all ``_kernel_nums`` reads: from
+    the Beta recurrence for ``mass * Dirichlet(a, b)``, its norms times the
+    mass, and from ``_chebyshev_pair`` for the arcsine measures."""
+    if not measure.kappa:
+        return _chebyshev_pair(_CHEBYSHEV_KINDS[measure], n)
+    polys, norms = _beta_recurrence(measure.kappa[0], measure.kappa[1], n)
+    mass = measure.mass
+    return polys[-2:], [(hn * mass.numerator, hd * mass.denominator) for hn, hd in norms[-2:]]
+
+
 def _dirichlet_form(measure: MeasureId, n: int) -> ChristoffelForm:
-    """The Christoffel form of ``mass * Dirichlet(kappa)``: for d = 1 from the
-    Beta recurrence by ``_kernel_nums``, else from ``_dirichlet_basis``."""
-    kappa, mass = measure.kappa, measure.mass
-    if len(kappa) == 2:
-        polys, norms = _beta_recurrence(kappa[0], kappa[1], n)
-        norms = [(hn * mass.numerator, hd * mass.denominator) for hn, hd in norms[-2:]]
-        y, den = _kernel_nums(polys, norms, "dirichlet")
-        return _christoffel_form(measure, n, None, y, den)
+    """The Christoffel form of ``mass * Dirichlet(kappa)`` in d >= 2, its
+    inverse summed from ``_dirichlet_basis``."""
     basis = monomials_upto(measure.dimension, n)
     index = {e: i for i, e in enumerate(basis)}
+    mass = measure.mass
     polys, norms = [], []
-    for nums, den, _, (hn, hd) in _dirichlet_basis(kappa, n):
+    for nums, den, _, (hn, hd) in _dirichlet_basis(measure.kappa, n):
         dense = [0] * (max(index[e] for e in nums) + 1)
         for e, c in nums.items():
             dense[index[e]] = c
@@ -611,20 +673,104 @@ def _dirichlet_form(measure: MeasureId, n: int) -> ChristoffelForm:
     return _christoffel_form(measure, n, None, y, den)
 
 
+def _squares(polys: Sequence[tuple[list[int], int]], norms: Sequence[Ratio]) -> list[tuple[list[int], int]]:
+    """``p_j^2 / h_j`` for each orthogonal ``p_j = (nums, den)`` and its norm
+    ``h_j``, as ``(nums, den)`` in lowest terms: the square's coefficients
+    are the anti-diagonal sums of ``nums nums^T``."""
+    out = []
+    for (p, den), (hn, hd) in zip(polys, norms):
+        square = _antidiagonal_sums([[c * v for v in p[i:]] for i, c in enumerate(p)])
+        out.append(_lowest([v * hd for v in square], den * den * hn))
+    return out
+
+
+def _product_sum(ratios: Sequence[Ratio], factors: Sequence[tuple[list[int], int]],
+                 pieces: Sequence[tuple[dict[Exponent, int], int]]) -> tuple[dict[Exponent, int], int]:
+    """``sum_m r_m F_m(x_1) (1 - x_1)^2m Pi_m(x' / (1 - x_1))`` over the m of
+    ``factors``.
+
+    ``r_m = ratios[m]``; ``factors[m]`` is the univariate ``F_m`` as ``(nums,
+    den)`` and ``pieces[m]`` is ``Pi_m``, of degree 2m in d - 1 variables, as
+    sparse ``(nums, den)``.  A term ``c u^gamma`` of ``Pi_m`` contributes ``c
+    x'^gamma F_m(x_1) (1 - x_1)^(2m - |gamma|)``, and ``F_m (1 - x_1)^t`` is
+    built one factor ``1 - x_1`` at a time.  Returns sparse numerators in d
+    variables over one denominator.
+    """
+    dens = [rd * f_den * p_den for (_, rd), (_, f_den), (_, p_den) in zip(ratios, factors, pieces)]
+    den = math.lcm(*dens)
+    # One dense row of x_1 numerators per gamma.  The contributions to it have
+    # one length: F_m has degree 2(N - m), N = n for K_n and k for Pi_k, so
+    # F_m (1 - x_1)^(2m - |gamma|) has degree 2N - |gamma| for every m.
+    rows: dict[Exponent, list[int]] = {}
+    for m, ((rn, _), dm, (f, _), (piece, _)) in enumerate(zip(ratios, dens, factors, pieces)):
+        scale = rn * (den // dm)
+        shifted = [f]  # shifted[t] = F_m (1 - x_1)^t
+        for _ in range(2 * m):
+            last = shifted[-1]
+            shifted.append([c - prev for c, prev in zip(last + [0], [0] + last)])
+        for gamma, c in piece.items():
+            f_t = shifted[2 * m - sum(gamma)]
+            c *= scale
+            row = rows.get(gamma)
+            rows[gamma] = [c * v for v in f_t] if row is None else [r + c * v for r, v in zip(row, f_t)]
+    return {(i,) + gamma: v for gamma, row in rows.items() for i, v in enumerate(row) if v}, den
+
+
+def _dirichlet_pieces(kappa: tuple[Fraction, ...], n: int) -> list[tuple[dict[Exponent, int], int]]:
+    """``Pi_0 .. Pi_n`` of the Dirichlet(kappa) probability measure on T^d,
+    d = len(kappa) - 1, as sparse ``(nums, den)`` keyed by exponents of length d.
+
+    ``Pi_k = K_k - K_{k-1}`` is the sum of ``P^2 / E[P^2]`` over the
+    orthogonal polynomials P of exact degree k, whatever the basis.  For
+    d = 1 it is ``p_k^2 / h_k`` of Beta(kappa_1, kappa_2).  Otherwise, in the
+    product basis of ``_dirichlet_basis``, it is the ``_product_sum`` of the
+    squares ``p_{k-m}^2 / g_{k-m}`` of Beta(kappa_1, |kappa'| + 2m) and the
+    ``Pi_m`` of ``kappa' = kappa[1:]``.
+    """
+    a, rest = kappa[0], kappa[1:]
+    if len(rest) == 1:
+        return [({(i,): v for i, v in enumerate(nums) if v}, den)
+                for nums, den in _squares(*_beta_recurrence(a, rest[0], n))]
+    b = sum(rest)
+    lower = _dirichlet_pieces(rest, n)
+    ratios = _rising_ratios(a, b, n)
+    squares = [_squares(*_beta_recurrence(a, b + 2 * m, n - m)) for m in range(n + 1)]
+    return [_product_sum(ratios, [squares[m][k - m] for m in range(k + 1)], lower)
+            for k in range(n + 1)]
+
+
+def _dirichlet_kernel(kappa: tuple[Fraction, ...], n: int) -> tuple[dict[Exponent, int], int]:
+    """``K_n`` of the Dirichlet(kappa) probability measure in d >= 2 as
+    sparse ``(nums, den)``: the ``_product_sum`` of the Christoffel
+    polynomials ``D_{n-m}`` of Beta(kappa_1, |kappa'| + 2m), each the
+    anti-diagonal sums of its Christoffel-Darboux kernel, and the ``Pi_m`` of
+    ``kappa' = kappa[1:]``.  It reads the Beta tables ``_dirichlet_basis``
+    reads, and no others."""
+    a, rest = kappa[0], kappa[1:]
+    b = sum(rest)
+    factors = []
+    for m in range(n + 1):
+        y, den = _kernel_nums(*_beta_recurrence(a, b + 2 * m, n - m))
+        factors.append((_antidiagonal_sums(y), den))
+    return _product_sum(_rising_ratios(a, b, n), factors, _dirichlet_pieces(rest, n))
+
+
 def _christoffel_form(measure: MeasureId, n: int, shift: Optional[AnyPoly],
                       y: list[list[int]], den: int) -> ChristoffelForm:
     """The form of degree n whose inverse moment matrix is the upper triangle
     ``y[i][j - i] / den`` over ``monomials_upto(measure.dimension, n)``,
     which it keeps in lowest terms."""
-    basis = monomials_upto(measure.dimension, n)
+    dim = measure.dimension
     g = math.gcd(den, *itertools.chain.from_iterable(y))
     upper = tuple(tuple(v // g for v in row) for row in y) if g != 1 else tuple(map(tuple, y))
+    den //= g
     return ChristoffelForm(
         measure=measure,
         degree=n,
         inverse_upper=upper,
-        inverse_den=den // g,
-        quadratic_form_poly=_form_poly(basis, upper, den // g, measure.dimension),
+        inverse_den=den,
+        quadratic_form_poly=_univariate_poly(upper, den) if dim == 1
+        else _form_poly(monomials_upto(dim, n), upper, den, dim),
         shift=shift,
     )
 
@@ -646,7 +792,8 @@ def invert_exact(matrix: MomentMatrix) -> RationalMatrix:
 
 
 def _form_poly(basis: tuple[Exponent, ...], y: Sequence[Sequence[int]], den: int, dim: int) -> AnyPoly:
-    """sum_ij (Y_ij / den) x^(a_i + a_j) for the upper triangle ``y[i][j - i]``.
+    """sum_ij (Y_ij / den) x^(a_i + a_j) for the upper triangle ``y[i][j - i]``
+    in d >= 2 variables; a univariate form is ``_antidiagonal_sums``.
 
     Sums the numerators by exponent in integers; each off-diagonal pair
     enters once, doubled.  Exponents are packed into integers in a base
@@ -686,8 +833,8 @@ def christoffel_form_of_matrix(matrix: MomentMatrix) -> ChristoffelForm:
 
 
 def christoffel_form(measure: MeasureId, n: int) -> ChristoffelForm:
-    """Reciprocal Christoffel function of degree n of a measure, from its
-    orthogonal polynomials.
+    """Reciprocal Christoffel function of degree n of a measure and its
+    inverse moment matrix, from the measure's orthogonal polynomials.
 
     The route reads the measure alone, and no moment is computed: a
     Dirichlet measure (``measures.localized`` builds one for a generator
@@ -696,13 +843,49 @@ def christoffel_form(measure: MeasureId, n: int) -> ChristoffelForm:
     polynomials ``T_k / 2^(k-1)`` and ``U_k / 2^k``.  Every univariate kernel
     is assembled by Christoffel-Darboux.  The form of any other localization
     ``g * mu`` is ``christoffel_form_of_matrix(moment_matrix(mu, n, g))``.
+    ``christoffel_polynomial`` gives the same polynomial with no inverse.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if measure.kappa:  # a Dirichlet measure
+    if measure.dimension > 1:
         return _dirichlet_form(measure, n)
-    y, den = _kernel_nums(*_chebyshev_pair(_CHEBYSHEV_KINDS[measure], n), "recurrence")
+    y, den = _kernel_nums(*_univariate_pair(measure, n))
+    _log_inverse(n + 1, "dirichlet" if measure.kappa else "recurrence", y, den)
     return _christoffel_form(measure, n, None, y, den)
+
+
+def christoffel_polynomial(measure: MeasureId, n: int) -> AnyPoly:
+    """Reciprocal Christoffel function of degree n of a measure, with no
+    inverse moment matrix built: ``christoffel_form(measure, n)
+    .quadratic_form_poly``, summed from the orthogonal polynomials.
+
+    A univariate measure sums the anti-diagonals of its Christoffel-Darboux
+    kernel.  ``mass * Dirichlet(kappa)`` in d >= 2 is ``1 / mass`` times the
+    product formula of ``_dirichlet_kernel``.  Logs one DEBUG record: the
+    dimension of the degree-n space, the method (``product`` for a Dirichlet
+    measure, ``recurrence`` for the arcsine ones) and the bit lengths of the
+    polynomial's denominator and largest numerator.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    dim = measure.dimension
+    if dim == 1:
+        poly = _univariate_poly(*_kernel_nums(*_univariate_pair(measure, n)))
+    else:
+        nums, den = _dirichlet_kernel(measure.kappa, n)
+        mass = measure.mass
+        if mass.denominator != 1:
+            nums = {e: v * mass.denominator for e, v in nums.items()}
+        poly = poly_from_sparse_nums(dim, nums, den * mass.numerator)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "christoffel polynomial dim=%d method=%s den_bits=%d num_bits_max=%d",
+            math.comb(n + dim, dim),
+            "product" if measure.kappa else "recurrence",
+            poly.den.bit_length(),
+            max(v.bit_length() for v in poly.sparse_nums.values()),
+        )
+    return poly
 
 
 def christoffel_eval(form: ChristoffelForm, point: Sequence) -> Fraction:

@@ -467,10 +467,21 @@ def monomials_of_degree(dimension: int, total: int) -> list[Exponent]:
 
 
 def monomials_upto(dimension: int, degree: int) -> tuple[Exponent, ...]:
-    """Graded lexicographic monomial basis of degree <= ``degree``."""
-    out: list[Exponent] = []
+    """Graded lexicographic monomial basis of degree <= ``degree``.
+
+    The list is sized first, so a basis too large for any list raises
+    ``OverflowError`` before the loop.  Its size is C(degree + dimension, k)
+    for k = min(degree, dimension); past k = 64 that is above C(128, 64) >
+    2^63, as is C(degree + dimension, 64), which is computed instead.
+    """
+    if degree < 0:
+        return ()
+    out: list = [None] * math.comb(degree + dimension, min(degree, dimension, 64))
+    start = 0
     for total in range(degree + 1):
-        out.extend(monomials_of_degree(dimension, total))
+        row = monomials_of_degree(dimension, total)
+        out[start : start + len(row)] = row
+        start += len(row)
     return tuple(out)
 
 

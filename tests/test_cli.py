@@ -147,9 +147,14 @@ class TestExitCodeContract:
             ["christoffel", "--measure", "arcsine-g", "--n", "10000000000000000000"],
             ["verify", "--identity", "unity-interval", "--variant", "cheby2",
              "--n", "10000000000000000000"],
+            ["christoffel", "--measure", "lebesgue01", "--n", "10000000000000000000"],
+            ["verify", "--identity", "simplex-equilibrium", "--n", "10000000000000000000"],
+            ["christoffel", "--measure", "simplex-uniform", "--d", "2",
+             "--n", "10000000000000000000"],
         ],
         ids=["pell", "maxent-simplex", "partition", "christoffel-arcsine",
-             "christoffel-arcsine-g", "verify-cheby2"],
+             "christoffel-arcsine-g", "verify-cheby2", "christoffel-lebesgue01",
+             "verify-simplex-equilibrium", "christoffel-simplex-uniform"],
     )
     def test_overflow_is_exit_3(self, capsys, argv):
         assert cli.run(argv) == 3

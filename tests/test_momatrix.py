@@ -697,7 +697,7 @@ class TestChristoffelDarboux:
             sizes = [*range(25), 48, 96]
         for n in sizes:
             polys, norms = momatrix._chebyshev_algorithm(moments[: 2 * n + 1])
-            y, den = momatrix._kernel_nums(polys, norms, "recurrence")
+            y, den = momatrix._kernel_nums(polys, norms)
             assert (y, den) == lowest_upper(*momatrix._inverse_nums(polys, norms, n + 1))
 
     def test_discrete_measures_match_bareiss(self):
@@ -1070,6 +1070,111 @@ class TestDirichletForm:
         assert form.quadratic_form_poly.degree == 28
         # The integral of the form is the dimension of the space, C(16, 2).
         assert functional_for(simplex_uniform(2)).poly_moment(form.quadratic_form_poly) == 120
+
+
+EDGES = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+
+class TestChristoffelPolynomial:
+    """``christoffel_polynomial`` (no inverse built) against the polynomial
+    of ``christoffel_form`` (summed from the inverse)."""
+
+    @pytest.mark.parametrize(
+        "measure, max_n",
+        [(LEBESGUE01, 8), (ARCSINE, 8), (ARCSINE_G, 8), (simplex_uniform(2), 8),
+         (simplex_uniform(3), 5), (simplex_uniform(4), 3)]
+        + [(m, 8) for m in EQUILIBRIA]
+        + [(localized(m, alpha), 8) for m in EQUILIBRIA for alpha in EDGES]
+        + [(dirichlet((Fraction(1, 2), Fraction(3, 2), 2), Fraction(3, 7)), 8),
+           (dirichlet((Fraction(5, 2), Fraction(1, 3)), Fraction(3, 7)), 8)],
+        ids=case_id,
+    )
+    def test_matches_the_form(self, measure, max_n):
+        for n in range(max_n + 1):
+            poly = momatrix.christoffel_polynomial(measure, n)
+            want = christoffel_form(measure, n).quadratic_form_poly
+            assert type(poly) is type(want)
+            assert poly == want
+
+    @pytest.mark.parametrize("measure", [LEBESGUE01, ARCSINE, ARCSINE_G, simplex_uniform(3)]
+                             + EQUILIBRIA, ids=case_id)
+    def test_negative_degree_rejected(self, measure):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            momatrix.christoffel_polynomial(measure, -1)
+
+    def test_identity_sums_build_no_inverse(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("an inverse moment matrix was built")
+
+        for name in ("_inverse_nums", "_dirichlet_basis", "_form_poly"):
+            monkeypatch.setattr(momatrix, name, boom)
+        for normalization in SimplexNormalization:
+            for n in range(1, 4):
+                assert verify_simplex_equilibrium(n, normalization).holds
+        assert verify_unity_interval(8, UnityVariant.CHEBY2).holds
+        with pytest.raises(AssertionError, match="inverse moment matrix"):
+            christoffel_form(simplex_uniform(2), 1)
+
+    @pytest.mark.parametrize("measure", [simplex_uniform(3), localized(simplex_equilibrium(), (1, 1, 0)),
+                                         LEBESGUE01], ids=case_id)
+    def test_reads_the_beta_tables_of_the_basis(self, monkeypatch, measure):
+        # No Beta table beyond those the orthogonal basis reads.
+        keys = []
+        table = momatrix._beta_recurrence
+
+        def recorded(a, b, n):
+            keys.append((a, b, n))
+            return table(a, b, n)
+
+        monkeypatch.setattr(momatrix, "_beta_recurrence", recorded)
+        momatrix.christoffel_polynomial(measure, 4)
+        product = set(keys)
+        keys.clear()
+        christoffel_form(measure, 4)
+        assert product == set(keys)
+
+    def records(self, caplog, build):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="unitycert.momatrix"):
+            build()
+        return [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "unitycert.momatrix"]
+
+    def test_logs_one_record(self, caplog):
+        # K_1 = 9 - 24x - 24y + 24x^2 + 24xy + 24y^2 on the uniform triangle,
+        # and 1 + 2x^2 for the arcsine measure.
+        poly = momatrix.christoffel_polynomial
+        assert self.records(caplog, lambda: poly(simplex_uniform(2), 1)) == [
+            (logging.DEBUG, "christoffel polynomial dim=3 method=product den_bits=1 num_bits_max=5")]
+        assert self.records(caplog, lambda: poly(ARCSINE, 1)) == [
+            (logging.DEBUG, "christoffel polynomial dim=2 method=recurrence den_bits=1 num_bits_max=2")]
+        # The n + 1 Beta kernels of the product sum log nothing of their own.
+        for measure, dim in [(simplex_equilibrium(), 15), (simplex_uniform(3), 35), (LEBESGUE01, 5)]:
+            messages = self.records(caplog, lambda: poly(measure, 4))
+            assert len(messages) == 1
+            assert messages[0][1].startswith(f"christoffel polynomial dim={dim} method=product den_bits=")
+
+    def test_identity_verifier_logs_one_record_per_measure(self, caplog):
+        messages = self.records(
+            caplog, lambda: verify_simplex_equilibrium(3, SimplexNormalization.PROBABILITY))
+        assert [m.split()[2] for _, m in messages] == ["dim=10", "dim=6", "dim=6", "dim=6"]
+        assert all(m.startswith("christoffel polynomial ") for _, m in messages)
+
+    def test_impossible_size_raises_at_once(self):
+        for measure in [LEBESGUE01, simplex_uniform(2), simplex_equilibrium()]:
+            with pytest.raises(OverflowError):
+                momatrix.christoffel_polynomial(measure, 10**19)
+            with pytest.raises(OverflowError):
+                christoffel_form(measure, 10**19)
+
+    def test_antidiagonal_sums_are_the_form(self):
+        rng = random.Random(34)
+        for m in range(1, 12):
+            y = [[rng.randint(-99, 99) for _ in range(m - i)] for i in range(m)]
+            want = [0] * (2 * m - 1)
+            for i in range(m):
+                for j in range(m):
+                    want[i + j] += y[min(i, j)][abs(i - j)]
+            assert momatrix._antidiagonal_sums(y) == want
 
 
 class TestJson:

@@ -30,7 +30,7 @@ def defining_module(name):
 
 def test_all_is_sorted_without_repeats():
     assert uc.__all__ == sorted(set(uc.__all__))
-    assert len(uc.__all__) == 48
+    assert len(uc.__all__) == 49
 
 
 @pytest.mark.parametrize("name", uc.__all__)

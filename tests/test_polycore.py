@@ -614,6 +614,18 @@ class TestMonomialOrder:
         for d in range(1, 5):
             for n in range(5):
                 assert len(monomials_upto(d, n)) == math.comb(d + n, n)
+        # Past 64 in one of the two, the count is exact while the other is small.
+        assert monomials_upto(70, 1) == ((0,) * 70,) + tuple(
+            tuple(int(i == j) for i in range(70)) for j in range(70))
+        assert len(monomials_upto(1, 100)) == 101
+        assert monomials_upto(3, -1) == ()
+
+    @pytest.mark.parametrize("dimension, degree", [(2, 10**19), (10**19, 2), (10**19, 10**19), (65, 65)])
+    def test_impossible_size_raises_at_once(self, dimension, degree):
+        # The list is sized before it is filled; (65, 65) is C(130, 65) > 2^63
+        # monomials, counted from C(130, 64).
+        with pytest.raises(OverflowError):
+            monomials_upto(dimension, degree)
 
     @staticmethod
     def recursive_monomials(dimension, total):
